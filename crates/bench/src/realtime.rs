@@ -13,7 +13,7 @@ use crate::scenario::Scenario;
 use decoding_graph::{SeamPolicy, WindowCache};
 use ler::effective_threads;
 use realtime::{
-    run_stream_instrumented, BacklogConfig, Datapath, PredecodeMode, StreamRunConfig,
+    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig,
     StreamRunResult, WindowConfig,
 };
 use std::io::Write;
@@ -215,13 +215,17 @@ pub fn run_scenario_realtime(
                     // is single-threaded, so the elapsed time is a
                     // one-core throughput measurement.
                     let started = Instant::now();
-                    let run = run_stream_instrumented(
+                    let instruments = Instruments {
+                        spans: Some((Arc::clone(&spans[i]), 1)),
+                        ..Instruments::default()
+                    };
+                    let run = run_stream(
                         &ctx.graph,
                         &ctx.circuit,
                         kinds[i],
                         &run_cfg,
                         cache,
-                        Some((Arc::clone(&spans[i]), 1)),
+                        instruments,
                     );
                     local.push((i, run, started.elapsed()));
                 }

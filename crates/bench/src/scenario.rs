@@ -13,7 +13,7 @@ use crate::perf::LerPoint;
 use decoding_graph::{SeamPolicy, WindowCache};
 use ler::{run_eq1, wilson_interval, DecoderKind, Eq1Config, ExperimentContext};
 use realtime::{
-    run_stream_with_cache, BacklogConfig, Datapath, PredecodeMode, StreamRunConfig, WindowConfig,
+    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig, WindowConfig,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -369,7 +369,14 @@ fn run_scenario_ler_windowed(
         "decoder", "LER", "95% Wilson", "L1%"
     )?;
     for kind in &scenario.decoders {
-        let run = run_stream_with_cache(&ctx.graph, &ctx.circuit, *kind, &run_cfg, &cache);
+        let run = run_stream(
+            &ctx.graph,
+            &ctx.circuit,
+            *kind,
+            &run_cfg,
+            &cache,
+            Instruments::default(),
+        );
         let iv = wilson_interval(run.failures, run.shots as u64, 1.96);
         writeln!(
             w,

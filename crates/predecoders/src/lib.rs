@@ -32,8 +32,8 @@ mod pipeline;
 mod smith;
 
 pub use batch::{
-    BatchOutcome, BatchPredecoder, EscalateCause, L1BatchStats, LocalMatch,
-    BATCH_PREDECODE_CYCLES, MAX_L1_DEFECTS,
+    BatchOutcome, BatchPredecoder, EscalateCause, L1BatchStats, LocalMatch, BATCH_PREDECODE_CYCLES,
+    MAX_L1_DEFECTS,
 };
 pub use clique::CliquePredecoder;
 pub use pipeline::{ParallelDecoder, PipelineDecoder, COMPARISON_OVERHEAD_NS};

@@ -9,11 +9,9 @@
 
 use crate::backlog::{service_ns, simulate_backlog, BacklogConfig, BacklogReport, WindowTiming};
 use crate::stream::SyndromeStream;
-use crate::window::{Datapath, PredecodeMode, SlidingWindowDecoder, WindowConfig};
+use crate::window::{Datapath, PredecodeMode, SlidingWindowDecoder, WindowConfig, WindowedOutcome};
 use astrea::AstreaLatencyModel;
-use decoding_graph::{
-    DecodingGraph, LatencyModel, LayerMap, PolynomialLatency, SeamPolicy, WindowCache,
-};
+use decoding_graph::{DecodingGraph, LatencyModel, LayerMap, PolynomialLatency, WindowCache};
 use ler::DecoderKind;
 use qsim::circuit::Circuit;
 use std::sync::Arc;
@@ -108,6 +106,21 @@ impl StreamRunResult {
     }
 }
 
+/// Side-channel instruments of one streaming run; `Default` arms none.
+/// Neither changes a decode outcome: the returned [`StreamRunResult`] is
+/// bit-identical with or without them (pinned by the span and
+/// trace-purity tests).
+#[derive(Default)]
+pub struct Instruments {
+    /// Wall-clock stage spans: every 1-in-`N` window step (the `u32`)
+    /// records its per-stage durations (see [`telemetry::Stage`]).
+    pub spans: Option<(Arc<telemetry::StageSpans>, u32)>,
+    /// The causal flight recorder: every window step of every shot emits
+    /// its trace events, keyed by `(tenant, shot index, window index)`
+    /// with the `u32` as tenant.
+    pub trace: Option<(Arc<telemetry::TraceBuf>, u32)>,
+}
+
 /// Streams `cfg.shots` shots of `circuit` through a sliding-window
 /// decoder of `kind` and simulates the decode queue.
 ///
@@ -115,85 +128,23 @@ impl StreamRunResult {
 /// and the modeled timings are all derived from seeded RNG and modeled
 /// latencies (never wall-clock time).
 ///
+/// Window subgraphs and path tables come from `cache`, so concurrent
+/// runs over the same graph (e.g. the per-decoder fan-out of `repro
+/// realtime`) build each one once instead of once per run; a run over a
+/// fresh cache gives identical results.
+///
 /// # Panics
 ///
 /// Panics if `graph`'s detectors carry no layer structure (see
-/// [`LayerMap::from_graph`]) or the window exceeds the layer count.
+/// [`LayerMap::from_graph`]), the window exceeds the layer count, or
+/// `cache` was not built with [`decoding_graph::SeamPolicy::Cut`].
 pub fn run_stream(
     graph: &DecodingGraph,
     circuit: &Circuit,
     kind: DecoderKind,
     cfg: &StreamRunConfig,
-) -> StreamRunResult {
-    let cache = Arc::new(WindowCache::new(graph, SeamPolicy::Cut));
-    run_stream_with_cache(graph, circuit, kind, cfg, &cache)
-}
-
-/// [`run_stream`] with a caller-provided shared [`WindowCache`], so
-/// concurrent runs over the same graph (e.g. the per-decoder fan-out of
-/// `repro realtime`) build each window subgraph and path table once
-/// instead of once per run. Results are identical to [`run_stream`].
-pub fn run_stream_with_cache(
-    graph: &DecodingGraph,
-    circuit: &Circuit,
-    kind: DecoderKind,
-    cfg: &StreamRunConfig,
     cache: &Arc<WindowCache>,
-) -> StreamRunResult {
-    run_stream_instrumented(graph, circuit, kind, cfg, cache, None)
-}
-
-/// [`run_stream_with_cache`] with wall-clock stage spans attached to the
-/// sliding-window decoder: every 1-in-`sample` window step records its
-/// per-stage durations into `spans` (see [`telemetry::Stage`]). The
-/// decode outcomes — and therefore the returned [`StreamRunResult`] —
-/// are bit-identical to the uninstrumented run; only the side-channel
-/// histograms differ.
-pub fn run_stream_instrumented(
-    graph: &DecodingGraph,
-    circuit: &Circuit,
-    kind: DecoderKind,
-    cfg: &StreamRunConfig,
-    cache: &Arc<WindowCache>,
-    spans: Option<(Arc<telemetry::StageSpans>, u32)>,
-) -> StreamRunResult {
-    run_stream_impl(graph, circuit, kind, cfg, cache, spans, None)
-}
-
-/// [`run_stream_with_cache`] with the causal flight recorder armed:
-/// every window step of every shot emits its trace events into `trace`,
-/// keyed by `(tenant, shot index, window index)`. Like spans, tracing is
-/// a pure side channel — the returned [`StreamRunResult`] is
-/// bit-identical to the untraced run (pinned by the trace-purity
-/// proptest).
-pub fn run_stream_traced(
-    graph: &DecodingGraph,
-    circuit: &Circuit,
-    kind: DecoderKind,
-    cfg: &StreamRunConfig,
-    cache: &Arc<WindowCache>,
-    trace: Arc<telemetry::TraceBuf>,
-    tenant: u32,
-) -> StreamRunResult {
-    run_stream_impl(
-        graph,
-        circuit,
-        kind,
-        cfg,
-        cache,
-        None,
-        Some((trace, tenant)),
-    )
-}
-
-fn run_stream_impl(
-    graph: &DecodingGraph,
-    circuit: &Circuit,
-    kind: DecoderKind,
-    cfg: &StreamRunConfig,
-    cache: &Arc<WindowCache>,
-    spans: Option<(Arc<telemetry::StageSpans>, u32)>,
-    trace: Option<(Arc<telemetry::TraceBuf>, u32)>,
+    instruments: Instruments,
 ) -> StreamRunResult {
     let layers = Arc::new(LayerMap::from_graph(graph).expect("graph has a layer structure"));
     let layers_per_shot = layers.num_layers();
@@ -202,10 +153,10 @@ fn run_stream_impl(
         SlidingWindowDecoder::with_cache(graph, layers, kind, cfg.window, Arc::clone(cache))
             .with_predecode(cfg.predecode)
             .with_datapath(cfg.datapath);
-    if let Some((sp, sample)) = spans {
+    if let Some((sp, sample)) = instruments.spans {
         swd.set_spans(sp, sample);
     }
-    if let Some((buf, tenant)) = trace {
+    if let Some((buf, tenant)) = instruments.trace {
         swd.set_trace(buf, tenant);
     }
     let fallback = fallback_latency_model(kind);
@@ -214,11 +165,7 @@ fn run_stream_impl(
     let mut decode_failures = 0u64;
     let mut l1_rounds = 0u64;
     let mut escalated_windows = 0u64;
-    let mut out = crate::window::WindowedOutcome {
-        obs_flip: 0,
-        failed: false,
-        windows: Vec::new(),
-    };
+    let mut out = WindowedOutcome::default();
     for shot_idx in 0..cfg.shots {
         // Packed runs consume the stream as zero-copy arena views; byte
         // runs materialize the sparse reference form. Bit-identical by
@@ -272,7 +219,21 @@ fn run_stream_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decoding_graph::SeamPolicy;
     use ler::ExperimentContext;
+
+    /// A run over a private cache with no instruments armed.
+    fn plain(ctx: &ExperimentContext, kind: DecoderKind, cfg: &StreamRunConfig) -> StreamRunResult {
+        let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
+        run_stream(
+            &ctx.graph,
+            &ctx.circuit,
+            kind,
+            cfg,
+            &cache,
+            Instruments::default(),
+        )
+    }
 
     fn run(kind: DecoderKind, shots: usize, seed: u64) -> StreamRunResult {
         let ctx = ExperimentContext::with_rounds(3, 5, 1e-3);
@@ -284,7 +245,7 @@ mod tests {
             predecode: PredecodeMode::Off,
             datapath: Datapath::Packed,
         };
-        run_stream(&ctx.graph, &ctx.circuit, kind, &cfg)
+        plain(&ctx, kind, &cfg)
     }
 
     #[test]
@@ -340,8 +301,15 @@ mod tests {
         };
         let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
         for kind in [DecoderKind::Mwpm, DecoderKind::AstreaG] {
-            let private = run_stream(&ctx.graph, &ctx.circuit, kind, &cfg);
-            let shared = run_stream_with_cache(&ctx.graph, &ctx.circuit, kind, &cfg, &cache);
+            let private = plain(&ctx, kind, &cfg);
+            let shared = run_stream(
+                &ctx.graph,
+                &ctx.circuit,
+                kind,
+                &cfg,
+                &cache,
+                Instruments::default(),
+            );
             assert_eq!(private, shared, "{:?}", kind);
         }
         // Both kinds walked the same window ranges through one cache.
@@ -359,11 +327,11 @@ mod tests {
             predecode: PredecodeMode::Batch,
             datapath: Datapath::Packed,
         };
-        let on = run_stream(&ctx.graph, &ctx.circuit, DecoderKind::Mwpm, &cfg);
-        let on_again = run_stream(&ctx.graph, &ctx.circuit, DecoderKind::Mwpm, &cfg);
+        let on = plain(&ctx, DecoderKind::Mwpm, &cfg);
+        let on_again = plain(&ctx, DecoderKind::Mwpm, &cfg);
         assert_eq!(on, on_again);
         cfg.predecode = PredecodeMode::Off;
-        let off = run_stream(&ctx.graph, &ctx.circuit, DecoderKind::Mwpm, &cfg);
+        let off = plain(&ctx, DecoderKind::Mwpm, &cfg);
         // The counters are exclusive to batch mode.
         assert_eq!(off.l1_rounds, 0);
         assert_eq!(off.escalated_windows, 0);
@@ -397,19 +365,24 @@ mod tests {
         };
         let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
         let l1_spans = Arc::new(telemetry::StageSpans::new());
-        let l1 = run_stream_instrumented(
-            &ctx.graph,
-            &ctx.circuit,
-            DecoderKind::Mwpm,
-            &cfg,
-            &cache,
-            Some((Arc::clone(&l1_spans), 1)),
-        );
+        let spanned = |cfg: &StreamRunConfig, spans: &Arc<telemetry::StageSpans>| {
+            let instruments = Instruments {
+                spans: Some((Arc::clone(spans), 1)),
+                ..Instruments::default()
+            };
+            run_stream(
+                &ctx.graph,
+                &ctx.circuit,
+                DecoderKind::Mwpm,
+                cfg,
+                &cache,
+                instruments,
+            )
+        };
+        let l1 = spanned(&cfg, &l1_spans);
         // Spans are a pure side channel: the decode outcomes and the
         // modeled backlog simulation are bit-identical.
-        let plain =
-            run_stream_with_cache(&ctx.graph, &ctx.circuit, DecoderKind::Mwpm, &cfg, &cache);
-        assert_eq!(plain, l1);
+        assert_eq!(plain(&ctx, DecoderKind::Mwpm, &cfg), l1);
         // Sample 1-in-1 hits every window step of every shot.
         let steps = l1_spans.stage(telemetry::Stage::WindowTotal).count();
         assert_eq!(steps, 2 * cfg.shots as u64, "2 window steps per shot");
@@ -420,14 +393,7 @@ mod tests {
         let mut off_cfg = cfg;
         off_cfg.predecode = PredecodeMode::Off;
         let off_spans = Arc::new(telemetry::StageSpans::new());
-        let _ = run_stream_instrumented(
-            &ctx.graph,
-            &ctx.circuit,
-            DecoderKind::Mwpm,
-            &off_cfg,
-            &cache,
-            Some((Arc::clone(&off_spans), 1)),
-        );
+        let _ = spanned(&off_cfg, &off_spans);
         assert_eq!(off_spans.stage(telemetry::Stage::Predecode).count(), 0);
         assert!(off_spans.stage(telemetry::Stage::Solve).count() > 0);
         assert!(off_spans.stage(telemetry::Stage::Commit).count() > 0);

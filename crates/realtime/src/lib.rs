@@ -11,24 +11,29 @@
 //!   by the `qsim` frame sampler, slicing shots by the graph's
 //!   [`decoding_graph::LayerMap`];
 //! * [`SlidingWindowDecoder`] — overlapping-window ("sandwich") decoding
-//!   over any [`ler::DecoderKind`]: decode `window` layers, commit the
-//!   matches confined to the oldest `commit` layers, defer the rest into
-//!   the next window (seam edges are cut per
-//!   [`decoding_graph::SeamPolicy::Cut`], so committed corrections never
-//!   cross a seam);
+//!   over any [`ler::DecoderKind`], one shot per call through one window
+//!   loop: decode `window` layers, commit the matches confined to the
+//!   oldest `commit` layers, defer the rest into the next window (seam
+//!   edges are cut per [`decoding_graph::SeamPolicy::Cut`], so committed
+//!   corrections never cross a seam);
 //! * [`simulate_backlog`] — a discrete-event FIFO queue fed at a
 //!   configurable round period, producing reaction-time distributions
 //!   (p50/p99/max), backlog-depth traces, and deadline-miss fractions;
-//! * [`run_stream`] — the glue harness the `repro realtime` subcommand
-//!   builds on.
+//! * [`run_stream`] — the one glue harness (`repro realtime`, the
+//!   scenario studies and the equivalence suites all call it): it takes
+//!   the shared [`decoding_graph::WindowCache`] and an [`Instruments`]
+//!   value that optionally arms stage spans and the flight recorder.
 //!
 //! # Example
 //!
 //! ```
+//! use decoding_graph::{SeamPolicy, WindowCache};
 //! use ler::{DecoderKind, ExperimentContext};
 //! use realtime::{
-//!     run_stream, BacklogConfig, Datapath, PredecodeMode, StreamRunConfig, WindowConfig,
+//!     run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig,
+//!     WindowConfig,
 //! };
+//! use std::sync::Arc;
 //!
 //! let ctx = ExperimentContext::with_rounds(3, 5, 1e-3);
 //! let cfg = StreamRunConfig {
@@ -39,7 +44,15 @@
 //!     predecode: PredecodeMode::Off,
 //!     datapath: Datapath::Packed,
 //! };
-//! let run = run_stream(&ctx.graph, &ctx.circuit, DecoderKind::AstreaG, &cfg);
+//! let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
+//! let run = run_stream(
+//!     &ctx.graph,
+//!     &ctx.circuit,
+//!     DecoderKind::AstreaG,
+//!     &cfg,
+//!     &cache,
+//!     Instruments::default(),
+//! );
 //! assert_eq!(run.backlog.windows, 32 * 2);
 //! assert!(run.backlog.reaction.p50_ns > 0.0);
 //! ```
@@ -54,8 +67,7 @@ pub use backlog::{
     WindowTiming,
 };
 pub use harness::{
-    fallback_latency_model, run_stream, run_stream_instrumented, run_stream_traced,
-    run_stream_with_cache, StreamRunConfig, StreamRunResult,
+    fallback_latency_model, run_stream, Instruments, StreamRunConfig, StreamRunResult,
 };
 pub use stream::{PackedShot, StreamedShot, SyndromeStream};
 pub use window::{

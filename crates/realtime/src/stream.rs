@@ -82,21 +82,6 @@ impl StreamedShot {
     pub fn layer(&self, layer: u32) -> &[DetectorId] {
         &self.dets[self.bounds[layer as usize]..self.bounds[layer as usize + 1]]
     }
-
-    /// The detection events of layers `lo..hi` (a contiguous slice).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo <= hi <= num_layers()`.
-    pub fn in_layers(&self, lo: u32, hi: u32) -> &[DetectorId] {
-        assert!(lo <= hi && hi <= self.num_layers());
-        &self.dets[self.bounds[lo as usize]..self.bounds[hi as usize]]
-    }
-
-    /// Total number of detection events.
-    pub fn hamming_weight(&self) -> usize {
-        self.dets.len()
-    }
 }
 
 /// One shot as a borrowed bit-packed word view into the stream's arena:
@@ -246,7 +231,6 @@ mod tests {
                 rebuilt.extend_from_slice(slice);
             }
             assert_eq!(rebuilt, shot.dets);
-            assert_eq!(shot.in_layers(0, shot.num_layers()), &shot.dets[..]);
         }
         assert_eq!(stream.shots_emitted(), 50);
     }

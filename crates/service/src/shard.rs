@@ -244,11 +244,7 @@ pub(crate) fn run_shard(
                             l1_rounds: 0,
                             escalated_windows: 0,
                             gate,
-                            out: WindowedOutcome {
-                                obs_flip: 0,
-                                failed: false,
-                                windows: Vec::new(),
-                            },
+                            out: WindowedOutcome::default(),
                             sparse: Vec::new(),
                         },
                     );
@@ -515,11 +511,7 @@ mod tests {
             l1_rounds: 0,
             escalated_windows: 0,
             gate,
-            out: WindowedOutcome {
-                obs_flip: 0,
-                failed: false,
-                windows: Vec::new(),
-            },
+            out: WindowedOutcome::default(),
             sparse: Vec::new(),
         }
     }

@@ -52,8 +52,8 @@ pub enum TraceKind {
     /// The window escalated past L1 (`arg` = `residual_len << 8 |
     /// cause`, cause per `predecoders::EscalateCause`).
     Escalate = 2,
-    /// The L2 solver began on this window (`arg` = windows batched into
-    /// the same solver call).
+    /// The L2 solver began on this window (`arg` = residual Hamming
+    /// weight handed to the solver, the window record's `solver_hw`).
     SolveStart = 3,
     /// The L2 solver finished (`arg` = 1 when the window failed).
     SolveEnd = 4,

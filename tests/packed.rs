@@ -14,17 +14,17 @@
 //! once more under `RUSTFLAGS="-C target-cpu=native"` so the AVX2
 //! kernels are the code under test, not just the scalar fallbacks.
 
-use promatch_repro::decoding_graph::LayerMap;
+use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::qsim::FrameSampler;
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, PredecodeMode, SlidingWindowDecoder, StreamRunConfig,
-    WindowConfig,
+    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, SlidingWindowDecoder,
+    StreamRunConfig, WindowConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The shared d = 3, 9-round context (10 detector layers), matching the
 /// realtime equivalence suite.
@@ -74,6 +74,7 @@ proptest! {
         seed in 0u64..1 << 20,
     ) {
         let ctx = ctx();
+        let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
         let split = SPLITS[split_pick];
         let predecode = if predecode_batch {
             PredecodeMode::Batch
@@ -86,12 +87,16 @@ proptest! {
                 &ctx.circuit,
                 kind,
                 &stream_cfg(Datapath::Byte, split, predecode, seed, 16),
+                &cache,
+                Instruments::default(),
             );
             let packed = run_stream(
                 &ctx.graph,
                 &ctx.circuit,
                 kind,
                 &stream_cfg(Datapath::Packed, split, predecode, seed, 16),
+                &cache,
+                Instruments::default(),
             );
             prop_assert_eq!(
                 &byte, &packed,

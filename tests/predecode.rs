@@ -185,27 +185,6 @@ fn every_single_mechanism_decodes_identically_with_predecoding() {
     assert!(l1_rounds_total > 0, "no mechanism was ever resolved at L1");
 }
 
-/// Batched decoding equals sequential decoding with the predecoder on
-/// (the service's zero-alloc batch path reuses the same L1 state).
-#[test]
-fn batched_predecoded_decode_matches_sequential() {
-    let ctx = ctx();
-    let layers = LayerMap::from_graph(&ctx.graph).unwrap();
-    let cfg = WindowConfig::new(5, 3).unwrap();
-    let mechs: Vec<Vec<usize>> = vec![vec![0], vec![3, 7], vec![], vec![11, 2, 5]];
-    let shots: Vec<_> = mechs.iter().map(|m| ctx.dem.symptom_of(m).dets).collect();
-    let refs: Vec<&[_]> = shots.iter().map(Vec::as_slice).collect();
-    let mut swd = SlidingWindowDecoder::new(&ctx.graph, layers.clone(), DecoderKind::Mwpm, cfg)
-        .with_predecode(PredecodeMode::Batch);
-    let batched = swd.decode_shots(&refs);
-    for (dets, out) in shots.iter().zip(&batched) {
-        let mut solo =
-            SlidingWindowDecoder::new(&ctx.graph, layers.clone(), DecoderKind::Mwpm, cfg)
-                .with_predecode(PredecodeMode::Batch);
-        assert_eq!(&solo.decode_shot(dets), out);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Golden fixture: the L1 round-cancellation algebra on SD6 d = 5.
 // ---------------------------------------------------------------------

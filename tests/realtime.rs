@@ -16,18 +16,18 @@
 //!    inside the 95 % Wilson band of whole-shot MWPM on the *same*
 //!    shots.
 
-use promatch_repro::decoding_graph::LayerMap;
+use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{build_decoder, wilson_interval, DecoderKind, ExperimentContext};
 use promatch_repro::qsim::FrameSampler;
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, PredecodeMode, SlidingWindowDecoder, StreamRunConfig,
-    WindowConfig,
+    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, SlidingWindowDecoder,
+    StreamRunConfig, WindowConfig,
 };
 use promatch_repro::surface_code::NoiseModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The shared d = 3, 9-round context of the equivalence tests
 /// (10 detector layers).
@@ -239,8 +239,18 @@ fn sd6_d5_stream_run_reports_sane_reaction_times() {
         predecode: PredecodeMode::Off,
         datapath: Datapath::Packed,
     };
-    let run = run_stream(&ctx.graph, &ctx.circuit, DecoderKind::PromatchParAg, &cfg);
-    let rerun = run_stream(&ctx.graph, &ctx.circuit, DecoderKind::PromatchParAg, &cfg);
+    let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
+    let stream = || {
+        run_stream(
+            &ctx.graph,
+            &ctx.circuit,
+            DecoderKind::PromatchParAg,
+            &cfg,
+            &cache,
+            Instruments::default(),
+        )
+    };
+    let (run, rerun) = (stream(), stream());
     assert_eq!(run, rerun, "stream runs must be deterministic");
     // Hardware-modeled decoder at 1 µs rounds: never falls behind.
     assert_eq!(run.backlog.max_backlog, 1);

@@ -11,7 +11,7 @@
 
 use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, PredecodeMode, StreamRunConfig, WindowConfig,
+    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig, WindowConfig,
 };
 use promatch_repro::service::{
     channel_pair, qubit_seed, run_loadgen, DecodeServer, LoadgenConfig, ScenarioContext,
@@ -67,6 +67,8 @@ fn multi_tenant_service_matches_single_tenant_realtime_runs() {
                 predecode: PredecodeMode::Off,
                 datapath: Datapath::Packed,
             },
+            scenario.window_cache(),
+            Instruments::default(),
         );
         assert_eq!(
             tenant.failures, single.failures,

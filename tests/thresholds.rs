@@ -6,19 +6,20 @@
 //! it. Run under the standard noise families at error rates far enough
 //! from the threshold for small-sample statistics to be decisive.
 
-use promatch_repro::decoding_graph::{Decoder, DecodingGraph, PathTable};
+use promatch_repro::decoding_graph::{Decoder, DecodingGraph, PathTable, SeamPolicy, WindowCache};
 use promatch_repro::ler::{
     run_eq1, wilson_interval, DecoderKind, Eq1Config, ExperimentContext, RateInterval,
 };
 use promatch_repro::mwpm::MwpmDecoder;
 use promatch_repro::qsim::{extract_dem, FrameSampler};
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, PredecodeMode, StreamRunConfig, StreamRunResult,
-    WindowConfig,
+    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig,
+    StreamRunResult, WindowConfig,
 };
 use promatch_repro::surface_code::{MemoryBasis, NoiseModel, RotatedSurfaceCode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Monte-Carlo logical failure count for a memory-Z experiment.
 fn failures(d: u32, rounds: u32, noise: &NoiseModel, shots: usize, seed: u64) -> usize {
@@ -199,7 +200,15 @@ fn sd6_stream(
         predecode,
         datapath: Datapath::Packed,
     };
-    run_stream(&ctx.graph, &ctx.circuit, DecoderKind::Mwpm, &cfg)
+    let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
+    run_stream(
+        &ctx.graph,
+        &ctx.circuit,
+        DecoderKind::Mwpm,
+        &cfg,
+        &cache,
+        Instruments::default(),
+    )
 }
 
 /// Statistical acceptance for the batch predecoder tier: at (d = 5, 7;

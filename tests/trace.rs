@@ -14,11 +14,11 @@
 //!    behave, and the Chrome-trace export is well-formed JSON with
 //!    monotonic per-shard tracks.
 
-use promatch_repro::decoding_graph::{SeamPolicy, WindowCache};
+use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
-    run_stream_traced, run_stream_with_cache, BacklogConfig, Datapath, PredecodeMode,
-    StreamRunConfig, WindowConfig,
+    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, SlidingWindowDecoder,
+    StreamRunConfig, SyndromeStream, WindowConfig, WindowRecord,
 };
 use promatch_repro::telemetry::{
     parse_dump, render_chrome_trace, render_dump, TraceBuf, TraceDump, TraceKind,
@@ -61,14 +61,15 @@ proptest! {
         for kind in DecoderKind::table2() {
             for predecode in [PredecodeMode::Off, PredecodeMode::Batch] {
                 let cfg = cfg(seed, predecode);
-                let plain = run_stream_with_cache(
-                    &ctx.graph, &ctx.circuit, kind, &cfg, cache(),
+                let plain = run_stream(
+                    &ctx.graph, &ctx.circuit, kind, &cfg, cache(), Instruments::default(),
                 );
                 let buf = Arc::new(TraceBuf::new(4096));
-                let traced = run_stream_traced(
-                    &ctx.graph, &ctx.circuit, kind, &cfg, cache(),
-                    Arc::clone(&buf), 7,
-                );
+                let armed = Instruments {
+                    trace: Some((Arc::clone(&buf), 7)),
+                    ..Instruments::default()
+                };
+                let traced = run_stream(&ctx.graph, &ctx.circuit, kind, &cfg, cache(), armed);
                 prop_assert_eq!(
                     &plain, &traced,
                     "tracing changed the result for {:?} / {:?}",
@@ -85,26 +86,30 @@ proptest! {
     }
 }
 
-/// Runs one traced MWPM stream and returns its dump.
-fn traced_dump(tenant: u32) -> (TraceDump, Arc<TraceBuf>) {
+/// Decodes one traced MWPM stream shot by shot and returns its dump
+/// plus every shot's window records.
+fn traced_dump(tenant: u32) -> (TraceDump, Arc<TraceBuf>, Vec<Vec<WindowRecord>>) {
     let ctx = ctx();
     let buf = Arc::new(TraceBuf::new(4096));
-    let cfg = cfg(7, PredecodeMode::Batch);
-    run_stream_traced(
-        &ctx.graph,
-        &ctx.circuit,
-        DecoderKind::Mwpm,
-        &cfg,
-        cache(),
-        Arc::clone(&buf),
-        tenant,
-    );
-    (TraceDump::collect("test", &[Arc::clone(&buf)]), buf)
+    let layers = LayerMap::from_graph(&ctx.graph).unwrap();
+    let mut stream = SyndromeStream::new(&ctx.circuit, layers.clone(), 7);
+    let window = WindowConfig::new(4, 2).unwrap();
+    let mut swd = SlidingWindowDecoder::new(&ctx.graph, layers, DecoderKind::Mwpm, window)
+        .with_predecode(PredecodeMode::Batch)
+        .with_trace(Arc::clone(&buf), tenant);
+    let records = (0..40)
+        .map(|_| swd.decode_shot(&stream.next_shot().dets).windows)
+        .collect();
+    (
+        TraceDump::collect("test", &[Arc::clone(&buf)]),
+        buf,
+        records,
+    )
 }
 
 #[test]
 fn dump_round_trips_and_filters() {
-    let (dump, buf) = traced_dump(7);
+    let (dump, buf, records) = traced_dump(7);
     assert!(!dump.is_empty());
     assert_eq!(buf.dropped(), 0, "4096-slot ring must not wrap here");
 
@@ -123,7 +128,23 @@ fn dump_round_trips_and_filters() {
         .iter()
         .filter(|e| e.kind == TraceKind::WindowOpen)
         .count();
-    assert!(opens > 0);
+    assert_eq!(opens, records.iter().map(Vec::len).sum::<usize>());
+
+    // `SolveStart` carries the residual weight handed to the solver: one
+    // per window record that reached it, keyed `(shot, window)`.
+    let starts: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == TraceKind::SolveStart)
+        .map(|e| (e.seq as usize, e.window_idx as usize, e.arg as usize))
+        .collect();
+    let solved: Vec<_> = records
+        .iter()
+        .enumerate()
+        .flat_map(|(shot, ws)| (0..).zip(ws).map(move |(w, r)| (shot, w, r.solver_hw)))
+        .filter(|&(_, _, hw)| hw > 0)
+        .collect();
+    assert!(!solved.is_empty(), "no window reached the solver");
+    assert_eq!(starts, solved);
 
     // Filters: a foreign tenant empties the dump; retain_last truncates.
     let mut other = dump.clone();
@@ -140,7 +161,7 @@ fn dump_round_trips_and_filters() {
 
 #[test]
 fn chrome_trace_export_is_well_formed_and_monotonic() {
-    let (dump, _) = traced_dump(2);
+    let (dump, _, _) = traced_dump(2);
     let json = render_chrome_trace(&dump);
     assert!(json.starts_with("{\"displayTimeUnit\": \"ns\""));
     assert!(json.contains("\"traceEvents\": ["));

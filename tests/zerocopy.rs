@@ -23,14 +23,14 @@
 //! against the arena views, not just the scalar fallbacks.
 
 use promatch_repro::decoding_graph::packed::for_each_set_bit;
-use promatch_repro::decoding_graph::LayerMap;
+use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, PredecodeMode, SlidingWindowDecoder, StreamRunConfig,
-    SyndromeStream, WindowConfig, WindowedOutcome,
+    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, SlidingWindowDecoder,
+    StreamRunConfig, SyndromeStream, WindowConfig, WindowedOutcome,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The shared d = 3, 9-round context (10 detector layers), matching the
 /// packed equivalence suite.
@@ -79,6 +79,7 @@ proptest! {
         seed in 0u64..1 << 20,
     ) {
         let ctx = ctx();
+        let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
         for split in SPLITS {
             for predecode in [PredecodeMode::Off, PredecodeMode::Batch] {
                 for kind in DecoderKind::table2() {
@@ -87,12 +88,16 @@ proptest! {
                         &ctx.circuit,
                         kind,
                         &stream_cfg(Datapath::Byte, split, predecode, seed, 16),
+                        &cache,
+                        Instruments::default(),
                     );
                     let packed = run_stream(
                         &ctx.graph,
                         &ctx.circuit,
                         kind,
                         &stream_cfg(Datapath::Packed, split, predecode, seed, 16),
+                        &cache,
+                        Instruments::default(),
                     );
                     prop_assert_eq!(
                         &byte, &packed,
@@ -151,11 +156,7 @@ fn packed_into_outcomes_match_byte_outcomes_shot_by_shot() {
                 let mut packed = SlidingWindowDecoder::new(&ctx.graph, layers.clone(), kind, cfg)
                     .with_predecode(predecode)
                     .with_datapath(Datapath::Packed);
-                let mut out = WindowedOutcome {
-                    obs_flip: 0,
-                    failed: false,
-                    windows: Vec::new(),
-                };
+                let mut out = WindowedOutcome::default();
                 for shot_idx in 0..24 {
                     let sparse = sparse_stream.next_shot();
                     let view = packed_stream.next_shot_packed();

@@ -78,11 +78,7 @@ fn steady_state_packed_decode_makes_zero_allocations() {
                 .with_datapath(Datapath::Packed)
                 .with_spans(Arc::clone(&spans), 1)
                 .with_trace(Arc::clone(&trace), 0);
-            let mut out = WindowedOutcome {
-                obs_flip: 0,
-                failed: false,
-                windows: Vec::new(),
-            };
+            let mut out = WindowedOutcome::default();
             // Warm-up: real sampled shots size the decoder's scratch,
             // window records, and activation pools to steady capacity
             // (defectful shots may allocate inside solvers — that is
