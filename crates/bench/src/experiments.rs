@@ -189,7 +189,7 @@ pub fn table7(scale: &Scale, w: &mut dyn Write) -> Result<()> {
     )?;
     for &d in &scale.distances {
         let ctx = ExperimentContext::new(d, scale.p);
-        let storage = ctx.paths.storage_model(&ctx.graph);
+        let storage = ctx.paths().storage_model(&ctx.graph);
         writeln!(
             w,
             "d={d}: {} detectors, {} edges tracked by the pipeline",
@@ -208,7 +208,7 @@ pub fn table8(scale: &Scale, w: &mut dyn Write) -> Result<()> {
     )?;
     for &d in &scale.distances {
         let ctx = ExperimentContext::new(d, scale.p);
-        let s = ctx.paths.storage_model(&ctx.graph);
+        let s = ctx.paths().storage_model(&ctx.graph);
         writeln!(
             w,
             "d={d}: detectors {:>5}  edges {:>5}  Edge table {:>7.1} KB  Path table {:>7.1} KB",
@@ -285,7 +285,7 @@ pub fn fig5(scale: &Scale, w: &mut dyn Write) -> Result<()> {
     let ctx = ExperimentContext::new(d, scale.p);
     let sampler = InjectionSampler::new(&ctx.dem);
     let p_occ = sampler.occurrence_probabilities(scale.k_max);
-    let mut mwpm = MwpmDecoder::new(&ctx.graph, &ctx.paths);
+    let mut mwpm = MwpmDecoder::new(&ctx.graph, ctx.paths());
     let mut hist = [0.0f64; 16];
     let mut total = 0.0;
     for k in 1..=scale.k_max {
@@ -514,7 +514,7 @@ pub fn ablate_pipelines(scale: &Scale, w: &mut dyn Write) -> Result<()> {
             parallel_pipelines: pipelines,
             ..Default::default()
         };
-        let mut pm = promatch::PromatchPredecoder::with_config(&ctx.graph, &ctx.paths, cfg);
+        let mut pm = promatch::PromatchPredecoder::with_config(&ctx.graph, ctx.paths(), cfg);
         use decoding_graph::Predecoder;
         let mut rng = StdRng::seed_from_u64(scale.seed);
         let mut total_ns = 0.0;

@@ -12,6 +12,9 @@
 //!   observable masks and hop counts along paths, plus the n×n quantized
 //!   path table that Promatch's Step 3 hardware keeps in on-chip memory
 //!   (Table 8 of the paper).
+//! * [`NoTransitTable`] — boundary-as-sink distances (a static escape
+//!   vector plus lazily memoized rows), the lookups behind the L1 batch
+//!   predecoder's uniqueness proofs.
 //! * [`DecodingSubgraph`] — the subgraph induced by the flipped detectors
 //!   of one syndrome (Figure 6 of the paper), the object all
 //!   predecoders inspect.
@@ -64,7 +67,7 @@ pub use latency::{
     FixedLatency, LatencyModel, PolynomialLatency, BATCH_PREDECODE_LATENCY, BATCH_PREDECODE_NS,
 };
 pub use packed::{PackedBits, PackedSyndromes, WordSpan};
-pub use pathtable::{PathTable, StorageModel};
+pub use pathtable::{NoTransitTable, PathTable, StorageModel};
 pub use subgraph::DecodingSubgraph;
 pub use traits::{DecodeOutcome, Decoder, MatchPair, MatchTarget, PredecodeOutcome, Predecoder};
 pub use window::{GraphWindow, LayerMap, SeamPolicy, WindowCache, WindowContext};

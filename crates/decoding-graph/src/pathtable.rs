@@ -15,8 +15,17 @@
 //! decoders and as ground truth for ablations) and the 2-bit quantized
 //! class per pair (used by Promatch's Step 3 in its default
 //! hardware-faithful configuration).
+//!
+//! [`NoTransitTable`] is the other distance store: the same graph with
+//! the boundary as a *sink* (paths may end there, never pass through).
+//! That is the distance the L1 batch predecoder's uniqueness proofs are
+//! stated in, and [`PathTable`] cannot supply it — see the type's docs.
 
 use crate::graph::DecodingGraph;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// All-pairs shortest-path data between detectors (and to the boundary).
 #[derive(Clone, Debug)]
@@ -39,8 +48,8 @@ impl PathTable {
     /// Builds the table with one Dijkstra run per node.
     ///
     /// Cost is O(n · E log n); for the d = 13 graph (~1.2k nodes) this
-    /// takes on the order of a second in release builds and is intended
-    /// to be done once per (distance, error-rate) configuration.
+    /// takes ≈ 0.15 s in release builds (and ≈ 26 MB) and is intended to
+    /// be done once per (distance, error-rate) configuration.
     pub fn build(graph: &DecodingGraph) -> Self {
         let n = graph.num_detectors() as usize;
         let rows = n + 1;
@@ -143,6 +152,144 @@ impl PathTable {
             // Two bits per n×n path-table cell.
             path_table_bytes: (self.n * self.n).div_ceil(4),
         }
+    }
+}
+
+/// Row sentinel of [`NoTransitTable`]: no path at any price.
+const ROW_UNREACHED: u32 = u32::MAX;
+
+/// Shortest distances with the boundary as a **sink**: a path may end at
+/// the boundary node but never pass through it.
+///
+/// This is the metric of the L1 batch predecoder's proofs ("is there a
+/// chain between these two defects cheaper than resolving both
+/// locally?"). [`PathTable`] answers a different question: it lets paths
+/// transit the boundary, `T(u, v) = min(nt(u, v), esc(u) + esc(v))`, and
+/// for a lone boundary defect `esc(u)` *is* the local cost, so
+/// `T(u, v) ≤ cost + esc(v)` always holds and decides nothing.
+///
+/// Two stores, both pure functions of the graph:
+///
+/// * **escape** — `esc[v]`, the shortest `v → boundary` distance, built
+///   eagerly with one Dijkstra from the boundary (the boundary is the
+///   source, so no shortest path transits it);
+/// * **rows** — `row(u)[v] = nt(u, v)`, filled on first use with one
+///   Dijkstra from `u` and kept for the life of the table. Rows sit
+///   behind [`OnceLock`]s: racing first users of one source run exactly
+///   one fill, and a filled row is a lock-free indexed load, so one
+///   table serves every window, shot and tenant of a scenario
+///   concurrently.
+///
+/// The table owns a flat copy of the adjacency, so it borrows nothing
+/// and can be shared by `Arc` next to the window cache.
+#[derive(Debug)]
+pub struct NoTransitTable {
+    n: usize,
+    /// Flat adjacency: node `u`'s `(neighbor, weight)` half-edges are
+    /// `adj[adj_start[u]..adj_start[u + 1]]`.
+    adj_start: Vec<u32>,
+    adj: Vec<(u32, i64)>,
+    /// `escape[v]`: shortest boundary distance (`i64::MAX` = none).
+    escape: Vec<i64>,
+    /// `rows[u][v]` = `nt(u, v)` as `u32` ([`ROW_UNREACHED`] = none);
+    /// column `n` is the boundary.
+    rows: Vec<OnceLock<Box<[u32]>>>,
+    filled: AtomicUsize,
+}
+
+impl NoTransitTable {
+    /// Builds the escape vector and an empty row store over `graph`.
+    pub fn new(graph: &DecodingGraph) -> Self {
+        let n = graph.num_detectors() as usize;
+        let mut adj_start = Vec::with_capacity(n + 2);
+        let mut adj = Vec::with_capacity(2 * graph.num_edges());
+        for u in 0..=n as u32 {
+            adj_start.push(adj.len() as u32);
+            adj.extend(graph.neighbors(u).map(|(v, e)| (v, e.weight)));
+        }
+        adj_start.push(adj.len() as u32);
+        NoTransitTable {
+            n,
+            adj_start,
+            adj,
+            escape: graph.dijkstra(graph.boundary_node()).dist,
+            rows: (0..n).map(|_| OnceLock::new()).collect(),
+            filled: AtomicUsize::new(0),
+        }
+    }
+
+    /// Number of detectors covered.
+    pub fn num_detectors(&self) -> usize {
+        self.n
+    }
+
+    /// Shortest distance from detector `v` to the boundary, `i64::MAX`
+    /// when `v`'s component has no boundary edge.
+    pub fn escape(&self, v: u32) -> i64 {
+        self.escape[v as usize]
+    }
+
+    /// Whether some `u → v` path that does not transit the boundary
+    /// costs at most `cap`. An unreachable `v` is never within any cap,
+    /// `i64::MAX` (a saturated `cost + escape`) included.
+    pub fn within(&self, u: u32, v: u32, cap: i64) -> bool {
+        let d = self.row(u)[v as usize];
+        d != ROW_UNREACHED && i64::from(d) <= cap
+    }
+
+    /// Source rows filled so far. Bounded by the detector count, and
+    /// constant once the traffic's sources have all been seen.
+    pub fn rows_filled(&self) -> usize {
+        self.filled.load(Ordering::Relaxed)
+    }
+
+    /// The distance row of detector `u`, filled on first use.
+    fn row(&self, u: u32) -> &[u32] {
+        self.rows[u as usize].get_or_init(|| {
+            // A statistic only: the row itself is published by the cell.
+            self.filled.fetch_add(1, Ordering::Relaxed);
+            self.fill_row(u)
+        })
+    }
+
+    /// One Dijkstra from `src` that never expands the boundary node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a finite distance does not fit below the `u32`
+    /// sentinel (it would otherwise read as "unreached").
+    fn fill_row(&self, src: u32) -> Box<[u32]> {
+        let bd = self.n as u32;
+        let mut dist = vec![i64::MAX; self.n + 1];
+        let mut heap = BinaryHeap::new();
+        dist[src as usize] = 0;
+        heap.push(Reverse((0i64, src)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] || u == bd {
+                continue;
+            }
+            let (lo, hi) = (self.adj_start[u as usize], self.adj_start[u as usize + 1]);
+            for &(v, w) in &self.adj[lo as usize..hi as usize] {
+                let nd = d + w;
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        dist.iter()
+            .map(|&d| {
+                if d == i64::MAX {
+                    ROW_UNREACHED
+                } else {
+                    assert!(
+                        d < i64::from(ROW_UNREACHED),
+                        "no-transit distance {d} from detector {src} overflows the u32 row"
+                    );
+                    d as u32
+                }
+            })
+            .collect()
     }
 }
 
@@ -294,5 +441,85 @@ mod tests {
             assert_eq!(t.boundary_distance(a), t.distance(a, bd));
             assert_eq!(t.boundary_obs(a), t.path_obs(a, bd));
         }
+    }
+
+    #[test]
+    fn transit_table_is_the_no_transit_table_closed_over_the_boundary() {
+        // T(u, v) = min(nt(u, v), esc(u) + esc(v)): the identity that
+        // makes PathTable useless for the L1 proofs and pins every
+        // no-transit row against an independent all-pairs build.
+        let g = medium_graph();
+        let t = PathTable::build(&g);
+        let nt = NoTransitTable::new(&g);
+        let n = g.num_detectors();
+        assert_eq!(nt.num_detectors(), n as usize);
+        assert_eq!(nt.rows_filled(), 0, "rows are lazy");
+        for u in 0..n {
+            assert_eq!(nt.escape(u), t.boundary_distance(u));
+            assert!(nt.within(u, g.boundary_node(), nt.escape(u)));
+            assert!(!nt.within(u, g.boundary_node(), nt.escape(u) - 1));
+            for v in 0..n {
+                let transit = nt.escape(u) + nt.escape(v);
+                let d = t.distance(u, v);
+                if d < transit {
+                    assert!(nt.within(u, v, d) && !nt.within(u, v, d - 1), "({u},{v})");
+                } else {
+                    assert_eq!(d, transit);
+                    assert!(!nt.within(u, v, d - 1), "({u},{v})");
+                }
+            }
+        }
+        assert_eq!(nt.rows_filled(), n as usize, "one fill per source");
+    }
+
+    #[test]
+    fn racing_readers_of_one_source_fill_its_row_once() {
+        let g = medium_graph();
+        let nt = NoTransitTable::new(&g);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    assert!(nt.within(7, 7, 0));
+                });
+            }
+        });
+        assert_eq!(nt.rows_filled(), 1);
+        assert!(nt.within(7, 7, 0));
+        assert_eq!(nt.rows_filled(), 1, "a filled row is only read");
+    }
+
+    /// Detectors 0–1 joined by an edge of `weight`; only 0 touches the
+    /// boundary.
+    fn two_node_graph(weight: i64) -> DecodingGraph {
+        use crate::graph::Edge;
+        let edge = |u, v, weight| Edge {
+            u,
+            v,
+            weight,
+            probability: 0.01,
+            obs: 0,
+        };
+        DecodingGraph::from_parts(
+            2,
+            1,
+            vec![edge(0, 1, weight), edge(0, 2, 1)],
+            vec![[0.0; 3], [1.0, 0.0, 0.0]],
+        )
+    }
+
+    #[test]
+    fn the_largest_representable_distance_is_still_reached() {
+        let nt = NoTransitTable::new(&two_node_graph(i64::from(u32::MAX) - 1));
+        assert!(nt.within(0, 1, i64::MAX));
+        assert!(!nt.within(0, 1, i64::from(u32::MAX) - 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the u32 row")]
+    fn a_distance_colliding_with_the_sentinel_is_refused_at_fill() {
+        let nt = NoTransitTable::new(&two_node_graph(i64::from(u32::MAX)));
+        nt.within(0, 1, i64::MAX);
     }
 }

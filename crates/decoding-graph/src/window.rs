@@ -20,7 +20,7 @@
 //! in the workspace run on it unchanged.
 
 use crate::graph::{DecodingGraph, Edge};
-use crate::pathtable::PathTable;
+use crate::pathtable::{NoTransitTable, PathTable};
 use crate::DetectorId;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -315,7 +315,8 @@ impl WindowContext {
 }
 
 /// A thread-safe, share-by-`Arc` cache of [`WindowContext`]s, keyed by
-/// `(lo_layer, hi_layer)` range.
+/// `(lo_layer, hi_layer)` range, plus the one per-parent
+/// [`NoTransitTable`] the scenario's L1 predecoders read.
 ///
 /// All entries must be extracted from the **same parent graph** (one
 /// cache per scenario); the cache checks this with the parent's detector
@@ -333,6 +334,9 @@ pub struct WindowCache {
     /// keys still build in parallel.
     inner: Mutex<HashMap<(u32, u32), WindowCell>>,
     builds: AtomicUsize,
+    /// The parent graph's boundary-as-sink distances — per scenario, not
+    /// per window: the L1 predecoder runs on parent detector ids.
+    no_transit: Arc<NoTransitTable>,
 }
 
 /// One cache entry: a once-cell the winning builder fills exactly once.
@@ -368,7 +372,15 @@ impl WindowCache {
             fingerprint: GraphFingerprint::of(parent),
             inner: Mutex::new(HashMap::new()),
             builds: AtomicUsize::new(0),
+            no_transit: Arc::new(NoTransitTable::new(parent)),
         }
+    }
+
+    /// The parent graph's [`NoTransitTable`], shared by every L1
+    /// predecoder of the scenario so each distance row is filled once no
+    /// matter how many drivers or tenants ask for it.
+    pub fn no_transit(&self) -> &Arc<NoTransitTable> {
+        &self.no_transit
     }
 
     /// The seam policy every cached window was extracted with.

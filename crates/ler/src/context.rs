@@ -7,6 +7,7 @@ use predecoders::{CliquePredecoder, ParallelDecoder, PipelineDecoder, SmithPrede
 use promatch::{PromatchAstreaDecoder, PromatchConfig};
 use qsim::circuit::Circuit;
 use qsim::dem::DetectorErrorModel;
+use std::sync::OnceLock;
 use surface_code::{MemoryBasis, NoiseModel, RotatedSurfaceCode};
 use unionfind::UnionFindDecoder;
 
@@ -121,8 +122,9 @@ impl DecoderKind {
 
 /// A fully-built experiment configuration.
 ///
-/// Owns the circuit, detector error model, decoding graph, and path
-/// table; decoders borrow from it, so the context must outlive them.
+/// Owns the circuit, detector error model, decoding graph, and (built
+/// on first use) the full-graph path table; decoders borrow from it, so
+/// the context must outlive them.
 #[derive(Clone, Debug)]
 pub struct ExperimentContext {
     /// Code distance.
@@ -137,8 +139,11 @@ pub struct ExperimentContext {
     pub dem: DetectorErrorModel,
     /// The decoding graph.
     pub graph: DecodingGraph,
-    /// All-pairs shortest-path data.
-    pub paths: PathTable,
+    /// All-pairs shortest-path data over the whole graph. Lazy: the
+    /// window engine and the decode service only ever read per-window
+    /// tables, and at d = 13 this one is ≈ 26 MB and most of the
+    /// context's build time.
+    paths: OnceLock<PathTable>,
 }
 
 impl ExperimentContext {
@@ -180,7 +185,6 @@ impl ExperimentContext {
         let circuit = code.memory_circuit(basis, rounds, noise);
         let dem = qsim::extract_dem(&circuit);
         let graph = DecodingGraph::from_dem(&dem);
-        let paths = PathTable::build(&graph);
         ExperimentContext {
             distance,
             physical_error_rate: p,
@@ -188,13 +192,19 @@ impl ExperimentContext {
             circuit,
             dem,
             graph,
-            paths,
+            paths: OnceLock::new(),
         }
+    }
+
+    /// All-pairs shortest-path data over the whole graph, built on
+    /// first call.
+    pub fn paths(&self) -> &PathTable {
+        self.paths.get_or_init(|| PathTable::build(&self.graph))
     }
 
     /// Instantiates a decoder of the given kind, borrowing this context.
     pub fn decoder(&self, kind: DecoderKind) -> Box<dyn Decoder + Send + '_> {
-        build_decoder(kind, &self.graph, &self.paths)
+        build_decoder(kind, &self.graph, self.paths())
     }
 
     /// A Promatch + Astrea decoder with a custom Promatch configuration
@@ -202,7 +212,7 @@ impl ExperimentContext {
     pub fn promatch_with(&self, config: PromatchConfig) -> PromatchAstreaDecoder<'_> {
         PromatchAstreaDecoder::with_configs(
             &self.graph,
-            &self.paths,
+            self.paths(),
             config,
             astrea::AstreaConfig::default(),
         )
@@ -265,7 +275,7 @@ mod tests {
         assert_eq!(ctx.rounds, 3);
         assert_eq!(ctx.circuit.num_detectors(), 16);
         assert_eq!(ctx.graph.num_detectors(), 16);
-        assert_eq!(ctx.paths.num_detectors(), 16);
+        assert_eq!(ctx.paths().num_detectors(), 16);
         assert!(ctx.dem.validate().is_ok());
     }
 
@@ -334,7 +344,7 @@ mod tests {
         let ctx = ExperimentContext::new(3, 1e-3);
         for kind in DecoderKind::table2() {
             let mut a = ctx.decoder(kind);
-            let mut b = build_decoder(kind, &ctx.graph, &ctx.paths);
+            let mut b = build_decoder(kind, &ctx.graph, ctx.paths());
             for e in ctx.dem.errors.iter().take(8) {
                 assert_eq!(
                     a.decode(e.dets.as_slice()),

@@ -74,9 +74,9 @@ pub fn run_predecoder_study(ctx: &ExperimentContext, cfg: &StudyConfig) -> Prede
     hw_after_promatch[0] += p_occ[0];
     hw_after_smith[0] += p_occ[0];
 
-    let mut promatch = PromatchPredecoder::new(&ctx.graph, &ctx.paths);
+    let mut promatch = PromatchPredecoder::new(&ctx.graph, ctx.paths());
     let mut smith = SmithPredecoder::new(&ctx.graph);
-    let astrea = AstreaDecoder::new(&ctx.graph, &ctx.paths);
+    let astrea = AstreaDecoder::new(&ctx.graph, ctx.paths());
 
     let mut predecode_max: f64 = 0.0;
     let mut total_max: f64 = 0.0;
@@ -189,9 +189,9 @@ pub struct TradeoffPoint {
 pub fn run_tradeoff_study(ctx: &ExperimentContext, cfg: &StudyConfig) -> Vec<TradeoffPoint> {
     let sampler = InjectionSampler::new(&ctx.dem);
     let p_occ = sampler.occurrence_probabilities(cfg.k_max);
-    let mut mwpm = MwpmDecoder::new(&ctx.graph, &ctx.paths);
+    let mut mwpm = MwpmDecoder::new(&ctx.graph, ctx.paths());
 
-    let mut promatch = PromatchPredecoder::new(&ctx.graph, &ctx.paths);
+    let mut promatch = PromatchPredecoder::new(&ctx.graph, ctx.paths());
     let mut smith = SmithPredecoder::new(&ctx.graph);
     let mut clique = CliquePredecoder::new(&ctx.graph);
 

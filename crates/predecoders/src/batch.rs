@@ -15,8 +15,7 @@
 //!    lookup, exactly like the Clique match units.
 //!
 //! A batch is classified **non-complex** only when that local resolution
-//! is provably the *unique* minimum-weight matching of the whole batch,
-//! verified with capped Dijkstra probes of each defect's neighborhood:
+//! is provably the *unique* minimum-weight matching of the whole batch:
 //!
 //! * a lone defect's direct boundary edge must be strictly cheaper than
 //!   every alternative boundary path;
@@ -28,6 +27,27 @@
 //!   components locally (ties escalate — a tied matcher may legally pick
 //!   a different-parity correction).
 //!
+//! Distances in these proofs treat the boundary as a sink (a chain may
+//! end there, never pass through), and every one is a pure function of
+//! the parent decoding graph, so none is searched for at decode time:
+//!
+//! * a defect's **boundary escape** is read from a static vector built
+//!   with the graph;
+//! * **cross distances** between batch defects are read from per-source
+//!   rows that are filled by one Dijkstra the first time a source is
+//!   asked and kept for the life of the scenario — both live in
+//!   [`decoding_graph::NoTransitTable`], one copy per parent graph,
+//!   shared by every window, shot and tenant;
+//! * only the two *alternative-path* questions (is there a second way
+//!   across this one edge at the edge's own price?) still search, with
+//!   the edge excluded and the budget capped at one edge weight — a
+//!   handful of heap pops.
+//!
+//! The all-pairs [`decoding_graph::PathTable`] cannot stand in for the
+//! rows: it lets paths transit the boundary, so for any lone boundary
+//! defect `u` it reports `T(u, v) ≤ esc(u) + esc(v) = cost + esc(v)` —
+//! exactly the isolation bar — and would reject every batch.
+//!
 //! Everything else makes the batch **complex**: the predecoder still
 //! cancels measurement pairs and strips trivial chains, but the residual
 //! syndrome is escalated to the full L2 decoder (Promatch/MWPM/…). The
@@ -38,9 +58,10 @@
 
 use decoding_graph::latency::cycles_to_ns;
 use decoding_graph::packed::{self, WordSpan};
-use decoding_graph::{DecodingGraph, DecodingSubgraph, DetectorId};
+use decoding_graph::{DecodingGraph, DecodingSubgraph, DetectorId, NoTransitTable};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Cycles charged by the batch predecoder per window: one cycle for the
 /// round-cancellation bit operation plus one for the local match units
@@ -52,11 +73,14 @@ pub const BATCH_PREDECODE_CYCLES: u64 = 2;
 /// units, and dense batches are overwhelmingly complex anyway).
 pub const MAX_L1_DEFECTS: usize = 12;
 
-/// Sentinel for "no path within the probe cap".
+/// Sentinel for "no path within the probe cap"; also what
+/// [`NoTransitTable::escape`] reports for a component with no boundary.
 const UNREACHED: i64 = i64::MAX;
 
-/// Effectively-uncapped probe budget (kept far from `i64::MAX` so caps
-/// derived from it survive `saturating_add`).
+/// Effectively-uncapped probe budget of the search-based test oracle
+/// (kept far from `i64::MAX` so caps derived from it survive
+/// `saturating_add`).
+#[cfg(test)]
 const PROBE_CAP: i64 = i64::MAX / 4;
 
 /// One locally resolved match: the correction the L1 tier commits.
@@ -160,11 +184,16 @@ pub struct L1BatchStats {
 /// The batch predecoder.
 ///
 /// Holds the precomputed time-adjacency (which detector is the same
-/// stabilizer one round earlier) and a reusable decoding subgraph, so
-/// steady-state predecoding allocates nothing beyond the outcome.
+/// stabilizer one round earlier), a handle on the parent graph's
+/// [`NoTransitTable`] (escape vector + memoized distance rows; shared
+/// with every other predecoder built from the same table) and a
+/// reusable decoding subgraph, so steady-state predecoding allocates
+/// nothing beyond the outcome.
 #[derive(Clone, Debug)]
 pub struct BatchPredecoder<'a> {
     graph: &'a DecodingGraph,
+    /// Boundary escapes and cross distances of `graph`, by lookup.
+    table: Arc<NoTransitTable>,
     /// `time_prev[d]` = the same-coordinate detector one layer earlier,
     /// when the decoding graph has an edge between them.
     time_prev: Vec<Option<DetectorId>>,
@@ -189,22 +218,46 @@ pub struct BatchPredecoder<'a> {
     pand: Vec<u64>,
     /// Packed scratch: window-local slice of [`Self::has_prev`].
     pprev: Vec<u64>,
-    /// Dijkstra scratch: tentative distances (boundary node included).
+    /// Alternative-path probe scratch: tentative distances (boundary
+    /// node included).
     dist: Vec<i64>,
-    /// Dijkstra scratch: nodes whose `dist` entry must be reset.
+    /// Alternative-path probe scratch: nodes whose `dist` entry must be
+    /// reset.
     touched: Vec<u32>,
-    /// Dijkstra scratch: the frontier heap.
+    /// Alternative-path probe scratch: the frontier heap.
     heap: BinaryHeap<Reverse<(i64, u32)>>,
     /// Cumulative resolve/escalate counters over this instance's life.
     stats: L1BatchStats,
+    /// Test oracle: answer escape and cross questions by searching the
+    /// graph, as the predecoder did before the table existed.
+    #[cfg(test)]
+    search_oracle: bool,
 }
 
 impl<'a> BatchPredecoder<'a> {
+    /// Builds the predecoder over `graph` with a private
+    /// [`NoTransitTable`]. Drivers that decode one graph from several
+    /// places should share one table through
+    /// [`BatchPredecoder::with_table`] instead.
+    pub fn new(graph: &'a DecodingGraph) -> Self {
+        Self::with_table(graph, Arc::new(NoTransitTable::new(graph)))
+    }
+
     /// Builds the predecoder over `graph`, precomputing the time-like
     /// adjacency from the detector coordinates (same `(x, y)`, layers
-    /// one apart, connected by an edge).
-    pub fn new(graph: &'a DecodingGraph) -> Self {
+    /// one apart, connected by an edge) and reading distances from
+    /// `table`, which must have been built from the same graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` does not cover `graph`'s detectors.
+    pub fn with_table(graph: &'a DecodingGraph, table: Arc<NoTransitTable>) -> Self {
         let n = graph.num_detectors() as usize;
+        assert_eq!(
+            table.num_detectors(),
+            n,
+            "no-transit table built for a different graph"
+        );
         let coords = graph.coords();
         let bd = graph.boundary_node();
         let mut time_prev: Vec<Option<DetectorId>> = vec![None; n];
@@ -243,6 +296,7 @@ impl<'a> BatchPredecoder<'a> {
         }
         BatchPredecoder {
             graph,
+            table,
             time_prev,
             stride: stride.filter(|_| uniform),
             has_prev,
@@ -256,6 +310,8 @@ impl<'a> BatchPredecoder<'a> {
             touched: Vec::new(),
             heap: BinaryHeap::new(),
             stats: L1BatchStats::default(),
+            #[cfg(test)]
+            search_oracle: false,
         }
     }
 
@@ -285,13 +341,36 @@ impl<'a> BatchPredecoder<'a> {
         self.stride
     }
 
+    /// Shortest distance from `v` to the boundary ([`UNREACHED`] when
+    /// its component has none).
+    fn escape(&mut self, v: DetectorId) -> i64 {
+        #[cfg(test)]
+        if self.search_oracle {
+            let bd = self.graph.boundary_node();
+            return self.probe(v, bd, PROBE_CAP, None);
+        }
+        self.table.escape(v)
+    }
+
+    /// Whether some `u → v` chain that does not transit the boundary
+    /// costs at most `cap`.
+    fn reaches(&mut self, u: DetectorId, v: DetectorId, cap: i64) -> bool {
+        #[cfg(test)]
+        if self.search_oracle {
+            return self.probe(u, v, cap, None) != UNREACHED;
+        }
+        self.table.within(u, v, cap)
+    }
+
     /// Capped Dijkstra probe: the cheapest path `src → dst` of cost
     /// ≤ `cap`, optionally excluding one direct edge (to ask "is there
     /// an *alternative* at this price?"). Returns [`UNREACHED`] when
     /// every such path costs more than `cap` — the only fact the
     /// classifier needs, so the search never expands past the cap. The
     /// boundary node is a sink: matching paths may end there but never
-    /// pass through it.
+    /// pass through it. Decoding only ever calls it with the edge
+    /// excluded and `cap` = that edge's weight; everything wider is a
+    /// [`NoTransitTable`] lookup.
     fn probe(&mut self, src: u32, dst: u32, cap: i64, exclude: Option<(u32, u32)>) -> i64 {
         let bd = self.graph.boundary_node();
         debug_assert!(src != bd);
@@ -412,31 +491,22 @@ impl<'a> BatchPredecoder<'a> {
     /// every other batch defect `v` is further from every member than
     /// `cost` plus `v`'s own shortest boundary escape (any matching that
     /// pairs into `members` can then be strictly improved by resolving
-    /// `members` locally and routing `v` to the boundary). `db` memoizes
-    /// the boundary distances across pieces of the same batch.
+    /// `members` locally and routing `v` to the boundary).
     fn isolated_from_rest(
         &mut self,
         members: &[DetectorId],
         cost: i64,
         all: &[DetectorId],
-        db: &mut [Option<i64>],
     ) -> bool {
-        let bd = self.graph.boundary_node();
-        for (i, &v) in all.iter().enumerate() {
+        for &v in all {
             if members.contains(&v) {
                 continue;
             }
-            let escape = match db[i] {
-                Some(e) => e,
-                None => {
-                    let e = self.probe(v, bd, PROBE_CAP, None);
-                    db[i] = Some(e);
-                    e
-                }
-            };
-            let cap = cost.saturating_add(escape);
+            // Saturates to `i64::MAX` when `v` has no escape; an
+            // unreachable `v` is still not within that cap.
+            let cap = cost.saturating_add(self.escape(v));
             for &u in members {
-                if self.probe(u, v, cap, None) != UNREACHED {
+                if self.reaches(u, v, cap) {
                     return false;
                 }
             }
@@ -611,7 +681,7 @@ impl<'a> BatchPredecoder<'a> {
                 let cap = costs[i].saturating_add(costs[j]);
                 for &su in &comps[i] {
                     for &sv in &comps[j] {
-                        if self.probe(nodes[su], nodes[sv], cap, None) != UNREACHED {
+                        if self.reaches(nodes[su], nodes[sv], cap) {
                             return None;
                         }
                     }
@@ -669,8 +739,8 @@ impl<'a> BatchPredecoder<'a> {
     /// runs on words: the complexity check is a popcount scan
     /// ([`packed::popcount_exceeds`]) and the round cancellation is the
     /// AND/XOR sweep of [`BatchPredecoder::cancel_rounds_packed`]. The
-    /// verification probes behind a commit are unchanged — they are what
-    /// makes L1 commits safe, packed or not.
+    /// verification behind a commit is unchanged — it is what makes L1
+    /// commits safe, packed or not.
     pub fn decode_batch_packed(&mut self, words: &[u64], base: DetectorId) -> BatchOutcome {
         let latency_ns = cycles_to_ns(BATCH_PREDECODE_CYCLES);
         if !packed::popcount_exceeds(words, 0) {
@@ -722,13 +792,12 @@ impl<'a> BatchPredecoder<'a> {
         cause: EscalateCause,
         latency_ns: f64,
     ) -> BatchOutcome {
-        let mut db: Vec<Option<i64>> = vec![None; dets.len()];
         let mut matches: Vec<LocalMatch> = Vec::new();
         let mut cancelled_pairs = 0usize;
         for &(p, d) in &cancelled {
             let committed = self
                 .verify_pair(p, d)
-                .filter(|&(_, cost)| self.isolated_from_rest(&[p, d], cost, dets, &mut db));
+                .filter(|&(_, cost)| self.isolated_from_rest(&[p, d], cost, dets));
             if let Some((m, _)) = committed {
                 matches.push(m);
                 cancelled_pairs += 1;
@@ -752,7 +821,7 @@ impl<'a> BatchPredecoder<'a> {
             let stripped = if shape_ok {
                 self.verify_component(&nodes, comp).filter(|&(_, cost)| {
                     let members: Vec<DetectorId> = comp.iter().map(|&slot| nodes[slot]).collect();
-                    self.isolated_from_rest(&members, cost, dets, &mut db)
+                    self.isolated_from_rest(&members, cost, dets)
                 })
             } else {
                 None
@@ -778,13 +847,26 @@ impl<'a> BatchPredecoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decoding_graph::Edge;
+    use proptest::prelude::*;
     use qsim::extract_dem;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::OnceLock;
     use surface_code::{NoiseModel, RotatedSurfaceCode};
 
     fn graph(d: u32, rounds: u32) -> DecodingGraph {
         let code = RotatedSurfaceCode::new(d);
         let circuit = code.memory_z_circuit(rounds, &NoiseModel::sd6(1e-3));
         DecodingGraph::from_dem(&extract_dem(&circuit))
+    }
+
+    /// The differential oracle: the same predecoder answering every
+    /// escape and cross question with a capped Dijkstra over the graph.
+    fn search_oracle(g: &DecodingGraph) -> BatchPredecoder<'_> {
+        let mut pre = BatchPredecoder::new(g);
+        pre.search_oracle = true;
+        pre
     }
 
     /// A (prev, curr) measurement pair: same coordinate, adjacent layers.
@@ -995,6 +1077,123 @@ mod tests {
         assert!(out.complex);
         assert_eq!(out.residual, vec![interior]);
         assert!(out.matches.is_empty());
+    }
+
+    #[test]
+    fn unreachable_defect_is_not_within_a_saturated_cap() {
+        // Detector 0 hangs off the boundary; 2–3 form a component with
+        // no boundary edge at all. In the batch {0, 2} detector 2's
+        // escape is UNREACHED, so 0's isolation cap saturates to
+        // i64::MAX — and the row's "unreached" must still compare as not
+        // reached, or 0's provable boundary match would be withheld.
+        let edge = |u, v, weight, obs| Edge {
+            u,
+            v,
+            weight,
+            probability: 0.01,
+            obs,
+        };
+        let coords = (0..4).map(|i| [i as f64, 0.0, 0.0]).collect();
+        let g = DecodingGraph::from_parts(
+            4,
+            1,
+            vec![edge(0, 4, 700, 1), edge(0, 1, 900, 0), edge(2, 3, 900, 0)],
+            coords,
+        );
+        let mut pre = BatchPredecoder::new(&g);
+        assert_eq!(pre.escape(2), UNREACHED);
+        assert!(!pre.reaches(0, 2, i64::MAX));
+        let out = pre.decode_batch(&[0, 2]);
+        assert_eq!(
+            out.matches,
+            vec![LocalMatch {
+                a: 0,
+                b: None,
+                obs: 1,
+                weight: 700,
+            }]
+        );
+        assert_eq!(out.residual, vec![2]);
+        assert_eq!(out.cause, EscalateCause::Ambiguous);
+        assert_eq!(out, search_oracle(&g).decode_batch(&[0, 2]));
+    }
+
+    #[test]
+    fn lookups_agree_with_search_on_every_pair_and_cap() {
+        // Exhaustive on the d = 3, 9-round SD6 graph: every ordered
+        // detector pair at the caps that straddle its distance, and
+        // every escape.
+        let g = graph(3, 9);
+        let bd = g.boundary_node();
+        let mut pre = BatchPredecoder::new(&g);
+        let table = Arc::clone(&pre.table);
+        for u in 0..g.num_detectors() {
+            assert_eq!(
+                table.escape(u),
+                pre.probe(u, bd, PROBE_CAP, None),
+                "esc {u}"
+            );
+            for v in 0..g.num_detectors() {
+                let dist = pre.probe(u, v, PROBE_CAP, None);
+                assert_ne!(dist, UNREACHED, "SD6 graphs are connected");
+                for cap in [dist - 1, dist, dist + 1, 0, PROBE_CAP] {
+                    assert_eq!(
+                        table.within(u, v, cap),
+                        pre.probe(u, v, cap, None) != UNREACHED,
+                        "({u},{v}) cap {cap} dist {dist}"
+                    );
+                }
+            }
+        }
+        assert_eq!(table.rows_filled(), g.num_detectors() as usize);
+    }
+
+    /// SD6 graphs at d = 3, 5, 7 (d rounds), built once.
+    fn oracle_graph(pick: usize) -> &'static DecodingGraph {
+        static GRAPHS: [OnceLock<DecodingGraph>; 3] =
+            [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        let d = [3, 5, 7][pick];
+        GRAPHS[pick].get_or_init(|| graph(d, d))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The whole outcome — matches, residual, cause, cancelled pairs
+        /// — of both entry points equals the search oracle's, on batches
+        /// of 1..=24 draws (a random detector, or both ends of a random
+        /// edge, toggled), so the verified ≤ MAX_L1_DEFECTS path and the
+        /// overflow tail both run.
+        #[test]
+        fn table_decodes_equal_the_search_oracle(
+            pick in 0usize..3,
+            draws in 1usize..=24,
+            seed in any::<u64>(),
+        ) {
+            let g = oracle_graph(pick);
+            let bd = g.boundary_node();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = g.num_detectors() as usize;
+            let mut on = vec![false; n];
+            for _ in 0..draws {
+                if rng.gen() {
+                    on[rng.gen_range(0..n)] ^= true;
+                } else {
+                    let e = g.edges()[rng.gen_range(0..g.num_edges())];
+                    for end in [e.u, e.v] {
+                        if end != bd {
+                            on[end as usize] ^= true;
+                        }
+                    }
+                }
+            }
+            let batch: Vec<u32> = (0..g.num_detectors()).filter(|&d| on[d as usize]).collect();
+            let want = search_oracle(g).decode_batch(&batch);
+            let mut pre = BatchPredecoder::new(g);
+            prop_assert_eq!(&pre.decode_batch(&batch), &want);
+            let base = batch.first().copied().unwrap_or(0);
+            prop_assert_eq!(&pre.decode_batch_packed(&pack(&batch, base), base), &want);
+        }
     }
 
     /// Packs `dets` into window words with bit `d - base`.

@@ -499,12 +499,17 @@ impl<'g> SlidingWindowDecoder<'g> {
         self.datapath
     }
 
-    /// Switches the L1 batch-predecode tier on or off.
+    /// Switches the L1 batch-predecode tier on or off. The predecoder
+    /// reads the window cache's [`decoding_graph::NoTransitTable`], so
+    /// drivers sharing a cache also share every memoized distance row.
     #[must_use]
     pub fn with_predecode(mut self, mode: PredecodeMode) -> Self {
         self.l1 = match mode {
             PredecodeMode::Off => None,
-            PredecodeMode::Batch => Some(BatchPredecoder::new(self.parent)),
+            PredecodeMode::Batch => Some(BatchPredecoder::with_table(
+                self.parent,
+                Arc::clone(self.shared.no_transit()),
+            )),
         };
         self
     }

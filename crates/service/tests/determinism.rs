@@ -225,3 +225,57 @@ fn tcp_loopback_session_matches_the_channel_transport() {
         assert_eq!(a.deadline_misses, b.deadline_misses);
     }
 }
+
+#[test]
+fn sixteen_tenants_fill_each_distance_row_once_in_one_shared_table() {
+    // The L1 tier's memoized distance rows live in the scenario's window
+    // cache, not in the tenants: 16 tenants over 4 shards must leave
+    // exactly the rows one driver replaying all 16 streams would — zero
+    // would mean private tables, more would mean a row filled twice.
+    let ctx = Arc::new(ExperimentContext::with_rounds(3, 5, 1e-2));
+    let cfg = LoadgenConfig {
+        predecode: PredecodeMode::Batch,
+        ..loadgen_cfg(16, 12, DecoderKind::Mwpm)
+    };
+    let scenario = ScenarioContext::new("det", Arc::clone(&ctx)).unwrap();
+    let shared = Arc::clone(scenario.window_cache().no_transit());
+    let server = DecodeServer::new(
+        ServiceConfig {
+            shards: 4,
+            ..ServiceConfig::default()
+        },
+        vec![scenario.clone()],
+    )
+    .unwrap();
+    let (client, server_end) = channel_pair();
+    let report = std::thread::scope(|scope| {
+        scope.spawn(|| server.serve(vec![server_end]));
+        run_loadgen(client, &ctx, scenario.layers(), &cfg).unwrap()
+    });
+    assert_eq!(report.tenants.len(), 16);
+    assert!(report.stats.iter().any(|s| s.escalated_windows > 0));
+
+    let replay = Arc::new(decoding_graph::WindowCache::new(
+        &ctx.graph,
+        decoding_graph::SeamPolicy::Cut,
+    ));
+    for tenant in &report.tenants {
+        let mut stream =
+            SyndromeStream::new(&ctx.circuit, (**scenario.layers()).clone(), tenant.seed);
+        let mut swd = SlidingWindowDecoder::with_cache(
+            &ctx.graph,
+            Arc::clone(scenario.layers()),
+            DecoderKind::Mwpm,
+            WindowConfig::new(cfg.window, cfg.commit).unwrap(),
+            Arc::clone(&replay),
+        )
+        .with_predecode(PredecodeMode::Batch);
+        for commit in &tenant.commits {
+            let out = swd.decode_shot(&stream.next_shot().dets);
+            assert_eq!((commit.obs_flip, commit.failed), (out.obs_flip, out.failed));
+        }
+    }
+    let filled = shared.rows_filled();
+    assert!(filled > 0 && filled <= shared.num_detectors());
+    assert_eq!(filled, replay.no_transit().rows_filled());
+}

@@ -47,7 +47,7 @@ fn main() {
     );
 
     // Run the adaptive predecoder.
-    let mut promatch = PromatchPredecoder::new(&ctx.graph, &ctx.paths);
+    let mut promatch = PromatchPredecoder::new(&ctx.graph, ctx.paths());
     let out = promatch.predecode(&shot.dets);
     let stats = promatch.last_stats();
     println!("\nPromatch result:");

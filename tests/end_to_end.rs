@@ -154,7 +154,7 @@ fn smith_leaves_uncovered_high_hw_syndromes() {
     let ctx = ExperimentContext::new(9, 1e-4);
     let sampler = InjectionSampler::new(&ctx.dem);
     let mut smith = SmithPredecoder::new(&ctx.graph);
-    let mut promatch = PromatchPredecoder::new(&ctx.graph, &ctx.paths);
+    let mut promatch = PromatchPredecoder::new(&ctx.graph, ctx.paths());
     let mut rng = StdRng::seed_from_u64(6);
     let mut smith_overflow = 0;
     let mut promatch_overflow = 0;

@@ -25,7 +25,7 @@ proptest! {
         let sampler = InjectionSampler::new(&ctx.dem);
         let mut rng = StdRng::seed_from_u64(seed);
         let (shot, _) = sampler.sample_exact_k(&mut rng, k.min(ctx.dem.errors.len()));
-        let mut pm = PromatchPredecoder::new(&ctx.graph, &ctx.paths);
+        let mut pm = PromatchPredecoder::new(&ctx.graph, ctx.paths());
         let out = pm.predecode(&shot.dets);
         if !out.aborted && shot.dets.len() > 10 {
             prop_assert!(out.remaining.len() <= 10);

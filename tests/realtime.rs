@@ -107,7 +107,7 @@ proptest! {
         let shot = ctx.dem.symptom_of(&mechs);
         let cfg = WindowConfig::new(window, commit).unwrap();
         for kind in DecoderKind::table2() {
-            let mut whole = build_decoder(kind, &ctx.graph, &ctx.paths);
+            let mut whole = build_decoder(kind, &ctx.graph, ctx.paths());
             let direct = whole.decode(&shot.dets);
             let mut swd = SlidingWindowDecoder::new(&ctx.graph, layers.clone(), kind, cfg);
             let windowed = swd.decode_shot(&shot.dets);

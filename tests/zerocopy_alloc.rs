@@ -17,14 +17,21 @@
 //! [`telemetry::TraceBuf`] ring must never touch the heap — including
 //! when the ring wraps and overwrites old slots.
 //!
+//! The L1 tier's distance rows are the one thing that *does* allocate
+//! after construction — once per source detector per scenario. The
+//! second half pins that this warm-up is finite (a second pass over the
+//! same traffic fills no row) and that reading a filled row never
+//! touches the heap.
+//!
 //! This binary holds a single test so no concurrent test thread can
 //! attribute its allocations to the measured region.
 
-use promatch_repro::decoding_graph::LayerMap;
+use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
     Datapath, PredecodeMode, SlidingWindowDecoder, SyndromeStream, WindowConfig, WindowedOutcome,
 };
+use promatch_repro::surface_code::{MemoryBasis, NoiseModel};
 use promatch_repro::telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,4 +137,66 @@ fn steady_state_packed_decode_makes_zero_allocations() {
             );
         }
     }
+    l1_rows_fill_once_and_read_without_allocating();
+}
+
+/// Called from the one test above (see the module docs on why this
+/// binary has a single `#[test]`).
+fn l1_rows_fill_once_and_read_without_allocating() {
+    // Dense enough that most windows are complex and L1 asks cross
+    // distances from many sources.
+    let ctx = ExperimentContext::with_noise(MemoryBasis::Z, 5, 5, &NoiseModel::sd6(5e-3), 5e-3);
+    let layers = Arc::new(LayerMap::from_graph(&ctx.graph).unwrap());
+    let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
+    let table = Arc::clone(cache.no_transit());
+    let mut swd = SlidingWindowDecoder::with_cache(
+        &ctx.graph,
+        Arc::clone(&layers),
+        DecoderKind::PromatchParAg,
+        WindowConfig::new(4, 2).unwrap(),
+        cache,
+    )
+    .with_predecode(PredecodeMode::Batch);
+    let mut stream = SyndromeStream::new(&ctx.circuit, (*layers).clone(), 0x10_0C);
+    let wps = stream.words_per_shot();
+    let mut pool = Vec::new();
+    for _ in 0..96 {
+        pool.extend_from_slice(stream.next_shot_packed().words);
+    }
+    let mut out = WindowedOutcome::default();
+    let mut pass = |swd: &mut SlidingWindowDecoder<'_>| {
+        let mut escalated = 0;
+        for shot in pool.chunks_exact(wps) {
+            swd.decode_shot_packed_into(shot, &mut out);
+            escalated += out.escalated_windows();
+        }
+        escalated
+    };
+    assert_eq!(table.rows_filled(), 0, "rows are lazy");
+    let escalated = pass(&mut swd);
+    assert!(escalated > 0, "the pool must contain complex windows");
+    let warm = table.rows_filled();
+    assert!(warm > 0 && warm <= table.num_detectors());
+    assert_eq!(pass(&mut swd), escalated);
+    assert_eq!(table.rows_filled(), warm, "second pass filled a row");
+
+    // The row path itself: a filled row and the escape vector are
+    // plain indexed loads.
+    let n = table.num_detectors() as u32;
+    let sources: Vec<u32> = (0..n).step_by(7).collect();
+    for &u in &sources {
+        table.within(u, u, 0);
+    }
+    let filled = table.rows_filled();
+    let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let mut hits = 0usize;
+    for &u in &sources {
+        for v in 0..n {
+            hits += usize::from(table.within(u, v, table.escape(v)));
+        }
+    }
+    let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
+    assert_eq!(events, 0, "reading filled rows allocated");
+    assert_eq!(table.rows_filled(), filled);
+    assert!(hits >= sources.len(), "every source reaches itself");
 }
