@@ -7,7 +7,7 @@
 //!   table2 table3 table4 table5 table6 table7 table8
 //!   fig1b fig4 fig5 fig14 fig15 fig16 fig17
 //!   ablate-singleton ablate-pathq ablate-astrea-units ablate-adaptive
-//!   all
+//!   ablate-pipelines all
 //!
 //! options (after the experiment name):
 //!   --quick | --paper        scale preset (default: --quick)
@@ -20,8 +20,7 @@
 //! scenario subcommands (named noise × distance × decoder workloads):
 //!   repro scenarios                            list the registry
 //!   repro ler --scenario <name> [--predecode off|batch] [key=value]
-//!                                              LER study -> BENCH.json
-//!   repro bench [--scale ...] [--scenario <name>] [key=value ...]
+//!                                              LER study
 //!   repro realtime --scenario <name> [--window W] [--commit C]
 //!                  [--predecode off|batch] [key=value ...]
 //!                                              streaming reaction-time study
@@ -41,14 +40,9 @@
 //!                                              dump to Chrome trace-event
 //!                                              JSON (Perfetto-loadable)
 //!
-//! perf-regression sentinel (bench and serve):
-//!   --check[=BASELINE]       after the run, compare the fresh artifact
-//!                            against BASELINE (default BENCH.json, read
-//!                            before the run overwrites it) and exit
-//!                            nonzero on regression
-//!   --check-rounds-tol F     allowed fractional throughput drop (0.5)
-//!   --check-p99-tol F        allowed fractional stage-p99 rise (3.0)
-//!   --check-shed-tol N       allowed absolute shed+miss rise (10)
+//! The experiments and scenario studies print their tables to stdout and
+//! write no file unless a flag names one (`--metrics-json`,
+//! `--trace-out`). Timing and perf gating live in `crates/benchmark`.
 //!
 //! `--threads N` is accepted by every subcommand (equivalent to the
 //! `threads=N` override; omit it to defer to PROMATCH_THREADS, then to
@@ -56,7 +50,7 @@
 //! ```
 
 use bench_suite::{
-    experiments, LerRunConfig, RealtimeRunConfig, Scale, ScenarioRegistry, ServeConfig,
+    experiments, LerRunConfig, RealtimeRunConfig, Scale, Scenario, ScenarioRegistry, ServeConfig,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -72,22 +66,15 @@ fn main() -> ExitCode {
         eprintln!("       repro scenarios");
         eprintln!("       repro ler --scenario <name> [key=value ...]");
         eprintln!(
-            "       repro bench [--scale tiny|quick|paper] [--scenario <name>] [key=value ...]"
-        );
-        eprintln!(
             "       repro realtime --scenario <name> [--window W] [--commit C] [key=value ...]"
         );
         eprintln!(
             "       repro serve --scenario <name> --qubits Q --shards S [--rate R] [key=value ...]"
         );
         eprintln!("       repro trace <dump.trace> [--out trace.json] [--tenant T] [--last N]");
-        eprintln!("       (--threads N works with every subcommand;");
-        eprintln!("        --check gates bench/serve against a committed BENCH.json)");
+        eprintln!("       (--threads N works with every subcommand)");
         return ExitCode::FAILURE;
     };
-    if name == "bench" {
-        return run_perf_bench(&args[1..]);
-    }
     if name == "serve" {
         return run_scenario_serve(&args[1..]);
     }
@@ -176,90 +163,6 @@ fn flag_value(
         .map(str::to_string))
 }
 
-/// Parses one perf-sentinel flag (`--check`, `--check=BASELINE`,
-/// `--check-rounds-tol`, `--check-p99-tol`, `--check-shed-tol`) into
-/// `check`, arming the sentinel on first sight. `Ok(true)` means `arg`
-/// was consumed.
-fn check_flag(
-    arg: &str,
-    it: &mut std::slice::Iter<'_, String>,
-    check: &mut Option<bench_suite::CheckConfig>,
-) -> Result<bool, String> {
-    for (flag, field) in [
-        ("--check-rounds-tol", 0u8),
-        ("--check-p99-tol", 1),
-        ("--check-shed-tol", 2),
-    ] {
-        if let Some(value) = flag_value(arg, it, flag)? {
-            let cfg = check.get_or_insert_with(bench_suite::CheckConfig::default);
-            match field {
-                0 => cfg.rounds_tol = value.parse().map_err(|e| format!("{flag}: {e}"))?,
-                1 => cfg.p99_tol = value.parse().map_err(|e| format!("{flag}: {e}"))?,
-                _ => cfg.count_tol = value.parse().map_err(|e| format!("{flag}: {e}"))?,
-            }
-            return Ok(true);
-        }
-    }
-    if arg == "--check" {
-        check.get_or_insert_with(bench_suite::CheckConfig::default);
-        return Ok(true);
-    }
-    if let Some(path) = arg.strip_prefix("--check=") {
-        check
-            .get_or_insert_with(bench_suite::CheckConfig::default)
-            .baseline = path.to_string();
-        return Ok(true);
-    }
-    Ok(false)
-}
-
-/// Reads the sentinel baseline *before* the run overwrites it. `None`
-/// when the sentinel is off.
-fn read_baseline(check: &Option<bench_suite::CheckConfig>) -> Result<Option<String>, ExitCode> {
-    let Some(cfg) = check else { return Ok(None) };
-    match std::fs::read_to_string(&cfg.baseline) {
-        Ok(text) => Ok(Some(text)),
-        Err(e) => {
-            eprintln!("error: --check baseline {}: {e}", cfg.baseline);
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
-/// Compares the freshly written artifact against the pre-run baseline
-/// text and reports the verdict.
-fn run_check_verdict(
-    check: &bench_suite::CheckConfig,
-    baseline_text: &str,
-    fresh_path: &str,
-) -> ExitCode {
-    let fresh = match std::fs::read_to_string(fresh_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: --check fresh artifact {fresh_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match bench_suite::check_docs(baseline_text, &fresh, check) {
-        Ok(lines) => {
-            println!(
-                "# check: {} comparison{} against {} passed",
-                lines.len(),
-                if lines.len() == 1 { "" } else { "s" },
-                check.baseline
-            );
-            for line in lines {
-                println!("#   ok: {line}");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(delta) => {
-            eprintln!("{delta}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `repro trace`: convert a flight-recorder dump (an end-of-run or
 /// postmortem `.trace` file) to Chrome trace-event JSON — loadable in
 /// Perfetto or `chrome://tracing`, one process per shard, one track per
@@ -344,332 +247,147 @@ fn run_trace_export(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro ler --scenario <name>`: Equation-1 LER study of a named
-/// scenario, written to `BENCH.json` (schema v2).
-fn run_scenario_ler(args: &[String]) -> ExitCode {
+/// The shared body of the `ler`, `realtime` and `serve` subcommands:
+/// `--scenario <name>` selects the scenario, every `--<key> value` with
+/// `<key>` in `flags` becomes the `key=value` override it abbreviates,
+/// any other `--flag` is an error, and `run` applies the collected
+/// overrides to its config and prints its tables.
+fn run_scenario_subcommand(
+    args: &[String],
+    flags: &[&str],
+    usage: &str,
+    run: impl FnOnce(&Scenario, &[String], &mut dyn Write) -> Result<(), String>,
+) -> ExitCode {
+    let fail = |e: String| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    };
     let mut scenario_name: Option<String> = None;
     let mut overrides = Vec::new();
     let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut matched = false;
-        for (flag, key) in [
-            ("--scenario", None),
-            ("--predecode", Some("predecode")),
-            ("--threads", Some("threads")),
-        ] {
-            match flag_value(arg, &mut it, flag) {
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                Ok(Some(value)) => {
-                    match key {
-                        None => scenario_name = Some(value),
-                        Some(key) => overrides.push(format!("{key}={value}")),
-                    }
-                    matched = true;
-                    break;
-                }
-                Ok(None) => {}
-            }
-        }
-        if !matched {
-            overrides.push(arg.clone());
-        }
-    }
-    let Some(scenario_name) = scenario_name else {
-        eprintln!(
-            "usage: repro ler --scenario <name> [--predecode off|batch] [shots=N] [kmax=N] \
-             [seed=N] [threads=N] [out=PATH]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let registry = ScenarioRegistry::builtin();
-    let Some(scenario) = registry.get(&scenario_name) else {
-        eprintln!(
-            "error: unknown scenario '{scenario_name}' (known: {})",
-            registry.names().join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-    let mut cfg = LerRunConfig::default();
-    if let Err(e) = cfg.apply_overrides(&overrides) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let started = std::time::Instant::now();
-    match bench_suite::run_scenario_ler_study(scenario, &cfg, &mut out) {
-        Ok(()) => {
-            let _ = writeln!(out, "\n[done in {:.1?}]", started.elapsed());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("io error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `repro realtime`: streaming reaction-time study of a named scenario
-/// (sliding-window decoding + backlog simulation), written to
-/// `BENCH.json` (schema v3).
-fn run_scenario_realtime(args: &[String]) -> ExitCode {
-    let mut scenario_name: Option<String> = None;
-    let mut overrides = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut matched = false;
-        for (flag, key) in [
-            ("--scenario", None),
-            ("--window", Some("window")),
-            ("--commit", Some("commit")),
-            ("--predecode", Some("predecode")),
-            ("--threads", Some("threads")),
-        ] {
-            match flag_value(arg, &mut it, flag) {
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                Ok(Some(value)) => {
-                    match key {
-                        None => scenario_name = Some(value),
-                        Some(key) => overrides.push(format!("{key}={value}")),
-                    }
-                    matched = true;
-                    break;
-                }
-                Ok(None) => {}
-            }
-        }
-        if !matched {
-            overrides.push(arg.clone());
-        }
-    }
-    let Some(scenario_name) = scenario_name else {
-        eprintln!(
-            "usage: repro realtime --scenario <name> [--window W] [--commit C] \
-             [--predecode off|batch] [--threads N] [shots=N] [seed=N] [round=NS] \
-             [deadline=NS] [out=PATH]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let registry = ScenarioRegistry::builtin();
-    let Some(scenario) = registry.get(&scenario_name) else {
-        eprintln!(
-            "error: unknown scenario '{scenario_name}' (known: {})",
-            registry.names().join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-    let mut cfg = RealtimeRunConfig::default();
-    if let Err(e) = cfg.apply_overrides(&overrides) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let started = std::time::Instant::now();
-    match bench_suite::run_scenario_realtime_study(scenario, &cfg, &mut out) {
-        Ok(()) => {
-            let _ = writeln!(out, "\n[done in {:.1?}]", started.elapsed());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `repro serve`: multi-tenant decode-service study, written to
-/// `BENCH.json` (schema v4, `service` points array).
-fn run_scenario_serve(args: &[String]) -> ExitCode {
-    let mut scenario_name: Option<String> = None;
-    let mut overrides = Vec::new();
-    let mut check: Option<bench_suite::CheckConfig> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match check_flag(arg, &mut it, &mut check) {
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            Ok(true) => continue,
-            Ok(false) => {}
-        }
-        let mut matched = false;
-        for (flag, key) in [
-            ("--scenario", None),
-            ("--qubits", Some("qubits")),
-            ("--shards", Some("shards")),
-            ("--rate", Some("rate")),
-            ("--decoder", Some("decoder")),
-            ("--window", Some("window")),
-            ("--commit", Some("commit")),
-            ("--predecode", Some("predecode")),
-            ("--transport", Some("transport")),
-            ("--metrics-addr", Some("metrics-addr")),
-            ("--metrics-sample", Some("metrics-sample")),
-            ("--metrics-json", Some("metrics-json")),
-            ("--trace", Some("trace")),
-            ("--trace-out", Some("trace-out")),
-            ("--storm-threshold", Some("storm-threshold")),
-            ("--ring-high-water", Some("ring-high-water")),
-            ("--threads", Some("threads")),
-        ] {
-            match flag_value(arg, &mut it, flag) {
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                Ok(Some(value)) => {
-                    match key {
-                        None => scenario_name = Some(value),
-                        Some(key) => overrides.push(format!("{key}={value}")),
-                    }
-                    matched = true;
-                    break;
-                }
-                Ok(None) => {}
-            }
-        }
-        if !matched {
-            overrides.push(arg.clone());
-        }
-    }
-    let Some(scenario_name) = scenario_name else {
-        eprintln!(
-            "usage: repro serve --scenario <name> --qubits Q --shards S [--rate R] \
-             [--decoder K] [--window W] [--commit C] [--predecode off|batch] \
-             [--transport channel|tcp] [--metrics-addr HOST:PORT] \
-             [--metrics-sample N] [--metrics-json PATH] [--trace N] \
-             [--trace-out PATH] [--storm-threshold F] [--ring-high-water N] \
-             [--check[=BASELINE]] [datapath=packed|byte] \
-             [shots=N] [seed=N] [deadline=NS] [queue=N] [inflight=N] [out=PATH]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let registry = ScenarioRegistry::builtin();
-    let Some(scenario) = registry.get(&scenario_name) else {
-        eprintln!(
-            "error: unknown scenario '{scenario_name}' (known: {})",
-            registry.names().join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-    let mut cfg = ServeConfig::default();
-    if let Err(e) = cfg.apply_overrides(&overrides) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    // The sentinel's baseline is read before the run overwrites the
-    // artifact (the default baseline and output are the same file).
-    let baseline = match read_baseline(&check) {
-        Ok(text) => text,
-        Err(code) => return code,
-    };
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let started = std::time::Instant::now();
-    match bench_suite::run_serve_study(scenario, &cfg, &mut out) {
-        Ok(()) => {
-            let _ = writeln!(out, "\n[done in {:.1?}]", started.elapsed());
-            drop(out);
-            match (&check, &baseline) {
-                (Some(chk), Some(base)) => run_check_verdict(chk, base, &cfg.out_path),
-                _ => ExitCode::SUCCESS,
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `repro bench`: wall-clock decode snapshot, written to `BENCH.json`.
-fn run_perf_bench(args: &[String]) -> ExitCode {
-    use bench_suite::BenchScale;
-    let mut scale = BenchScale::quick();
-    let mut overrides = Vec::new();
-    let mut check: Option<bench_suite::CheckConfig> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match check_flag(arg, &mut it, &mut check) {
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            Ok(true) => continue,
-            Ok(false) => {}
-        }
-        let scale_flag = match flag_value(arg, &mut it, "--scale") {
-            Err(e) => {
-                eprintln!("error: {e} (tiny|quick|paper)");
-                return ExitCode::FAILURE;
-            }
-            Ok(v) => v,
-        };
-        if let Some(name) = scale_flag {
-            let Some(named) = BenchScale::named(&name) else {
-                eprintln!("error: unknown scale '{name}' (tiny|quick|paper)");
-                return ExitCode::FAILURE;
-            };
-            // Presets never carry a scenario; keep one already parsed.
-            let scenario = scale.scenario.take();
-            scale = named;
-            scale.scenario = scenario;
-            continue;
-        }
+    'args: while let Some(arg) = it.next() {
         match flag_value(arg, &mut it, "--scenario") {
-            Err(e) => {
-                eprintln!("error: {e} (see `repro scenarios`)");
-                return ExitCode::FAILURE;
-            }
-            Ok(Some(name)) => {
-                scale.scenario = Some(name);
+            Err(e) => return fail(e),
+            Ok(Some(value)) => {
+                scenario_name = Some(value);
                 continue;
             }
             Ok(None) => {}
         }
-        match flag_value(arg, &mut it, "--threads") {
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+        for key in flags {
+            match flag_value(arg, &mut it, &format!("--{key}")) {
+                Err(e) => return fail(e),
+                Ok(Some(value)) => {
+                    overrides.push(format!("{key}={value}"));
+                    continue 'args;
+                }
+                Ok(None) => {}
             }
-            Ok(Some(n)) => overrides.push(format!("threads={n}")),
-            Ok(None) => overrides.push(arg.clone()),
         }
+        if arg.starts_with("--") {
+            eprintln!("error: unknown flag '{arg}'");
+            eprintln!("usage: {usage}");
+            return ExitCode::FAILURE;
+        }
+        overrides.push(arg.clone());
     }
-    if let Err(e) = scale.apply_overrides(&overrides) {
-        eprintln!("error: {e}");
+    let Some(scenario_name) = scenario_name else {
+        eprintln!("usage: {usage}");
         return ExitCode::FAILURE;
-    }
-    // Baseline first: the fresh run overwrites the default path.
-    let baseline = match read_baseline(&check) {
-        Ok(text) => text,
-        Err(code) => return code,
+    };
+    let registry = ScenarioRegistry::builtin();
+    let Some(scenario) = registry.get(&scenario_name) else {
+        return fail(format!(
+            "unknown scenario '{scenario_name}' (known: {})",
+            registry.names().join(", ")
+        ));
     };
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let started = std::time::Instant::now();
-    match bench_suite::run_bench(&scale, &mut out) {
+    match run(scenario, &overrides, &mut out) {
         Ok(()) => {
             let _ = writeln!(out, "\n[done in {:.1?}]", started.elapsed());
-            drop(out);
-            match (&check, &baseline) {
-                (Some(chk), Some(base)) => run_check_verdict(chk, base, &scale.out_path),
-                _ => ExitCode::SUCCESS,
-            }
+            ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("io error: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(e),
     }
+}
+
+/// `repro ler --scenario <name>`: Equation-1 LER study of a named
+/// scenario.
+fn run_scenario_ler(args: &[String]) -> ExitCode {
+    run_scenario_subcommand(
+        args,
+        &["predecode", "threads"],
+        "repro ler --scenario <name> [--predecode off|batch] [shots=N] [kmax=N] \
+         [seed=N] [threads=N]",
+        |scenario, overrides, out| {
+            let mut cfg = LerRunConfig::default();
+            cfg.apply_overrides(overrides)?;
+            bench_suite::run_scenario_ler(scenario, &cfg, out)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        },
+    )
+}
+
+/// `repro realtime`: streaming reaction-time study of a named scenario
+/// (sliding-window decoding + backlog simulation).
+fn run_scenario_realtime(args: &[String]) -> ExitCode {
+    run_scenario_subcommand(
+        args,
+        &["window", "commit", "predecode", "threads"],
+        "repro realtime --scenario <name> [--window W] [--commit C] \
+         [--predecode off|batch] [--threads N] [shots=N] [seed=N] [round=NS] \
+         [deadline=NS]",
+        |scenario, overrides, out| {
+            let mut cfg = RealtimeRunConfig::default();
+            cfg.apply_overrides(overrides)?;
+            bench_suite::run_scenario_realtime(scenario, &cfg, out)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        },
+    )
+}
+
+/// `repro serve`: multi-tenant decode-service study.
+fn run_scenario_serve(args: &[String]) -> ExitCode {
+    run_scenario_subcommand(
+        args,
+        &[
+            "qubits",
+            "shards",
+            "rate",
+            "decoder",
+            "window",
+            "commit",
+            "predecode",
+            "transport",
+            "metrics-addr",
+            "metrics-sample",
+            "metrics-json",
+            "trace",
+            "trace-out",
+            "storm-threshold",
+            "ring-high-water",
+            "threads",
+        ],
+        "repro serve --scenario <name> --qubits Q --shards S [--rate R] \
+         [--decoder K] [--window W] [--commit C] [--predecode off|batch] \
+         [--transport channel|tcp] [--metrics-addr HOST:PORT] \
+         [--metrics-sample N] [--metrics-json PATH] [--trace N] \
+         [--trace-out PATH] [--storm-threshold F] [--ring-high-water N] \
+         [datapath=packed|byte] [shots=N] [seed=N] [deadline=NS] [queue=N] \
+         [inflight=N]",
+        |scenario, overrides, out| {
+            let mut cfg = ServeConfig::default();
+            cfg.apply_overrides(overrides)?;
+            bench_suite::run_serve(scenario, &cfg, out)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        },
+    )
 }
 
 fn run(name: &str, scale: &Scale, w: &mut dyn Write) -> std::io::Result<bool> {

@@ -1,4 +1,4 @@
-//! Benchmark harness regenerating every table and figure of the paper.
+//! Reproduction harness regenerating every table and figure of the paper.
 //!
 //! The [`experiments`] module contains one entry point per table/figure
 //! of the Promatch paper's evaluation (§6). The `repro` binary exposes
@@ -10,25 +10,21 @@
 //! the *shape*: decoder ordering, approximate ratios, and crossovers.
 //! See `EXPERIMENTS.md` for a side-by-side record.
 
-pub mod check;
 pub mod experiments;
-pub mod perf;
 pub mod realtime;
 pub mod scale;
 pub mod scenario;
 pub mod serve;
 
-pub use self::realtime::{run_scenario_realtime, run_scenario_realtime_study, RealtimeRunConfig};
-pub use check::{check_docs, parse_json, CheckConfig, Json};
-pub use perf::{
-    render_json, run_bench, BenchDoc, BenchPoint, BenchScale, LatencyPoint, LerPoint, ServicePoint,
-    ServiceSummary, StageBreakdownRow, TelemetrySummary, TraceSummary,
-};
+pub use self::realtime::{run_scenario_realtime, LatencyPoint, RealtimeRunConfig};
 pub use scale::Scale;
 pub use scenario::{
-    run_scenario_ler, run_scenario_ler_study, LerRunConfig, NoiseSpec, Scenario, ScenarioRegistry,
+    run_scenario_ler, LerPoint, LerRunConfig, NoiseSpec, Scenario, ScenarioRegistry,
 };
-pub use serve::{run_serve, run_serve_study, ServeConfig, ServeTransport};
+pub use serve::{
+    run_serve, ServeConfig, ServeTransport, ServicePoint, ServiceSummary, StageBreakdownRow,
+    TelemetrySummary, TraceSummary,
+};
 
 /// Formats a rate in the paper's scientific style (e.g. `2.6e-14`).
 pub fn fmt_rate(x: f64) -> String {

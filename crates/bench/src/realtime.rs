@@ -4,11 +4,10 @@
 //! every decoder in the scenario's set streams the same seeded shots
 //! round-by-round, decodes them through sliding windows, and feeds the
 //! modeled per-window latencies into the backlog simulator. The output
-//! is the tail-latency counterpart of `repro bench`: p50/p99/max
-//! reaction times, backlog-depth traces, and deadline-miss fractions,
-//! written into the `latency` array of the schema-v3 `BENCH.json`.
+//! is the tail-latency view of a scenario: p50/p99/max reaction times,
+//! backlog-depth traces, and deadline-miss fractions, one modeled and
+//! one measured [`LatencyPoint`] per decoder.
 
-use crate::perf::{BenchDoc, LatencyPoint};
 use crate::scenario::Scenario;
 use decoding_graph::{SeamPolicy, WindowCache};
 use ler::effective_threads;
@@ -19,6 +18,60 @@ use realtime::{
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// One `(scenario, decoder)` streaming reaction-time point from the
+/// realtime backlog simulation (`repro realtime`).
+#[derive(Clone, Debug)]
+pub struct LatencyPoint {
+    /// Scenario name the point was measured under.
+    pub scenario: String,
+    /// Paper-style decoder label.
+    pub decoder: &'static str,
+    /// Sliding-window size in round layers.
+    pub window: u32,
+    /// Committed layers per window step.
+    pub commit: u32,
+    /// Predecode mode label (`off` or `batch`).
+    pub predecode: &'static str,
+    /// Syndrome datapath label (`packed` or `byte`).
+    pub datapath: &'static str,
+    /// Where this row's percentiles come from: `modeled` rows carry the
+    /// backlog simulation's reaction times (deterministic, seeded);
+    /// `measured` rows restate the same run with wall-clock window-step
+    /// decode times from the stage spans (machine-dependent).
+    pub timing: &'static str,
+    /// Syndrome round period, ns.
+    pub round_ns: f64,
+    /// Shots streamed.
+    pub shots: usize,
+    /// Round layers per shot.
+    pub layers_per_shot: u32,
+    /// Median reaction time, ns.
+    pub p50_ns: f64,
+    /// 99th-percentile reaction time, ns.
+    pub p99_ns: f64,
+    /// Worst reaction time, ns.
+    pub max_ns: f64,
+    /// Mean reaction time, ns.
+    pub mean_ns: f64,
+    /// Fraction of windows missing the reaction deadline.
+    pub miss_fraction: f64,
+    /// Deepest decode backlog observed.
+    pub max_backlog: usize,
+    /// Mean decode backlog.
+    pub mean_backlog: f64,
+    /// Fraction of streamed rounds the L1 tier resolved before any
+    /// matching solver ran (0 with predecoding off).
+    pub l1_rounds_fraction: f64,
+    /// Fraction of windows escalated past the L1 tier to the solver.
+    pub escalation_fraction: f64,
+    /// Streaming logical failures over the run.
+    pub failures: u64,
+    /// Measured streaming decode throughput of this run's single worker
+    /// thread: syndrome rounds decoded per wall-clock second (stream
+    /// sampling included, backlog modeling excluded).
+    pub rounds_per_s_per_core: f64,
+}
 
 /// Configuration of a `repro realtime` run. `None` fields fall back to
 /// the scenario's own defaults.
@@ -46,8 +99,6 @@ pub struct RealtimeRunConfig {
     /// `PROMATCH_THREADS` / available parallelism). Results are
     /// thread-count independent.
     pub threads: usize,
-    /// Output path for the BENCH.json artifact.
-    pub out_path: String,
 }
 
 impl Default for RealtimeRunConfig {
@@ -62,7 +113,6 @@ impl Default for RealtimeRunConfig {
             shots: 200,
             seed: 2024,
             threads: 0,
-            out_path: "BENCH.json".into(),
         }
     }
 }
@@ -70,7 +120,7 @@ impl Default for RealtimeRunConfig {
 impl RealtimeRunConfig {
     /// Parses `key=value` overrides (`shots=`, `seed=`, `round=`,
     /// `deadline=`, `window=`, `commit=`, `predecode=`, `datapath=`,
-    /// `threads=`, `out=`).
+    /// `threads=`).
     ///
     /// # Errors
     ///
@@ -97,7 +147,6 @@ impl RealtimeRunConfig {
                     self.datapath = Datapath::parse(value).map_err(|e| format!("datapath: {e}"))?;
                 }
                 "threads" => self.threads = crate::scale::parse_threads(value)?,
-                "out" => self.out_path = value.to_string(),
                 other => return Err(format!("unknown option '{other}'")),
             }
         }
@@ -125,8 +174,8 @@ impl RealtimeRunConfig {
     }
 }
 
-/// Runs the streaming study of one scenario and returns the per-decoder
-/// points that go into `BENCH.json`.
+/// Runs the streaming study of one scenario, printing the table to `w`
+/// and returning a modeled and a measured point per decoder.
 ///
 /// Every decoder streams identical shots (same seed); the per-decoder
 /// runs are independent, so they are fanned out over worker threads
@@ -322,36 +371,6 @@ pub fn run_scenario_realtime(
     Ok(points)
 }
 
-/// Runs [`run_scenario_realtime`] and writes the points as a schema-v3
-/// `BENCH.json` document at `cfg.out_path`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the progress writer or the JSON file.
-pub fn run_scenario_realtime_study(
-    scenario: &Scenario,
-    cfg: &RealtimeRunConfig,
-    w: &mut dyn Write,
-) -> std::io::Result<()> {
-    let points = run_scenario_realtime(scenario, cfg, w)?;
-    let doc = BenchDoc {
-        seed: cfg.seed,
-        threads: effective_threads(cfg.threads),
-        scenario: Some(scenario.name.to_string()),
-        latency: points,
-        ..BenchDoc::default()
-    };
-    let json = crate::perf::render_json(&doc);
-    std::fs::write(&cfg.out_path, &json)?;
-    writeln!(
-        w,
-        "# wrote {} ({} latency points)",
-        cfg.out_path,
-        doc.latency.len()
-    )?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,7 +389,6 @@ mod tests {
             "predecode=batch".into(),
             "datapath=byte".into(),
             "threads=2".into(),
-            "out=/tmp/rt.json".into(),
         ])
         .unwrap();
         assert_eq!(cfg.shots, 16);
@@ -383,6 +401,7 @@ mod tests {
         assert_eq!(cfg.datapath, Datapath::Byte);
         assert_eq!(cfg.threads, 2);
         assert!(cfg.apply_overrides(&["nope=1".into()]).is_err());
+        assert!(cfg.apply_overrides(&["out=x.json".into()]).is_err());
         assert!(cfg.apply_overrides(&["shots".into()]).is_err());
         assert!(cfg.apply_overrides(&["predecode=pinball".into()]).is_err());
         assert!(cfg.apply_overrides(&["datapath=nibble".into()]).is_err());
@@ -419,32 +438,31 @@ mod tests {
 
     #[test]
     fn tiny_realtime_study_runs_end_to_end() {
-        let dir = std::env::temp_dir().join("promatch_realtime_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH.json");
         let reg = ScenarioRegistry::builtin();
         let sc = reg.get("cc-d3").unwrap();
         let mut cfg = RealtimeRunConfig {
             shots: 24,
             seed: 3,
             threads: 2,
-            out_path: out.to_string_lossy().into_owned(),
             ..RealtimeRunConfig::default()
         };
         let mut sink = Vec::new();
-        run_scenario_realtime_study(sc, &cfg, &mut sink).unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("\"schema_version\": 8"));
-        assert!(text.contains("\"scenario\": \"cc-d3\""));
-        assert!(text.contains("\"predecode\": \"off\""));
-        assert!(text.contains("\"datapath\": \"packed\""));
-        assert!(text.contains("\"timing\": \"modeled\""));
-        assert!(text.contains("\"timing\": \"measured\""));
-        assert!(text.contains("\"p50_ns\""));
-        assert!(text.contains("\"miss_fraction\""));
-        assert!(text.contains("\"l1_rounds_fraction\": 0.0000"));
-        assert!(text.contains("\"rounds_per_s_per_core\""));
+        let all2 = run_scenario_realtime(sc, &cfg, &mut sink).unwrap();
+        for p in &all2 {
+            assert_eq!(p.scenario, "cc-d3");
+            assert_eq!((p.window, p.commit), (sc.rt_window, sc.rt_commit));
+            assert_eq!(p.predecode, "off");
+            assert_eq!(p.datapath, "packed");
+            assert_eq!((p.shots, p.layers_per_shot), (24, sc.rounds + 1));
+            assert_eq!(p.l1_rounds_fraction, 0.0);
+            assert!((0.0..=1.0).contains(&p.miss_fraction));
+        }
         let log = String::from_utf8(sink).unwrap();
+        assert!(
+            log.contains("# realtime cc-d3: code-capacity noise"),
+            "{log}"
+        );
+        assert!(log.contains("predecode=off datapath=packed"), "{log}");
         assert!(log.contains("backlog depth over stream"));
         assert!(log.contains("measured window step"), "{log}");
         // Same seed, different thread count: identical modeled points

@@ -5,11 +5,10 @@
 //! or performance trajectory — the workload axis the paper varies in
 //! §6 — and the [`ScenarioRegistry`] names the configurations the
 //! `repro` CLI exposes (`repro ler --scenario sd6-d11`,
-//! `repro bench --scenario biased-z-d5`). Scenario names are serialized
-//! into `BENCH.json` so artifacts from different commits compare
+//! `repro realtime --scenario biased-z-d5`). Every result row carries
+//! its scenario name, so runs from different commits compare
 //! like-for-like per workload.
 
-use crate::perf::LerPoint;
 use decoding_graph::{SeamPolicy, WindowCache};
 use ler::{run_eq1, wilson_interval, DecoderKind, Eq1Config, ExperimentContext};
 use realtime::{
@@ -263,6 +262,34 @@ impl ScenarioRegistry {
     }
 }
 
+/// One `(scenario, decoder)` logical-error-rate point with 95 % Wilson
+/// bounds.
+#[derive(Clone, Debug)]
+pub struct LerPoint {
+    /// Scenario name the point was measured under.
+    pub scenario: String,
+    /// Paper-style decoder label.
+    pub decoder: &'static str,
+    /// Code distance.
+    pub d: u32,
+    /// Syndrome-extraction rounds.
+    pub rounds: u32,
+    /// Physical error rate.
+    pub p: f64,
+    /// Maximum injected mechanism count of the Equation-1 study.
+    pub k_max: usize,
+    /// Injection samples per `k`.
+    pub shots_per_k: usize,
+    /// Predecode mode label (`off` or `batch`).
+    pub predecode: &'static str,
+    /// Equation-1 LER estimate.
+    pub ler: f64,
+    /// Lower 95 % Wilson bound.
+    pub low: f64,
+    /// Upper 95 % Wilson bound.
+    pub high: f64,
+}
+
 /// Configuration of a `repro ler --scenario` run. `None` fields fall
 /// back to the scenario's own defaults.
 #[derive(Clone, Debug)]
@@ -281,8 +308,6 @@ pub struct LerRunConfig {
     pub predecode: PredecodeMode,
     /// Worker threads (0 = `PROMATCH_THREADS` / available parallelism).
     pub threads: usize,
-    /// Output path for the BENCH.json artifact.
-    pub out_path: String,
 }
 
 impl Default for LerRunConfig {
@@ -293,14 +318,13 @@ impl Default for LerRunConfig {
             seed: 2024,
             predecode: PredecodeMode::Off,
             threads: 0,
-            out_path: "BENCH.json".into(),
         }
     }
 }
 
 impl LerRunConfig {
     /// Parses `key=value` overrides (`shots=`, `kmax=`, `seed=`,
-    /// `predecode=`, `threads=`, `out=`).
+    /// `predecode=`, `threads=`).
     ///
     /// # Errors
     ///
@@ -321,7 +345,6 @@ impl LerRunConfig {
                         PredecodeMode::parse(value).map_err(|e| format!("predecode: {e}"))?;
                 }
                 "threads" => self.threads = crate::scale::parse_threads(value)?,
-                "out" => self.out_path = value.to_string(),
                 other => return Err(format!("unknown option '{other}'")),
             }
         }
@@ -404,9 +427,8 @@ fn run_scenario_ler_windowed(
     Ok(points)
 }
 
-/// Runs the Equation-1 LER study of one scenario and returns the
-/// per-decoder points (with 95 % Wilson bounds) that go into
-/// `BENCH.json`.
+/// Runs the Equation-1 LER study of one scenario, printing the table to
+/// `w` and returning the per-decoder points (with 95 % Wilson bounds).
 pub fn run_scenario_ler(
     scenario: &Scenario,
     cfg: &LerRunConfig,
@@ -428,6 +450,9 @@ pub fn run_scenario_ler(
     }
     writeln!(w, "# building context...")?;
     let ctx = scenario.shared_context();
+    // Injection draws k distinct mechanisms; a small model (cc-d3 has 7)
+    // caps k below the scenario's or the caller's k_max.
+    let k_max = k_max.min(ctx.dem.errors.len());
     writeln!(
         w,
         "# {} detectors, {} mechanisms; eq1 with k_max={k_max}, shots/k={shots_per_k}",
@@ -470,32 +495,6 @@ pub fn run_scenario_ler(
         });
     }
     Ok(points)
-}
-
-/// Runs [`run_scenario_ler`] and writes the points as a schema-v3
-/// `BENCH.json` document at `cfg.out_path` (the accuracy counterpart of
-/// `repro bench`).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the progress writer or the JSON file.
-pub fn run_scenario_ler_study(
-    scenario: &Scenario,
-    cfg: &LerRunConfig,
-    w: &mut dyn Write,
-) -> std::io::Result<()> {
-    let points = run_scenario_ler(scenario, cfg, w)?;
-    let doc = crate::perf::BenchDoc {
-        seed: cfg.seed,
-        threads: ler::effective_threads(cfg.threads),
-        scenario: Some(scenario.name.to_string()),
-        ler: points,
-        ..crate::perf::BenchDoc::default()
-    };
-    let json = crate::perf::render_json(&doc);
-    std::fs::write(&cfg.out_path, &json)?;
-    writeln!(w, "# wrote {} ({} ler points)", cfg.out_path, doc.ler.len())?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -546,7 +545,6 @@ mod tests {
             "seed=7".into(),
             "predecode=batch".into(),
             "threads=2".into(),
-            "out=/tmp/x.json".into(),
         ])
         .unwrap();
         assert_eq!(cfg.shots_per_k, Some(50));
@@ -555,14 +553,12 @@ mod tests {
         assert_eq!(cfg.predecode, PredecodeMode::Batch);
         assert_eq!(cfg.threads, 2);
         assert!(cfg.apply_overrides(&["nope=1".into()]).is_err());
+        assert!(cfg.apply_overrides(&["out=x.json".into()]).is_err());
         assert!(cfg.apply_overrides(&["predecode=pinball".into()]).is_err());
     }
 
     #[test]
     fn ler_study_writes_scenario_tagged_schema() {
-        let dir = std::env::temp_dir().join("promatch_ler_scenario_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH.json");
         let reg = ScenarioRegistry::builtin();
         let sc = reg.get("cc-d3").unwrap();
         let cfg = LerRunConfig {
@@ -571,16 +567,26 @@ mod tests {
             seed: 3,
             predecode: PredecodeMode::Off,
             threads: 1,
-            out_path: out.to_string_lossy().into_owned(),
         };
         let mut sink = Vec::new();
-        run_scenario_ler_study(sc, &cfg, &mut sink).unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("\"schema_version\": 8"));
-        assert!(text.contains("\"scenario\": \"cc-d3\""));
-        assert!(text.contains("\"threads\": 1"));
-        assert!(text.contains("\"k_max\": 2"));
-        assert!(text.contains("\"predecode\": \"off\""));
+        let points = run_scenario_ler(sc, &cfg, &mut sink).unwrap();
+        for (pt, kind) in points.iter().zip(&sc.decoders) {
+            assert_eq!(pt.scenario, "cc-d3");
+            assert_eq!(pt.decoder, kind.label());
+            assert_eq!((pt.d, pt.rounds, pt.p), (sc.distance, sc.rounds, sc.p));
+            assert_eq!((pt.k_max, pt.shots_per_k), (2, 30));
+            assert_eq!(pt.predecode, "off");
+        }
+        // The table names the scenario and carries one row per decoder.
+        let log = String::from_utf8(sink).unwrap();
+        assert!(
+            log.contains("# scenario cc-d3: code-capacity noise"),
+            "{log}"
+        );
+        assert!(log.contains("k_max=2, shots/k=30"), "{log}");
+        for kind in &sc.decoders {
+            assert!(log.contains(kind.label()), "{log}");
+        }
     }
 
     #[test]
@@ -593,7 +599,6 @@ mod tests {
             seed: 9,
             predecode: PredecodeMode::Batch,
             threads: 1,
-            out_path: String::new(),
         };
         let mut sink = Vec::new();
         let points = run_scenario_ler(sc, &cfg, &mut sink).unwrap();
@@ -607,6 +612,24 @@ mod tests {
     }
 
     #[test]
+    fn oversized_kmax_is_clamped_not_panicked() {
+        // cc-d3's code-capacity DEM has only a handful of mechanisms; a
+        // k_max above that count must not trip the injection sampler's
+        // assert (the registry default for cc-d3 is itself one too many).
+        let reg = ScenarioRegistry::builtin();
+        let sc = reg.get("cc-d3").unwrap();
+        let mechanisms = sc.shared_context().dem.errors.len();
+        let cfg = LerRunConfig {
+            shots_per_k: Some(10),
+            k_max: Some(1000),
+            threads: 1,
+            ..LerRunConfig::default()
+        };
+        let points = run_scenario_ler(sc, &cfg, &mut Vec::new()).unwrap();
+        assert!(points.iter().all(|pt| pt.k_max == mechanisms));
+    }
+
+    #[test]
     fn small_scenario_ler_runs_end_to_end() {
         let reg = ScenarioRegistry::builtin();
         let sc = reg.get("cc-d3").unwrap();
@@ -616,7 +639,6 @@ mod tests {
             seed: 11,
             predecode: PredecodeMode::Off,
             threads: 1,
-            out_path: String::new(),
         };
         let mut sink = Vec::new();
         let points = run_scenario_ler(sc, &cfg, &mut sink).unwrap();

@@ -3,16 +3,12 @@
 //! Boots a [`service::DecodeServer`] loaded with one named scenario
 //! (its context pulled from the process-wide `Arc` cache, so Q tenants
 //! and repeated invocations share one graph + path table), drives it
-//! with the closed-loop load generator over either transport, and writes
-//! the per-tenant results into the `service` array of `BENCH.json`:
-//! per-tenant throughput (rounds/s), reaction percentiles, shed and
-//! deadline-miss counters, and client-side logical failures, with the
-//! whole-run aggregate throughput in the `service_summary` object
-//! (schema v6).
+//! with the closed-loop load generator over either transport, and
+//! reports one [`ServicePoint`] per tenant — throughput (rounds/s),
+//! reaction percentiles, shed and deadline-miss counters, client-side
+//! logical failures — with the whole-run aggregate throughput in the
+//! [`ServiceSummary`].
 
-use crate::perf::{
-    BenchDoc, ServicePoint, ServiceSummary, StageBreakdownRow, TelemetrySummary, TraceSummary,
-};
 use crate::scale::{parse_positive, parse_threads};
 use crate::scenario::Scenario;
 use ler::DecoderKind;
@@ -98,8 +94,6 @@ pub struct ServeConfig {
     /// SPSC ring high-water postmortem threshold: trigger when any
     /// shard's submission ring reaches this depth (0 disables).
     pub ring_high_water: u32,
-    /// Output path for the BENCH.json artifact.
-    pub out_path: String,
 }
 
 impl Default for ServeConfig {
@@ -126,7 +120,6 @@ impl Default for ServeConfig {
             trace_out: None,
             storm_threshold: 0.0,
             ring_high_water: 0,
-            out_path: "BENCH.json".into(),
         }
     }
 }
@@ -136,8 +129,8 @@ impl ServeConfig {
     /// `shots=`, `seed=`, `decoder=`, `window=`, `commit=`, `deadline=`,
     /// `predecode=`, `datapath=`, `queue=`, `inflight=`, `transport=`,
     /// `metrics-addr=`, `metrics-sample=`, `metrics-json=`, `trace=`,
-    /// `trace-out=`, `storm-threshold=`, `ring-high-water=`, `out=`),
-    /// rejecting zero sizes with a clear error.
+    /// `trace-out=`, `storm-threshold=`, `ring-high-water=`), rejecting
+    /// zero sizes with a clear error.
     ///
     /// # Errors
     ///
@@ -211,7 +204,6 @@ impl ServeConfig {
                 // subcommands: the worker pool's parallelism is its shard
                 // count.
                 "threads" => self.shards = parse_threads(value)?,
-                "out" => self.out_path = value.to_string(),
                 other => return Err(format!("unknown option '{other}'")),
             }
         }
@@ -224,9 +216,129 @@ impl ServeConfig {
     }
 }
 
-/// Runs the decode-service study of one scenario and returns the
-/// per-tenant points that go into `BENCH.json`, plus the whole-run
-/// aggregate summary.
+/// One `(scenario, tenant)` row of a multi-tenant decode-service run
+/// (`repro serve`).
+#[derive(Clone, Debug)]
+pub struct ServicePoint {
+    /// Scenario name the service was loaded with.
+    pub scenario: String,
+    /// Paper-style decoder label every tenant registered.
+    pub decoder: &'static str,
+    /// Tenants driven in the run.
+    pub qubits: u32,
+    /// Decode shards of the worker pool.
+    pub shards: usize,
+    /// This row's tenant id.
+    pub qubit: u32,
+    /// Shard that owned the tenant.
+    pub shard: u32,
+    /// Sliding-window size in round layers.
+    pub window: u32,
+    /// Committed layers per window step.
+    pub commit: u32,
+    /// Predecode mode label (`off` or `batch`).
+    pub predecode: &'static str,
+    /// Syndrome datapath label (`packed` or `byte`) every tenant
+    /// registered: packed rides the zero-copy arena ingest, byte is the
+    /// bit-identical reference path.
+    pub datapath: &'static str,
+    /// Syndrome round period, ns (from the `--rate` flag).
+    pub round_ns: f64,
+    /// Reaction deadline per window, ns.
+    pub deadline_ns: f64,
+    /// Shots committed for this tenant.
+    pub shots: u64,
+    /// Windows decoded for this tenant.
+    pub windows: u64,
+    /// Windows shed by admission control.
+    pub shed: u64,
+    /// Windows whose modeled reaction exceeded the deadline.
+    pub deadline_misses: u64,
+    /// Median modeled reaction time, ns.
+    pub p50_ns: f64,
+    /// 99th-percentile modeled reaction time, ns.
+    pub p99_ns: f64,
+    /// Worst modeled reaction time, ns.
+    pub max_ns: f64,
+    /// Mean modeled reaction time, ns.
+    pub mean_ns: f64,
+    /// Fraction of this tenant's submitted rounds the L1 tier resolved
+    /// before any matching solver ran (0 with predecoding off).
+    pub l1_rounds_fraction: f64,
+    /// Fraction of this tenant's windows escalated past the L1 tier.
+    pub escalation_fraction: f64,
+    /// Logical failures scored client-side for this tenant.
+    pub failures: u64,
+    /// This tenant's measured decode throughput, syndrome rounds per
+    /// wall-clock second (`shots × layers_per_shot / wall_seconds`).
+    /// The whole-service aggregate lives in [`ServiceSummary`].
+    pub rounds_per_s: f64,
+}
+
+/// Whole-run aggregate of a `repro serve` study.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ServiceSummary {
+    /// Whole-service decode throughput, syndrome rounds per second.
+    pub rounds_per_s: f64,
+    /// Aggregate throughput normalized to one decode shard.
+    pub rounds_per_s_per_shard: f64,
+    /// Deepest SPSC submission-ring occupancy any shard observed over
+    /// the run (from the telemetry ring-depth gauges).
+    pub max_ring_depth: u64,
+}
+
+/// One stage row of the serve-run telemetry breakdown: the merged
+/// cross-shard latency histogram of one pipeline stage, folded to
+/// count/sum/percentiles.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageBreakdownRow {
+    /// Stage label (`ingest`, `predecode`, `window`, `solve`, `commit`,
+    /// `window_total`).
+    pub stage: &'static str,
+    /// Sampled spans recorded for the stage.
+    pub count: u64,
+    /// Summed span duration, ns.
+    pub sum_ns: u64,
+    /// Median span duration, ns.
+    pub p50_ns: u64,
+    /// 99th-percentile span duration, ns.
+    pub p99_ns: u64,
+    /// Worst span duration, ns.
+    pub max_ns: u64,
+}
+
+/// The per-stage telemetry breakdown of a `repro serve` run.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TelemetrySummary {
+    /// Span-sampling rate the run used (1-in-N window steps; 0 = spans
+    /// disabled, counters only).
+    pub sample_every: u32,
+    /// Deepest SPSC ring occupancy any shard observed.
+    pub max_ring_depth: u64,
+    /// One row per pipeline stage, merged across shards.
+    pub stages: Vec<StageBreakdownRow>,
+}
+
+/// The flight-recorder rollup of a trace-armed `repro serve` run
+/// (`None` from [`run_serve`] when tracing was off).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TraceSummary {
+    /// Events recorded across every shard's flight-recorder ring over
+    /// the run's lifetime.
+    pub events: u64,
+    /// Events the rings overwrote before the end-of-run snapshot (ring
+    /// wrap; the recorder never blocks the hot path to preserve them).
+    pub dropped: u64,
+    /// Postmortem triggers fired over the run (shed, deadline miss,
+    /// escalation storm, ring high-water). Only the first writes a dump
+    /// file; the rest just count.
+    pub dump_triggers: u64,
+}
+
+/// Runs the decode-service study of one scenario, printing the tables
+/// to `w` and returning the per-tenant points, the whole-run aggregate,
+/// the per-stage telemetry breakdown and (trace-armed runs only) the
+/// flight-recorder rollup.
 ///
 /// # Errors
 ///
@@ -503,10 +615,9 @@ pub fn run_serve(
             0.0
         };
         // Per-tenant throughput: this tenant's committed rounds over its
-        // *own* first-submit→last-commit wall clock. Schema ≤5 copied
-        // the whole-service aggregate into every row; schema 6–7 divided
-        // by the whole-run wall clock, which still stamped every
-        // equal-shots tenant with one identical number (schema v8).
+        // *own* first-submit→last-commit wall clock (dividing by the
+        // whole-run wall clock would stamp every equal-shots tenant with
+        // one identical number).
         let rounds_per_s = if tenant.wall_seconds > 0.0 {
             (stats.shots * layers_per_shot) as f64 / tenant.wall_seconds
         } else {
@@ -577,39 +688,6 @@ pub fn run_serve(
     Ok((points, summary, telemetry_summary, trace_summary))
 }
 
-/// Runs [`run_serve`] and writes the points as a schema-v4 `BENCH.json`
-/// document at `cfg.out_path`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the progress writer or the JSON file.
-pub fn run_serve_study(
-    scenario: &Scenario,
-    cfg: &ServeConfig,
-    w: &mut dyn Write,
-) -> std::io::Result<()> {
-    let (points, summary, telemetry, trace) = run_serve(scenario, cfg, w)?;
-    let doc = BenchDoc {
-        seed: cfg.seed,
-        threads: cfg.shards,
-        scenario: Some(scenario.name.to_string()),
-        service: points,
-        service_summary: Some(summary),
-        telemetry: Some(telemetry),
-        trace,
-        ..BenchDoc::default()
-    };
-    let json = crate::perf::render_json(&doc);
-    std::fs::write(&cfg.out_path, &json)?;
-    writeln!(
-        w,
-        "# wrote {} ({} service points)",
-        cfg.out_path,
-        doc.service.len()
-    )?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,7 +718,6 @@ mod tests {
             "trace-out=/tmp/run.trace".into(),
             "storm-threshold=0.75".into(),
             "ring-high-water=6".into(),
-            "out=/tmp/s.json".into(),
         ])
         .unwrap();
         assert_eq!(cfg.qubits, 8);
@@ -664,7 +741,6 @@ mod tests {
         assert_eq!(cfg.trace_out.as_deref(), Some("/tmp/run.trace"));
         assert_eq!(cfg.storm_threshold, 0.75);
         assert_eq!(cfg.ring_high_water, 6);
-        assert_eq!(cfg.out_path, "/tmp/s.json");
         // Zeros are rejected with a clear message, per flag.
         for bad in ["qubits=0", "shards=0", "shots=0", "queue=0", "inflight=0"] {
             let err = cfg.apply_overrides(&[bad.into()]).unwrap_err();
@@ -680,13 +756,13 @@ mod tests {
         assert!(cfg.apply_overrides(&["predecode=pinball".into()]).is_err());
         assert!(cfg.apply_overrides(&["datapath=sparse".into()]).is_err());
         assert!(cfg.apply_overrides(&["nope=1".into()]).is_err());
+        assert!(cfg.apply_overrides(&["out=x.json".into()]).is_err());
     }
 
     #[test]
     fn tiny_serve_study_runs_end_to_end() {
         let dir = std::env::temp_dir().join("promatch_serve_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH.json");
         let reg = ScenarioRegistry::builtin();
         let sc = reg.get("cc-d3").unwrap();
         let metrics_json = dir.join("metrics.json");
@@ -699,34 +775,40 @@ mod tests {
             decoder: DecoderKind::Mwpm,
             // The default µs-scale deadline trips the wall-clock
             // deadline-miss postmortem under parallel-test load; pin it
-            // far out so `dump_triggers: 0` below is deterministic.
+            // far out so `dump_triggers == 0` below is deterministic.
             deadline_ns: Some(1e12),
             metrics_addr: Some("127.0.0.1:0".into()),
             metrics_sample: 1,
             metrics_json: Some(metrics_json.to_string_lossy().into_owned()),
             trace: 512,
             trace_out: Some(trace_out.to_string_lossy().into_owned()),
-            out_path: out.to_string_lossy().into_owned(),
             ..ServeConfig::default()
         };
         let mut sink = Vec::new();
-        run_serve_study(sc, &cfg, &mut sink).unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("\"schema_version\": 8"));
-        assert!(text.contains("\"scenario\": \"cc-d3\""));
-        assert!(text.contains("\"qubits\": 4"));
-        assert!(text.contains("\"predecode\": \"off\""));
-        assert!(text.contains("\"datapath\": \"packed\""));
-        assert!(text.contains("\"l1_rounds_fraction\": 0.0000"));
-        assert!(text.contains("\"rounds_per_s\""));
-        assert!(text.contains("\"service_summary\": {\"rounds_per_s\":"));
-        assert!(text.contains("\"max_ring_depth\":"));
+        let (points, summary, tel, trace) = run_serve(sc, &cfg, &mut sink).unwrap();
+        // One service point per tenant, in tenant order.
+        assert_eq!(points.len(), 4);
+        for (q, p) in points.iter().enumerate() {
+            assert_eq!(p.scenario, "cc-d3");
+            assert_eq!(p.decoder, DecoderKind::Mwpm.label());
+            assert_eq!((p.qubits, p.shards, p.qubit), (4, 2, q as u32));
+            assert_eq!(p.predecode, "off");
+            assert_eq!(p.datapath, "packed");
+            assert_eq!(p.l1_rounds_fraction, 0.0);
+            assert!(p.rounds_per_s > 0.0);
+            // The closed loop within its admission budget never sheds.
+            assert_eq!(p.shed, 0);
+        }
+        assert!(summary.rounds_per_s > 0.0);
+        assert_eq!(summary.max_ring_depth, tel.max_ring_depth);
         // The per-stage breakdown rides along (sample 1 records spans
         // for every submission and window step).
-        assert!(text.contains("\"telemetry\": {\"sample_every\": 1,"));
-        assert!(text.contains("\"stage\": \"window_total\""));
-        // One service point per tenant.
-        assert_eq!(text.matches("\"qubit\":").count(), 4);
+        assert_eq!(tel.sample_every, 1);
+        assert_eq!(tel.stages.len(), telemetry::Stage::ALL.len());
+        assert!(tel
+            .stages
+            .iter()
+            .any(|s| s.stage == "window_total" && s.count > 0));
         let log = String::from_utf8(sink).unwrap();
         assert!(log.contains("rounds/s decoded"), "{log}");
         assert!(log.contains("cached lookup"), "{log}");
@@ -737,13 +819,14 @@ mod tests {
         assert!(snap.contains("\"shards\": ["), "{snap}");
         assert!(snap.contains("\"ring_depth_max\":"), "{snap}");
         assert!(snap.contains("\"window_total\":"), "{snap}");
-        // The closed loop within its admission budget never sheds.
-        assert!(text.contains("\"shed\": 0"));
-        // The flight recorder was armed: the document carries the trace
+        assert!(log.contains("# total: 0 shed,"), "{log}");
+        // The flight recorder was armed: the run returns the trace
         // rollup, the end-of-run dump parses, and a clean run fires no
         // postmortem triggers.
-        assert!(text.contains("\"trace\": {\"events\":"), "{text}");
-        assert!(text.contains("\"dump_triggers\": 0"), "{text}");
+        let trace = trace.expect("trace-armed run returns a rollup");
+        assert!(trace.events > 0);
+        assert_eq!(trace.dump_triggers, 0);
+        assert!(log.contains("0 dump triggers"), "{log}");
         let dump_text = std::fs::read_to_string(&trace_out).unwrap();
         let dump = telemetry::parse_dump(&dump_text).unwrap();
         assert_eq!(dump.reason, "end-of-run");
@@ -759,7 +842,7 @@ mod tests {
         let mut sink_tcp = Vec::new();
         let (tcp_points, tcp_summary, tcp_tel, tcp_trace) =
             run_serve(sc, &cfg, &mut sink_tcp).unwrap();
-        // Tracing off: no rollup rides into the document.
+        // Tracing off: no rollup.
         assert!(tcp_trace.is_none());
         // Sampled spans landed in the telemetry summary and the deepest
         // observed ring occupancy is surfaced in the service summary.
@@ -786,7 +869,7 @@ mod tests {
             );
         }
         // Per-tenant wall clocks differ, so the rows are no longer four
-        // copies of one number (the schema ≤7 failure mode).
+        // copies of one number.
         let min = tcp_points
             .iter()
             .map(|p| p.rounds_per_s)

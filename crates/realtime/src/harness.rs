@@ -20,9 +20,12 @@ use std::sync::Arc;
 /// latency of their own.
 ///
 /// * MWPM-based software decoding gets a quadratic-in-HW model fitted to
-///   this repository's measured `BENCH.json` trajectory (~5.5 µs at
-///   HW ≈ 8, ~68 µs at HW ≈ 24 on the reference machine);
-/// * union-find gets the corresponding linear fit;
+///   the d = 11, p = 1e-4 decode times PR 2 measured and recorded in
+///   CHANGES.md (256 shots × 3 reps on the reference machine):
+///   5 462 ns/shot at k = 4 injected mechanisms (HW ≈ 8) and 68 146 at
+///   k = 12 (HW ≈ 24);
+/// * union-find gets the linear fit to the same run's 4 148 / 19 581
+///   ns/shot;
 /// * every hardware kind falls back to the Astrea cycle model (they
 ///   normally report their own latency, so this is a safety net).
 pub fn fallback_latency_model(kind: DecoderKind) -> Box<dyn LatencyModel + Send> {

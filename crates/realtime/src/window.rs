@@ -455,13 +455,6 @@ impl<'g> SlidingWindowDecoder<'g> {
         self.sampler = telemetry::Sampler::new(sample);
     }
 
-    /// Chainable [`SlidingWindowDecoder::set_spans`].
-    #[must_use]
-    pub fn with_spans(mut self, spans: Arc<StageSpans>, sample: u32) -> Self {
-        self.set_spans(spans, sample);
-        self
-    }
-
     /// Arms the causal flight recorder: every window step of every shot
     /// emits its trace events into `trace`, keyed by `tenant`. Unlike
     /// span sampling this is not throttled — [`telemetry::TraceBuf::
@@ -470,13 +463,6 @@ impl<'g> SlidingWindowDecoder<'g> {
     pub fn set_trace(&mut self, trace: Arc<telemetry::TraceBuf>, tenant: u32) {
         self.trace = Some(trace);
         self.trace_tenant = tenant;
-    }
-
-    /// Chainable [`SlidingWindowDecoder::set_trace`].
-    #[must_use]
-    pub fn with_trace(mut self, trace: Arc<telemetry::TraceBuf>, tenant: u32) -> Self {
-        self.set_trace(trace, tenant);
-        self
     }
 
     /// Pins the sequence number (shot id) stamped on the next decoded

@@ -224,8 +224,8 @@ pub(crate) fn run_shard(
                         Arc::clone(sc.window_cache()),
                     )
                     .with_predecode(predecode)
-                    .with_datapath(datapath)
-                    .with_spans(Arc::clone(&metrics.stages), cfg.metrics_sample);
+                    .with_datapath(datapath);
+                    decoder.set_spans(Arc::clone(&metrics.stages), cfg.metrics_sample);
                     if let Some(t) = &tr {
                         decoder.set_trace(Arc::clone(&t.buf), qubit);
                     }

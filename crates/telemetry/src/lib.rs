@@ -22,8 +22,8 @@
 //!   never contend afterwards.
 //! - Exposition: [`RegistrySnapshot::render_prometheus`] (text format
 //!   0.0.4, served live by [`MetricsServer`]),
-//!   [`RegistrySnapshot::render_json`] (the periodic snapshot feeding
-//!   BENCH.json's telemetry object).
+//!   [`RegistrySnapshot::render_json`] (the periodic snapshot
+//!   `repro serve --metrics-json` writes).
 //!
 //! - [`TraceBuf`] — the causal flight recorder: a wait-free
 //!   seqlock-slot ring of `(tenant, seq, window_idx, kind, arg)` events

@@ -5,7 +5,7 @@
 //! record path after that is plain `Relaxed` atomics with no shared
 //! locks. [`Registry::snapshot`] folds the live atomics into an owned
 //! [`RegistrySnapshot`] that renders as Prometheus text 0.0.4 (the
-//! `/metrics` endpoint) or JSON (the periodic BENCH.json feed).
+//! `/metrics` endpoint) or JSON (the periodic `--metrics-json` file).
 
 use crate::metrics::{bucket_upper, Counter, Gauge, HistogramSnapshot, NUM_BUCKETS};
 use crate::stage::{Stage, StageSpans};
@@ -119,7 +119,7 @@ pub struct ShardSnapshot {
 
 impl ShardSnapshot {
     /// Compact per-stage figures (count, sum, p50, p99, max) — the
-    /// shape the wire report and BENCH.json carry.
+    /// shape the wire report and the JSON snapshot carry.
     #[must_use]
     pub fn stage_summary(&self, stage: Stage) -> StageSnapshot {
         let h = &self.stages[stage as usize];
@@ -279,9 +279,9 @@ impl RegistrySnapshot {
         out
     }
 
-    /// Renders the JSON telemetry snapshot (the object embedded in
-    /// BENCH.json and written by `--metrics-json`): per-shard counters,
-    /// ring gauges, and per-stage summary figures.
+    /// Renders the JSON telemetry snapshot (the file `--metrics-json`
+    /// writes): per-shard counters, ring gauges, and per-stage summary
+    /// figures.
     #[must_use]
     pub fn render_json(&self) -> String {
         let mut s = String::with_capacity(2048);

@@ -6,7 +6,7 @@
 //! histogram ([`Stage::WindowTotal`]) times the whole step end-to-end —
 //! per-stage *percentiles* do not add (p99s of independent stages are
 //! not the p99 of their sum), so the roll-up is what the `measured`
-//! latency rows in BENCH.json quote.
+//! latency rows of `repro realtime` quote.
 //!
 //! Sampling: timestamping every window at multi-M rounds/s would spend
 //! a visible fraction of the round budget on clock reads, so each

@@ -95,8 +95,8 @@ fn traced_dump(tenant: u32) -> (TraceDump, Arc<TraceBuf>, Vec<Vec<WindowRecord>>
     let mut stream = SyndromeStream::new(&ctx.circuit, layers.clone(), 7);
     let window = WindowConfig::new(4, 2).unwrap();
     let mut swd = SlidingWindowDecoder::new(&ctx.graph, layers, DecoderKind::Mwpm, window)
-        .with_predecode(PredecodeMode::Batch)
-        .with_trace(Arc::clone(&buf), tenant);
+        .with_predecode(PredecodeMode::Batch);
+    swd.set_trace(Arc::clone(&buf), tenant);
     let records = (0..40)
         .map(|_| swd.decode_shot(&stream.next_shot().dets).windows)
         .collect();

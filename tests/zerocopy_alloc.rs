@@ -82,9 +82,9 @@ fn steady_state_packed_decode_makes_zero_allocations() {
             let trace = Arc::new(telemetry::TraceBuf::new(64));
             let mut swd = SlidingWindowDecoder::new(&ctx.graph, layers.clone(), kind, cfg)
                 .with_predecode(predecode)
-                .with_datapath(Datapath::Packed)
-                .with_spans(Arc::clone(&spans), 1)
-                .with_trace(Arc::clone(&trace), 0);
+                .with_datapath(Datapath::Packed);
+            swd.set_spans(Arc::clone(&spans), 1);
+            swd.set_trace(Arc::clone(&trace), 0);
             let mut out = WindowedOutcome::default();
             // Warm-up: real sampled shots size the decoder's scratch,
             // window records, and activation pools to steady capacity
