@@ -346,8 +346,48 @@ impl Frame {
     /// length count.
     pub fn encode(&self) -> Result<Vec<u8>, ServiceError> {
         let mut out = Vec::new();
+        self.encode_body(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the length-prefixed wire frame — the exact bytes of
+    /// [`Frame::to_wire`] — to `out`, leaving what `out` already holds
+    /// in place. The one encoder behind every other encode entry point:
+    /// a writer that appends many frames into one recycled buffer pays
+    /// no allocation per frame and one `write` per buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::Protocol`] for oversized fields (see
+    /// [`Frame::encode`]) or a body over [`MAX_FRAME_LEN`] bytes — the
+    /// exact frame the read side would refuse. `out` is truncated back
+    /// to its length on entry, so a failed frame never leaves half a
+    /// body behind the frames already appended.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        let start = out.len();
+        // Length placeholder, back-patched once the body is in place.
+        out.extend_from_slice(&[0; 4]);
+        let result = self.encode_body(out).and_then(|()| {
+            let body_len = out.len() - start - 4;
+            if body_len > MAX_FRAME_LEN {
+                return Err(ServiceError::Protocol(format!(
+                    "frame body of {body_len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
+                )));
+            }
+            out[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+            Ok(())
+        });
+        if result.is_err() {
+            out.truncate(start);
+        }
+        result
+    }
+
+    /// Appends the frame body (type, version, payload) to `out`; on an
+    /// error `out` may hold a partial body past its entry length.
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), ServiceError> {
         out.push(self.type_code());
-        put_u16(&mut out, PROTOCOL_VERSION);
+        put_u16(out, PROTOCOL_VERSION);
         match self {
             Frame::RegisterQubit {
                 qubit,
@@ -358,13 +398,13 @@ impl Frame {
                 datapath,
                 scenario,
             } => {
-                put_u32(&mut out, *qubit);
+                put_u32(out, *qubit);
                 out.push(*decoder);
-                put_u32(&mut out, *window);
-                put_u32(&mut out, *commit);
+                put_u32(out, *window);
+                put_u32(out, *commit);
                 out.push(*predecode);
                 out.push(*datapath);
-                put_str(&mut out, scenario)?;
+                put_str(out, scenario)?;
             }
             Frame::RegisterAck {
                 qubit,
@@ -372,17 +412,17 @@ impl Frame {
                 shard,
                 message,
             } => {
-                put_u32(&mut out, *qubit);
+                put_u32(out, *qubit);
                 out.push(u8::from(*ok));
-                put_u32(&mut out, *shard);
-                put_str(&mut out, message)?;
+                put_u32(out, *shard);
+                put_str(out, message)?;
             }
             Frame::SubmitRounds { qubit, shot, dets } => {
-                put_u32(&mut out, *qubit);
-                put_u64(&mut out, *shot);
-                put_count(&mut out, dets.len(), 4, "detector list")?;
+                put_u32(out, *qubit);
+                put_u64(out, *shot);
+                put_count(out, dets.len(), 4, "detector list")?;
                 for &d in dets {
-                    put_u32(&mut out, d);
+                    put_u32(out, d);
                 }
             }
             Frame::CommitResult {
@@ -395,12 +435,12 @@ impl Frame {
                 windows,
                 service_ns_total,
             } => {
-                put_u32(&mut out, *qubit);
-                put_u64(&mut out, *shot);
-                put_u64(&mut out, *obs_flip);
+                put_u32(out, *qubit);
+                put_u64(out, *shot);
+                put_u64(out, *obs_flip);
                 out.push(u8::from(*failed) | (u8::from(*shed) << 1) | ((*shed_reason & 0b11) << 2));
-                put_u32(&mut out, *windows);
-                put_f64(&mut out, *service_ns_total);
+                put_u32(out, *windows);
+                put_f64(out, *service_ns_total);
             }
             Frame::StatsRequest
             | Frame::Shutdown
@@ -408,46 +448,46 @@ impl Frame {
             | Frame::MetricsRequest
             | Frame::TraceRequest => {}
             Frame::StatsReport { tenants } => {
-                put_count(&mut out, tenants.len(), 88, "tenant stats list")?;
+                put_count(out, tenants.len(), 88, "tenant stats list")?;
                 for t in tenants {
-                    put_u32(&mut out, t.qubit);
-                    put_u32(&mut out, t.shard);
-                    put_u64(&mut out, t.shots);
-                    put_u64(&mut out, t.windows);
-                    put_u64(&mut out, t.shed);
-                    put_u64(&mut out, t.deadline_misses);
-                    put_f64(&mut out, t.mean_ns);
-                    put_f64(&mut out, t.p50_ns);
-                    put_f64(&mut out, t.p99_ns);
-                    put_f64(&mut out, t.max_ns);
-                    put_u64(&mut out, t.l1_rounds);
-                    put_u64(&mut out, t.escalated_windows);
+                    put_u32(out, t.qubit);
+                    put_u32(out, t.shard);
+                    put_u64(out, t.shots);
+                    put_u64(out, t.windows);
+                    put_u64(out, t.shed);
+                    put_u64(out, t.deadline_misses);
+                    put_f64(out, t.mean_ns);
+                    put_f64(out, t.p50_ns);
+                    put_f64(out, t.p99_ns);
+                    put_f64(out, t.max_ns);
+                    put_u64(out, t.l1_rounds);
+                    put_u64(out, t.escalated_windows);
                 }
             }
-            Frame::Error { message } => put_str(&mut out, message)?,
+            Frame::Error { message } => put_str(out, message)?,
             Frame::MetricsReport { shards } => {
                 // Row floor: 4 (shard) + 9×8 (counters/gauges) + 4
                 // (stage count); stages add 40 bytes each, checked by
                 // their own put_count below.
-                put_count(&mut out, shards.len(), 80, "shard metrics list")?;
+                put_count(out, shards.len(), 80, "shard metrics list")?;
                 for m in shards {
-                    put_u32(&mut out, m.shard);
-                    put_u64(&mut out, m.rounds);
-                    put_u64(&mut out, m.shots);
-                    put_u64(&mut out, m.sheds);
-                    put_u64(&mut out, m.l1_rounds);
-                    put_u64(&mut out, m.escalated_windows);
-                    put_u64(&mut out, m.parks);
-                    put_u64(&mut out, m.wakes);
-                    put_u64(&mut out, m.ring_depth);
-                    put_u64(&mut out, m.ring_depth_max);
-                    put_count(&mut out, m.stages.len(), 40, "stage summary list")?;
+                    put_u32(out, m.shard);
+                    put_u64(out, m.rounds);
+                    put_u64(out, m.shots);
+                    put_u64(out, m.sheds);
+                    put_u64(out, m.l1_rounds);
+                    put_u64(out, m.escalated_windows);
+                    put_u64(out, m.parks);
+                    put_u64(out, m.wakes);
+                    put_u64(out, m.ring_depth);
+                    put_u64(out, m.ring_depth_max);
+                    put_count(out, m.stages.len(), 40, "stage summary list")?;
                     for st in &m.stages {
-                        put_u64(&mut out, st.count);
-                        put_u64(&mut out, st.sum_ns);
-                        put_u64(&mut out, st.p50_ns);
-                        put_u64(&mut out, st.p99_ns);
-                        put_u64(&mut out, st.max_ns);
+                        put_u64(out, st.count);
+                        put_u64(out, st.sum_ns);
+                        put_u64(out, st.p50_ns);
+                        put_u64(out, st.p99_ns);
+                        put_u64(out, st.max_ns);
                     }
                 }
             }
@@ -455,24 +495,24 @@ impl Frame {
                 // Row floor: 4 (shard) + 2×8 (counters) + 4 (event
                 // count); events add 29 bytes each, checked by their own
                 // put_count below.
-                put_count(&mut out, shards.len(), 24, "trace shard list")?;
+                put_count(out, shards.len(), 24, "trace shard list")?;
                 for s in shards {
-                    put_u32(&mut out, s.shard);
-                    put_u64(&mut out, s.recorded);
-                    put_u64(&mut out, s.dropped);
-                    put_count(&mut out, s.events.len(), 29, "trace event list")?;
+                    put_u32(out, s.shard);
+                    put_u64(out, s.recorded);
+                    put_u64(out, s.dropped);
+                    put_count(out, s.events.len(), 29, "trace event list")?;
                     for e in &s.events {
-                        put_u64(&mut out, e.ts_ns);
-                        put_u32(&mut out, e.tenant);
-                        put_u64(&mut out, e.seq);
-                        put_u32(&mut out, e.window_idx);
+                        put_u64(out, e.ts_ns);
+                        put_u32(out, e.tenant);
+                        put_u64(out, e.seq);
+                        put_u32(out, e.window_idx);
                         out.push(e.kind);
-                        put_u32(&mut out, e.arg);
+                        put_u32(out, e.arg);
                     }
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Decodes a frame body produced by [`Frame::encode`].
@@ -686,20 +726,11 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::Protocol`] for oversized fields (see
-    /// [`Frame::encode`]) or a body over [`MAX_FRAME_LEN`] bytes — the
-    /// exact frame the read side would refuse.
+    /// The encode-side [`ServiceError::Protocol`] errors of
+    /// [`Frame::encode_into`].
     pub fn to_wire(&self) -> Result<Vec<u8>, ServiceError> {
-        let body = self.encode()?;
-        if body.len() > MAX_FRAME_LEN {
-            return Err(ServiceError::Protocol(format!(
-                "frame body of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit",
-                body.len()
-            )));
-        }
-        let mut wire = Vec::with_capacity(4 + body.len());
-        put_u32(&mut wire, body.len() as u32);
-        wire.extend_from_slice(&body);
+        let mut wire = Vec::new();
+        self.encode_into(&mut wire)?;
         Ok(wire)
     }
 
@@ -1150,6 +1181,16 @@ mod tests {
         let mut sink = Vec::new();
         assert!(f.write_to(&mut sink).is_err());
         assert!(sink.is_empty());
+        // encode_into refuses both kinds and hands the buffer back as it
+        // found it: no placeholder, no half-written body.
+        let mut out = Frame::Shutdown.to_wire().unwrap();
+        let before = out.clone();
+        assert!(f.encode_into(&mut out).is_err());
+        let long = Frame::Error {
+            message: "x".repeat(u16::MAX as usize + 1),
+        };
+        assert!(long.encode_into(&mut out).is_err());
+        assert_eq!(out, before);
     }
 
     #[test]

@@ -8,12 +8,24 @@
 //! number of transport sessions:
 //!
 //! ```text
-//!  client ──frames──▶ router (1/session) ──channel──▶ shard 0..S-1
-//!                        │   qubit→shard: stable hash,    │ owns per-qubit
-//!                        │   least-loaded steal at        │ SlidingWindowDecoder
-//!                        │   registration only            │ + timeline
-//!  client ◀─frames── writer (1/session) ◀──channel───────┘
+//!  client ──frames──▶ router (1/session) ──SPSC ring─▶ shard 0..S-1
+//!            │  one buffered  │   qubit→shard: stable hash,   │ owns per-qubit
+//!            │  read / burst  │   least-loaded steal at       │ SlidingWindowDecoder
+//!            │                │   registration only           │ + timeline
+//!  client ◀─frames── writer (1/session) ◀──reply channel──────┘
+//!            │  TCP_NODELAY,  │   recv, drain try_recv into one
+//!            │  one write /   │   recycled buffer (≤ 64 KiB),
+//!            │  writer wake   │   one send_wire
 //! ```
+//!
+//! Nothing on the TCP path waits on a kernel timer or pays a syscall per
+//! frame: [`tcp_endpoint`] sets `TCP_NODELAY`, so a reply written while
+//! an earlier one is un-ACKed leaves now rather than with the client's
+//! next submit (or its 40 ms delayed ACK); the router's source reads a
+//! whole burst of submits with one `read`; and the writer thread
+//! coalesces every reply queued by the time it wakes into one `write`,
+//! in channel order. A commit's remaining wall-clock life is four thread
+//! wakes — router, shard, writer, client — not a submit interval.
 //!
 //! Tenants are pinned: a qubit's decode state lives on exactly one shard
 //! (assigned at registration by stable hash, with a deterministic
@@ -30,7 +42,7 @@ use crate::protocol::{
 };
 use crate::shard::{run_shard, ShardRequest};
 use crate::spsc::{self, Producer, ShardWaker};
-use crate::transport::{tcp_endpoint, Endpoint, FrameSource};
+use crate::transport::{tcp_endpoint, Endpoint, FrameSink, FrameSource, TCP_BUF_BYTES};
 use decoding_graph::packed::words_for;
 use decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use ler::{DecoderKind, ExperimentContext};
@@ -415,15 +427,9 @@ impl DecodeServer {
             }
             let registry = &registry;
             for ep in endpoints {
-                let Endpoint { mut sink, source } = ep;
+                let Endpoint { sink, source } = ep;
                 let (reply_tx, reply_rx) = channel::<Frame>();
-                scope.spawn(move || {
-                    while let Ok(frame) = reply_rx.recv() {
-                        if sink.send(&frame).is_err() {
-                            break;
-                        }
-                    }
-                });
+                scope.spawn(move || write_replies(&reply_rx, sink));
                 let shard_txs = shard_txs.clone();
                 let wakers = wakers.clone();
                 let cfg = &self.cfg;
@@ -446,6 +452,34 @@ impl DecodeServer {
             }
             drop(shard_txs);
         });
+    }
+}
+
+/// One session's reply writer: blocks for a frame, then drains whatever
+/// else the shards and the router have queued — up to [`TCP_BUF_BYTES`]
+/// — into one recycled buffer and hands the lot to the sink in channel
+/// order, so the replies of one shard sweep cost one `write`, not one
+/// each. Ends when every reply sender is gone, the peer is, or a frame
+/// cannot be encoded (the frames queued ahead of it still go out).
+fn write_replies(replies: &Receiver<Frame>, mut sink: Box<dyn FrameSink>) {
+    let mut wire = Vec::new();
+    while let Ok(mut frame) = replies.recv() {
+        wire.clear();
+        let encoded = loop {
+            if frame.encode_into(&mut wire).is_err() {
+                break false;
+            }
+            if wire.len() >= TCP_BUF_BYTES {
+                break true;
+            }
+            match replies.try_recv() {
+                Ok(next) => frame = next,
+                Err(_) => break true,
+            }
+        };
+        if sink.send_wire(&wire).is_err() || !encoded {
+            break;
+        }
     }
 }
 

@@ -10,8 +10,17 @@
 //! tests therefore exercise the full serialization path, and switching a
 //! deployment from channels to TCP changes nothing but the endpoint
 //! constructor.
+//!
+//! The TCP endpoint never waits on a kernel timer and never pays a
+//! syscall per frame: [`tcp_endpoint`] sets `TCP_NODELAY` (a reply
+//! written while an earlier one is un-ACKed goes out now, not when the
+//! peer's next submit or its 40 ms delayed-ACK timer releases Nagle's
+//! buffer), the source reads through a 64 KiB buffer (a 16-frame burst
+//! is one `read`, not 32), and [`FrameSink::send_wire`] puts any number
+//! of already encoded frames on the wire in one `write`.
 
 use crate::protocol::{Frame, ServiceError, MAX_FRAME_LEN};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -23,6 +32,17 @@ pub trait FrameSink: Send {
     ///
     /// Returns an error when the peer is gone or the transport failed.
     fn send(&mut self, frame: &Frame) -> Result<(), ServiceError>;
+
+    /// Sends `wire` — whole length-prefixed frames back to back, as
+    /// [`Frame::encode_into`] appends them — in order. What the peer
+    /// receives is what one [`FrameSink::send`] per frame would have
+    /// delivered; TCP pays one `write` for the lot.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the peer is gone, the transport failed, or
+    /// `wire` does not end on a frame boundary.
+    fn send_wire(&mut self, wire: &[u8]) -> Result<(), ServiceError>;
 }
 
 /// The receiving half of a transport endpoint.
@@ -69,11 +89,32 @@ struct ChannelSink {
     tx: Sender<Vec<u8>>,
 }
 
+impl ChannelSink {
+    /// Ships one frame's wire bytes as one channel message.
+    fn ship(&mut self, one: Vec<u8>) -> Result<(), ServiceError> {
+        self.tx
+            .send(one)
+            .map_err(|_| ServiceError::Protocol("channel peer hung up".into()))
+    }
+}
+
 impl FrameSink for ChannelSink {
     fn send(&mut self, frame: &Frame) -> Result<(), ServiceError> {
-        self.tx
-            .send(frame.to_wire()?)
-            .map_err(|_| ServiceError::Protocol("channel peer hung up".into()))
+        self.ship(frame.to_wire()?)
+    }
+
+    fn send_wire(&mut self, mut wire: &[u8]) -> Result<(), ServiceError> {
+        // One channel message per frame, whatever the batch: the source
+        // side checks each message against its own length prefix.
+        while !wire.is_empty() {
+            let (one, rest) = wire
+                .first_chunk::<4>()
+                .and_then(|len| wire.split_at_checked(4 + u32::from_le_bytes(*len) as usize))
+                .ok_or_else(|| ServiceError::Protocol("wire batch ends mid-frame".into()))?;
+            self.ship(one.to_vec())?;
+            wire = rest;
+        }
+        Ok(())
     }
 }
 
@@ -124,23 +165,35 @@ pub fn channel_pair() -> (Endpoint, Endpoint) {
 // ---------------------------------------------------------------------
 // Loopback TCP transport.
 
+/// Read-buffer size of a TCP source and the reply writer's coalescing
+/// bound (see `server`): far above one burst of submits or commits, so a
+/// burst is one syscall each way, and small enough to stay cache-resident.
+pub(crate) const TCP_BUF_BYTES: usize = 64 << 10;
+
 struct TcpSink {
     stream: TcpStream,
+    /// Encode scratch of [`FrameSink::send`], recycled across frames.
+    wire: Vec<u8>,
 }
 
 impl FrameSink for TcpSink {
     fn send(&mut self, frame: &Frame) -> Result<(), ServiceError> {
-        frame.write_to(&mut self.stream)
+        self.wire.clear();
+        frame.encode_into(&mut self.wire)?;
+        Ok(self.stream.write_all(&self.wire)?)
+    }
+
+    fn send_wire(&mut self, wire: &[u8]) -> Result<(), ServiceError> {
+        Ok(self.stream.write_all(wire)?)
     }
 }
 
 struct TcpSource {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl FrameSource for TcpSource {
     fn recv_body(&mut self, buf: &mut Vec<u8>) -> Result<bool, ServiceError> {
-        use std::io::Read;
         let mut len_buf = [0u8; 4];
         match self.stream.read_exact(&mut len_buf) {
             Ok(()) => {}
@@ -165,14 +218,26 @@ impl FrameSource for TcpSource {
 /// is a `try_clone` of the stream, so sink and source can live on
 /// different threads).
 ///
+/// Sets `TCP_NODELAY` on the socket — here, not on the server's accept
+/// path, because both ends of a session need it and both come through
+/// this constructor: accepted sockets, `repro serve --transport tcp`
+/// clients and the determinism tests. The option lives on the socket,
+/// not the handle, so every earlier or later `try_clone` shares it.
+///
 /// # Errors
 ///
-/// Propagates the `try_clone` failure.
+/// Propagates the `set_nodelay` or `try_clone` failure.
 pub fn tcp_endpoint(stream: TcpStream) -> Result<Endpoint, ServiceError> {
+    stream.set_nodelay(true)?;
     let writer = stream.try_clone()?;
     Ok(Endpoint {
-        sink: Box::new(TcpSink { stream: writer }),
-        source: Box::new(TcpSource { stream }),
+        sink: Box::new(TcpSink {
+            stream: writer,
+            wire: Vec::new(),
+        }),
+        source: Box::new(TcpSource {
+            stream: BufReader::with_capacity(TCP_BUF_BYTES, stream),
+        }),
     })
 }
 
@@ -243,5 +308,45 @@ mod tests {
         assert_eq!(client.source.recv().unwrap(), Some(ping()));
         drop(client);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_endpoint_sets_nodelay_on_the_socket_not_the_handle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // A handle cloned *before* the endpoint exists sees the option
+        // afterwards: it is the socket's, so the sink's clone has it too.
+        let earlier = stream.try_clone().unwrap();
+        assert!(!earlier.nodelay().unwrap(), "Nagle is the OS default");
+        let _ep = tcp_endpoint(stream).unwrap();
+        assert!(earlier.nodelay().unwrap());
+    }
+
+    #[test]
+    fn send_wire_delivers_a_batch_frame_for_frame_on_both_transports() {
+        let frames = [ping(), Frame::ShutdownAck, ping()];
+        let mut wire = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut wire).unwrap();
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let tcp_client = tcp_endpoint(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        let tcp_server = tcp_endpoint(listener.accept().unwrap().0);
+        for (mut client, mut server) in [channel_pair(), (tcp_client.unwrap(), tcp_server.unwrap())]
+        {
+            server.sink.send_wire(&wire).unwrap();
+            for f in &frames {
+                assert_eq!(client.source.recv().unwrap().as_ref(), Some(f));
+            }
+            // The empty batch is nothing at all, not an empty message.
+            server.sink.send_wire(&[]).unwrap();
+            drop(server);
+            assert_eq!(client.source.recv().unwrap(), None);
+        }
+        // The channel transport splits per frame, so a batch that stops
+        // mid-frame is refused instead of shipped as a short message.
+        let (_client, mut server) = channel_pair();
+        assert!(server.sink.send_wire(&wire[..wire.len() - 1]).is_err());
+        assert!(server.sink.send_wire(&wire[..2]).is_err());
     }
 }

@@ -1,5 +1,6 @@
 //! Property tests over the wire protocol: encode → decode → encode is a
-//! byte-level fixed point for arbitrary frames.
+//! byte-level fixed point for arbitrary frames, and the appending encoder
+//! emits the same bytes as the allocating one.
 //!
 //! The vendored proptest shim generates primitives only, so structured
 //! frames are derived deterministically from drawn integers (lengths,
@@ -140,6 +141,49 @@ proptest! {
         let mut cursor = std::io::Cursor::new(frame.to_wire().unwrap());
         let read = Frame::read_from(&mut cursor).unwrap().unwrap();
         prop_assert_eq!(read.encode().unwrap(), body);
+    }
+
+    /// `encode_into` is `to_wire` appended: whatever the buffer already
+    /// holds stays, and what follows it is the frame's exact wire bytes.
+    #[test]
+    fn encode_into_appends_the_wire_bytes_to_any_prefix(
+        ty in 0u8..=10,
+        seed in any::<u64>(),
+        len in 0usize..40,
+        prefix_len in 0usize..48,
+    ) {
+        let frame = arbitrary_frame(ty, seed, len);
+        let mut m = Mix(!seed);
+        let prefix: Vec<u8> = (0..prefix_len).map(|_| m.next() as u8).collect();
+        let mut expected = prefix.clone();
+        expected.extend_from_slice(&frame.to_wire().unwrap());
+        let mut out = prefix;
+        frame.encode_into(&mut out).unwrap();
+        prop_assert_eq!(out, expected);
+    }
+
+    /// A sequence of frames appended into one buffer — what the reply
+    /// writer hands the socket — reads back frame for frame.
+    #[test]
+    fn frames_appended_into_one_buffer_read_back_in_order(
+        seed in any::<u64>(),
+        count in 0usize..12,
+    ) {
+        let mut m = Mix(seed);
+        let frames: Vec<Frame> = (0..count)
+            .map(|_| arbitrary_frame((m.next() % 11) as u8, m.next(), (m.next() % 20) as usize))
+            .collect();
+        let mut wire = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut wire).unwrap();
+        }
+        let mut cursor = std::io::Cursor::new(wire);
+        for f in &frames {
+            let read = Frame::read_from(&mut cursor).unwrap().expect("one frame per append");
+            // Bytes, not `==`: drawn floats include NaN.
+            prop_assert_eq!(read.encode().unwrap(), f.encode().unwrap());
+        }
+        prop_assert!(Frame::read_from(&mut cursor).unwrap().is_none());
     }
 
     /// decode never panics on arbitrary byte soup — it returns a frame

@@ -23,6 +23,11 @@
 //! same traffic fills no row) and that reading a filled row never
 //! touches the heap.
 //!
+//! The reply side of the service has the same shape: the session writer
+//! appends every `CommitResult` into one recycled buffer
+//! ([`Frame::encode_into`]), so a warmed buffer must take a thousand
+//! commits without one allocation event.
+//!
 //! This binary holds a single test so no concurrent test thread can
 //! attribute its allocations to the measured region.
 
@@ -31,6 +36,7 @@ use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
     Datapath, PredecodeMode, SlidingWindowDecoder, SyndromeStream, WindowConfig, WindowedOutcome,
 };
+use promatch_repro::service::Frame;
 use promatch_repro::surface_code::{MemoryBasis, NoiseModel};
 use promatch_repro::telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -138,6 +144,7 @@ fn steady_state_packed_decode_makes_zero_allocations() {
         }
     }
     l1_rows_fill_once_and_read_without_allocating();
+    commit_results_append_into_a_warm_buffer_without_allocating();
 }
 
 /// Called from the one test above (see the module docs on why this
@@ -199,4 +206,31 @@ fn l1_rows_fill_once_and_read_without_allocating() {
     assert_eq!(events, 0, "reading filled rows allocated");
     assert_eq!(table.rows_filled(), filled);
     assert!(hits >= sources.len(), "every source reaches itself");
+}
+
+/// Called from the one test above, like the L1 half.
+fn commit_results_append_into_a_warm_buffer_without_allocating() {
+    let commit = |shot: u64| Frame::CommitResult {
+        qubit: (shot % 16) as u32,
+        shot,
+        obs_flip: shot & 1,
+        failed: false,
+        shed: false,
+        shed_reason: 0,
+        windows: 3,
+        service_ns_total: 812.5,
+    };
+    let mut wire = Vec::new();
+    for shot in 0..1000 {
+        commit(shot).encode_into(&mut wire).unwrap();
+    }
+    let warm_len = wire.len();
+    wire.clear();
+    let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+    for shot in 0..1000 {
+        commit(shot).encode_into(&mut wire).unwrap();
+    }
+    let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
+    assert_eq!(events, 0, "appending commits into a warm buffer allocated");
+    assert_eq!(wire.len(), warm_len);
 }
