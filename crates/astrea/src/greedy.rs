@@ -3,7 +3,7 @@
 use crate::latency::CYCLE_NS;
 use decoding_graph::{
     DecodeOutcome, DecodeWorkspace, Decoder, DecodingGraph, DetectorId, MatchPair, MatchTarget,
-    PackedBits, PathTable,
+    PathTable,
 };
 
 /// Configuration of the Astrea-G search.
@@ -50,10 +50,9 @@ pub struct AstreaGDecoder<'a> {
     paths: &'a PathTable,
     config: AstreaGConfig,
     prune_weight: i64,
-    ws: DecodeWorkspace,
-    /// Per-bit partner options, reused across shots (outer and inner
-    /// vectors keep their capacity).
-    options: Vec<Vec<(i64, usize)>>,
+    /// Scratch for [`Decoder::decode`]; allocated by the first call, so
+    /// a decoder that only ever borrows a workspace carries a pointer.
+    ws: Option<Box<DecodeWorkspace>>,
 }
 
 impl<'a> AstreaGDecoder<'a> {
@@ -79,8 +78,7 @@ impl<'a> AstreaGDecoder<'a> {
             paths,
             config,
             prune_weight,
-            ws: DecodeWorkspace::new(),
-            options: Vec::new(),
+            ws: None,
         }
     }
 
@@ -90,50 +88,74 @@ impl<'a> AstreaGDecoder<'a> {
     }
 }
 
+/// Partner value of a boundary match.
+const BOUNDARY: usize = usize::MAX;
+/// Partner value of a bit the search has not matched (yet).
+const UNSET: usize = usize::MAX - 1;
+
+/// The budgeted branch-and-bound. A *state* is one partner option taken
+/// up for evaluation — whether it then recurses, names a bit that is
+/// already matched, or is cut by the bound — because that is what a
+/// match unit of the modeled hardware spends a slot on; `states` is the
+/// decoder's latency, so no shortcut below may change it.
 struct Search<'p> {
-    k: usize,
-    /// Partner options per bit, sorted by weight (boundary encoded as
-    /// `usize::MAX`).
-    options: &'p mut [Vec<(i64, usize)>],
+    /// Partner options of every bit, ascending by `(weight, partner)`
+    /// (the boundary, as [`BOUNDARY`], after a bit of equal weight); bit
+    /// `i`'s are `options[starts[i]..starts[i + 1]]`.
+    options: &'p [(i64, usize)],
+    starts: &'p [usize],
     states: u32,
     budget: u32,
     best: i64,
+    /// The assignment under construction; `UNSET` marks the free bits.
+    partner: &'p mut [usize],
     best_partner: &'p mut [usize],
 }
 
 impl Search<'_> {
-    fn dfs(&mut self, used: &mut PackedBits, partner: &mut [usize], acc: i64) {
-        if self.states >= self.budget || acc >= self.best {
-            return;
-        }
-        // Word-parallel first-fit over the packed used flags.
-        let Some(i) = used.first_unset(self.k) else {
+    /// Extends a partial matching of weight `acc < best` whose bits
+    /// below `from` are all matched, with budget left.
+    fn dfs(&mut self, from: usize, acc: i64) {
+        let k = self.partner.len();
+        let Some(i) = (from..k).find(|&i| self.partner[i] == UNSET) else {
             self.best = acc;
-            self.best_partner.copy_from_slice(partner);
+            self.best_partner.copy_from_slice(self.partner);
             return;
         };
-        used.set(i);
-        let opts = std::mem::take(&mut self.options[i]);
-        for &(w, j) in &opts {
+        let (lo, hi) = (self.starts[i], self.starts[i + 1]);
+        for at in lo..hi {
             if self.states >= self.budget {
                 break;
             }
+            let (w, j) = self.options[at];
+            if acc + w >= self.best {
+                // Options ascend in weight and `best` only falls, so this
+                // one and every later one is cut by the bound: each costs
+                // its one state and changes nothing else. Charge them in
+                // one step instead of visiting them.
+                let cut = u32::try_from(hi - at).unwrap_or(u32::MAX);
+                self.states = self.states.saturating_add(cut).min(self.budget);
+                break;
+            }
             self.states += 1;
-            if j == usize::MAX {
-                partner[i] = usize::MAX;
-                self.dfs(used, partner, acc + w);
-            } else if !used.get(j) {
-                used.set(j);
-                partner[i] = j;
-                partner[j] = i;
-                self.dfs(used, partner, acc + w);
-                partner[j] = usize::MAX - 1;
-                used.unset(j);
+            if j != BOUNDARY && self.partner[j] != UNSET {
+                continue;
+            }
+            // The state that spends the budget is not expanded, not even
+            // into a finished matching.
+            if self.states >= self.budget {
+                break;
+            }
+            self.partner[i] = j;
+            if j != BOUNDARY {
+                self.partner[j] = i;
+            }
+            self.dfs(i + 1, acc + w);
+            if j != BOUNDARY {
+                self.partner[j] = UNSET;
             }
         }
-        self.options[i] = opts;
-        partner[i] = usize::MAX - 1;
-        used.unset(i);
+        self.partner[i] = UNSET;
     }
 }
 
@@ -143,6 +165,13 @@ impl Decoder for AstreaGDecoder<'_> {
     }
 
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
+        let mut ws = self.ws.take().unwrap_or_default();
+        let out = self.decode_with(dets, &mut ws);
+        self.ws = Some(ws);
+        out
+    }
+
+    fn decode_with(&mut self, dets: &[DetectorId], ws: &mut DecodeWorkspace) -> DecodeOutcome {
         let k = dets.len();
         if k == 0 {
             return DecodeOutcome {
@@ -153,48 +182,47 @@ impl Decoder for AstreaGDecoder<'_> {
                 matches: Vec::new(),
             };
         }
-        // Build pruned, weight-sorted partner options into the reusable
-        // per-bit option lists. The boundary is never pruned: it
-        // guarantees a complete solution exists.
-        if self.options.len() < k {
-            self.options.resize_with(k, Vec::new);
-        }
+        // Build the pruned, weight-sorted partner options, all rows in
+        // one buffer. The boundary is never pruned: it guarantees a
+        // complete solution exists.
+        let (options, starts) = (&mut ws.options, &mut ws.option_starts);
+        options.clear();
+        starts.clear();
+        starts.push(0);
         for i in 0..k {
-            let opts = &mut self.options[i];
-            opts.clear();
+            let row = options.len();
             for j in 0..k {
                 if i == j {
                     continue;
                 }
                 let d = self.paths.distance(dets[i], dets[j]);
                 if d != i64::MAX && d <= self.prune_weight {
-                    opts.push((d, j));
+                    options.push((d, j));
                 }
             }
             let bd = self.paths.boundary_distance(dets[i]);
             if bd != i64::MAX {
-                opts.push((bd, usize::MAX));
+                options.push((bd, BOUNDARY));
             }
-            opts.sort_unstable();
+            options[row..].sort_unstable();
+            starts.push(options.len());
         }
-        let best_partner = &mut self.ws.best_partner;
-        best_partner.clear();
-        best_partner.resize(k, usize::MAX - 1);
-        let partner = &mut self.ws.partner;
-        partner.clear();
-        partner.resize(k, usize::MAX - 1);
-        let used = &mut self.ws.used;
-        used.clear();
-        used.ensure(k);
+        for v in [&mut ws.partner, &mut ws.best_partner] {
+            v.clear();
+            v.resize(k, UNSET);
+        }
         let mut search = Search {
-            k,
-            options: &mut self.options[..k],
+            options,
+            starts,
             states: 0,
             budget: self.config.state_budget,
             best: i64::MAX,
-            best_partner,
+            partner: &mut ws.partner,
+            best_partner: &mut ws.best_partner,
         };
-        search.dfs(used, partner, 0);
+        if search.budget > 0 {
+            search.dfs(0, 0);
+        }
         if search.best == i64::MAX {
             // Budget exhausted before any complete matching was found.
             return DecodeOutcome {
@@ -209,7 +237,7 @@ impl Decoder for AstreaGDecoder<'_> {
         let mut matches = Vec::with_capacity(k);
         for i in 0..k {
             match search.best_partner[i] {
-                usize::MAX => {
+                BOUNDARY => {
                     obs ^= self.paths.boundary_obs(dets[i]);
                     matches.push(MatchPair {
                         a: dets[i],

@@ -1,9 +1,11 @@
 //! Algorithm 1: the Promatch adaptive predecoding loop.
 
-use crate::state::SubgraphState;
 use astrea::AstreaLatencyModel;
 use decoding_graph::latency::CYCLE_NS;
-use decoding_graph::{DecodingGraph, DetectorId, PathTable, PredecodeOutcome, Predecoder};
+use decoding_graph::{
+    DecodeWorkspace, DecodingGraph, DetectorId, PathTable, PredecodeOutcome, Predecoder,
+    SubgraphState,
+};
 
 /// Which singleton-creation test drives candidate classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,16 +98,19 @@ pub struct PromatchStats {
 
 /// The Promatch predecoder (Algorithm 1).
 ///
-/// Owns a persistent subgraph state plus scan scratch; a long-lived
-/// predecoder rebuilds them in place per shot instead of reallocating.
+/// Owns a persistent workspace (subgraph state, scan scratch, result
+/// lists); a long-lived predecoder rebuilds them in place per shot
+/// instead of reallocating.
 #[derive(Clone, Debug)]
 pub struct PromatchPredecoder<'a> {
     graph: &'a DecodingGraph,
     paths: &'a PathTable,
     config: PromatchConfig,
     last_stats: PromatchStats,
-    state: SubgraphState,
-    isolated_scratch: Vec<(usize, usize)>,
+    /// Scratch for [`Predecoder::predecode`]; allocated by the first
+    /// call, so a predecoder that only ever borrows a workspace carries a
+    /// pointer.
+    pub(crate) ws: Option<Box<DecodeWorkspace>>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -143,8 +148,7 @@ impl<'a> PromatchPredecoder<'a> {
             paths,
             config,
             last_stats: PromatchStats::default(),
-            state: SubgraphState::default(),
-            isolated_scratch: Vec::new(),
+            ws: None,
         }
     }
 
@@ -185,22 +189,24 @@ impl<'a> PromatchPredecoder<'a> {
             PathMetric::Exact => self.paths.distance(a, b),
         }
     }
-}
 
-impl Predecoder for PromatchPredecoder<'_> {
-    fn name(&self) -> &str {
-        "Promatch"
-    }
-
-    fn predecode(&mut self, dets: &[DetectorId]) -> PredecodeOutcome {
-        // Take the persistent buffers out of `self` for the duration of
-        // the call (restored before returning): rebuilding in place keeps
-        // the hot loop free of scratch allocation.
-        let mut st = std::mem::take(&mut self.state);
-        let mut isolated = std::mem::take(&mut self.isolated_scratch);
+    /// Algorithm 1 on `ws`: leaves the prematched pairs in `ws.pairs`
+    /// and the detectors still to decode in `ws.remaining`, and returns
+    /// the observable flips and total weight of the pairs. After an
+    /// abort all of that is empty / zero. Latency and the abort flag are
+    /// in [`PromatchPredecoder::last_stats`].
+    pub(crate) fn predecode_with(
+        &mut self,
+        dets: &[DetectorId],
+        ws: &mut DecodeWorkspace,
+    ) -> (u64, i64) {
+        let st = &mut ws.subgraph;
+        let isolated = &mut ws.slot_pairs;
+        let pairs = &mut ws.pairs;
         st.rebuild(self.graph, dets);
+        pairs.clear();
+        ws.remaining.clear();
         let mut stats = PromatchStats::default();
-        let mut pairs: Vec<(DetectorId, DetectorId)> = Vec::new();
         let mut obs = 0u64;
         let mut weight = 0i64;
 
@@ -215,7 +221,7 @@ impl Predecoder for PromatchPredecoder<'_> {
             let elapsed = stats.cycles as f64 * CYCLE_NS;
             // Done as soon as the remainder fits an affordable target.
             let round_target = match self.affordable_target(elapsed) {
-                Some(target) if st.hw <= target => break,
+                Some(target) if st.hw() <= target => break,
                 Some(target) => target,
                 None => {
                     stats.aborted = true;
@@ -252,12 +258,12 @@ impl Predecoder for PromatchPredecoder<'_> {
                         j,
                         weight: n.weight,
                     };
-                    if st.deg[i] == 1 && st.deg[j] == 1 {
+                    if st.deg(i) == 1 && st.deg(j) == 1 {
                         isolated.push((i, j));
                         continue;
                     }
-                    let min_deg_one = st.deg[i].min(st.deg[j]) == 1;
-                    if self.no_singleton(&st, i, j) {
+                    let min_deg_one = st.deg(i).min(st.deg(j)) == 1;
+                    if self.no_singleton(st, i, j) {
                         if min_deg_one {
                             consider(&mut c21, cand);
                         } else {
@@ -277,20 +283,20 @@ impl Predecoder for PromatchPredecoder<'_> {
             // target would underutilize the exact main decoder, §2.6).
             if !isolated.is_empty() {
                 stats.cycles += self.scan_cycles(edges_now);
-                for &(i, j) in &isolated {
-                    if st.hw <= round_target {
+                for &(i, j) in isolated.iter() {
+                    if st.hw() <= round_target {
                         break;
                     }
-                    if !(st.alive[i] && st.alive[j]) {
+                    if !(st.is_alive(i) && st.is_alive(j)) {
                         continue;
                     }
-                    let nbr = st.adj[i]
+                    let nbr = *st
+                        .neighbors(i)
                         .iter()
                         .find(|n| n.slot == j)
-                        .copied()
                         .expect("isolated pair edge");
                     st.remove_pair(i, j);
-                    pairs.push((st.nodes[i], st.nodes[j]));
+                    pairs.push((st.node(i), st.node(j)));
                     obs ^= nbr.obs;
                     weight += nbr.weight;
                 }
@@ -314,7 +320,7 @@ impl Predecoder for PromatchPredecoder<'_> {
                         if st.dependents(i) != 0 {
                             continue;
                         }
-                        let w = self.step3_weight(st.nodes[i], st.nodes[j]);
+                        let w = self.step3_weight(st.node(i), st.node(j));
                         if w == i64::MAX {
                             continue;
                         }
@@ -357,17 +363,17 @@ impl Predecoder for PromatchPredecoder<'_> {
                 break;
             };
 
-            let (a, b) = (st.nodes[cand.i], st.nodes[cand.j]);
+            let (a, b) = (st.node(cand.i), st.node(cand.j));
             let (pair_obs, pair_weight) = if step == Step::Step3 {
                 // Step-3 corrections run along the shortest path; the
                 // applied correction uses exact path data even when the
                 // decision used quantized weights.
                 (self.paths.path_obs(a, b), self.paths.distance(a, b))
             } else {
-                let nbr = st.adj[cand.i]
+                let nbr = *st
+                    .neighbors(cand.i)
                     .iter()
                     .find(|n| n.slot == cand.j)
-                    .copied()
                     .expect("candidate edge");
                 (nbr.obs, nbr.weight)
             };
@@ -380,32 +386,37 @@ impl Predecoder for PromatchPredecoder<'_> {
 
         stats.pairs = pairs.len();
         stats.predecode_ns = stats.cycles as f64 * CYCLE_NS;
-        let remaining: Vec<DetectorId> = st.live_slots().map(|i| st.nodes[i]).collect();
         self.last_stats = stats;
-        // Hand the persistent buffers back for the next shot.
-        self.state = st;
-        isolated.clear();
-        self.isolated_scratch = isolated;
         if stats.aborted {
-            return PredecodeOutcome {
-                remaining: dets.to_vec(),
-                pairs: Vec::new(),
-                boundary_matches: Vec::new(),
-                obs_flip: 0,
-                weight: 0,
-                latency_ns: stats.predecode_ns,
-                aborted: true,
-            };
+            pairs.clear();
+            return (0, 0);
         }
-        PredecodeOutcome {
-            remaining,
-            pairs,
+        ws.remaining.extend(st.live_slots().map(|i| st.node(i)));
+        (obs, weight)
+    }
+}
+
+impl Predecoder for PromatchPredecoder<'_> {
+    fn name(&self) -> &str {
+        "Promatch"
+    }
+
+    fn predecode(&mut self, dets: &[DetectorId]) -> PredecodeOutcome {
+        let mut ws = self.ws.take().unwrap_or_default();
+        let (obs_flip, weight) = self.predecode_with(dets, &mut ws);
+        let aborted = self.last_stats.aborted;
+        let out = PredecodeOutcome {
+            // An abort forwards the syndrome unmodified.
+            remaining: if aborted { dets } else { &ws.remaining[..] }.to_vec(),
+            pairs: ws.pairs.clone(),
             boundary_matches: Vec::new(),
-            obs_flip: obs,
+            obs_flip,
             weight,
-            latency_ns: stats.predecode_ns,
-            aborted: false,
-        }
+            latency_ns: self.last_stats.predecode_ns,
+            aborted,
+        };
+        self.ws = Some(ws);
+        out
     }
 }
 

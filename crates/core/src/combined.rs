@@ -3,8 +3,8 @@
 use crate::algorithm::{PromatchConfig, PromatchPredecoder, PromatchStats};
 use astrea::{AstreaConfig, AstreaDecoder};
 use decoding_graph::{
-    DecodeOutcome, Decoder, DecodingGraph, DetectorId, MatchPair, MatchTarget, PathTable,
-    Predecoder,
+    DecodeOutcome, DecodeWorkspace, Decoder, DecodingGraph, DetectorId, MatchPair, MatchTarget,
+    PathTable,
 };
 
 /// `Promatch + Astrea`: the paper's real-time decoder for d = 11, 13.
@@ -32,6 +32,11 @@ impl<'a> PromatchAstreaDecoder<'a> {
     }
 
     /// Creates the combined decoder with explicit configurations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `promatch_config.main_max_hw` or `astrea_config.max_hw`
+    /// exceeds what [`AstreaDecoder`] supports (16).
     pub fn with_configs(
         graph: &'a DecodingGraph,
         paths: &'a PathTable,
@@ -39,6 +44,14 @@ impl<'a> PromatchAstreaDecoder<'a> {
         astrea_config: AstreaConfig,
     ) -> Self {
         let budget_ns = promatch_config.time_budget_ns;
+        // The predecoder stops at up to `main_max_hw`, a weight it then
+        // hands to Astrea: hold it to the bound `AstreaDecoder` asserts
+        // for its own `max_hw`.
+        assert!(
+            promatch_config.main_max_hw <= 16,
+            "Promatch main_max_hw {} exceeds the 16 Astrea supports",
+            promatch_config.main_max_hw
+        );
         PromatchAstreaDecoder {
             promatch: PromatchPredecoder::with_config(graph, paths, promatch_config),
             astrea: AstreaDecoder::with_config(graph, paths, astrea_config),
@@ -63,42 +76,44 @@ impl Decoder for PromatchAstreaDecoder<'_> {
     }
 
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
+        // The predecoder's own workspace serves both stages.
+        let mut ws = self.promatch.ws.take().unwrap_or_default();
+        let out = self.decode_with(dets, &mut ws);
+        self.promatch.ws = Some(ws);
+        out
+    }
+
+    fn decode_with(&mut self, dets: &[DetectorId], ws: &mut DecodeWorkspace) -> DecodeOutcome {
         if dets.len() <= self.astrea.config().max_hw {
-            return self.astrea.decode(dets);
+            return self.astrea.decode_with(dets, ws);
         }
-        let pre = self.promatch.predecode(dets);
+        let (pre_obs, pre_weight) = self.promatch.predecode_with(dets, ws);
+        let pre = *self.promatch.last_stats();
+        let failure = |latency_ns: f64| DecodeOutcome {
+            latency_ns: Some(latency_ns),
+            ..DecodeOutcome::failure()
+        };
         if pre.aborted {
-            return DecodeOutcome {
-                obs_flip: 0,
-                weight: None,
-                latency_ns: Some(self.budget_ns),
-                failed: true,
-                matches: Vec::new(),
-            };
+            return failure(self.budget_ns);
         }
-        let mut main = self.astrea.decode(&pre.remaining);
-        let total_ns = pre.latency_ns + main.latency_ns.unwrap_or(0.0);
+        // The remainder is Astrea's input while the rest of `ws` is its
+        // scratch: take the list out for the call.
+        let remaining = std::mem::take(&mut ws.remaining);
+        let main = self.astrea.decode_with(&remaining, ws);
+        ws.remaining = remaining;
+        let total_ns = pre.predecode_ns + main.latency_ns.unwrap_or(0.0);
         if main.failed || total_ns > self.budget_ns {
-            return DecodeOutcome {
-                obs_flip: 0,
-                weight: None,
-                latency_ns: Some(total_ns.min(self.budget_ns)),
-                failed: true,
-                matches: Vec::new(),
-            };
+            return failure(total_ns.min(self.budget_ns));
         }
-        let mut matches: Vec<MatchPair> = pre
-            .pairs
-            .iter()
-            .map(|&(a, b)| MatchPair {
-                a,
-                b: MatchTarget::Detector(b),
-            })
-            .collect();
-        matches.append(&mut main.matches);
+        let mut matches = Vec::with_capacity(ws.pairs.len() + main.matches.len());
+        matches.extend(ws.pairs.iter().map(|&(a, b)| MatchPair {
+            a,
+            b: MatchTarget::Detector(b),
+        }));
+        matches.extend_from_slice(&main.matches);
         DecodeOutcome {
-            obs_flip: pre.obs_flip ^ main.obs_flip,
-            weight: main.weight.map(|w| w + pre.weight),
+            obs_flip: pre_obs ^ main.obs_flip,
+            weight: main.weight.map(|w| w + pre_weight),
             latency_ns: Some(total_ns),
             failed: false,
             matches,
@@ -121,6 +136,18 @@ mod tests {
         let dem = extract_dem(&circuit);
         let graph = DecodingGraph::from_dem(&dem);
         (dem, graph)
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 16 Astrea supports")]
+    fn rejects_a_main_max_hw_beyond_astreas_reach() {
+        let (_, graph) = fixture(3);
+        let paths = PathTable::build(&graph);
+        let config = PromatchConfig {
+            main_max_hw: 17,
+            ..Default::default()
+        };
+        PromatchAstreaDecoder::with_configs(&graph, &paths, config, AstreaConfig::default());
     }
 
     #[test]

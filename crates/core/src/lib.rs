@@ -49,7 +49,6 @@
 
 mod algorithm;
 mod combined;
-mod state;
 
 pub use algorithm::{
     PathMetric, PromatchConfig, PromatchPredecoder, PromatchStats, SingletonRule, Step,

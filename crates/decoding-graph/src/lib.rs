@@ -23,7 +23,9 @@
 //!   [`Decoder::decode_batch`] entry point.
 //! * [`DecodeWorkspace`] / [`SlotMap`] / [`SyndromeBatch`] — reusable
 //!   scratch arenas and flat shot batches that keep the steady-state
-//!   decode loop free of per-shot scratch allocation.
+//!   decode loop free of per-shot scratch allocation; a workspace is
+//!   owned by a decoder or lent to it ([`Decoder::decode_with`]), and
+//!   carries the [`SubgraphState`] Promatch predecodes on.
 //! * [`packed`] — the bit-packed syndrome substrate: `u64` word kernels
 //!   (XOR-accumulate, popcount scans, seam-masked window extraction),
 //!   [`PackedBits`] scratch with branch-free touched-word resets, and
@@ -57,6 +59,7 @@ mod graph;
 pub mod latency;
 pub mod packed;
 mod pathtable;
+mod state;
 mod subgraph;
 mod traits;
 mod window;
@@ -68,6 +71,7 @@ pub use latency::{
 };
 pub use packed::{PackedBits, PackedSyndromes, WordSpan};
 pub use pathtable::{NoTransitTable, PathTable, StorageModel};
+pub use state::{Nbr, SubgraphState};
 pub use subgraph::DecodingSubgraph;
 pub use traits::{DecodeOutcome, Decoder, MatchPair, MatchTarget, PredecodeOutcome, Predecoder};
 pub use window::{GraphWindow, LayerMap, SeamPolicy, WindowCache, WindowContext};

@@ -392,12 +392,6 @@ impl PackedBits {
         self.words[w] |= 1u64 << (bit % WORD_BITS);
     }
 
-    /// Clears bit `bit` (the word stays tracked for reset).
-    #[inline]
-    pub fn unset(&mut self, bit: usize) {
-        self.words[bit / WORD_BITS] &= !(1u64 << (bit % WORD_BITS));
-    }
-
     /// Whether bit `bit` is set. Bits beyond the capacity read as unset.
     #[inline]
     pub fn get(&self, bit: usize) -> bool {
@@ -447,23 +441,6 @@ impl PackedBits {
             self.words[w as usize] = 0;
         }
         self.touched.clear();
-    }
-
-    /// The lowest unset bit below `limit`, found a word at a time
-    /// (`(!w).trailing_zeros()` instead of a per-bit scan). `None` when
-    /// bits `0..limit` are all set.
-    pub fn first_unset(&self, limit: usize) -> Option<usize> {
-        debug_assert!(words_for(limit) <= self.words.len(), "capacity not ensured");
-        for (i, &w) in self.words.iter().enumerate() {
-            if i * WORD_BITS >= limit {
-                break;
-            }
-            if w != !0u64 {
-                let b = i * WORD_BITS + (!w).trailing_zeros() as usize;
-                return (b < limit).then_some(b);
-            }
-        }
-        None
     }
 
     /// Total set bits (popcount over the touched words only).
@@ -699,14 +676,6 @@ mod tests {
         assert_eq!(b.count(), 4);
         assert!(b.get(70) && b.get(299));
         assert!(!b.get(9999), "out-of-capacity bits read unset");
-        b.unset(70);
-        assert_eq!(b.count(), 3);
-        assert_eq!(b.first_unset(8), Some(0));
-        b.set(0);
-        b.set(1);
-        b.set(2);
-        assert_eq!(b.first_unset(3), None);
-        assert_eq!(b.first_unset(5), Some(3));
         b.clear();
         assert_eq!(b.count(), 0);
         assert!(b.words().iter().all(|&w| w == 0));

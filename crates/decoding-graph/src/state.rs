@@ -4,12 +4,19 @@
 //! bits, per-vertex neighbor lists with edge weights, and the two vertex
 //! property arrays — `deg` and `#dependent` — that feed the singleton
 //! detection and step-candidate logic of Figures 10/11.
+//!
+//! It lives beside [`DecodeWorkspace`](crate::DecodeWorkspace) rather
+//! than inside the Promatch crate because the workspace lends it: the
+//! adjacency is one flat CSR buffer, so a warmed state rebuilds for any
+//! syndrome of any window graph without touching the heap.
 
-use decoding_graph::{DecodingGraph, DetectorId, SlotMap};
+use crate::graph::DecodingGraph;
+use crate::workspace::SlotMap;
+use crate::DetectorId;
 
 /// One neighbor entry in the subgraph adjacency.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Nbr {
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Nbr {
     /// Slot index of the neighbor.
     pub slot: usize,
     /// Weight of the connecting decoding-graph edge.
@@ -20,55 +27,63 @@ pub(crate) struct Nbr {
 
 /// Mutable subgraph state over one syndrome.
 ///
-/// Supports in-place [`SubgraphState::rebuild`]: the Promatch predecoder
-/// keeps one instance alive across shots and only clears — never frees —
-/// the adjacency and slot-map buffers.
+/// Supports in-place [`SubgraphState::rebuild`]: every buffer is
+/// cleared, never freed, between syndromes.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct SubgraphState {
+pub struct SubgraphState {
     /// Flipped detectors by slot.
-    pub nodes: Vec<DetectorId>,
+    nodes: Vec<DetectorId>,
     /// Whether each slot is still unmatched.
-    pub alive: Vec<bool>,
+    alive: Vec<bool>,
+    /// CSR row bounds: slot `i`'s neighbors are
+    /// `adj[adj_start[i]..adj_start[i + 1]]`.
+    adj_start: Vec<usize>,
     /// Static adjacency among slots (only edges of the decoding graph
-    /// whose both endpoints are flipped).
-    pub adj: Vec<Vec<Nbr>>,
+    /// whose both endpoints are flipped), rows back to back.
+    adj: Vec<Nbr>,
     /// Live degree per slot.
-    pub deg: Vec<u32>,
+    deg: Vec<u32>,
     /// Number of live nodes.
-    pub hw: usize,
+    hw: usize,
     /// Dense detector→slot map, reset in O(k) per rebuild.
     slots: SlotMap,
+    /// Rebuild scratch: the induced edges `(slot, slot, weight, obs)`.
+    edges: Vec<(usize, usize, i64, u64)>,
 }
 
 impl SubgraphState {
-    /// Builds the state for `dets` (sorted, unique). Production code
-    /// rebuilds a persistent instance instead; this one-shot constructor
-    /// serves the unit tests.
+    /// Builds the state for `dets` (sorted, unique).
     #[cfg(test)]
-    pub fn build(graph: &DecodingGraph, dets: &[DetectorId]) -> Self {
+    fn build(graph: &DecodingGraph, dets: &[DetectorId]) -> Self {
         let mut st = SubgraphState::default();
         st.rebuild(graph, dets);
         st
     }
 
-    /// Rebuilds the state in place for a new syndrome.
+    /// Rebuilds the state in place for a new syndrome (sorted, unique)
+    /// of `graph`.
+    ///
+    /// A row lists the slot's lower-numbered neighbors in slot order,
+    /// then its higher-numbered ones in [`DecodingGraph::neighbors`]
+    /// order — the order Promatch's candidate scan breaks weight ties by.
     pub fn rebuild(&mut self, graph: &DecodingGraph, dets: &[DetectorId]) {
         let k = dets.len();
         self.nodes.clear();
         self.nodes.extend_from_slice(dets);
         self.alive.clear();
         self.alive.resize(k, true);
-        if self.adj.len() < k {
-            self.adj.resize_with(k, Vec::new);
-        }
-        for list in &mut self.adj[..k] {
-            list.clear();
-        }
         self.hw = k;
         self.slots.reset(graph.num_detectors() as usize);
         for (i, &d) in dets.iter().enumerate() {
             self.slots.insert(d, i);
         }
+        // One scan of the decoding graph lists the induced edges (each
+        // from its lower-detector endpoint) and counts the row lengths,
+        // which are the initial degrees; the rows are then filled from
+        // the list through per-row cursors.
+        self.deg.clear();
+        self.deg.resize(k, 0);
+        self.edges.clear();
         let bd = graph.boundary_node();
         for (ai, &a) in dets.iter().enumerate() {
             for (nbr, e) in graph.neighbors(a) {
@@ -76,51 +91,79 @@ impl SubgraphState {
                     continue;
                 }
                 if let Some(bi) = self.slots.get(nbr) {
-                    self.adj[ai].push(Nbr {
-                        slot: bi,
-                        weight: e.weight,
-                        obs: e.obs,
-                    });
-                    self.adj[bi].push(Nbr {
-                        slot: ai,
-                        weight: e.weight,
-                        obs: e.obs,
-                    });
+                    self.deg[ai] += 1;
+                    self.deg[bi] += 1;
+                    self.edges.push((ai, bi, e.weight, e.obs));
                 }
             }
         }
-        self.deg.clear();
-        self.deg
-            .extend(self.adj[..k].iter().map(|l| l.len() as u32));
+        self.adj_start.clear();
+        self.adj_start.push(0);
+        let mut end = 0;
+        for &d in &self.deg {
+            // Row `i`'s cursor starts at its row start; after the fill
+            // it has advanced to the row end, i.e. row `i + 1`'s start.
+            self.adj_start.push(end);
+            end += d as usize;
+        }
+        self.adj.clear();
+        self.adj.resize(end, Nbr::default());
+        let cursor = &mut self.adj_start[1..];
+        for &(ai, bi, weight, obs) in &self.edges {
+            for (from, to) in [(ai, bi), (bi, ai)] {
+                self.adj[cursor[from]] = Nbr {
+                    slot: to,
+                    weight,
+                    obs,
+                };
+                cursor[from] += 1;
+            }
+        }
+    }
+
+    /// Number of live (unmatched) nodes.
+    pub fn hw(&self) -> usize {
+        self.hw
+    }
+
+    /// The detector in slot `i`.
+    pub fn node(&self, i: usize) -> DetectorId {
+        self.nodes[i]
+    }
+
+    /// Whether slot `i` is still unmatched.
+    pub fn is_alive(&self, i: usize) -> bool {
+        self.alive[i]
+    }
+
+    /// Live degree of slot `i` (0 once matched).
+    pub fn deg(&self, i: usize) -> u32 {
+        self.deg[i]
+    }
+
+    /// Every neighbor of slot `i`, live or not.
+    pub fn neighbors(&self, i: usize) -> &[Nbr] {
+        &self.adj[self.adj_start[i]..self.adj_start[i + 1]]
     }
 
     /// Live-edge count (each edge counted once).
     pub fn live_edges(&self) -> usize {
-        let mut count = 0;
-        for (i, list) in self.adj[..self.nodes.len()].iter().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            count += list
-                .iter()
-                .filter(|n| self.alive[n.slot] && n.slot > i)
-                .count();
-        }
-        count
+        self.live_slots()
+            .map(|i| self.live_neighbors(i).filter(|n| n.slot > i).count())
+            .sum()
     }
 
     /// `#dependent_i`: number of live neighbors of `i` whose only live
     /// neighbor is `i` (degree-1 neighbors).
     pub fn dependents(&self, i: usize) -> u32 {
-        self.adj[i]
-            .iter()
-            .filter(|n| self.alive[n.slot] && self.deg[n.slot] == 1)
+        self.live_neighbors(i)
+            .filter(|n| self.deg[n.slot] == 1)
             .count() as u32
     }
 
     /// Live neighbors of slot `i`.
     pub fn live_neighbors(&self, i: usize) -> impl Iterator<Item = &Nbr> {
-        self.adj[i].iter().filter(move |n| self.alive[n.slot])
+        self.neighbors(i).iter().filter(move |n| self.alive[n.slot])
     }
 
     /// The hardware singleton test of Figure 11: matching `(i, j)` (an
@@ -136,7 +179,7 @@ impl SubgraphState {
     /// some third live node's live neighbors are all in `{i, j}`. Catches
     /// the degree-2 corner case the hardware logic misses.
     pub fn no_singleton_exact(&self, i: usize, j: usize) -> bool {
-        for n in self.adj[i].iter().chain(self.adj[j].iter()) {
+        for n in self.neighbors(i).iter().chain(self.neighbors(j)) {
             let k = n.slot;
             if k == i || k == j || !self.alive[k] {
                 continue;
@@ -157,8 +200,7 @@ impl SubgraphState {
             self.hw -= 1;
         }
         for slot in [i, j] {
-            for ni in 0..self.adj[slot].len() {
-                let n = self.adj[slot][ni];
+            for n in &self.adj[self.adj_start[slot]..self.adj_start[slot + 1]] {
                 if self.alive[n.slot] {
                     self.deg[n.slot] -= 1;
                 }
@@ -170,7 +212,7 @@ impl SubgraphState {
 
     /// Live slots that are singletons (degree 0).
     pub fn singleton_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.nodes.len()).filter(|&i| self.alive[i] && self.deg[i] == 0)
+        self.live_slots().filter(|&i| self.deg[i] == 0)
     }
 
     /// Live slot indices.

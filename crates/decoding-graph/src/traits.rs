@@ -1,6 +1,6 @@
 //! Decoder and predecoder interfaces shared across the workspace.
 
-use crate::workspace::SyndromeBatch;
+use crate::workspace::{DecodeWorkspace, SyndromeBatch};
 use crate::DetectorId;
 
 /// The partner a detector was matched to.
@@ -62,6 +62,16 @@ pub trait Decoder {
     /// Decodes one syndrome given as the sorted list of flipped
     /// detectors.
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome;
+
+    /// [`Decoder::decode`] on scratch lent by the caller: the same
+    /// outcome, bit for bit, but whatever the decoder would have grown
+    /// in its own workspace it grows in `ws`, which can outlive it.
+    /// Compositions pass `ws` to their arms in turn. Decoders with no
+    /// use for it keep this default.
+    fn decode_with(&mut self, dets: &[DetectorId], ws: &mut DecodeWorkspace) -> DecodeOutcome {
+        let _ = ws;
+        self.decode(dets)
+    }
 
     /// Decodes a whole batch of syndromes into `out` (cleared first).
     ///

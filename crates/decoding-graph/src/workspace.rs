@@ -8,15 +8,16 @@
 //! * [`SlotMap`] — a detector-id → slot-index map over the decoding
 //!   graph with O(k) reset, replacing the per-shot `HashMap`s the
 //!   subgraph builders used to allocate.
-//! * [`DecodeWorkspace`] — the scratch arena shared by the decoders that
-//!   operate on the complete syndrome graph (MWPM, Astrea, Astrea-G):
-//!   edge lists, matching partners, and DFS visit flags.
+//! * [`DecodeWorkspace`] — the scratch arena of one solve: edge lists,
+//!   matching partners, search options, the subset-DP table, and the
+//!   Promatch subgraph state. Decoders own one, or borrow the caller's.
 //! * [`SyndromeBatch`] — many syndromes in one flat allocation, the
 //!   currency of [`Decoder::decode_batch`](crate::Decoder::decode_batch):
 //!   harnesses sample a chunk of shots into a batch and stream it through
 //!   a decoder without any per-shot scratch allocation on either side.
 
-use crate::packed::{PackedBits, PackedSyndromes};
+use crate::packed::PackedSyndromes;
+use crate::state::SubgraphState;
 use crate::DetectorId;
 
 /// A detector-id → slot-index map with O(k) reset.
@@ -74,11 +75,17 @@ impl SlotMap {
     }
 }
 
-/// Reusable scratch for decoders over the complete syndrome graph.
+/// Reusable scratch for the decoders of one solve.
 ///
-/// One workspace lives inside each decoder instance; harnesses that want
-/// zero steady-state allocation create one decoder per worker thread and
-/// keep it alive across shots. All buffers are cleared, never dropped.
+/// Every decoder owns one for plain [`Decoder::decode`](crate::Decoder::decode)
+/// calls; a caller whose decoders are short-lived (the window engine
+/// builds one per window, over that window's graph) owns a single
+/// workspace instead and lends it through
+/// [`Decoder::decode_with`](crate::Decoder::decode_with), so the scratch
+/// outlives the decoders. Nothing in it is tied to a graph: buffers are
+/// sized on use and cleared, never dropped, and every user overwrites
+/// what it reads, so the arms of a composition can share one workspace
+/// back to back.
 #[derive(Clone, Debug, Default)]
 pub struct DecodeWorkspace {
     /// Syndrome-graph edge list `(u, v, weight)`.
@@ -89,10 +96,24 @@ pub struct DecodeWorkspace {
     pub partner: Vec<usize>,
     /// Best complete partner assignment found so far.
     pub best_partner: Vec<usize>,
-    /// Per-vertex used/visited flags, bit-packed: searches test and flip
-    /// single bits, find their next free vertex a word at a time
-    /// ([`PackedBits::first_unset`]), and reset in O(touched words).
-    pub used: PackedBits,
+    /// Per-vertex partner options `(weight, partner)` of a search, rows
+    /// back to back and delimited by [`DecodeWorkspace::option_starts`].
+    pub options: Vec<(i64, usize)>,
+    /// Row bounds of [`DecodeWorkspace::options`] (`k + 1` entries).
+    pub option_starts: Vec<usize>,
+    /// Dense local weights of a small syndrome (pair and boundary
+    /// distances gathered once from the path table).
+    pub weights: Vec<i64>,
+    /// Subset-indexed dynamic-programming table (`2^k` entries).
+    pub subset_best: Vec<i64>,
+    /// The decoding subgraph a predecoder works on.
+    pub subgraph: SubgraphState,
+    /// Scan scratch of a predecoding round: candidate slot pairs.
+    pub slot_pairs: Vec<(usize, usize)>,
+    /// Detector pairs a predecoder matched.
+    pub pairs: Vec<(DetectorId, DetectorId)>,
+    /// Detectors a predecoder left for the main decoder.
+    pub remaining: Vec<DetectorId>,
 }
 
 impl DecodeWorkspace {
@@ -236,14 +257,10 @@ mod tests {
         let mut ws = DecodeWorkspace::new();
         ws.edges.push((0, 1, 5));
         ws.mates.push(1);
-        ws.used.ensure(70);
-        ws.used.set(65);
         ws.edges.clear();
         ws.mates.clear();
-        ws.used.clear();
         assert!(ws.edges.capacity() >= 1);
         assert!(ws.mates.capacity() >= 1);
-        assert_eq!(ws.used.count(), 0);
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Decoder composition: `predecoder + main` and `A ‖ B`.
 
-use decoding_graph::{DecodeOutcome, Decoder, DetectorId, MatchPair, MatchTarget, Predecoder};
+use decoding_graph::{
+    DecodeOutcome, DecodeWorkspace, Decoder, DetectorId, MatchPair, MatchTarget, Predecoder,
+};
+use std::cell::OnceCell;
 
 /// Comparison overhead of a parallel (`A ‖ B`) composition: the 10 cycles
 /// at 250 MHz the paper reserves for comparing the two solutions (§6.4).
@@ -19,7 +22,8 @@ pub struct PipelineDecoder<P, D> {
     pre: P,
     main: D,
     engage_above_hw: usize,
-    name: String,
+    /// `"<pre> + <main>"`, composed on the first [`Decoder::name`] call.
+    name: OnceCell<String>,
 }
 
 impl<P: Predecoder, D: Decoder> PipelineDecoder<P, D> {
@@ -30,12 +34,11 @@ impl<P: Predecoder, D: Decoder> PipelineDecoder<P, D> {
 
     /// Composes with an explicit engagement threshold.
     pub fn with_threshold(pre: P, main: D, engage_above_hw: usize) -> Self {
-        let name = format!("{} + {}", pre.name(), main.name());
         PipelineDecoder {
             pre,
             main,
             engage_above_hw,
-            name,
+            name: OnceCell::new(),
         }
     }
 
@@ -43,22 +46,22 @@ impl<P: Predecoder, D: Decoder> PipelineDecoder<P, D> {
     pub fn predecoder(&mut self) -> &mut P {
         &mut self.pre
     }
-}
 
-impl<P: Predecoder, D: Decoder> Decoder for PipelineDecoder<P, D> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
+    /// Predecodes above the engagement threshold, then hands what is
+    /// left to the main decoder through `solve`.
+    fn run(
+        &mut self,
+        dets: &[DetectorId],
+        mut solve: impl FnMut(&mut D, &[DetectorId]) -> DecodeOutcome,
+    ) -> DecodeOutcome {
         if dets.len() <= self.engage_above_hw {
-            return self.main.decode(dets);
+            return solve(&mut self.main, dets);
         }
         let pre = self.pre.predecode(dets);
         if pre.aborted {
             return DecodeOutcome::failure();
         }
-        let mut main_out = self.main.decode(&pre.remaining);
+        let mut main_out = solve(&mut self.main, &pre.remaining);
         // A software main decoder (latency None) keeps the pipeline's
         // latency unknown: predecode-only nanoseconds would misrepresent
         // the composition as hardware-fast, and harnesses (the realtime
@@ -96,20 +99,39 @@ impl<P: Predecoder, D: Decoder> Decoder for PipelineDecoder<P, D> {
     }
 }
 
+impl<P: Predecoder, D: Decoder> Decoder for PipelineDecoder<P, D> {
+    fn name(&self) -> &str {
+        self.name
+            .get_or_init(|| format!("{} + {}", self.pre.name(), self.main.name()))
+    }
+
+    fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
+        self.run(dets, |main, dets| main.decode(dets))
+    }
+
+    fn decode_with(&mut self, dets: &[DetectorId], ws: &mut DecodeWorkspace) -> DecodeOutcome {
+        self.run(dets, |main, dets| main.decode_with(dets, ws))
+    }
+}
+
 /// Parallel composition `A ‖ B`: both decoders run on the same syndrome
 /// and the lower-weight valid solution wins.
 #[derive(Clone, Debug)]
 pub struct ParallelDecoder<A, B> {
     a: A,
     b: B,
-    name: String,
+    /// `"<a> || <b>"`, composed on the first [`Decoder::name`] call.
+    name: OnceCell<String>,
 }
 
 impl<A: Decoder, B: Decoder> ParallelDecoder<A, B> {
     /// Composes `a ‖ b`.
     pub fn new(a: A, b: B) -> Self {
-        let name = format!("{} || {}", a.name(), b.name());
-        ParallelDecoder { a, b, name }
+        ParallelDecoder {
+            a,
+            b,
+            name: OnceCell::new(),
+        }
     }
 
     /// Access to the first inner decoder.
@@ -123,53 +145,39 @@ impl<A: Decoder, B: Decoder> ParallelDecoder<A, B> {
     }
 }
 
+/// The `‖` select: the lower-weight valid solution, at the slower arm's
+/// latency plus the comparison.
+fn select(out_a: DecodeOutcome, out_b: DecodeOutcome) -> DecodeOutcome {
+    let a_wins = match (out_a.failed, out_b.failed) {
+        (true, true) => return DecodeOutcome::failure(),
+        (false, false) => {
+            // Lower total weight wins; ties go to A.
+            out_a.weight.unwrap_or(i64::MAX) <= out_b.weight.unwrap_or(i64::MAX)
+        }
+        (_, b_failed) => b_failed,
+    };
+    let la = out_a.latency_ns.unwrap_or(0.0);
+    let lb = out_b.latency_ns.unwrap_or(0.0);
+    DecodeOutcome {
+        latency_ns: Some(la.max(lb) + COMPARISON_OVERHEAD_NS),
+        ..if a_wins { out_a } else { out_b }
+    }
+}
+
 impl<A: Decoder, B: Decoder> Decoder for ParallelDecoder<A, B> {
     fn name(&self) -> &str {
-        &self.name
+        self.name
+            .get_or_init(|| format!("{} || {}", self.a.name(), self.b.name()))
     }
 
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
-        let out_a = self.a.decode(dets);
-        let out_b = self.b.decode(dets);
-        let latency = |x: &DecodeOutcome, y: &DecodeOutcome| {
-            let la = x.latency_ns.unwrap_or(0.0);
-            let lb = y.latency_ns.unwrap_or(0.0);
-            Some(la.max(lb) + COMPARISON_OVERHEAD_NS)
-        };
-        match (out_a.failed, out_b.failed) {
-            (true, true) => DecodeOutcome::failure(),
-            (true, false) => {
-                let l = latency(&out_a, &out_b);
-                DecodeOutcome {
-                    latency_ns: l,
-                    ..out_b
-                }
-            }
-            (false, true) => {
-                let l = latency(&out_a, &out_b);
-                DecodeOutcome {
-                    latency_ns: l,
-                    ..out_a
-                }
-            }
-            (false, false) => {
-                let l = latency(&out_a, &out_b);
-                // Lower total weight wins; ties go to A.
-                let wa = out_a.weight.unwrap_or(i64::MAX);
-                let wb = out_b.weight.unwrap_or(i64::MAX);
-                if wa <= wb {
-                    DecodeOutcome {
-                        latency_ns: l,
-                        ..out_a
-                    }
-                } else {
-                    DecodeOutcome {
-                        latency_ns: l,
-                        ..out_b
-                    }
-                }
-            }
-        }
+        select(self.a.decode(dets), self.b.decode(dets))
+    }
+
+    fn decode_with(&mut self, dets: &[DetectorId], ws: &mut DecodeWorkspace) -> DecodeOutcome {
+        let out_a = self.a.decode_with(dets, ws);
+        let out_b = self.b.decode_with(dets, ws);
+        select(out_a, out_b)
     }
 }
 

@@ -19,8 +19,8 @@
 
 use decoding_graph::packed::{for_each_set_bit, WordSpan};
 use decoding_graph::{
-    DecodingGraph, DetectorId, LayerMap, MatchTarget, PackedBits, SeamPolicy, WindowCache,
-    WindowContext, BATCH_PREDECODE_NS,
+    DecodeWorkspace, DecodingGraph, DetectorId, LayerMap, MatchTarget, PackedBits, SeamPolicy,
+    WindowCache, WindowContext, BATCH_PREDECODE_NS,
 };
 use ler::{build_decoder, DecoderKind};
 use predecoders::BatchPredecoder;
@@ -346,6 +346,10 @@ pub struct SlidingWindowDecoder<'g> {
     active: Vec<DetectorId>,
     /// The solver's input: `active` in window-local detector ids.
     local_ids: Vec<DetectorId>,
+    /// The solver's scratch, lent to each window's decoder for the
+    /// duration of its solve: the decoders come and go with the windows,
+    /// their warmed buffers stay.
+    solver_ws: DecodeWorkspace,
     /// Packed scratch: the live defect bitset of the shot under decode.
     pbits: PackedBits,
     /// Packed scratch: the seam-masked window extraction buffer.
@@ -436,6 +440,7 @@ impl<'g> SlidingWindowDecoder<'g> {
             carry: Vec::new(),
             active: Vec::new(),
             local_ids: Vec::new(),
+            solver_ws: DecodeWorkspace::new(),
             pbits: PackedBits::new(),
             pwords: Vec::new(),
             packed_in: PackedBits::new(),
@@ -739,12 +744,12 @@ impl<'g> SlidingWindowDecoder<'g> {
                 trace.emit(widx, TraceKind::SolveStart, solver_hw);
                 // The decoder is rebuilt per window: it borrows the cached
                 // graph + path table, so storing it inside the cache entry
-                // would make WindowContext self-referential. Construction
-                // is one Box plus empty (unallocated) workspace vectors;
-                // the expensive per-range state (graph extraction,
-                // all-pairs paths) is what the cache keeps warm.
-                let solved =
-                    build_decoder(self.kind, ctx.graph(), ctx.paths()).decode(&self.local_ids);
+                // would make WindowContext self-referential. What must
+                // stay warm is kept elsewhere: the per-range state (graph
+                // extraction, all-pairs paths) in the cache, the solver
+                // scratch in `solver_ws`.
+                let solved = build_decoder(self.kind, ctx.graph(), ctx.paths())
+                    .decode_with(&self.local_ids, &mut self.solver_ws);
                 span_end(sp, Stage::Solve, t_solve);
                 let t_commit = span_start(sp);
                 // Escalated windows pay the L1 charge on top of the

@@ -28,6 +28,11 @@
 //! ([`Frame::encode_into`]), so a warmed buffer must take a thousand
 //! commits without one allocation event.
 //!
+//! The solver side is pinned on a dense stream: the window engine lends
+//! every window's short-lived decoder one long-lived workspace, so a
+//! warm solve allocates what it returns (a small constant) whatever the
+//! Hamming weight.
+//!
 //! This binary holds a single test so no concurrent test thread can
 //! attribute its allocations to the measured region.
 
@@ -145,6 +150,7 @@ fn steady_state_packed_decode_makes_zero_allocations() {
     }
     l1_rows_fill_once_and_read_without_allocating();
     commit_results_append_into_a_warm_buffer_without_allocating();
+    warm_solves_allocate_a_constant_per_window();
 }
 
 /// Called from the one test above (see the module docs on why this
@@ -233,4 +239,71 @@ fn commit_results_append_into_a_warm_buffer_without_allocating() {
     let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
     assert_eq!(events, 0, "appending commits into a warm buffer allocated");
     assert_eq!(wire.len(), warm_len);
+}
+
+/// Called from the one test above, like the L1 half.
+///
+/// The solver side of a dense stream: the engine lends each window's
+/// decoder one workspace it keeps for its own lifetime, so once that is
+/// warm a solve allocates what it hands back and nothing else — the
+/// window's boxed decoder, one match list per arm of Promatch ‖ AG, and
+/// the merged list when Promatch prematched — whatever the Hamming
+/// weight. The pool is 64 sampled shots that escalate past L1 plus eight
+/// stacks of eight of them XOR-ed together, which carry windows far
+/// beyond Astrea's reach. The pin itself runs with the L1 tier off, so
+/// every non-empty window reaches the solver at its full weight and the
+/// tier's own per-window result vectors stay out of the count.
+fn warm_solves_allocate_a_constant_per_window() {
+    const EVENTS_PER_SOLVE: u64 = 4;
+    let ctx = ExperimentContext::new(7, 1e-3);
+    let layers = LayerMap::from_graph(&ctx.graph).unwrap();
+    let engine = |predecode| {
+        SlidingWindowDecoder::new(
+            &ctx.graph,
+            layers.clone(),
+            DecoderKind::PromatchParAg,
+            WindowConfig::new(4, 2).unwrap(),
+        )
+        .with_predecode(predecode)
+    };
+    let mut stream = SyndromeStream::new(&ctx.circuit, layers.clone(), 0xD7);
+    let wps = stream.words_per_shot();
+    let mut out = WindowedOutcome::default();
+    let mut pool = Vec::new();
+    let mut l1 = engine(PredecodeMode::Batch);
+    while pool.len() < 64 * wps {
+        let shot = stream.next_shot_packed();
+        l1.decode_shot_packed_into(shot.words, &mut out);
+        if out.escalated_windows() > 0 {
+            pool.extend_from_slice(shot.words);
+        }
+    }
+    for stack in 0..8 {
+        let mut words = vec![0u64; wps];
+        for shot in pool[stack * 8 * wps..][..8 * wps].chunks_exact(wps) {
+            words.iter_mut().zip(shot).for_each(|(w, s)| *w ^= s);
+        }
+        pool.extend_from_slice(&words);
+    }
+
+    let mut swd = engine(PredecodeMode::Off);
+    for shot in pool.chunks_exact(wps) {
+        swd.decode_shot_packed_into(shot, &mut out);
+    }
+    let (mut solves, mut heaviest) = (0u64, 0);
+    for shot in pool.chunks_exact(wps) {
+        let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+        swd.decode_shot_packed_into(shot, &mut out);
+        let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
+        let solved = out.windows.iter().filter(|w| w.solver_hw > 0).count() as u64;
+        let hw = out.windows.iter().map(|w| w.solver_hw).max().unwrap();
+        assert!(
+            events <= EVENTS_PER_SOLVE * solved,
+            "{events} allocation events over {solved} warm solves (heaviest HW {hw})"
+        );
+        solves += solved;
+        heaviest = heaviest.max(hw);
+    }
+    assert!(solves >= 128, "only {solves} solves measured");
+    assert!(heaviest > 20, "heaviest window only HW {heaviest}");
 }
