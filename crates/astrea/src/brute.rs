@@ -173,9 +173,9 @@ impl Decoder for AstreaDecoder<'_> {
         // on the dense copy.
         ws.weights.clear();
         for &a in dets {
-            ws.weights
-                .extend(dets.iter().map(|&b| self.paths.distance(a, b)));
-            ws.weights.push(self.paths.boundary_distance(a));
+            let from_a = self.paths.row(a);
+            ws.weights.extend(dets.iter().map(|&b| from_a.distance(b)));
+            ws.weights.push(from_a.boundary_distance());
         }
         let full = (1usize << k) - 1;
         ws.subset_best.clear();

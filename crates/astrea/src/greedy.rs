@@ -191,16 +191,17 @@ impl Decoder for AstreaGDecoder<'_> {
         starts.push(0);
         for i in 0..k {
             let row = options.len();
+            let from_i = self.paths.row(dets[i]);
             for j in 0..k {
                 if i == j {
                     continue;
                 }
-                let d = self.paths.distance(dets[i], dets[j]);
+                let d = from_i.distance(dets[j]);
                 if d != i64::MAX && d <= self.prune_weight {
                     options.push((d, j));
                 }
             }
-            let bd = self.paths.boundary_distance(dets[i]);
+            let bd = from_i.boundary_distance();
             if bd != i64::MAX {
                 options.push((bd, BOUNDARY));
             }

@@ -110,7 +110,7 @@ impl Scenario {
 
     /// The scenario's experiment context behind a process-wide `Arc`
     /// cache: the first call per configuration builds (circuit, DEM,
-    /// graph, all-pairs path table), every later call — a second
+    /// graph, the path table's rows as they fill), every later call — a second
     /// subcommand in the same process, another test, or the Q-th tenant
     /// registering with the decode service — reuses that immutable state
     /// instead of rebuilding it. The cache key covers every field that

@@ -13,8 +13,10 @@
 //!   path table that Promatch's Step 3 hardware keeps in on-chip memory
 //!   (Table 8 of the paper).
 //! * [`NoTransitTable`] — boundary-as-sink distances (a static escape
-//!   vector plus lazily memoized rows), the lookups behind the L1 batch
-//!   predecoder's uniqueness proofs.
+//!   vector plus lazily memoized rows) and per-edge facts (a flat
+//!   adjacency with weights and masks, plus a lazily memoized
+//!   "is there a second way across?" byte per half-edge), the lookups
+//!   behind the L1 batch predecoder's uniqueness proofs.
 //! * [`DecodingSubgraph`] — the subgraph induced by the flipped detectors
 //!   of one syndrome (Figure 6 of the paper), the object all
 //!   predecoders inspect.
@@ -70,7 +72,7 @@ pub use latency::{
     FixedLatency, LatencyModel, PolynomialLatency, BATCH_PREDECODE_LATENCY, BATCH_PREDECODE_NS,
 };
 pub use packed::{PackedBits, PackedSyndromes, WordSpan};
-pub use pathtable::{NoTransitTable, PathTable, StorageModel};
+pub use pathtable::{NoTransitTable, PathRow, PathTable, StorageModel};
 pub use state::{Nbr, SubgraphState};
 pub use subgraph::DecodingSubgraph;
 pub use traits::{DecodeOutcome, Decoder, MatchPair, MatchTarget, PredecodeOutcome, Predecoder};

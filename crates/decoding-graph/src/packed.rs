@@ -8,8 +8,7 @@
 //!
 //! * round cancellation (`curr & prev; curr ^= and; prev ^= and`) is an
 //!   AND/XOR over words ([`shl_into`]/[`shr_into`] align the layers);
-//! * the L1 complexity check is a popcount scan ([`popcount`],
-//!   [`popcount_exceeds`]);
+//! * defect counting is a popcount scan ([`popcount`]);
 //! * window extraction applies a precomputed seam mask ([`WordSpan`])
 //!   instead of copying detector ids one by one.
 //!
@@ -178,7 +177,7 @@ pub fn and_mask(dst: &mut [u64], mask: &[u64]) {
     and_mask_scalar(dst, mask)
 }
 
-/// Total set bits across `words` (the L1 complexity scan).
+/// Total set bits across `words`.
 #[inline]
 pub fn popcount(words: &[u64]) -> u32 {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
@@ -188,19 +187,6 @@ pub fn popcount(words: &[u64]) -> u32 {
     }
     #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
     popcount_scalar(words)
-}
-
-/// Whether more than `limit` bits are set, stopping at the first word
-/// that settles it (dense windows answer after one or two words).
-pub fn popcount_exceeds(words: &[u64], limit: u32) -> bool {
-    let mut total = 0u32;
-    for w in words {
-        total += w.count_ones();
-        if total > limit {
-            return true;
-        }
-    }
-    false
 }
 
 /// Calls `f` with the index of every set bit, ascending.
@@ -603,15 +589,6 @@ mod tests {
             assert_eq!(m1, m2, "and n={n}");
             assert_eq!(popcount(&a), popcount_scalar(&a), "popcount n={n}");
         }
-    }
-
-    #[test]
-    fn popcount_exceeds_agrees_with_popcount() {
-        let w = pattern(9, 7);
-        let total = popcount_scalar(&w);
-        assert!(popcount_exceeds(&w, total - 1));
-        assert!(!popcount_exceeds(&w, total));
-        assert!(!popcount_exceeds(&[], 0));
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! [`PathTable`] stores both the exact values (used by the idealized
 //! decoders and as ground truth for ablations) and the 2-bit quantized
 //! class per pair (used by Promatch's Step 3 in its default
-//! hardware-faithful configuration).
+//! hardware-faithful configuration). It is a software table, filled a
+//! source row at a time on first use: a stream only ever asks from the
+//! detectors that fired in it, and an all-pairs build of every window
+//! range was the largest resident object of the streaming runtime.
 //!
 //! [`NoTransitTable`] is the other distance store: the same graph with
 //! the boundary as a *sink* (paths may end there, never pass through).
@@ -24,47 +27,124 @@
 use crate::graph::DecodingGraph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+/// Row sentinel of both tables: no path at any price.
+const ROW_UNREACHED: u32 = u32::MAX;
+
+/// A searched distance from `src` as a row cell.
+///
+/// # Panics
+///
+/// Panics if a finite distance does not fit below the sentinel (it would
+/// otherwise read as "unreachable").
+fn row_cell(d: i64, src: u32) -> u32 {
+    if d == i64::MAX {
+        return ROW_UNREACHED;
+    }
+    assert!(
+        d < i64::from(ROW_UNREACHED),
+        "distance {d} from node {src} overflows the u32 row"
+    );
+    d as u32
+}
+
 /// All-pairs shortest-path data between detectors (and to the boundary).
+///
+/// Row `a` — distance, observable mask, hop count and quantized class
+/// from `a` to every node — is one [`DecodingGraph::dijkstra`] from `a`,
+/// run the first time anything about `a` is asked and kept for the life
+/// of the table. Rows sit behind [`OnceLock`]s: racing first askers of
+/// one source run exactly one search, a filled row is a lock-free
+/// indexed load, and one table serves every shot, thread and tenant that
+/// shares it. The values are those of an eager all-pairs build; only
+/// when they are computed differs.
 #[derive(Clone, Debug)]
 pub struct PathTable {
     n: usize,
-    /// Exact distance between detector pairs, row-major `(n+1)²`
-    /// (last row/column = boundary node).
-    dist: Vec<i64>,
-    /// Observable mask along the shortest path.
-    obs: Vec<u64>,
-    /// Hop count (chain length) of the shortest path.
-    hops: Vec<u16>,
-    /// 2-bit quantized weight class per pair.
-    class: Vec<u8>,
+    /// A private copy of the graph the rows are searched on, so the table
+    /// borrows nothing.
+    graph: DecodingGraph,
+    /// `rows[a]`, `a` in `0..=n` (the last row is the boundary node's).
+    rows: Vec<OnceLock<PathRow>>,
+    /// Whether every edge mask (hence every path mask, their XOR) fits
+    /// a byte.
+    narrow_obs: bool,
+    /// Upper distance bound of classes 0, 1 and 2.
+    thresholds: [i64; 3],
     /// Representative weight of each class.
     class_weights: [i64; 4],
 }
 
+/// One source's shortest-path data to every node (column `n` = the
+/// boundary), as narrow as the values allow: a fully filled table of a
+/// d = 13 six-layer window is 505² × 8 B ≈ 2 MB.
+#[derive(Clone, Debug)]
+pub struct PathRow {
+    /// Exact distance ([`ROW_UNREACHED`] = none).
+    dist: Box<[u32]>,
+    /// Hop count (chain length) of the shortest path, saturating.
+    hops: Box<[u16]>,
+    /// 2-bit quantized weight class.
+    class: Box<[u8]>,
+    /// Observable mask along the shortest path.
+    obs: ObsRow,
+}
+
+/// Observable masks of one row, a byte each while every edge mask of the
+/// graph fits one (every memory experiment has a single observable).
+#[derive(Clone, Debug)]
+enum ObsRow {
+    Narrow(Box<[u8]>),
+    Wide(Box<[u64]>),
+}
+
+impl PathRow {
+    /// Exact shortest-path weight to node `b` (`i64::MAX` = unreachable).
+    #[inline]
+    pub fn distance(&self, b: u32) -> i64 {
+        match self.dist[b as usize] {
+            ROW_UNREACHED => i64::MAX,
+            d => i64::from(d),
+        }
+    }
+
+    /// Distance to the boundary (the row's last column).
+    #[inline]
+    pub fn boundary_distance(&self) -> i64 {
+        self.distance(self.dist.len() as u32 - 1)
+    }
+
+    /// Observable mask along the shortest path to node `b`.
+    #[inline]
+    pub fn path_obs(&self, b: u32) -> u64 {
+        match &self.obs {
+            ObsRow::Narrow(obs) => u64::from(obs[b as usize]),
+            ObsRow::Wide(obs) => obs[b as usize],
+        }
+    }
+
+    /// Chain length (edge count) of the shortest path to node `b`.
+    #[inline]
+    pub fn path_hops(&self, b: u32) -> u32 {
+        u32::from(self.hops[b as usize])
+    }
+
+    /// The 2-bit quantized class of the path to node `b` (0..=3).
+    #[inline]
+    pub fn path_class(&self, b: u32) -> u8 {
+        self.class[b as usize]
+    }
+}
+
 impl PathTable {
-    /// Builds the table with one Dijkstra run per node.
-    ///
-    /// Cost is O(n · E log n); for the d = 13 graph (~1.2k nodes) this
-    /// takes ≈ 0.15 s in release builds (and ≈ 26 MB) and is intended to
-    /// be done once per (distance, error-rate) configuration.
+    /// Prepares the table over `graph`: the quantization thresholds and
+    /// an empty row store. No search runs until a row is asked for; one
+    /// row costs one Dijkstra (≈ 60 µs on the d = 13 memory graph, whose
+    /// 1 177 rows come to ≈ 11 MB if every one is ever asked).
     pub fn build(graph: &DecodingGraph) -> Self {
         let n = graph.num_detectors() as usize;
-        let rows = n + 1;
-        let mut dist = vec![i64::MAX; rows * rows];
-        let mut obs = vec![0u64; rows * rows];
-        let mut hops = vec![u16::MAX; rows * rows];
-        for src in 0..rows as u32 {
-            let sp = graph.dijkstra(src);
-            let base = src as usize * rows;
-            for t in 0..rows {
-                dist[base + t] = sp.dist[t];
-                obs[base + t] = sp.obs[t];
-                hops[base + t] = sp.hops[t].min(u16::MAX as u32) as u16;
-            }
-        }
         // Quantization thresholds: multiples of the typical (median) edge
         // weight, so classes correspond to chain lengths 1, 2, 3, ≥4.
         let mut edge_weights: Vec<i64> = graph.edges().iter().map(|e| e.weight).collect();
@@ -74,29 +154,17 @@ impl PathTable {
             .copied()
             .unwrap_or(1)
             .max(1);
-        let thresholds = [
-            typical + typical / 2,     // ≤ 1.5 w: one hop
-            2 * typical + typical / 2, // ≤ 2.5 w: two hops
-            3 * typical + typical / 2, // ≤ 3.5 w: three hops
-        ];
-        let class_weights = [typical, 2 * typical, 3 * typical, 4 * typical];
-        let class: Vec<u8> = dist
-            .iter()
-            .map(|&d| {
-                if d == i64::MAX {
-                    3
-                } else {
-                    thresholds.iter().position(|&t| d <= t).unwrap_or(3) as u8
-                }
-            })
-            .collect();
         PathTable {
             n,
-            dist,
-            obs,
-            hops,
-            class,
-            class_weights,
+            graph: graph.clone(),
+            rows: (0..=n).map(|_| OnceLock::new()).collect(),
+            narrow_obs: graph.edges().iter().all(|e| e.obs <= u64::from(u8::MAX)),
+            thresholds: [
+                typical + typical / 2,     // ≤ 1.5 w: one hop
+                2 * typical + typical / 2, // ≤ 2.5 w: two hops
+                3 * typical + typical / 2, // ≤ 3.5 w: three hops
+            ],
+            class_weights: [typical, 2 * typical, 3 * typical, 4 * typical],
         }
     }
 
@@ -105,25 +173,68 @@ impl PathTable {
         self.n
     }
 
+    /// Source rows filled so far. Bounded by the node count, and constant
+    /// once the traffic's sources have all been seen.
+    pub fn rows_filled(&self) -> usize {
+        self.rows.iter().filter(|row| row.get().is_some()).count()
+    }
+
+    /// The row of node `a` (a detector or the boundary index `n`), filled
+    /// on first use. Loops that ask about many `b` from one `a` take the
+    /// row once instead of paying the fill check per cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics at fill if a finite distance does not fit below the `u32`
+    /// sentinel (it would otherwise read as "unreachable").
+    #[inline]
+    pub fn row(&self, a: u32) -> &PathRow {
+        self.rows[a as usize].get_or_init(|| self.fill_row(a))
+    }
+
+    fn fill_row(&self, src: u32) -> PathRow {
+        let sp = self.graph.dijkstra(src);
+        let dist = sp.dist.iter().map(|&d| row_cell(d, src)).collect();
+        let class = sp
+            .dist
+            .iter()
+            .map(|&d| self.thresholds.iter().position(|&t| d <= t).unwrap_or(3) as u8)
+            .collect();
+        PathRow {
+            dist,
+            hops: sp
+                .hops
+                .iter()
+                .map(|&h| h.min(u16::MAX as u32) as u16)
+                .collect(),
+            class,
+            obs: if self.narrow_obs {
+                ObsRow::Narrow(sp.obs.iter().map(|&o| o as u8).collect())
+            } else {
+                ObsRow::Wide(sp.obs.into())
+            },
+        }
+    }
+
     /// Exact shortest-path weight between nodes `a` and `b` (either may
     /// be the boundary index `n`).
     pub fn distance(&self, a: u32, b: u32) -> i64 {
-        self.dist[a as usize * (self.n + 1) + b as usize]
+        self.row(a).distance(b)
     }
 
     /// Observable mask along the shortest path between `a` and `b`.
     pub fn path_obs(&self, a: u32, b: u32) -> u64 {
-        self.obs[a as usize * (self.n + 1) + b as usize]
+        self.row(a).path_obs(b)
     }
 
     /// Chain length (edge count) of the shortest path between `a` and `b`.
     pub fn path_hops(&self, a: u32, b: u32) -> u32 {
-        self.hops[a as usize * (self.n + 1) + b as usize] as u32
+        self.row(a).path_hops(b)
     }
 
     /// The 2-bit quantized class of the pair (0..=3).
     pub fn path_class(&self, a: u32, b: u32) -> u8 {
-        self.class[a as usize * (self.n + 1) + b as usize]
+        self.row(a).path_class(b)
     }
 
     /// The representative weight of the pair's quantized class — what the
@@ -155,8 +266,16 @@ impl PathTable {
     }
 }
 
-/// Row sentinel of [`NoTransitTable`]: no path at any price.
-const ROW_UNREACHED: u32 = u32::MAX;
+/// "No such half-edge" in [`NoTransitTable`]'s per-detector index.
+const NO_HALF_EDGE: u32 = u32::MAX;
+
+/// [`NoTransitTable`] memo byte: the alternative-path question of this
+/// half-edge has not been asked yet.
+const ALT_UNKNOWN: u8 = 0;
+/// Memo byte: the edge is the unique cheapest way across itself.
+const ALT_NONE: u8 = 1;
+/// Memo byte: an alternative path exists at the edge's own price.
+const ALT_SOME: u8 = 2;
 
 /// Shortest distances with the boundary as a **sink**: a path may end at
 /// the boundary node but never pass through it.
@@ -168,7 +287,7 @@ const ROW_UNREACHED: u32 = u32::MAX;
 /// for a lone boundary defect `esc(u)` *is* the local cost, so
 /// `T(u, v) ≤ cost + esc(v)` always holds and decides nothing.
 ///
-/// Two stores, both pure functions of the graph:
+/// Three stores, all pure functions of the graph:
 ///
 /// * **escape** — `esc[v]`, the shortest `v → boundary` distance, built
 ///   eagerly with one Dijkstra from the boundary (the boundary is the
@@ -178,7 +297,14 @@ const ROW_UNREACHED: u32 = u32::MAX;
 ///   behind [`OnceLock`]s: racing first users of one source run exactly
 ///   one fill, and a filled row is a lock-free indexed load, so one
 ///   table serves every window, shot and tenant of a scenario
-///   concurrently.
+///   concurrently;
+/// * **edge facts** — per half-edge of the flat adjacency its weight and
+///   observable mask, and one memo byte answering "is there a second way
+///   across this edge at the edge's own price?"
+///   ([`NoTransitTable::has_alternative`]), filled on first ask by a
+///   search capped at one edge weight. One byte per half-edge, two
+///   half-edges per edge: 602 B for the d = 5 memory graph (301 edges),
+///   12 170 B at d = 13 (6 085 edges) — per scenario, not per tenant.
 ///
 /// The table owns a flat copy of the adjacency, so it borrows nothing
 /// and can be shared by `Arc` next to the window cache.
@@ -186,9 +312,19 @@ const ROW_UNREACHED: u32 = u32::MAX;
 pub struct NoTransitTable {
     n: usize,
     /// Flat adjacency: node `u`'s `(neighbor, weight)` half-edges are
-    /// `adj[adj_start[u]..adj_start[u + 1]]`.
+    /// `adj[adj_start[u]..adj_start[u + 1]]`, in the order of
+    /// [`DecodingGraph::neighbors`].
     adj_start: Vec<u32>,
     adj: Vec<(u32, i64)>,
+    /// Observable mask of each half-edge, parallel to `adj`.
+    adj_obs: Vec<u64>,
+    /// Memo byte of each half-edge, parallel to `adj`: [`ALT_UNKNOWN`]
+    /// until [`NoTransitTable::has_alternative`] is first asked.
+    alt: Vec<AtomicU8>,
+    alt_filled: AtomicUsize,
+    /// `boundary_half[v]`: `v`'s cheapest boundary half-edge
+    /// ([`NO_HALF_EDGE`] = none).
+    boundary_half: Vec<u32>,
     /// `escape[v]`: shortest boundary distance (`i64::MAX` = none).
     escape: Vec<i64>,
     /// `rows[u][v]` = `nt(u, v)` as `u32` ([`ROW_UNREACHED`] = none);
@@ -198,21 +334,40 @@ pub struct NoTransitTable {
 }
 
 impl NoTransitTable {
-    /// Builds the escape vector and an empty row store over `graph`.
+    /// Builds the escape vector, the flat adjacency and the empty row
+    /// and memo stores over `graph`.
     pub fn new(graph: &DecodingGraph) -> Self {
         let n = graph.num_detectors() as usize;
+        let bd = graph.boundary_node();
         let mut adj_start = Vec::with_capacity(n + 2);
-        let mut adj = Vec::with_capacity(2 * graph.num_edges());
+        let mut adj: Vec<(u32, i64)> = Vec::with_capacity(2 * graph.num_edges());
+        let mut adj_obs = Vec::with_capacity(2 * graph.num_edges());
+        let mut boundary_half = vec![NO_HALF_EDGE; n];
         for u in 0..=n as u32 {
             adj_start.push(adj.len() as u32);
-            adj.extend(graph.neighbors(u).map(|(v, e)| (v, e.weight)));
+            for (v, e) in graph.neighbors(u) {
+                // The cheapest boundary edge, first among ties — what
+                // `DecodingGraph::edge_between(u, boundary)` reports.
+                if v == bd && u != bd {
+                    let best = &mut boundary_half[u as usize];
+                    if *best == NO_HALF_EDGE || e.weight < adj[*best as usize].1 {
+                        *best = adj.len() as u32;
+                    }
+                }
+                adj.push((v, e.weight));
+                adj_obs.push(e.obs);
+            }
         }
         adj_start.push(adj.len() as u32);
         NoTransitTable {
             n,
             adj_start,
+            alt: adj.iter().map(|_| AtomicU8::new(ALT_UNKNOWN)).collect(),
+            alt_filled: AtomicUsize::new(0),
             adj,
-            escape: graph.dijkstra(graph.boundary_node()).dist,
+            adj_obs,
+            boundary_half,
+            escape: graph.dijkstra(bd).dist,
             rows: (0..n).map(|_| OnceLock::new()).collect(),
             filled: AtomicUsize::new(0),
         }
@@ -243,6 +398,111 @@ impl NoTransitTable {
         self.filled.load(Ordering::Relaxed)
     }
 
+    /// Node `u`'s `(neighbor, weight)` half-edges.
+    fn adjacent(&self, u: u32) -> &[(u32, i64)] {
+        let (lo, hi) = (self.adj_start[u as usize], self.adj_start[u as usize + 1]);
+        &self.adj[lo as usize..hi as usize]
+    }
+
+    /// Node `u`'s half-edges with their ids.
+    fn half_edges(&self, u: u32) -> impl Iterator<Item = (u32, &(u32, i64))> + '_ {
+        (self.adj_start[u as usize]..).zip(self.adjacent(u))
+    }
+
+    /// The `(half-edge id, neighbor)` pairs of node `u`, in the order of
+    /// [`DecodingGraph::neighbors`]. A half-edge id names one direction
+    /// of one edge and is what the edge-fact getters below take.
+    pub fn neighbors(&self, u: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.half_edges(u).map(|(half, &(v, _))| (half, v))
+    }
+
+    /// The cheapest direct `a → b` half-edge (first among ties), if the
+    /// two are adjacent; `b` may be the boundary node. Names the edge
+    /// [`DecodingGraph::edge_between`] reports.
+    pub fn edge_between(&self, a: u32, b: u32) -> Option<u32> {
+        self.half_edges(a)
+            .filter(|&(_, &(v, _))| v == b)
+            .min_by_key(|&(_, &(_, w))| w)
+            .map(|(half, _)| half)
+    }
+
+    /// Detector `a`'s cheapest direct boundary half-edge, if it has one.
+    pub fn boundary_edge(&self, a: u32) -> Option<u32> {
+        Some(self.boundary_half[a as usize]).filter(|&h| h != NO_HALF_EDGE)
+    }
+
+    /// Weight of half-edge `half`.
+    pub fn weight(&self, half: u32) -> i64 {
+        self.adj[half as usize].1
+    }
+
+    /// Observable mask of half-edge `half`.
+    pub fn obs(&self, half: u32) -> u64 {
+        self.adj_obs[half as usize]
+    }
+
+    /// Whether some path from `half`'s source to its target costs at most
+    /// `half`'s own weight without using a direct edge between the two
+    /// and without transiting the boundary — i.e. whether the edge is
+    /// *not* the unique cheapest way across itself. Memoized per
+    /// half-edge: the first ask searches, every later ask (any window,
+    /// shot or tenant) is one byte load. `half` must leave a detector;
+    /// the boundary is a sink and has no way out.
+    pub fn has_alternative(&self, half: u32) -> bool {
+        // Relaxed suffices: the byte is a pure function of the immutable
+        // adjacency and publishes no other memory. Racing first askers
+        // compute and store the same value, and a reader sees either
+        // "unknown" (and searches itself) or that final value.
+        let memo = &self.alt[half as usize];
+        match memo.load(Ordering::Relaxed) {
+            ALT_NONE => false,
+            ALT_SOME => true,
+            _ => {
+                let found = self.search_alternative(half);
+                memo.store(if found { ALT_SOME } else { ALT_NONE }, Ordering::Relaxed);
+                // A statistic only; racing askers may both count.
+                self.alt_filled.fetch_add(1, Ordering::Relaxed);
+                found
+            }
+        }
+    }
+
+    /// [`NoTransitTable::has_alternative`] searches run so far. Bounded
+    /// by the half-edge count (racing first askers aside), and constant
+    /// once the traffic's edges have all been seen.
+    pub fn alternatives_filled(&self) -> usize {
+        self.alt_filled.load(Ordering::Relaxed)
+    }
+
+    /// The search behind [`NoTransitTable::has_alternative`]: Dijkstra
+    /// from `half`'s source, budget capped at `half`'s weight, the direct
+    /// edges to its target excluded, the boundary never expanded. At
+    /// that cap it settles a handful of nodes, so the settled set is a
+    /// short list rather than a dense array per fill.
+    fn search_alternative(&self, half: u32) -> bool {
+        let src = self.adj_start.partition_point(|&start| start <= half) as u32 - 1;
+        let (dst, cap) = self.adj[half as usize];
+        let bd = self.n as u32;
+        let mut settled: Vec<u32> = Vec::new();
+        let mut heap = BinaryHeap::from([Reverse((0i64, src))]);
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if u == dst {
+                return true;
+            }
+            if u == bd || settled.contains(&u) {
+                continue;
+            }
+            settled.push(u);
+            for &(v, w) in self.adjacent(u) {
+                let nd = d.saturating_add(w);
+                if nd <= cap && !(u == src && v == dst) {
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        false
+    }
+
     /// The distance row of detector `u`, filled on first use.
     fn row(&self, u: u32) -> &[u32] {
         self.rows[u as usize].get_or_init(|| {
@@ -268,8 +528,7 @@ impl NoTransitTable {
             if d > dist[u as usize] || u == bd {
                 continue;
             }
-            let (lo, hi) = (self.adj_start[u as usize], self.adj_start[u as usize + 1]);
-            for &(v, w) in &self.adj[lo as usize..hi as usize] {
+            for &(v, w) in self.adjacent(u) {
                 let nd = d + w;
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;
@@ -277,19 +536,7 @@ impl NoTransitTable {
                 }
             }
         }
-        dist.iter()
-            .map(|&d| {
-                if d == i64::MAX {
-                    ROW_UNREACHED
-                } else {
-                    assert!(
-                        d < i64::from(ROW_UNREACHED),
-                        "no-transit distance {d} from detector {src} overflows the u32 row"
-                    );
-                    d as u32
-                }
-            })
-            .collect()
+        dist.iter().map(|&d| row_cell(d, src)).collect()
     }
 }
 
@@ -338,16 +585,74 @@ mod tests {
 
     #[test]
     fn table_matches_direct_dijkstra() {
+        // Every row, the boundary's included, cell by cell and through
+        // the row handle; rows fill on first ask and only then.
         let g = small_graph();
         let t = PathTable::build(&g);
-        for src in [0u32, 3, 7] {
+        assert_eq!(t.rows_filled(), 0, "rows are lazy");
+        for src in 0..=g.num_detectors() {
             let sp = g.dijkstra(src);
+            let row = t.row(src);
+            assert_eq!(t.rows_filled(), src as usize + 1);
+            assert_eq!(row.boundary_distance(), t.boundary_distance(src));
             for v in 0..=g.num_detectors() {
                 assert_eq!(t.distance(src, v), sp.dist[v as usize]);
                 assert_eq!(t.path_obs(src, v), sp.obs[v as usize]);
                 assert_eq!(t.path_hops(src, v), sp.hops[v as usize]);
+                assert_eq!(row.distance(v), sp.dist[v as usize]);
+                assert_eq!(row.path_obs(v), sp.obs[v as usize]);
+                assert_eq!(row.path_hops(v), sp.hops[v as usize]);
+                assert_eq!(row.path_class(v), t.path_class(src, v));
             }
         }
+        assert_eq!(t.rows_filled(), g.num_detectors() as usize + 1);
+        assert_eq!(
+            t.clone().rows_filled(),
+            t.rows_filled(),
+            "a clone keeps its rows"
+        );
+    }
+
+    #[test]
+    fn racing_askers_of_one_row_fill_it_once() {
+        let g = medium_graph();
+        let t = PathTable::build(&g);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    assert_eq!(t.distance(7, 7), 0);
+                });
+            }
+        });
+        assert_eq!(t.rows_filled(), 1);
+    }
+
+    #[test]
+    fn wide_masks_and_unreachable_nodes_survive_the_narrow_rows() {
+        use crate::graph::Edge;
+        let edge = |u, v, weight, obs| Edge {
+            u,
+            v,
+            weight,
+            probability: 0.01,
+            obs,
+        };
+        // 0–1–boundary with a mask past one byte; 2 hangs off nothing.
+        let g = DecodingGraph::from_parts(
+            3,
+            12,
+            vec![edge(0, 1, 5, 1 << 11), edge(1, 3, 7, 1)],
+            vec![[0.0; 3]; 3],
+        );
+        let t = PathTable::build(&g);
+        assert_eq!(t.path_obs(0, 3), (1 << 11) | 1);
+        assert_eq!(t.boundary_distance(0), 12);
+        assert_eq!(t.path_hops(0, 3), 2);
+        assert_eq!(t.distance(0, 2), i64::MAX);
+        assert_eq!(t.path_class(0, 2), 3);
+        assert_eq!(t.distance(2, 2), 0);
     }
 
     #[test]
@@ -488,6 +793,83 @@ mod tests {
         assert_eq!(nt.rows_filled(), 1);
         assert!(nt.within(7, 7, 0));
         assert_eq!(nt.rows_filled(), 1, "a filled row is only read");
+    }
+
+    #[test]
+    fn edge_facts_name_the_cheapest_parallel_edge_and_memoize_the_alternative() {
+        use crate::graph::Edge;
+        let edge = |u, v, weight, obs| Edge {
+            u,
+            v,
+            weight,
+            probability: 0.01,
+            obs,
+        };
+        // 0–1 directly at 5 (and, dearer, at 8); 0–2–1 at 3 + 2: a tie
+        // is an alternative. 2–3 at 6 has none: the only other way
+        // round, 2–0–boundary–3 at 3 + 1 + 1, transits the sink. 0 and
+        // 3 touch the boundary, 0 twice with the cheaper copy second.
+        let bd = 4;
+        let g = DecodingGraph::from_parts(
+            4,
+            2,
+            vec![
+                edge(0, 1, 8, 0),
+                edge(0, 1, 5, 1),
+                edge(0, 2, 3, 0),
+                edge(1, 2, 2, 0),
+                edge(2, 3, 6, 2),
+                edge(0, bd, 9, 0),
+                edge(0, bd, 1, 3),
+                edge(3, bd, 1, 0),
+            ],
+            vec![[0.0; 3]; 4],
+        );
+        let nt = NoTransitTable::new(&g);
+        for (a, b) in [(0, 1), (1, 0), (2, 3), (3, 2), (0, bd), (3, bd), (1, 2)] {
+            let half = nt.edge_between(a, b).expect("adjacent");
+            let e = g.edge_between(a, b).unwrap();
+            assert_eq!(
+                (nt.weight(half), nt.obs(half)),
+                (e.weight, e.obs),
+                "({a},{b})"
+            );
+            assert!(nt.neighbors(a).any(|(h, v)| h == half && v == b));
+        }
+        assert_eq!(nt.edge_between(1, 3), None);
+        assert_eq!(nt.boundary_edge(1), None);
+        assert_eq!(nt.boundary_edge(0), nt.edge_between(0, bd));
+        assert_eq!(nt.alternatives_filled(), 0, "the memo is lazy");
+        let ask = |a, b| nt.has_alternative(nt.edge_between(a, b).unwrap());
+        assert!(ask(0, 1) && ask(1, 0), "0–2–1 ties the direct edge");
+        assert!(!ask(2, 3) && !ask(3, 2));
+        assert!(!ask(0, bd), "the dearer parallel edge is excluded too");
+        assert!(!ask(3, bd));
+        assert_eq!(nt.alternatives_filled(), 6);
+        assert!(ask(0, 1) && !ask(2, 3) && !ask(0, bd));
+        assert_eq!(nt.alternatives_filled(), 6, "a memoized byte is only read");
+    }
+
+    #[test]
+    fn racing_askers_of_one_edge_agree() {
+        let g = medium_graph();
+        let nt = NoTransitTable::new(&g);
+        let half = nt
+            .boundary_edge(0)
+            .expect("detector 0 is boundary-adjacent");
+        let barrier = std::sync::Barrier::new(2);
+        let answers: Vec<bool> = std::thread::scope(|scope| {
+            let asker = || {
+                barrier.wait();
+                nt.has_alternative(half)
+            };
+            let handles = [scope.spawn(asker), scope.spawn(asker)];
+            handles.map(|h| h.join().unwrap()).to_vec()
+        });
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(nt.has_alternative(half), answers[0]);
+        // Both may have searched; neither search is repeated afterwards.
+        assert!((1..=2).contains(&nt.alternatives_filled()));
     }
 
     /// Detectors 0–1 joined by an edge of `weight`; only 0 touches the

@@ -144,15 +144,16 @@ impl DecodingSubgraph {
         let n = self.nodes.len();
         let mut seen = vec![false; n];
         let mut out = Vec::new();
+        let mut stack = Vec::new();
         for start in 0..n {
             if seen[start] {
                 continue;
             }
             let mut comp = vec![start];
             seen[start] = true;
-            let mut stack = vec![start];
+            stack.push(start);
             while let Some(u) = stack.pop() {
-                for v in self.neighbors(u).collect::<Vec<_>>() {
+                for v in self.neighbors(u) {
                     if !seen[v] {
                         seen[v] = true;
                         comp.push(v);

@@ -276,14 +276,15 @@ impl GraphWindow {
 }
 
 /// One extracted window together with its all-pairs path table — the
-/// immutable per-layer-range state a sliding-window decoder needs.
+/// per-layer-range state a sliding-window decoder needs.
 ///
-/// Building one of these is the expensive part of window decoding
-/// (subgraph extraction plus an all-pairs Dijkstra), while using one is
-/// read-only. [`WindowCache`] therefore hands them out behind [`Arc`] so
-/// any number of concurrent consumers — the per-decoder fan-out of
-/// `repro realtime`, or every tenant of a multi-tenant decode service —
-/// share a single copy per layer range.
+/// Extracting the subgraph is paid at build; the path table fills a
+/// source row at a time as decodes ask ([`PathTable::row`]), and a
+/// filled row is read-only. [`WindowCache`] hands contexts out behind
+/// [`Arc`] so any number of concurrent consumers — the per-decoder
+/// fan-out of `repro realtime`, or every tenant of a multi-tenant decode
+/// service — share a single copy per layer range, and each row is
+/// searched once between them.
 #[derive(Clone, Debug)]
 pub struct WindowContext {
     win: GraphWindow,
@@ -408,8 +409,8 @@ impl WindowCache {
     /// Returns the cached window for layers `key = (lo, hi)` covering
     /// detector `range`, building (and retaining) it on first use.
     ///
-    /// The expensive build (subgraph extraction plus an all-pairs
-    /// Dijkstra) runs *outside* the map lock: the lock is held only to
+    /// The build (subgraph extraction; the path table's rows fill
+    /// later, on use) runs *outside* the map lock: the lock is held only to
     /// fetch-or-insert the key's once-cell, then the build runs inside
     /// the cell. Concurrent consumers warming *different* ranges build
     /// in parallel and hits never stall behind a miss; racing callers of

@@ -139,10 +139,10 @@ pub struct ExperimentContext {
     pub dem: DetectorErrorModel,
     /// The decoding graph.
     pub graph: DecodingGraph,
-    /// All-pairs shortest-path data over the whole graph. Lazy: the
-    /// window engine and the decode service only ever read per-window
-    /// tables, and at d = 13 this one is ≈ 26 MB and most of the
-    /// context's build time.
+    /// All-pairs shortest-path data over the whole graph. Created on
+    /// first call — the window engine and the decode service only ever
+    /// read per-window tables — and filled a source row at a time from
+    /// then on (≈ 11 MB at d = 13 once every row has been asked).
     paths: OnceLock<PathTable>,
 }
 
@@ -196,8 +196,8 @@ impl ExperimentContext {
         }
     }
 
-    /// All-pairs shortest-path data over the whole graph, built on
-    /// first call.
+    /// All-pairs shortest-path data over the whole graph, created on
+    /// first call; its rows fill as decoders ask.
     pub fn paths(&self) -> &PathTable {
         self.paths.get_or_init(|| PathTable::build(&self.graph))
     }

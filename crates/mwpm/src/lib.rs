@@ -126,15 +126,16 @@ impl Decoder for MwpmDecoder<'_> {
         edges.clear();
         let mut feasible = true;
         for i in 0..k {
+            let from_i = self.paths.row(dets[i]);
             for j in (i + 1)..k {
-                let d = self.paths.distance(dets[i], dets[j]);
+                let d = from_i.distance(dets[j]);
                 if d == i64::MAX {
                     feasible = false;
                     continue;
                 }
                 edges.push((i, j, d));
             }
-            let bd = self.paths.boundary_distance(dets[i]);
+            let bd = from_i.boundary_distance();
             if bd == i64::MAX {
                 feasible = false;
             } else {

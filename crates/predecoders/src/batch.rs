@@ -35,13 +35,23 @@
 //!   with the graph;
 //! * **cross distances** between batch defects are read from per-source
 //!   rows that are filled by one Dijkstra the first time a source is
-//!   asked and kept for the life of the scenario — both live in
+//!   asked and kept for the life of the scenario — all of this lives in
 //!   [`decoding_graph::NoTransitTable`], one copy per parent graph,
 //!   shared by every window, shot and tenant;
-//! * only the two *alternative-path* questions (is there a second way
-//!   across this one edge at the edge's own price?) still search, with
-//!   the edge excluded and the budget capped at one edge weight — a
-//!   handful of heap pops.
+//! * the two *alternative-path* questions (is there a second way across
+//!   this one edge at the edge's own price?) are a memo byte per
+//!   half-edge of the same table: the first ask runs a search with the
+//!   edge excluded and the budget capped at one edge weight, every
+//!   later ask — any window, shot or tenant — reads the byte;
+//! * an edge's weight and observable mask come from the table's flat
+//!   adjacency, where the shape scan below already found the edge.
+//!
+//! Nor is a subgraph built: a component is a trivial chain iff its
+//! defects have induced degree 0, or degree 1 with a degree-1 partner,
+//! so one pass over each defect's neighbour row against a detector →
+//! slot scratch classifies the whole batch, and a batch with any
+//! non-trivial component leaves the verified path before a single
+//! weight, distance or memo byte is read.
 //!
 //! The all-pairs [`decoding_graph::PathTable`] cannot stand in for the
 //! rows: it lets paths transit the boundary, so for any lone boundary
@@ -58,10 +68,11 @@
 
 use decoding_graph::latency::cycles_to_ns;
 use decoding_graph::packed::{self, WordSpan};
-use decoding_graph::{DecodingGraph, DecodingSubgraph, DetectorId, NoTransitTable};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use decoding_graph::{DecodingGraph, DetectorId, NoTransitTable};
 use std::sync::Arc;
+
+#[cfg(test)]
+mod reference;
 
 /// Cycles charged by the batch predecoder per window: one cycle for the
 /// round-cancellation bit operation plus one for the local match units
@@ -73,15 +84,12 @@ pub const BATCH_PREDECODE_CYCLES: u64 = 2;
 /// units, and dense batches are overwhelmingly complex anyway).
 pub const MAX_L1_DEFECTS: usize = 12;
 
-/// Sentinel for "no path within the probe cap"; also what
-/// [`NoTransitTable::escape`] reports for a component with no boundary.
+/// "No direct boundary edge"; also what [`NoTransitTable::escape`]
+/// reports for a component with no boundary.
 const UNREACHED: i64 = i64::MAX;
 
-/// Effectively-uncapped probe budget of the search-based test oracle
-/// (kept far from `i64::MAX` so caps derived from it survive
-/// `saturating_add`).
-#[cfg(test)]
-const PROBE_CAP: i64 = i64::MAX / 4;
+/// "Not in the list under scan" in the detector → slot scratch.
+const NO_SLOT: u32 = u32::MAX;
 
 /// One locally resolved match: the correction the L1 tier commits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,7 +148,8 @@ impl EscalateCause {
     }
 }
 
-/// Result of predecoding one batch (one sliding-window step).
+/// Result of predecoding one batch (one sliding-window step). The
+/// predecoder owns the one it fills and lends it out per call.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchOutcome {
     /// Locally resolved matches, in deterministic (sorted-input) order.
@@ -184,15 +193,18 @@ pub struct L1BatchStats {
 /// The batch predecoder.
 ///
 /// Holds the precomputed time-adjacency (which detector is the same
-/// stabilizer one round earlier), a handle on the parent graph's
-/// [`NoTransitTable`] (escape vector + memoized distance rows; shared
-/// with every other predecoder built from the same table) and a
-/// reusable decoding subgraph, so steady-state predecoding allocates
-/// nothing beyond the outcome.
+/// stabilizer one round earlier) and a handle on the parent graph's
+/// [`NoTransitTable`] — flat adjacency, escape vector, memoized distance
+/// rows and per-edge memo bytes, shared with every other predecoder
+/// built from the same table. The graph is read at construction only:
+/// every fact a decode needs comes out of the table. All scratch and
+/// every result list ([`BatchOutcome`] included) is owned here and
+/// reused, so once the lists have reached their working size and the
+/// traffic's rows and memo bytes are filled, a batch — empty, resolved
+/// or escalated — allocates nothing.
 #[derive(Clone, Debug)]
-pub struct BatchPredecoder<'a> {
-    graph: &'a DecodingGraph,
-    /// Boundary escapes and cross distances of `graph`, by lookup.
+pub struct BatchPredecoder {
+    /// Edge facts, boundary escapes and cross distances, by lookup.
     table: Arc<NoTransitTable>,
     /// `time_prev[d]` = the same-coordinate detector one layer earlier,
     /// when the decoding graph has an edge between them.
@@ -207,9 +219,12 @@ pub struct BatchPredecoder<'a> {
     /// the packed cancellation so spurious `d / d - L` coincidences
     /// without a time edge never pair.
     has_prev: Vec<u64>,
-    sg: DecodingSubgraph,
-    /// Scratch: `active[d]` while a call is in flight.
-    active: Vec<bool>,
+    /// Scratch: `slot_of[d]` = `d`'s position in the list being swept or
+    /// scanned, [`NO_SLOT`] everywhere outside a call (the boundary
+    /// node's entry always).
+    slot_of: Vec<u32>,
+    /// Scratch: the induced shape of each slot of the last scanned list.
+    shape: Vec<Shape>,
     /// Packed scratch: live defect words during a packed call.
     pw: Vec<u64>,
     /// Packed scratch: stride-shifted copy / pair-clear mask.
@@ -218,40 +233,52 @@ pub struct BatchPredecoder<'a> {
     pand: Vec<u64>,
     /// Packed scratch: window-local slice of [`Self::has_prev`].
     pprev: Vec<u64>,
-    /// Alternative-path probe scratch: tentative distances (boundary
-    /// node included).
-    dist: Vec<i64>,
-    /// Alternative-path probe scratch: nodes whose `dist` entry must be
-    /// reset.
-    touched: Vec<u32>,
-    /// Alternative-path probe scratch: the frontier heap.
-    heap: BinaryHeap<Reverse<(i64, u32)>>,
+    /// Pooled: the defect list of a packed batch.
+    dets: Vec<DetectorId>,
+    /// Pooled: what the last round-cancellation sweep left standing.
+    survivors: Vec<DetectorId>,
+    /// Pooled: the `(prev, curr)` pairs the last sweep cancelled.
+    pairs: Vec<(DetectorId, DetectorId)>,
+    /// Pooled: per slot, the cost of its component's local resolution.
+    costs: Vec<i64>,
+    /// Pooled: the outcome the two decode entry points lend out.
+    out: BatchOutcome,
     /// Cumulative resolve/escalate counters over this instance's life.
     stats: L1BatchStats,
-    /// Test oracle: answer escape and cross questions by searching the
-    /// graph, as the predecoder did before the table existed.
-    #[cfg(test)]
-    search_oracle: bool,
 }
 
-impl<'a> BatchPredecoder<'a> {
+/// What one slot of a scanned defect list looks like inside the subgraph
+/// the list induces — all the verified path needs to know of it.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    /// In-list neighbours, one per half-edge (parallel edges count
+    /// twice, self-loops and the boundary never).
+    deg: u32,
+    /// Slot of the last in-list neighbour seen: *the* partner when
+    /// `deg == 1`.
+    only: u32,
+    /// Half-edge to `only`.
+    half: u32,
+}
+
+impl BatchPredecoder {
     /// Builds the predecoder over `graph` with a private
     /// [`NoTransitTable`]. Drivers that decode one graph from several
     /// places should share one table through
     /// [`BatchPredecoder::with_table`] instead.
-    pub fn new(graph: &'a DecodingGraph) -> Self {
+    pub fn new(graph: &DecodingGraph) -> Self {
         Self::with_table(graph, Arc::new(NoTransitTable::new(graph)))
     }
 
     /// Builds the predecoder over `graph`, precomputing the time-like
     /// adjacency from the detector coordinates (same `(x, y)`, layers
-    /// one apart, connected by an edge) and reading distances from
+    /// one apart, connected by an edge) and reading everything else from
     /// `table`, which must have been built from the same graph.
     ///
     /// # Panics
     ///
     /// Panics if `table` does not cover `graph`'s detectors.
-    pub fn with_table(graph: &'a DecodingGraph, table: Arc<NoTransitTable>) -> Self {
+    pub fn with_table(graph: &DecodingGraph, table: Arc<NoTransitTable>) -> Self {
         let n = graph.num_detectors() as usize;
         assert_eq!(
             table.num_detectors(),
@@ -295,23 +322,29 @@ impl<'a> BatchPredecoder<'a> {
             }
         }
         BatchPredecoder {
-            graph,
             table,
             time_prev,
             stride: stride.filter(|_| uniform),
             has_prev,
-            sg: DecodingSubgraph::new(),
-            active: vec![false; n],
+            slot_of: vec![NO_SLOT; n + 1],
+            shape: Vec::new(),
             pw: Vec::new(),
             pshift: Vec::new(),
             pand: Vec::new(),
             pprev: Vec::new(),
-            dist: vec![UNREACHED; n + 1],
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
+            dets: Vec::new(),
+            survivors: Vec::new(),
+            pairs: Vec::new(),
+            costs: Vec::new(),
+            out: BatchOutcome {
+                matches: Vec::new(),
+                residual: Vec::new(),
+                complex: false,
+                cause: EscalateCause::None,
+                cancelled_pairs: 0,
+                latency_ns: cycles_to_ns(BATCH_PREDECODE_CYCLES),
+            },
             stats: L1BatchStats::default(),
-            #[cfg(test)]
-            search_oracle: false,
         }
     }
 
@@ -319,17 +352,6 @@ impl<'a> BatchPredecoder<'a> {
     /// batches L1 fully resolved vs. escalated to the solver.
     pub fn batch_stats(&self) -> L1BatchStats {
         self.stats
-    }
-
-    /// Tallies `out` into the lifetime counters. Empty batches (nothing
-    /// matched, nothing cancelled, nothing escalated) are not counted.
-    fn tally(&mut self, out: BatchOutcome) -> BatchOutcome {
-        if !out.residual.is_empty() {
-            self.stats.escalated += 1;
-        } else if !out.matches.is_empty() || out.cancelled_pairs > 0 {
-            self.stats.resolved += 1;
-        }
-        out
     }
 
     /// The uniform time-like stride, when the graph has one: `Some(L)`
@@ -341,149 +363,48 @@ impl<'a> BatchPredecoder<'a> {
         self.stride
     }
 
-    /// Shortest distance from `v` to the boundary ([`UNREACHED`] when
-    /// its component has none).
-    fn escape(&mut self, v: DetectorId) -> i64 {
-        #[cfg(test)]
-        if self.search_oracle {
-            let bd = self.graph.boundary_node();
-            return self.probe(v, bd, PROBE_CAP, None);
-        }
-        self.table.escape(v)
-    }
-
-    /// Whether some `u → v` chain that does not transit the boundary
-    /// costs at most `cap`.
-    fn reaches(&mut self, u: DetectorId, v: DetectorId, cap: i64) -> bool {
-        #[cfg(test)]
-        if self.search_oracle {
-            return self.probe(u, v, cap, None) != UNREACHED;
-        }
-        self.table.within(u, v, cap)
-    }
-
-    /// Capped Dijkstra probe: the cheapest path `src → dst` of cost
-    /// ≤ `cap`, optionally excluding one direct edge (to ask "is there
-    /// an *alternative* at this price?"). Returns [`UNREACHED`] when
-    /// every such path costs more than `cap` — the only fact the
-    /// classifier needs, so the search never expands past the cap. The
-    /// boundary node is a sink: matching paths may end there but never
-    /// pass through it. Decoding only ever calls it with the edge
-    /// excluded and `cap` = that edge's weight; everything wider is a
-    /// [`NoTransitTable`] lookup.
-    fn probe(&mut self, src: u32, dst: u32, cap: i64, exclude: Option<(u32, u32)>) -> i64 {
-        let bd = self.graph.boundary_node();
-        debug_assert!(src != bd);
-        self.heap.clear();
-        self.dist[src as usize] = 0;
-        self.touched.push(src);
-        self.heap.push(Reverse((0, src)));
-        let mut found = UNREACHED;
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > cap {
-                break;
-            }
-            if d > self.dist[u as usize] {
-                continue;
-            }
-            if u == dst {
-                found = d;
-                break;
-            }
-            if u == bd {
-                continue; // sink: no transit through the boundary
-            }
-            for (v, e) in self.graph.neighbors(u) {
-                if let Some((x, y)) = exclude {
-                    if (u == x && v == y) || (u == y && v == x) {
-                        continue;
-                    }
-                }
-                let nd = d.saturating_add(e.weight);
-                if nd <= cap && nd < self.dist[v as usize] {
-                    self.dist[v as usize] = nd;
-                    self.touched.push(v);
-                    self.heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        for &t in &self.touched {
-            self.dist[t as usize] = UNREACHED;
-        }
-        self.touched.clear();
-        found
+    /// The same-stabilizer detector one round earlier, if the decoding
+    /// graph carries a measurement (time-like) edge to it.
+    pub fn time_prev(&self, d: DetectorId) -> Option<DetectorId> {
+        self.time_prev[d as usize]
     }
 
     /// Weight of `d`'s direct boundary edge, or [`UNREACHED`] if it has
     /// none.
     fn boundary_weight(&self, d: DetectorId) -> i64 {
-        let bd = self.graph.boundary_node();
-        self.graph
-            .edge_between(d, bd)
-            .map_or(UNREACHED, |e| e.weight)
+        self.table
+            .boundary_edge(d)
+            .map_or(UNREACHED, |half| self.table.weight(half))
     }
 
-    /// Verifies that resolving component `comp` (a trivial shape) through
-    /// its own edge is strictly cheaper than every alternative, and
-    /// returns the resolution's `(match, cost)`. `None` ⇒ ambiguous or
-    /// suboptimal ⇒ the component must escalate.
-    fn verify_component(
-        &mut self,
-        nodes: &[DetectorId],
-        comp: &[usize],
-    ) -> Option<(LocalMatch, i64)> {
-        let bd = self.graph.boundary_node();
-        match comp {
-            [slot] => {
-                let a = nodes[*slot];
-                let e = self.graph.edge_between(a, bd)?;
-                let (w, obs) = (e.weight, e.obs);
-                // The direct boundary edge must be the unique cheapest
-                // way out — a tied alternative could carry different
-                // observable parity.
-                if self.probe(a, bd, w, Some((a, bd))) != UNREACHED {
-                    return None;
-                }
-                Some((
-                    LocalMatch {
-                        a,
-                        b: None,
-                        obs,
-                        weight: w,
-                    },
-                    w,
-                ))
-            }
-            [sa, sb] => self.verify_pair(nodes[*sa], nodes[*sb]),
-            _ => None,
-        }
+    /// Verifies that sending the lone defect `a` down its own boundary
+    /// edge is the unique cheapest way out — a tied alternative could
+    /// carry different observable parity. `None` ⇒ no such edge, or
+    /// ambiguous ⇒ the defect must escalate.
+    fn verify_lone(&self, a: DetectorId) -> Option<LocalMatch> {
+        let half = self.table.boundary_edge(a)?;
+        (!self.table.has_alternative(half)).then(|| LocalMatch {
+            a,
+            b: None,
+            obs: self.table.obs(half),
+            weight: self.table.weight(half),
+        })
     }
 
-    /// Verifies that matching `a` directly to `b` is strictly cheaper
-    /// than splitting the pair to the boundary and than every indirect
-    /// `a → b` path, and returns the resolution's `(match, cost)`.
-    fn verify_pair(&mut self, a: DetectorId, b: DetectorId) -> Option<(LocalMatch, i64)> {
-        let e = self.graph.edge_between(a, b)?;
-        let (w, obs) = (e.weight, e.obs);
-        if self
+    /// Verifies that matching `a` to `b` across `half` (the cheapest
+    /// direct `a → b` half-edge) is strictly cheaper than splitting the
+    /// pair to the boundary and than every indirect `a → b` path.
+    fn verify_pair(&self, a: DetectorId, b: DetectorId, half: u32) -> Option<LocalMatch> {
+        let weight = self.table.weight(half);
+        let split = self
             .boundary_weight(a)
-            .saturating_add(self.boundary_weight(b))
-            <= w
-        {
-            return None;
-        }
-        if self.probe(a, b, w, Some((a, b))) != UNREACHED {
-            return None;
-        }
-        Some((
-            LocalMatch {
-                a: a.min(b),
-                b: Some(a.max(b)),
-                obs,
-                weight: w,
-            },
-            w,
-        ))
+            .saturating_add(self.boundary_weight(b));
+        (split > weight && !self.table.has_alternative(half)).then(|| LocalMatch {
+            a: a.min(b),
+            b: Some(a.max(b)),
+            obs: self.table.obs(half),
+            weight,
+        })
     }
 
     /// Exchange-argument isolation: stripping `members` at `cost` is
@@ -492,32 +413,52 @@ impl<'a> BatchPredecoder<'a> {
     /// `cost` plus `v`'s own shortest boundary escape (any matching that
     /// pairs into `members` can then be strictly improved by resolving
     /// `members` locally and routing `v` to the boundary).
-    fn isolated_from_rest(
-        &mut self,
-        members: &[DetectorId],
-        cost: i64,
-        all: &[DetectorId],
-    ) -> bool {
-        for &v in all {
-            if members.contains(&v) {
-                continue;
-            }
+    fn isolated_from_rest(&self, members: &[DetectorId], cost: i64, all: &[DetectorId]) -> bool {
+        all.iter().filter(|&&v| !members.contains(&v)).all(|&v| {
             // Saturates to `i64::MAX` when `v` has no escape; an
             // unreachable `v` is still not within that cap.
-            let cap = cost.saturating_add(self.escape(v));
-            for &u in members {
-                if self.reaches(u, v, cap) {
-                    return false;
-                }
-            }
-        }
-        true
+            let cap = cost.saturating_add(self.table.escape(v));
+            !members.iter().any(|&u| self.table.within(u, v, cap))
+        })
     }
 
-    /// The same-stabilizer detector one round earlier, if the decoding
-    /// graph carries a measurement (time-like) edge to it.
-    pub fn time_prev(&self, d: DetectorId) -> Option<DetectorId> {
-        self.time_prev[d as usize]
+    /// Fills [`Self::shape`] for `dets`: one pass over each defect's flat
+    /// neighbour row against the detector → slot scratch. Reads neighbour
+    /// ids only — no weight, distance or memo byte.
+    fn scan(&mut self, dets: &[DetectorId]) {
+        for (slot, &d) in dets.iter().enumerate() {
+            self.slot_of[d as usize] = slot as u32;
+        }
+        self.shape.clear();
+        for &d in dets {
+            let mut shape = Shape {
+                deg: 0,
+                only: NO_SLOT,
+                half: 0,
+            };
+            for (half, v) in self.table.neighbors(d) {
+                let slot = self.slot_of[v as usize];
+                if slot != NO_SLOT && v != d {
+                    shape = Shape {
+                        deg: shape.deg + 1,
+                        only: slot,
+                        half,
+                    };
+                }
+            }
+            self.shape.push(shape);
+        }
+        for &d in dets {
+            self.slot_of[d as usize] = NO_SLOT;
+        }
+    }
+
+    /// Whether `slot`'s component of the scanned list is a trivial chain:
+    /// a lone defect, or two defects joined by exactly one edge and to
+    /// nothing else.
+    fn trivial(&self, slot: usize) -> bool {
+        let s = self.shape[slot];
+        s.deg == 0 || (s.deg == 1 && self.shape[s.only as usize].deg == 1)
     }
 
     /// Pinball round cancellation over a batch of active defects.
@@ -531,39 +472,44 @@ impl<'a> BatchPredecoder<'a> {
     /// leave their newest defect standing, exactly like the sequential
     /// bit operation.
     ///
-    /// Returns `(survivors, cancelled_pairs)`; survivors stay sorted.
+    /// Returns `(survivors, cancelled_pairs)`, borrowed until the next
+    /// call; survivors stay sorted.
     pub fn cancel_rounds(
         &mut self,
         dets: &[DetectorId],
-    ) -> (Vec<DetectorId>, Vec<(DetectorId, DetectorId)>) {
+    ) -> (&[DetectorId], &[(DetectorId, DetectorId)]) {
+        self.sweep_sparse(dets);
+        (&self.survivors, &self.pairs)
+    }
+
+    fn sweep_sparse(&mut self, dets: &[DetectorId]) {
+        const ACTIVE: u32 = 0;
         for &d in dets {
-            self.active[d as usize] = true;
+            self.slot_of[d as usize] = ACTIVE;
         }
-        let mut pairs = Vec::new();
+        self.pairs.clear();
         // Ascending id = ascending layer (LayerMap detectors are
         // layer-contiguous), so each defect sees its predecessor's
         // post-cancellation state: the sequential pairwise sweep.
         for &d in dets {
-            if !self.active[d as usize] {
+            if self.slot_of[d as usize] == NO_SLOT {
                 continue;
             }
             if let Some(p) = self.time_prev[d as usize] {
-                if self.active[p as usize] {
-                    self.active[p as usize] = false;
-                    self.active[d as usize] = false;
-                    pairs.push((p, d));
+                if self.slot_of[p as usize] != NO_SLOT {
+                    self.slot_of[p as usize] = NO_SLOT;
+                    self.slot_of[d as usize] = NO_SLOT;
+                    self.pairs.push((p, d));
                 }
             }
         }
-        let survivors: Vec<DetectorId> = dets
-            .iter()
-            .copied()
-            .filter(|&d| self.active[d as usize])
-            .collect();
+        self.survivors.clear();
         for &d in dets {
-            self.active[d as usize] = false;
+            if self.slot_of[d as usize] != NO_SLOT {
+                self.survivors.push(d);
+                self.slot_of[d as usize] = NO_SLOT;
+            }
         }
-        (survivors, pairs)
     }
 
     /// Word-parallel Pinball round cancellation: the literal
@@ -586,89 +532,86 @@ impl<'a> BatchPredecoder<'a> {
         &mut self,
         words: &[u64],
         base: DetectorId,
-    ) -> (Vec<DetectorId>, Vec<(DetectorId, DetectorId)>) {
-        let Some(stride) = self.stride else {
-            let mut dets = Vec::new();
-            packed::for_each_set_bit(words, |b| dets.push(base + b as DetectorId));
-            return self.cancel_rounds(&dets);
-        };
-        let l = stride as usize;
+    ) -> (&[DetectorId], &[(DetectorId, DetectorId)]) {
+        match self.stride {
+            Some(stride) => self.sweep_packed(words, base, stride as usize),
+            None => {
+                let mut dets = std::mem::take(&mut self.dets);
+                dets.clear();
+                packed::for_each_set_bit(words, |b| dets.push(base + b as DetectorId));
+                self.sweep_sparse(&dets);
+                self.dets = dets;
+            }
+        }
+        (&self.survivors, &self.pairs)
+    }
+
+    fn sweep_packed(&mut self, words: &[u64], base: DetectorId, l: usize) {
         let nbits = words.len() * packed::WORD_BITS;
         // Window-local slice of the measurement-edge mask: one funnel
         // shift per word, no per-detector lookups.
-        let mut pprev = std::mem::take(&mut self.pprev);
         WordSpan::new(base as usize, base as usize + nbits)
-            .extract_into(&self.has_prev, &mut pprev);
-        let mut w = std::mem::take(&mut self.pw);
+            .extract_into(&self.has_prev, &mut self.pprev);
+        let (w, shifted, and) = (&mut self.pw, &mut self.pshift, &mut self.pand);
         w.clear();
         w.extend_from_slice(words);
-        let mut shifted = std::mem::take(&mut self.pshift);
         shifted.resize(w.len(), 0);
-        let mut and = std::mem::take(&mut self.pand);
         and.resize(w.len(), 0);
-        let mut pairs = Vec::new();
+        self.pairs.clear();
         let mut layer = 1usize;
         while layer * l < nbits {
             // shifted bit i = live bit i - L: the layer below, aligned.
-            packed::shl_into(&w, l, &mut shifted);
+            packed::shl_into(w, l, shifted);
             for i in 0..w.len() {
-                and[i] = w[i] & shifted[i] & pprev[i];
+                and[i] = w[i] & shifted[i] & self.pprev[i];
             }
-            packed::mask_to_range(&mut and, layer * l, (layer + 1) * l);
+            packed::mask_to_range(and, layer * l, (layer + 1) * l);
             if and.iter().any(|&x| x != 0) {
-                packed::for_each_set_bit(&and, |b| {
-                    pairs.push((base + (b - l) as DetectorId, base + b as DetectorId));
+                packed::for_each_set_bit(and, |b| {
+                    self.pairs
+                        .push((base + (b - l) as DetectorId, base + b as DetectorId));
                 });
                 // curr ^= and; prev ^= and >> L.
-                packed::xor_accumulate(&mut w, &and);
-                packed::shr_into(&and, l, &mut shifted);
-                packed::xor_accumulate(&mut w, &shifted);
+                packed::xor_accumulate(w, and);
+                packed::shr_into(and, l, shifted);
+                packed::xor_accumulate(w, shifted);
             }
             layer += 1;
         }
-        let mut survivors = Vec::new();
-        packed::for_each_set_bit(&w, |b| survivors.push(base + b as DetectorId));
-        self.pprev = pprev;
-        self.pw = w;
-        self.pshift = shifted;
-        self.pand = and;
-        (survivors, pairs)
+        self.survivors.clear();
+        packed::for_each_set_bit(w, |b| self.survivors.push(base + b as DetectorId));
     }
 
-    /// Whether `dets` would be classified non-complex: every component of
-    /// its decoding subgraph is a trivial chain (lone boundary-adjacent
-    /// defect or isolated adjacent pair) whose local resolution is the
-    /// provably unique minimum-weight matching of the batch.
-    pub fn is_trivial(&mut self, dets: &[DetectorId]) -> bool {
-        if dets.is_empty() {
-            return true;
-        }
-        if dets.len() > MAX_L1_DEFECTS {
+    /// Attempts the verified non-complex resolution of `dets` into
+    /// `out.matches`: every component must be a trivial shape — decided
+    /// for the whole batch before any weight, distance or memo byte is
+    /// read — every local edge must strictly beat its alternatives, and
+    /// components must be weight-isolated from one another (see module
+    /// docs). `false` ⇒ something is non-trivial, ambiguous or
+    /// suboptimal and the batch must escalate.
+    fn try_resolve_verified(&mut self, dets: &[DetectorId]) -> bool {
+        self.scan(dets);
+        if !(0..dets.len()).all(|slot| self.trivial(slot)) {
             return false;
         }
-        self.sg.rebuild(self.graph, dets);
-        self.try_resolve_verified().is_some()
-    }
-
-    /// Attempts the verified non-complex resolution of the current
-    /// subgraph. Every component must be a trivial shape, every local
-    /// edge must strictly beat its alternatives, and components must be
-    /// weight-isolated from one another (see module docs). `None` ⇒
-    /// something is ambiguous, suboptimal, or non-trivial and the batch
-    /// must escalate.
-    fn try_resolve_verified(&mut self) -> Option<Vec<LocalMatch>> {
-        let comps = self.sg.components();
-        let nodes = self.sg.nodes().to_vec();
-        let deg = self.sg.degrees().to_vec();
-        let mut matches = Vec::with_capacity(comps.len());
-        let mut costs = Vec::with_capacity(comps.len());
-        for comp in &comps {
-            if comp.len() == 2 && !(deg[comp[0]] == 1 && deg[comp[1]] == 1) {
-                return None;
+        self.costs.clear();
+        // Ascending slots visit components in order of their first
+        // member, a pair at its lower slot.
+        for (slot, &a) in dets.iter().enumerate() {
+            let Shape { deg, only, half } = self.shape[slot];
+            let partner = only as usize;
+            if deg == 1 && partner < slot {
+                self.costs.push(self.costs[partner]);
+                continue;
             }
-            let (m, cost) = self.verify_component(&nodes, comp)?;
-            matches.push(m);
-            costs.push(cost);
+            let resolved = if deg == 0 {
+                self.verify_lone(a)
+            } else {
+                self.verify_pair(a, dets[partner], half)
+            };
+            let Some(m) = resolved else { return false };
+            self.costs.push(m.weight);
+            self.out.matches.push(m);
         }
         // Weight isolation: a matching that pairs defects of *different*
         // components must cost strictly more than resolving both
@@ -676,19 +619,16 @@ impl<'a> BatchPredecoder<'a> {
         // any alternating cycle through k components pays k cross paths
         // against 2×(k local resolutions) — strictly worse, so the local
         // matching is the unique optimum.
-        for i in 0..comps.len() {
-            for j in i + 1..comps.len() {
-                let cap = costs[i].saturating_add(costs[j]);
-                for &su in &comps[i] {
-                    for &sv in &comps[j] {
-                        if self.reaches(nodes[su], nodes[sv], cap) {
-                            return None;
-                        }
-                    }
+        for u in 0..dets.len() {
+            for v in u + 1..dets.len() {
+                let same = self.shape[u].deg == 1 && self.shape[u].only as usize == v;
+                let cap = self.costs[u].saturating_add(self.costs[v]);
+                if !same && self.table.within(dets[u], dets[v], cap) {
+                    return false;
                 }
             }
         }
-        Some(matches)
+        true
     }
 
     /// Predecodes one batch of active defects (sorted detector ids).
@@ -698,161 +638,139 @@ impl<'a> BatchPredecoder<'a> {
     /// matching of the batch — are fully resolved at L1. Complex batches
     /// run the round-cancellation sweep, strip the verified trivial
     /// chains that survive it, and escalate the rest as `residual`.
-    pub fn decode_batch(&mut self, dets: &[DetectorId]) -> BatchOutcome {
-        let latency_ns = cycles_to_ns(BATCH_PREDECODE_CYCLES);
-        if dets.is_empty() {
-            return BatchOutcome {
-                matches: Vec::new(),
-                residual: Vec::new(),
-                complex: false,
-                cause: EscalateCause::None,
-                cancelled_pairs: 0,
-                latency_ns,
-            };
-        }
-        self.sg.rebuild(self.graph, dets);
-        let mut cause = EscalateCause::Overflow;
-        if dets.len() <= MAX_L1_DEFECTS {
-            if let Some(matches) = self.try_resolve_verified() {
-                return self.tally(BatchOutcome {
-                    matches,
-                    residual: Vec::new(),
-                    complex: false,
-                    cause: EscalateCause::None,
-                    cancelled_pairs: 0,
-                    latency_ns,
-                });
-            }
-            cause = EscalateCause::Ambiguous;
-        }
-        // Complex batch: the verified all-trivial fast path failed. Run
-        // the round-cancellation sweep, then strip what can be proven.
-        let (survivors, cancelled) = self.cancel_rounds(dets);
-        let out = self.complex_tail(dets, survivors, cancelled, cause, latency_ns);
-        self.tally(out)
+    ///
+    /// The outcome is lent until the next call on this predecoder.
+    pub fn decode_batch(&mut self, dets: &[DetectorId]) -> &BatchOutcome {
+        self.classify(dets, None);
+        &self.out
     }
 
     /// Predecodes one packed batch: bit `i` of `words` is detector
     /// `base + i`. Produces the same [`BatchOutcome`] — matches,
     /// residual, pair list and all — as [`BatchPredecoder::decode_batch`]
-    /// on the sparse form of `words`, but the hot front of the pipeline
-    /// runs on words: the complexity check is a popcount scan
-    /// ([`packed::popcount_exceeds`]) and the round cancellation is the
-    /// AND/XOR sweep of [`BatchPredecoder::cancel_rounds_packed`]. The
-    /// verification behind a commit is unchanged — it is what makes L1
-    /// commits safe, packed or not.
-    pub fn decode_batch_packed(&mut self, words: &[u64], base: DetectorId) -> BatchOutcome {
-        let latency_ns = cycles_to_ns(BATCH_PREDECODE_CYCLES);
-        if !packed::popcount_exceeds(words, 0) {
-            return BatchOutcome {
-                matches: Vec::new(),
-                residual: Vec::new(),
-                complex: false,
-                cause: EscalateCause::None,
-                cancelled_pairs: 0,
-                latency_ns,
-            };
-        }
-        let mut dets = Vec::new();
-        let mut cause = EscalateCause::Overflow;
-        if !packed::popcount_exceeds(words, MAX_L1_DEFECTS as u32) {
-            packed::for_each_set_bit(words, |b| dets.push(base + b as DetectorId));
-            self.sg.rebuild(self.graph, &dets);
-            if let Some(matches) = self.try_resolve_verified() {
-                return self.tally(BatchOutcome {
-                    matches,
-                    residual: Vec::new(),
-                    complex: false,
-                    cause: EscalateCause::None,
-                    cancelled_pairs: 0,
-                    latency_ns,
-                });
-            }
-            cause = EscalateCause::Ambiguous;
-        } else {
-            packed::for_each_set_bit(words, |b| dets.push(base + b as DetectorId));
-        }
-        let (survivors, cancelled) = self.cancel_rounds_packed(words, base);
-        let out = self.complex_tail(&dets, survivors, cancelled, cause, latency_ns);
-        self.tally(out)
+    /// on the sparse form of `words`, with the round cancellation run as
+    /// the AND/XOR sweep of [`BatchPredecoder::cancel_rounds_packed`].
+    /// The verification behind a commit is unchanged — it is what makes
+    /// L1 commits safe, packed or not.
+    pub fn decode_batch_packed(&mut self, words: &[u64], base: DetectorId) -> &BatchOutcome {
+        let mut dets = std::mem::take(&mut self.dets);
+        dets.clear();
+        packed::for_each_set_bit(words, |b| dets.push(base + b as DetectorId));
+        self.classify(
+            &dets,
+            self.stride.map(|stride| (words, base, stride as usize)),
+        );
+        self.dets = dets;
+        &self.out
     }
 
-    /// The shared complex-batch tail: strip only the pieces — cancelled
+    /// Both entry points: classifies `dets` into [`Self::out`] and
+    /// tallies it. `packed` carries the batch's word form and the stride
+    /// when the cancellation sweep can run on words.
+    fn classify(&mut self, dets: &[DetectorId], packed: Option<(&[u64], DetectorId, usize)>) {
+        self.out.matches.clear();
+        self.out.residual.clear();
+        self.out.complex = false;
+        self.out.cause = EscalateCause::None;
+        self.out.cancelled_pairs = 0;
+        // Empty batches count toward neither lifetime counter.
+        if dets.is_empty() {
+            return;
+        }
+        if dets.len() <= MAX_L1_DEFECTS && self.try_resolve_verified(dets) {
+            self.stats.resolved += 1;
+            return;
+        }
+        // Complex batch: the verified all-trivial fast path failed or
+        // was never attempted. Run the round-cancellation sweep, then
+        // strip what can be proven.
+        self.out.complex = true;
+        self.out.cause = if dets.len() > MAX_L1_DEFECTS {
+            EscalateCause::Overflow
+        } else {
+            EscalateCause::Ambiguous
+        };
+        match packed {
+            Some((words, base, stride)) => self.sweep_packed(words, base, stride),
+            None => self.sweep_sparse(dets),
+        }
+        self.complex_tail(dets);
+        if self.out.residual.is_empty() {
+            self.stats.resolved += 1;
+        } else {
+            self.stats.escalated += 1;
+        }
+    }
+
+    /// The complex-batch tail: strip only the pieces — cancelled
     /// measurement pairs and trivial surviving chains — that provably
     /// belong to every minimum-weight matching of the batch (local
     /// uniqueness plus a strict isolation margin against every other
     /// batch defect). Anything ambiguous stays in the residual for the
     /// L2 solver: shedding may never trade away a correction the solver
     /// would have gotten right.
-    fn complex_tail(
-        &mut self,
-        dets: &[DetectorId],
-        mut survivors: Vec<DetectorId>,
-        cancelled: Vec<(DetectorId, DetectorId)>,
-        cause: EscalateCause,
-        latency_ns: f64,
-    ) -> BatchOutcome {
-        let mut matches: Vec<LocalMatch> = Vec::new();
-        let mut cancelled_pairs = 0usize;
-        for &(p, d) in &cancelled {
+    fn complex_tail(&mut self, dets: &[DetectorId]) {
+        self.out.matches.clear();
+        let mut survivors = std::mem::take(&mut self.survivors);
+        for &(p, d) in &self.pairs {
             let committed = self
-                .verify_pair(p, d)
-                .filter(|&(_, cost)| self.isolated_from_rest(&[p, d], cost, dets));
-            if let Some((m, _)) = committed {
-                matches.push(m);
-                cancelled_pairs += 1;
+                .table
+                .edge_between(p, d)
+                .and_then(|half| self.verify_pair(p, d, half))
+                .filter(|m| self.isolated_from_rest(&[p, d], m.weight, dets));
+            if let Some(m) = committed {
+                self.out.matches.push(m);
+                self.out.cancelled_pairs += 1;
             } else {
-                survivors.push(p);
-                survivors.push(d);
+                survivors.extend([p, d]);
             }
         }
         survivors.sort_unstable();
-        self.sg.rebuild(self.graph, &survivors);
-        let comps = self.sg.components();
-        let nodes = self.sg.nodes().to_vec();
-        let deg = self.sg.degrees().to_vec();
-        let mut residual: Vec<DetectorId> = Vec::new();
-        for comp in &comps {
-            let shape_ok = match comp.len() {
-                1 => true,
-                2 => deg[comp[0]] == 1 && deg[comp[1]] == 1,
-                _ => false,
-            };
-            let stripped = if shape_ok {
-                self.verify_component(&nodes, comp).filter(|&(_, cost)| {
-                    let members: Vec<DetectorId> = comp.iter().map(|&slot| nodes[slot]).collect();
-                    self.isolated_from_rest(&members, cost, dets)
-                })
-            } else {
-                None
-            };
-            if let Some((m, _)) = stripped {
-                matches.push(m);
-            } else {
-                residual.extend(comp.iter().map(|&slot| nodes[slot]));
+        self.scan(&survivors);
+        // Ascending slots = component order, a pair at its lower slot;
+        // the residual is sorted at the end either way.
+        for (slot, &a) in survivors.iter().enumerate() {
+            let Shape { deg, only, half } = self.shape[slot];
+            let partner = only as usize;
+            if !self.trivial(slot) {
+                self.out.residual.push(a);
+            } else if deg == 0 {
+                self.strip_if_isolated(&[a], self.verify_lone(a), dets);
+            } else if partner > slot {
+                let b = survivors[partner];
+                self.strip_if_isolated(&[a, b], self.verify_pair(a, b, half), dets);
             }
         }
-        residual.sort_unstable();
-        BatchOutcome {
-            matches,
-            residual,
-            complex: true,
-            cause,
-            cancelled_pairs,
-            latency_ns,
+        self.out.residual.sort_unstable();
+        self.survivors = survivors;
+    }
+
+    /// Commits a surviving chain's verified resolution when the chain is
+    /// also isolated from the rest of the batch `dets`; otherwise its
+    /// `members` ride the residual.
+    fn strip_if_isolated(
+        &mut self,
+        members: &[DetectorId],
+        resolved: Option<LocalMatch>,
+        dets: &[DetectorId],
+    ) {
+        match resolved.filter(|m| self.isolated_from_rest(members, m.weight, dets)) {
+            Some(m) => self.out.matches.push(m),
+            None => self.out.residual.extend_from_slice(members),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{Reference, PROBE_CAP};
     use super::*;
     use decoding_graph::Edge;
     use proptest::prelude::*;
     use qsim::extract_dem;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::OnceLock;
+    use std::sync::{Mutex, OnceLock};
     use surface_code::{NoiseModel, RotatedSurfaceCode};
 
     fn graph(d: u32, rounds: u32) -> DecodingGraph {
@@ -861,16 +779,8 @@ mod tests {
         DecodingGraph::from_dem(&extract_dem(&circuit))
     }
 
-    /// The differential oracle: the same predecoder answering every
-    /// escape and cross question with a capped Dijkstra over the graph.
-    fn search_oracle(g: &DecodingGraph) -> BatchPredecoder<'_> {
-        let mut pre = BatchPredecoder::new(g);
-        pre.search_oracle = true;
-        pre
-    }
-
     /// A (prev, curr) measurement pair: same coordinate, adjacent layers.
-    fn time_pair(g: &DecodingGraph, pre: &BatchPredecoder<'_>) -> (u32, u32) {
+    fn time_pair(g: &DecodingGraph, pre: &BatchPredecoder) -> (u32, u32) {
         (0..g.num_detectors())
             .find_map(|d| pre.time_prev(d).map(|p| (p, d)))
             .expect("a time-like edge exists under circuit noise")
@@ -926,9 +836,10 @@ mod tests {
         batch.sort_unstable();
         batch.dedup();
         let (survivors, pairs) = pre.cancel_rounds(&batch);
+        let survivors = survivors.to_vec();
         // Toggle the cancelled defects back in: the original batch.
         let mut restored = survivors.clone();
-        for (a, b) in &pairs {
+        for (a, b) in pairs {
             restored.push(*a);
             restored.push(*b);
         }
@@ -1101,8 +1012,8 @@ mod tests {
             coords,
         );
         let mut pre = BatchPredecoder::new(&g);
-        assert_eq!(pre.escape(2), UNREACHED);
-        assert!(!pre.reaches(0, 2, i64::MAX));
+        assert_eq!(pre.table.escape(2), UNREACHED);
+        assert!(!pre.table.within(0, 2, i64::MAX));
         let out = pre.decode_batch(&[0, 2]);
         assert_eq!(
             out.matches,
@@ -1115,7 +1026,7 @@ mod tests {
         );
         assert_eq!(out.residual, vec![2]);
         assert_eq!(out.cause, EscalateCause::Ambiguous);
-        assert_eq!(out, search_oracle(&g).decode_batch(&[0, 2]));
+        assert_eq!(out, &Reference::new(&g).decode_batch(&[0, 2]));
     }
 
     #[test]
@@ -1125,21 +1036,21 @@ mod tests {
         // every escape.
         let g = graph(3, 9);
         let bd = g.boundary_node();
-        let mut pre = BatchPredecoder::new(&g);
-        let table = Arc::clone(&pre.table);
+        let mut oracle = Reference::new(&g);
+        let table = NoTransitTable::new(&g);
         for u in 0..g.num_detectors() {
             assert_eq!(
                 table.escape(u),
-                pre.probe(u, bd, PROBE_CAP, None),
+                oracle.probe(u, bd, PROBE_CAP, None),
                 "esc {u}"
             );
             for v in 0..g.num_detectors() {
-                let dist = pre.probe(u, v, PROBE_CAP, None);
+                let dist = oracle.probe(u, v, PROBE_CAP, None);
                 assert_ne!(dist, UNREACHED, "SD6 graphs are connected");
                 for cap in [dist - 1, dist, dist + 1, 0, PROBE_CAP] {
                     assert_eq!(
                         table.within(u, v, cap),
-                        pre.probe(u, v, cap, None) != UNREACHED,
+                        oracle.probe(u, v, cap, None) != UNREACHED,
                         "({u},{v}) cap {cap} dist {dist}"
                     );
                 }
@@ -1148,25 +1059,169 @@ mod tests {
         assert_eq!(table.rows_filled(), g.num_detectors() as usize);
     }
 
-    /// SD6 graphs at d = 3, 5, 7 (d rounds), built once.
+    /// Every edge's memo byte against the capped, edge-excluded probe
+    /// it replaced: asked from both endpoints (a boundary edge only from
+    /// its detector — the boundary is a sink), and twice, so the fill
+    /// and the hit are both checked and a hit is seen to search nothing.
+    /// The half-edge's weight and mask must be the graph edge's.
+    fn memo_agrees_with_the_probe_on_every_edge(g: &DecodingGraph) {
+        let bd = g.boundary_node();
+        let mut oracle = Reference::new(g);
+        let table = NoTransitTable::new(g);
+        let mut asked = 0;
+        for e in g.edges() {
+            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+                if a == bd {
+                    continue;
+                }
+                let half = table.edge_between(a, b).expect("the edge is in the table");
+                assert_eq!(table.weight(half), e.weight, "({a},{b})");
+                assert_eq!(table.obs(half), e.obs, "({a},{b})");
+                let want = oracle.probe(a, b, e.weight, Some((a, b))) != UNREACHED;
+                assert_eq!(table.has_alternative(half), want, "({a},{b}) fill");
+                asked += 1;
+                assert_eq!(table.alternatives_filled(), asked);
+                assert_eq!(table.has_alternative(half), want, "({a},{b}) hit");
+                assert_eq!(table.alternatives_filled(), asked, "a hit searched");
+            }
+        }
+        assert_eq!(asked, 2 * g.num_edges() - g.degree(bd));
+    }
+
+    #[test]
+    fn edge_memo_agrees_with_the_probe_on_every_edge() {
+        memo_agrees_with_the_probe_on_every_edge(&graph(3, 9));
+        memo_agrees_with_the_probe_on_every_edge(&graph(5, 5));
+    }
+
+    #[test]
+    #[ignore = "d = 7 sweep; run in release (CI statistical job)"]
+    fn edge_memo_agrees_with_the_probe_on_every_edge_d7() {
+        memo_agrees_with_the_probe_on_every_edge(&graph(7, 7));
+    }
+
+    /// Three layers of four detectors in a row, hand-built to hold what
+    /// `from_dem` merges away: parallel edges (space-like 0–1 with the
+    /// cheaper copy second, 5–6 at equal weight with different masks,
+    /// time-like 2–6 twice), parallel boundary edges (on 0 with the
+    /// cheaper copy second, on 4 at equal weight), a self-loop on 9 and
+    /// a diagonal 1–6 that offers alternatives.
+    fn parallel_edge_graph() -> DecodingGraph {
+        let edge = |u, v, weight, obs| Edge {
+            u,
+            v,
+            weight,
+            probability: 0.01,
+            obs,
+        };
+        let bd = 12;
+        let mut edges = vec![
+            edge(0, 1, 800, 1),
+            edge(5, 6, 900, 1),
+            edge(2, 6, 600, 1),
+            edge(1, 6, 1000, 0),
+            edge(9, 9, 100, 1),
+            edge(0, bd, 1500, 0),
+            edge(0, bd, 700, 1),
+            edge(3, bd, 700, 0),
+            edge(4, bd, 700, 1),
+            edge(4, bd, 700, 0),
+            edge(7, bd, 700, 1),
+            edge(8, bd, 650, 0),
+            edge(11, bd, 700, 0),
+        ];
+        for i in 0..12u32 {
+            if i % 4 != 3 {
+                edges.push(edge(i, i + 1, 900, 0));
+            }
+            if i < 8 {
+                edges.push(edge(i, i + 4, 600, u64::from(i == 5)));
+            }
+        }
+        let coords = (0..12)
+            .map(|i| [f64::from(i % 4), 0.0, f64::from(i / 4)])
+            .collect();
+        DecodingGraph::from_parts(12, 1, edges, coords)
+    }
+
+    /// Both entry points of `pre` against the reference on one batch.
+    fn assert_equals_reference(
+        pre: &mut BatchPredecoder,
+        oracle: &mut Reference<'_>,
+        batch: &[u32],
+    ) {
+        let want = oracle.decode_batch(batch);
+        assert_eq!(pre.decode_batch(batch), &want, "sparse {batch:?}");
+        for base in [0, batch.first().copied().unwrap_or(0)] {
+            assert_eq!(
+                pre.decode_batch_packed(&pack(batch, base), base),
+                &want,
+                "packed base={base} {batch:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_edges_keep_a_two_node_component_non_trivial() {
+        let g = parallel_edge_graph();
+        let mut pre = BatchPredecoder::new(&g);
+        let mut oracle = Reference::new(&g);
+        // 0–1 and 5–6 are joined twice: induced degree 2, so neither is
+        // an "isolated adjacent pair" and both ride the residual.
+        for pair in [[0, 1], [5, 6]] {
+            let out = pre.decode_batch(&pair);
+            assert!(out.complex, "{pair:?}");
+            assert_eq!(out.residual, pair, "{pair:?}");
+            assert!(out.matches.is_empty(), "{pair:?}");
+        }
+        // Every subset of the 12 detectors, through one predecoder.
+        for mask in 0u32..1 << 12 {
+            let batch: Vec<u32> = (0..12).filter(|d| mask >> d & 1 == 1).collect();
+            assert_equals_reference(&mut pre, &mut oracle, &batch);
+        }
+    }
+
+    /// SD6 graphs at d = 3, 5, 7 (d rounds) and the hand-built
+    /// parallel-edge graph, built once.
     fn oracle_graph(pick: usize) -> &'static DecodingGraph {
-        static GRAPHS: [OnceLock<DecodingGraph>; 3] =
-            [OnceLock::new(), OnceLock::new(), OnceLock::new()];
-        let d = [3, 5, 7][pick];
-        GRAPHS[pick].get_or_init(|| graph(d, d))
+        static GRAPHS: [OnceLock<DecodingGraph>; 4] = [
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+        ];
+        GRAPHS[pick].get_or_init(|| match pick {
+            3 => parallel_edge_graph(),
+            _ => graph([3, 5, 7][pick], [3, 5, 7][pick]),
+        })
+    }
+
+    /// One predecoder per oracle graph, reused by every proptest case:
+    /// a pooled list or a slot left dirty by one batch shows up in the
+    /// next.
+    fn oracle_predecoder(pick: usize) -> &'static Mutex<BatchPredecoder> {
+        static PREDECODERS: [OnceLock<Mutex<BatchPredecoder>>; 4] = [
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+            OnceLock::new(),
+        ];
+        PREDECODERS[pick].get_or_init(|| Mutex::new(BatchPredecoder::new(oracle_graph(pick))))
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
-        /// The whole outcome — matches, residual, cause, cancelled pairs
-        /// — of both entry points equals the search oracle's, on batches
-        /// of 1..=24 draws (a random detector, or both ends of a random
-        /// edge, toggled), so the verified ≤ MAX_L1_DEFECTS path and the
-        /// overflow tail both run.
+        /// The whole outcome — matches in order, residual, cause,
+        /// cancelled pairs — of both entry points equals the reference
+        /// implementation's (subgraph, components, searched distances;
+        /// no code shared with the scan, the memo or the table), on
+        /// batches of 1..=24 draws (a random detector, or both ends of a
+        /// random edge, toggled), so the verified ≤ MAX_L1_DEFECTS path
+        /// and the overflow tail both run.
         #[test]
         fn table_decodes_equal_the_search_oracle(
-            pick in 0usize..3,
+            pick in 0usize..4,
             draws in 1usize..=24,
             seed in any::<u64>(),
         ) {
@@ -1188,11 +1243,8 @@ mod tests {
                 }
             }
             let batch: Vec<u32> = (0..g.num_detectors()).filter(|&d| on[d as usize]).collect();
-            let want = search_oracle(g).decode_batch(&batch);
-            let mut pre = BatchPredecoder::new(g);
-            prop_assert_eq!(&pre.decode_batch(&batch), &want);
-            let base = batch.first().copied().unwrap_or(0);
-            prop_assert_eq!(&pre.decode_batch_packed(&pack(&batch, base), base), &want);
+            let mut pre = oracle_predecoder(pick).lock().unwrap_or_else(|e| e.into_inner());
+            assert_equals_reference(&mut pre, &mut Reference::new(g), &batch);
         }
     }
 
@@ -1262,6 +1314,7 @@ mod tests {
         }
         for batch in &batches {
             let (want_s, want_p) = pre.cancel_rounds(batch);
+            let (want_s, want_p) = (want_s.to_vec(), want_p.to_vec());
             for base in [0u32, batch.first().copied().unwrap_or(0)] {
                 let words = pack(batch, base);
                 let (got_s, got_p) = pre.cancel_rounds_packed(&words, base);
@@ -1285,11 +1338,11 @@ mod tests {
             batches.push(random_batch(&g, 0xDEC0DE + seed, 4 + seed % 7));
         }
         for batch in &batches {
-            let want = pre.decode_batch(batch);
+            let want = pre.decode_batch(batch).clone();
             for base in [0u32, batch.first().copied().unwrap_or(0)] {
                 let words = pack(batch, base);
                 let got = pre.decode_batch_packed(&words, base);
-                assert_eq!(got, want, "base={base} batch={batch:?}");
+                assert_eq!(got, &want, "base={base} batch={batch:?}");
             }
         }
     }

@@ -94,8 +94,7 @@ pub enum Datapath {
     /// Bit-packed `u64` words: defects live in a [`PackedBits`] set
     /// (merge = set bits, sort = free, reset = O(touched words)), the
     /// window is pulled out with a seam-masked [`WordSpan`] extraction,
-    /// and the L1 complexity check and round cancellation run as
-    /// popcount and AND/XOR over words
+    /// and the L1 round cancellation runs as AND/XOR over words
     /// ([`predecoders::BatchPredecoder::decode_batch_packed`]).
     #[default]
     Packed,
@@ -335,7 +334,7 @@ pub struct SlidingWindowDecoder<'g> {
     cfg: WindowConfig,
     shared: Arc<WindowCache>,
     local: HashMap<(u32, u32), Arc<WindowContext>>,
-    l1: Option<BatchPredecoder<'g>>,
+    l1: Option<BatchPredecoder>,
     datapath: Datapath,
     /// Defects deferred out of the previous window of the shot under
     /// decode; pooled, like every buffer below, so the steady-state hot
@@ -492,7 +491,8 @@ impl<'g> SlidingWindowDecoder<'g> {
 
     /// Switches the L1 batch-predecode tier on or off. The predecoder
     /// reads the window cache's [`decoding_graph::NoTransitTable`], so
-    /// drivers sharing a cache also share every memoized distance row.
+    /// drivers sharing a cache also share every memoized distance row
+    /// and per-edge memo byte.
     #[must_use]
     pub fn with_predecode(mut self, mode: PredecodeMode) -> Self {
         self.l1 = match mode {
@@ -585,24 +585,27 @@ impl<'g> SlidingWindowDecoder<'g> {
     /// (`None` = the boundary) whose endpoints all lie below `commit_end`
     /// is final (returns true: the caller XORs its observable in); any
     /// other match is discarded and its defects roll into the next
-    /// window.
+    /// window through `carry`. Takes the two fields it touches rather
+    /// than `&mut self`, so it can run while the L1 tier's outcome is
+    /// still on loan.
     fn settle(
-        &mut self,
+        layers: &LayerMap,
+        carry: &mut Vec<DetectorId>,
         tally: &mut Tally,
         commit_end: u32,
         a: DetectorId,
         b: Option<DetectorId>,
     ) -> bool {
         let top = match b {
-            Some(b) => self.layers.layer_of(a).max(self.layers.layer_of(b)),
-            None => self.layers.layer_of(a),
+            Some(b) => layers.layer_of(a).max(layers.layer_of(b)),
+            None => layers.layer_of(a),
         };
         if top < commit_end {
             tally.committed += 1;
             true
         } else {
-            self.carry.push(a);
-            self.carry.extend(b);
+            carry.push(a);
+            carry.extend(b);
             tally.deferred += 1 + usize::from(b.is_some());
             false
         }
@@ -696,11 +699,21 @@ impl<'g> SlidingWindowDecoder<'g> {
                     l1.decode_batch(&self.active)
                 };
                 for m in &l1_out.matches {
-                    if self.settle(&mut l1_tally, commit_end, m.a, m.b) {
+                    if Self::settle(
+                        &self.layers,
+                        &mut self.carry,
+                        &mut l1_tally,
+                        commit_end,
+                        m.a,
+                        m.b,
+                    ) {
                         out.obs_flip ^= m.obs;
                     }
                 }
-                self.active = l1_out.residual;
+                // Copied, not swapped: each list keeps its role and its
+                // warmed capacity whatever the parity of windows seen.
+                self.active.clear();
+                self.active.extend_from_slice(&l1_out.residual);
                 if l1_out.complex {
                     // Complex batches escalate even when the greedy
                     // cancellation drained the residual: their
@@ -746,7 +759,7 @@ impl<'g> SlidingWindowDecoder<'g> {
                 // graph + path table, so storing it inside the cache entry
                 // would make WindowContext self-referential. What must
                 // stay warm is kept elsewhere: the per-range state (graph
-                // extraction, all-pairs paths) in the cache, the solver
+                // extraction, filled path rows) in the cache, the solver
                 // scratch in `solver_ws`.
                 let solved = build_decoder(self.kind, ctx.graph(), ctx.paths())
                     .decode_with(&self.local_ids, &mut self.solver_ws);
@@ -773,7 +786,14 @@ impl<'g> SlidingWindowDecoder<'g> {
                                 (Some(lb + lo_det), ctx.paths().path_obs(m.a, lb))
                             }
                         };
-                        if self.settle(&mut l2_tally, commit_end, m.a + lo_det, gb) {
+                        if Self::settle(
+                            &self.layers,
+                            &mut self.carry,
+                            &mut l2_tally,
+                            commit_end,
+                            m.a + lo_det,
+                            gb,
+                        ) {
                             out.obs_flip ^= obs;
                         }
                     }

@@ -31,7 +31,8 @@
 //! The solver side is pinned on a dense stream: the window engine lends
 //! every window's short-lived decoder one long-lived workspace, so a
 //! warm solve allocates what it returns (a small constant) whatever the
-//! Hamming weight.
+//! Hamming weight — with the L1 tier on as well, whose pooled scratch and
+//! result lists add nothing to the count.
 //!
 //! This binary holds a single test so no concurrent test thread can
 //! attribute its allocations to the measured region.
@@ -250,23 +251,29 @@ fn commit_results_append_into_a_warm_buffer_without_allocating() {
 /// the merged list when Promatch prematched — whatever the Hamming
 /// weight. The pool is 64 sampled shots that escalate past L1 plus eight
 /// stacks of eight of them XOR-ed together, which carry windows far
-/// beyond Astrea's reach. The pin itself runs with the L1 tier off, so
-/// every non-empty window reaches the solver at its full weight and the
-/// tier's own per-window result vectors stay out of the count.
+/// beyond Astrea's reach. The pin runs twice: with the L1 tier off, so
+/// every non-empty window reaches the solver at its full weight, and
+/// with it on, where the tier must add nothing to the count — its
+/// scratch and result lists are pooled, so an L1-resolved non-empty
+/// window allocates nothing at all — and must search nothing either:
+/// the distance rows and the per-edge memo are warm after one pass.
 fn warm_solves_allocate_a_constant_per_window() {
     const EVENTS_PER_SOLVE: u64 = 4;
     let ctx = ExperimentContext::new(7, 1e-3);
-    let layers = LayerMap::from_graph(&ctx.graph).unwrap();
+    let layers = Arc::new(LayerMap::from_graph(&ctx.graph).unwrap());
+    let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
+    let table = Arc::clone(cache.no_transit());
     let engine = |predecode| {
-        SlidingWindowDecoder::new(
+        SlidingWindowDecoder::with_cache(
             &ctx.graph,
-            layers.clone(),
+            Arc::clone(&layers),
             DecoderKind::PromatchParAg,
             WindowConfig::new(4, 2).unwrap(),
+            Arc::clone(&cache),
         )
         .with_predecode(predecode)
     };
-    let mut stream = SyndromeStream::new(&ctx.circuit, layers.clone(), 0xD7);
+    let mut stream = SyndromeStream::new(&ctx.circuit, (*layers).clone(), 0xD7);
     let wps = stream.words_per_shot();
     let mut out = WindowedOutcome::default();
     let mut pool = Vec::new();
@@ -286,24 +293,49 @@ fn warm_solves_allocate_a_constant_per_window() {
         pool.extend_from_slice(&words);
     }
 
-    let mut swd = engine(PredecodeMode::Off);
-    for shot in pool.chunks_exact(wps) {
-        swd.decode_shot_packed_into(shot, &mut out);
-    }
-    let (mut solves, mut heaviest) = (0u64, 0);
-    for shot in pool.chunks_exact(wps) {
-        let before = ALLOC_EVENTS.load(Ordering::Relaxed);
-        swd.decode_shot_packed_into(shot, &mut out);
-        let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
-        let solved = out.windows.iter().filter(|w| w.solver_hw > 0).count() as u64;
-        let hw = out.windows.iter().map(|w| w.solver_hw).max().unwrap();
+    // The tier strips what it can prove, so fewer windows reach the solver.
+    for (predecode, min_solves) in [(PredecodeMode::Off, 128), (PredecodeMode::Batch, 100)] {
+        let mut swd = engine(predecode);
+        for shot in pool.chunks_exact(wps) {
+            swd.decode_shot_packed_into(shot, &mut out);
+        }
+        let searched = (table.rows_filled(), table.alternatives_filled());
+        let (mut solves, mut heaviest, mut l1_resolved) = (0u64, 0, 0);
+        for shot in pool.chunks_exact(wps) {
+            let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+            swd.decode_shot_packed_into(shot, &mut out);
+            let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
+            let solved = out.windows.iter().filter(|w| w.solver_hw > 0).count() as u64;
+            let hw = out.windows.iter().map(|w| w.solver_hw).max().unwrap();
+            assert!(
+                events <= EVENTS_PER_SOLVE * solved,
+                "{predecode:?}: {events} allocation events over {solved} warm solves \
+                 (heaviest HW {hw})"
+            );
+            solves += solved;
+            heaviest = heaviest.max(hw);
+            l1_resolved += out
+                .windows
+                .iter()
+                .filter(|w| w.l1_resolved && w.hw > 0)
+                .count();
+        }
         assert!(
-            events <= EVENTS_PER_SOLVE * solved,
-            "{events} allocation events over {solved} warm solves (heaviest HW {hw})"
+            solves >= min_solves,
+            "{predecode:?}: only {solves} solves measured"
         );
-        solves += solved;
-        heaviest = heaviest.max(hw);
+        assert!(
+            heaviest > 20,
+            "{predecode:?}: heaviest window only HW {heaviest}"
+        );
+        assert_eq!(
+            searched,
+            (table.rows_filled(), table.alternatives_filled()),
+            "{predecode:?}: the warm pass filled a row or a memo byte"
+        );
+        if predecode == PredecodeMode::Batch {
+            assert!(searched.0 > 0 && searched.1 > 0, "the tier never asked");
+            assert!(l1_resolved > 0, "no non-empty window resolved at L1");
+        }
     }
-    assert!(solves >= 128, "only {solves} solves measured");
-    assert!(heaviest > 20, "heaviest window only HW {heaviest}");
 }
