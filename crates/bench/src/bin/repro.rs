@@ -27,8 +27,8 @@
 //!   repro serve --scenario <name> --qubits Q --shards S [--rate R]
 //!               [--decoder K] [--window W] [--commit C]
 //!               [--predecode off|batch] [--metrics-addr HOST:PORT]
-//!               [--metrics-sample N] [--metrics-json PATH]
-//!               [--trace N] [--trace-out PATH] [key=value ...]
+//!               [--metrics-sample N] [--trace N] [--trace-out PATH]
+//!               [key=value ...]
 //!                                              multi-tenant decode service
 //!                                              (--metrics-addr serves live
 //!                                              Prometheus text at /metrics;
@@ -41,8 +41,8 @@
 //!                                              JSON (Perfetto-loadable)
 //!
 //! The experiments and scenario studies print their tables to stdout and
-//! write no file unless a flag names one (`--metrics-json`,
-//! `--trace-out`). Timing and perf gating live in `crates/benchmark`.
+//! write no file unless a flag names one (`--trace-out`; `repro trace`
+//! writes its `--out`). Timing and perf gating live in `crates/benchmark`.
 //!
 //! `--threads N` is accepted by every subcommand (equivalent to the
 //! `threads=N` override; omit it to defer to PROMATCH_THREADS, then to
@@ -366,7 +366,6 @@ fn run_scenario_serve(args: &[String]) -> ExitCode {
             "transport",
             "metrics-addr",
             "metrics-sample",
-            "metrics-json",
             "trace",
             "trace-out",
             "storm-threshold",
@@ -376,8 +375,8 @@ fn run_scenario_serve(args: &[String]) -> ExitCode {
         "repro serve --scenario <name> --qubits Q --shards S [--rate R] \
          [--decoder K] [--window W] [--commit C] [--predecode off|batch] \
          [--transport channel|tcp] [--metrics-addr HOST:PORT] \
-         [--metrics-sample N] [--metrics-json PATH] [--trace N] \
-         [--trace-out PATH] [--storm-threshold F] [--ring-high-water N] \
+         [--metrics-sample N] [--trace N] [--trace-out PATH] \
+         [--storm-threshold F] [--ring-high-water N] \
          [datapath=packed|byte] [shots=N] [seed=N] [deadline=NS] [queue=N] \
          [inflight=N]",
         |scenario, overrides, out| {

@@ -75,9 +75,6 @@ pub struct ServeConfig {
     /// Span-sampling rate: 1-in-N window steps / submissions get stage
     /// timestamps (0 disables spans; counters and gauges always run).
     pub metrics_sample: u32,
-    /// Path to write periodic (~1 s) JSON telemetry snapshots to during
-    /// the run, plus a final one at the end. `None` disables them.
-    pub metrics_json: Option<String>,
     /// Flight-recorder ring capacity per shard, in events (rounded up
     /// to a power of two by the recorder). 0 leaves the causal trace
     /// layer off entirely — no rings, no postmortem triggers.
@@ -115,7 +112,6 @@ impl Default for ServeConfig {
             transport: ServeTransport::Channel,
             metrics_addr: None,
             metrics_sample: 8,
-            metrics_json: None,
             trace: 0,
             trace_out: None,
             storm_threshold: 0.0,
@@ -128,7 +124,7 @@ impl ServeConfig {
     /// Parses `key=value` overrides (`qubits=`, `shards=`, `rate=`,
     /// `shots=`, `seed=`, `decoder=`, `window=`, `commit=`, `deadline=`,
     /// `predecode=`, `datapath=`, `queue=`, `inflight=`, `transport=`,
-    /// `metrics-addr=`, `metrics-sample=`, `metrics-json=`, `trace=`,
+    /// `metrics-addr=`, `metrics-sample=`, `trace=`,
     /// `trace-out=`, `storm-threshold=`, `ring-high-water=`), rejecting
     /// zero sizes with a clear error.
     ///
@@ -189,7 +185,6 @@ impl ServeConfig {
                     self.metrics_sample =
                         value.parse().map_err(|e| format!("metrics-sample: {e}"))?;
                 }
-                "metrics-json" => self.metrics_json = Some(value.to_string()),
                 "trace" => self.trace = value.parse().map_err(|e| format!("trace: {e}"))?,
                 "trace-out" => self.trace_out = Some(value.to_string()),
                 "storm-threshold" => {
@@ -436,27 +431,6 @@ pub fn run_serve(
         }
         None => None,
     };
-    // Periodic JSON snapshots: a sidecar thread rewrites the file every
-    // second while the run is live; the final state is written at the
-    // end either way.
-    let snap_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let snapshot_writer = cfg.metrics_json.as_ref().map(|path| {
-        let path = path.clone();
-        let registry = std::sync::Arc::clone(&registry);
-        let stop = std::sync::Arc::clone(&snap_stop);
-        std::thread::spawn(move || {
-            // ~1 s between writes, but polling the stop flag at 100 ms
-            // so the end-of-run join never stalls.
-            let mut ticks = 0u32;
-            while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                if ticks.is_multiple_of(10) {
-                    let _ = std::fs::write(&path, registry.snapshot().render_json());
-                }
-                ticks += 1;
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            }
-        })
-    });
     let loadgen_cfg = LoadgenConfig {
         scenario: scenario.name.to_string(),
         qubits: cfg.qubits,
@@ -496,17 +470,9 @@ pub fn run_serve(
             })?
         }
     };
-    // Stop the snapshot sidecar and take the run's final telemetry
-    // state; everything below reads this one consistent snapshot.
-    snap_stop.store(true, std::sync::atomic::Ordering::Release);
-    if let Some(h) = snapshot_writer {
-        let _ = h.join();
-    }
+    // The run's final telemetry state; everything below reads this one
+    // consistent snapshot.
     let snap = registry.snapshot();
-    if let Some(path) = &cfg.metrics_json {
-        std::fs::write(path, snap.render_json())?;
-        writeln!(w, "# wrote telemetry snapshot {path}")?;
-    }
     let telemetry_summary = TelemetrySummary {
         sample_every: cfg.metrics_sample,
         max_ring_depth: snap.max_ring_depth(),
@@ -713,7 +679,6 @@ mod tests {
             "transport=tcp".into(),
             "metrics-addr=127.0.0.1:0".into(),
             "metrics-sample=4".into(),
-            "metrics-json=/tmp/metrics.json".into(),
             "trace=256".into(),
             "trace-out=/tmp/run.trace".into(),
             "storm-threshold=0.75".into(),
@@ -736,7 +701,6 @@ mod tests {
         assert_eq!(cfg.transport, ServeTransport::Tcp);
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cfg.metrics_sample, 4);
-        assert_eq!(cfg.metrics_json.as_deref(), Some("/tmp/metrics.json"));
         assert_eq!(cfg.trace, 256);
         assert_eq!(cfg.trace_out.as_deref(), Some("/tmp/run.trace"));
         assert_eq!(cfg.storm_threshold, 0.75);
@@ -765,7 +729,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let reg = ScenarioRegistry::builtin();
         let sc = reg.get("cc-d3").unwrap();
-        let metrics_json = dir.join("metrics.json");
         let trace_out = dir.join("run.trace");
         let mut cfg = ServeConfig {
             qubits: 4,
@@ -779,7 +742,6 @@ mod tests {
             deadline_ns: Some(1e12),
             metrics_addr: Some("127.0.0.1:0".into()),
             metrics_sample: 1,
-            metrics_json: Some(metrics_json.to_string_lossy().into_owned()),
             trace: 512,
             trace_out: Some(trace_out.to_string_lossy().into_owned()),
             ..ServeConfig::default()
@@ -814,11 +776,6 @@ mod tests {
         assert!(log.contains("cached lookup"), "{log}");
         assert!(log.contains("# metrics: http://"), "{log}");
         assert!(log.contains("max ring depth"), "{log}");
-        // The sidecar snapshot file holds the run's final state.
-        let snap = std::fs::read_to_string(&metrics_json).unwrap();
-        assert!(snap.contains("\"shards\": ["), "{snap}");
-        assert!(snap.contains("\"ring_depth_max\":"), "{snap}");
-        assert!(snap.contains("\"window_total\":"), "{snap}");
         assert!(log.contains("# total: 0 shed,"), "{log}");
         // The flight recorder was armed: the run returns the trace
         // rollup, the end-of-run dump parses, and a clean run fires no
@@ -836,7 +793,6 @@ mod tests {
         // via identical failure counts and shot totals).
         cfg.transport = ServeTransport::Tcp;
         cfg.metrics_addr = None;
-        cfg.metrics_json = None;
         cfg.trace = 0;
         cfg.trace_out = None;
         let mut sink_tcp = Vec::new();

@@ -44,6 +44,31 @@ fn sentinel_flag_is_refused_with_usage() {
 }
 
 #[test]
+fn json_sidecar_is_refused_as_flag_and_key() {
+    // Retired with the JSON snapshot writer (`/metrics` is the one
+    // counter route); spelled in pieces like the sentinel above.
+    let key = ["metrics", "json"].join("-");
+    let flag = format!("--{key}");
+    let args = [
+        "serve",
+        "--scenario",
+        "cc-d3",
+        "--qubits",
+        "4",
+        "--shards",
+        "2",
+        flag.as_str(),
+        "x",
+    ];
+    refused(&args, &format!("unknown flag '{flag}'"));
+    refused(&args, "usage: repro serve --scenario <name>");
+    refused(
+        &["serve", "--scenario", "cc-d3", &format!("{key}=x")],
+        &format!("unknown option '{key}'"),
+    );
+}
+
+#[test]
 fn out_key_is_refused_by_every_scenario_subcommand() {
     for sub in ["ler", "realtime", "serve"] {
         refused(

@@ -83,10 +83,7 @@ pub use admission::{
 };
 pub use loadgen::{qubit_seed, run_loadgen, CommitRecord, LoadgenConfig, LoadgenReport, TenantRun};
 pub use postmortem::TraceSet;
-pub use protocol::{
-    Frame, ServiceError, ShardMetricsWire, StageWire, TenantStatsWire, TraceEventWire,
-    TraceShardWire, MAX_FRAME_LEN, PROTOCOL_VERSION,
-};
+pub use protocol::{Frame, ServiceError, TenantStatsWire, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use server::{preferred_shard, DecodeServer, ScenarioContext, ServiceConfig};
 pub use transport::{channel_pair, tcp_endpoint, Endpoint, FrameSink, FrameSource};
 
@@ -353,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_request_scrapes_causally_keyed_events() {
+    fn traced_server_records_causally_keyed_events() {
         let ctx = small_ctx();
         let scenario = ScenarioContext::new("t", Arc::clone(&ctx)).unwrap();
         let server = DecodeServer::new(
@@ -405,58 +402,42 @@ mod tests {
                     other => panic!("shot {shot}: expected a decoded commit, got {other:?}"),
                 }
             }
-            client.sink.send(&Frame::TraceRequest).unwrap();
-            match client.source.recv().unwrap().unwrap() {
-                Frame::TraceReport { shards } => {
-                    assert_eq!(shards.len(), 2, "one row per shard, even idle ones");
-                    let events: Vec<&TraceEventWire> =
-                        shards.iter().flat_map(|s| &s.events).collect();
-                    // Every decoded shot opened at least one window, and
-                    // the causal key carries the wire shot id.
-                    for shot in 0..3u64 {
-                        assert!(
-                            events.iter().any(|e| e.tenant == 0
-                                && e.seq == shot
-                                && e.kind == telemetry::TraceKind::WindowOpen as u8),
-                            "no WindowOpen for shot {shot}"
-                        );
-                    }
-                    // Commits were traced, and shard-scoped park/wake
-                    // events use the reserved tenant id.
-                    assert!(events
-                        .iter()
-                        .any(|e| e.kind == telemetry::TraceKind::Commit as u8));
-                    assert!(events.iter().any(|e| e.tenant == telemetry::SHARD_TENANT
-                        && (e.kind == telemetry::TraceKind::Park as u8
-                            || e.kind == telemetry::TraceKind::Wake as u8)));
-                }
-                other => panic!("expected TraceReport, got {other:?}"),
-            }
             client.sink.send(&Frame::Shutdown).unwrap();
             assert_eq!(client.source.recv().unwrap(), Some(Frame::ShutdownAck));
         });
         let trace = server.trace().expect("tracing armed");
-        assert!(trace.events_recorded() > 0);
         assert!(!trace.fired(), "a clean run triggers no postmortem");
+        let dump = trace.collect("test");
+        assert_eq!(dump.shards.len(), 2, "one row per shard, even idle ones");
+        let events: Vec<&telemetry::TraceEvent> =
+            dump.shards.iter().flat_map(|s| &s.events).collect();
+        // Every decoded shot opened at least one window, and the causal
+        // key carries the wire shot id.
+        for shot in 0..3u64 {
+            assert!(
+                events.iter().any(|e| e.tenant == 0
+                    && e.seq == shot
+                    && e.kind == telemetry::TraceKind::WindowOpen),
+                "no WindowOpen for shot {shot}"
+            );
+        }
+        // Commits were traced, and shard-scoped park/wake events use the
+        // reserved tenant id.
+        assert!(events
+            .iter()
+            .any(|e| e.kind == telemetry::TraceKind::Commit));
+        assert!(events.iter().any(|e| e.tenant == telemetry::SHARD_TENANT
+            && matches!(
+                e.kind,
+                telemetry::TraceKind::Park | telemetry::TraceKind::Wake
+            )));
     }
 
     #[test]
     fn untraced_server_reports_an_empty_trace() {
-        let ctx = small_ctx();
-        let scenario = ScenarioContext::new("t", Arc::clone(&ctx)).unwrap();
+        let scenario = ScenarioContext::new("t", small_ctx()).unwrap();
         let server = DecodeServer::new(ServiceConfig::default(), vec![scenario]).unwrap();
         assert!(server.trace().is_none());
-        let (mut client, server_end) = channel_pair();
-        std::thread::scope(|scope| {
-            scope.spawn(|| server.serve(vec![server_end]));
-            client.sink.send(&Frame::TraceRequest).unwrap();
-            match client.source.recv().unwrap().unwrap() {
-                Frame::TraceReport { shards } => assert!(shards.is_empty()),
-                other => panic!("expected TraceReport, got {other:?}"),
-            }
-            client.sink.send(&Frame::Shutdown).unwrap();
-            assert_eq!(client.source.recv().unwrap(), Some(Frame::ShutdownAck));
-        });
     }
 
     #[test]

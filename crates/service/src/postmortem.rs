@@ -21,8 +21,9 @@ use telemetry::{TraceBuf, TraceDump};
 #[derive(Debug)]
 pub struct TraceSet {
     bufs: Vec<Arc<TraceBuf>>,
-    /// Dump-file prefix; `None` keeps postmortems in memory (triggers
-    /// still count and the rings still serve `TraceRequest` scrapes).
+    /// Dump-file prefix — dump files are the one route a trace leaves
+    /// the process by. `None` writes none: triggers still count, and
+    /// in-process readers still [`TraceSet::collect`] the rings.
     prefix: Option<String>,
     /// Latched by the first trigger: the dump has been written.
     fired: AtomicBool,
@@ -60,8 +61,9 @@ impl TraceSet {
         &self.bufs
     }
 
-    /// Snapshots every ring under `reason` (what `TraceRequest` serves
-    /// and end-of-run dumps write).
+    /// Snapshots every ring under `reason` without freezing anything —
+    /// what postmortem and end-of-run dump files hold, and how
+    /// in-process readers (tests, `repro serve`) see the rings.
     pub fn collect(&self, reason: &str) -> TraceDump {
         TraceDump::collect(reason, &self.bufs)
     }
@@ -152,7 +154,7 @@ mod tests {
         assert!(set.fired());
         assert_eq!(set.triggers(), 1);
         assert_eq!(set.dump_path(), None);
-        // The rings still serve scrapes.
+        // The rings are still readable in process.
         set.buf(0).record(0, 0, 0, TraceKind::Park, 0);
         assert_eq!(set.collect("scrape").shards[0].events.len(), 1);
     }

@@ -26,10 +26,11 @@
 //! | 6 | [`Frame::Shutdown`]      | client → server | end the session |
 //! | 7 | [`Frame::ShutdownAck`]   | server → client | session is done |
 //! | 8 | [`Frame::Error`]         | server → client | protocol or routing error |
-//! | 9 | [`Frame::MetricsRequest`] | client → server | ask for a live telemetry snapshot |
-//! | 10 | [`Frame::MetricsReport`] | server → client | per-shard counters, gauges, stage timings |
-//! | 11 | [`Frame::TraceRequest`] | client → server | ask for a flight-recorder snapshot |
-//! | 12 | [`Frame::TraceReport`] | server → client | per-shard causal trace events |
+//!
+//! The wire carries decode traffic only: counters and histograms leave
+//! by the `/metrics` endpoint (`telemetry::MetricsServer`), traces by
+//! postmortem dump files (`crate::TraceSet`). v6 retired the metrics and
+//! trace scrapes (former codes 9–12), which now decode as unknown types.
 //!
 //! The same bytes flow over both transports (loopback TCP and in-process
 //! channels; see [`crate::transport`]), so protocol coverage is
@@ -42,12 +43,12 @@ use std::io::{Read, Write};
 /// v2 added the predecode byte to [`Frame::RegisterQubit`] and the
 /// `l1_rounds` / `escalated_windows` counters to [`TenantStatsWire`];
 /// v3 added the datapath byte to [`Frame::RegisterQubit`];
-/// v4 added the in-band telemetry scrape ([`Frame::MetricsRequest`] /
-/// [`Frame::MetricsReport`] carrying [`ShardMetricsWire`] rows);
-/// v5 added the flight-recorder scrape ([`Frame::TraceRequest`] /
-/// [`Frame::TraceReport`] carrying [`TraceShardWire`] rows) and the
-/// shed-reason bits on [`Frame::CommitResult`]'s flags byte.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// v4 added an in-band telemetry scrape (type codes 9/10);
+/// v5 added an in-band flight-recorder scrape (codes 11/12) and the
+/// shed-reason bits on [`Frame::CommitResult`]'s flags byte;
+/// v6 retired the metrics and trace scrapes (codes 9–12): `/metrics`
+/// and postmortem dump files are their one route out.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Upper bound on one frame's encoded size (sanity check against
 /// corrupted length prefixes; generous for any realistic syndrome).
@@ -111,82 +112,6 @@ pub struct TenantStatsWire {
     /// Windows whose residual syndrome was escalated past the L1 tier
     /// to the matching solver (zero with predecoding off).
     pub escalated_windows: u64,
-}
-
-/// Summary figures of one pipeline stage's latency histogram in a
-/// [`ShardMetricsWire`] row (all nanoseconds; see `telemetry::Stage`
-/// for the stage order).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageWire {
-    /// Sampled spans recorded.
-    pub count: u64,
-    /// Sum of span durations, ns.
-    pub sum_ns: u64,
-    /// Median span, ns.
-    pub p50_ns: u64,
-    /// 99th-percentile span, ns.
-    pub p99_ns: u64,
-    /// Longest span, ns.
-    pub max_ns: u64,
-}
-
-/// One shard's telemetry row of a [`Frame::MetricsReport`]: the live
-/// counters, ring gauges, and per-stage latency summaries.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardMetricsWire {
-    /// Shard id.
-    pub shard: u32,
-    /// Syndrome rounds committed.
-    pub rounds: u64,
-    /// Shots decoded.
-    pub shots: u64,
-    /// Submissions shed (admission gate or ring backpressure).
-    pub sheds: u64,
-    /// Rounds resolved by the L1 predecode tier.
-    pub l1_rounds: u64,
-    /// Windows escalated past L1 to a solver.
-    pub escalated_windows: u64,
-    /// Shard loop park events.
-    pub parks: u64,
-    /// Waker unparks actually delivered.
-    pub wakes: u64,
-    /// SPSC ring occupancy at the last sweep.
-    pub ring_depth: u64,
-    /// High-water SPSC ring occupancy.
-    pub ring_depth_max: u64,
-    /// Per-stage latency summaries, in `telemetry::Stage::ALL` order.
-    pub stages: Vec<StageWire>,
-}
-
-/// One flight-recorder event of a [`Frame::TraceReport`] row (see
-/// `telemetry::TraceEvent` for field semantics).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceEventWire {
-    /// Nanoseconds since the server's trace epoch.
-    pub ts_ns: u64,
-    /// Tenant id (`u32::MAX` for shard-scoped events).
-    pub tenant: u32,
-    /// Shot sequence number.
-    pub seq: u64,
-    /// Window index within the shot.
-    pub window_idx: u32,
-    /// Event kind code (`telemetry::TraceKind`).
-    pub kind: u8,
-    /// Kind-specific argument word.
-    pub arg: u32,
-}
-
-/// One shard's flight-recorder snapshot in a [`Frame::TraceReport`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceShardWire {
-    /// Shard id.
-    pub shard: u32,
-    /// Events recorded over the ring's lifetime.
-    pub recorded: u64,
-    /// Events the ring overwrote.
-    pub dropped: u64,
-    /// Surviving events, oldest first.
-    pub events: Vec<TraceEventWire>,
 }
 
 /// One protocol message. See the module docs for the frame table.
@@ -269,23 +194,6 @@ pub enum Frame {
         /// Human-readable description.
         message: String,
     },
-    /// Ask the server for a live telemetry snapshot (the in-band
-    /// equivalent of scraping the `/metrics` endpoint).
-    MetricsRequest,
-    /// A live telemetry snapshot: one row per shard.
-    MetricsReport {
-        /// Per-shard telemetry rows, ordered by shard id.
-        shards: Vec<ShardMetricsWire>,
-    },
-    /// Ask the server for a flight-recorder snapshot (the in-band
-    /// equivalent of a triggered postmortem dump).
-    TraceRequest,
-    /// A flight-recorder snapshot: one row per shard, empty when tracing
-    /// is disabled.
-    TraceReport {
-        /// Per-shard trace rows, ordered by shard id.
-        shards: Vec<TraceShardWire>,
-    },
 }
 
 /// A borrowed view of a [`Frame::SubmitRounds`] body — the zero-copy
@@ -326,10 +234,6 @@ impl Frame {
             Frame::Shutdown => 6,
             Frame::ShutdownAck => 7,
             Frame::Error { .. } => 8,
-            Frame::MetricsRequest => 9,
-            Frame::MetricsReport { .. } => 10,
-            Frame::TraceRequest => 11,
-            Frame::TraceReport { .. } => 12,
         }
     }
 
@@ -442,11 +346,7 @@ impl Frame {
                 put_u32(out, *windows);
                 put_f64(out, *service_ns_total);
             }
-            Frame::StatsRequest
-            | Frame::Shutdown
-            | Frame::ShutdownAck
-            | Frame::MetricsRequest
-            | Frame::TraceRequest => {}
+            Frame::StatsRequest | Frame::Shutdown | Frame::ShutdownAck => {}
             Frame::StatsReport { tenants } => {
                 put_count(out, tenants.len(), 88, "tenant stats list")?;
                 for t in tenants {
@@ -465,52 +365,6 @@ impl Frame {
                 }
             }
             Frame::Error { message } => put_str(out, message)?,
-            Frame::MetricsReport { shards } => {
-                // Row floor: 4 (shard) + 9×8 (counters/gauges) + 4
-                // (stage count); stages add 40 bytes each, checked by
-                // their own put_count below.
-                put_count(out, shards.len(), 80, "shard metrics list")?;
-                for m in shards {
-                    put_u32(out, m.shard);
-                    put_u64(out, m.rounds);
-                    put_u64(out, m.shots);
-                    put_u64(out, m.sheds);
-                    put_u64(out, m.l1_rounds);
-                    put_u64(out, m.escalated_windows);
-                    put_u64(out, m.parks);
-                    put_u64(out, m.wakes);
-                    put_u64(out, m.ring_depth);
-                    put_u64(out, m.ring_depth_max);
-                    put_count(out, m.stages.len(), 40, "stage summary list")?;
-                    for st in &m.stages {
-                        put_u64(out, st.count);
-                        put_u64(out, st.sum_ns);
-                        put_u64(out, st.p50_ns);
-                        put_u64(out, st.p99_ns);
-                        put_u64(out, st.max_ns);
-                    }
-                }
-            }
-            Frame::TraceReport { shards } => {
-                // Row floor: 4 (shard) + 2×8 (counters) + 4 (event
-                // count); events add 29 bytes each, checked by their own
-                // put_count below.
-                put_count(out, shards.len(), 24, "trace shard list")?;
-                for s in shards {
-                    put_u32(out, s.shard);
-                    put_u64(out, s.recorded);
-                    put_u64(out, s.dropped);
-                    put_count(out, s.events.len(), 29, "trace event list")?;
-                    for e in &s.events {
-                        put_u64(out, e.ts_ns);
-                        put_u32(out, e.tenant);
-                        put_u64(out, e.seq);
-                        put_u32(out, e.window_idx);
-                        out.push(e.kind);
-                        put_u32(out, e.arg);
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -599,66 +453,6 @@ impl Frame {
             8 => Frame::Error {
                 message: r.str16()?,
             },
-            9 => Frame::MetricsRequest,
-            10 => {
-                let n = r.u32()? as usize;
-                let mut shards = Vec::with_capacity(n.min(MAX_FRAME_LEN / 80));
-                for _ in 0..n {
-                    let mut m = ShardMetricsWire {
-                        shard: r.u32()?,
-                        rounds: r.u64()?,
-                        shots: r.u64()?,
-                        sheds: r.u64()?,
-                        l1_rounds: r.u64()?,
-                        escalated_windows: r.u64()?,
-                        parks: r.u64()?,
-                        wakes: r.u64()?,
-                        ring_depth: r.u64()?,
-                        ring_depth_max: r.u64()?,
-                        stages: Vec::new(),
-                    };
-                    let k = r.u32()? as usize;
-                    m.stages.reserve(k.min(MAX_FRAME_LEN / 40));
-                    for _ in 0..k {
-                        m.stages.push(StageWire {
-                            count: r.u64()?,
-                            sum_ns: r.u64()?,
-                            p50_ns: r.u64()?,
-                            p99_ns: r.u64()?,
-                            max_ns: r.u64()?,
-                        });
-                    }
-                    shards.push(m);
-                }
-                Frame::MetricsReport { shards }
-            }
-            11 => Frame::TraceRequest,
-            12 => {
-                let n = r.u32()? as usize;
-                let mut shards = Vec::with_capacity(n.min(MAX_FRAME_LEN / 24));
-                for _ in 0..n {
-                    let mut s = TraceShardWire {
-                        shard: r.u32()?,
-                        recorded: r.u64()?,
-                        dropped: r.u64()?,
-                        events: Vec::new(),
-                    };
-                    let k = r.u32()? as usize;
-                    s.events.reserve(k.min(MAX_FRAME_LEN / 29));
-                    for _ in 0..k {
-                        s.events.push(TraceEventWire {
-                            ts_ns: r.u64()?,
-                            tenant: r.u32()?,
-                            seq: r.u64()?,
-                            window_idx: r.u32()?,
-                            kind: r.u8()?,
-                            arg: r.u32()?,
-                        });
-                    }
-                    shards.push(s);
-                }
-                Frame::TraceReport { shards }
-            }
             other => {
                 return Err(ServiceError::Protocol(format!(
                     "unknown frame type {other}"
@@ -953,70 +747,6 @@ mod tests {
             Frame::Error {
                 message: "qubit 12 is not registered".into(),
             },
-            Frame::MetricsRequest,
-            Frame::MetricsReport {
-                shards: vec![
-                    ShardMetricsWire {
-                        shard: 0,
-                        rounds: 6000,
-                        shots: 1000,
-                        sheds: 3,
-                        l1_rounds: 5400,
-                        escalated_windows: 70,
-                        parks: 12,
-                        wakes: 11,
-                        ring_depth: 2,
-                        ring_depth_max: 9,
-                        stages: vec![
-                            StageWire {
-                                count: 125,
-                                sum_ns: 100_000,
-                                p50_ns: 700,
-                                p99_ns: 2100,
-                                max_ns: 3000,
-                            },
-                            StageWire::default(),
-                        ],
-                    },
-                    ShardMetricsWire {
-                        shard: 1,
-                        ..ShardMetricsWire::default()
-                    },
-                ],
-            },
-            Frame::TraceRequest,
-            Frame::TraceReport {
-                shards: vec![
-                    TraceShardWire {
-                        shard: 0,
-                        recorded: 5000,
-                        dropped: 904,
-                        events: vec![
-                            TraceEventWire {
-                                ts_ns: 123_456,
-                                tenant: 7,
-                                seq: 41,
-                                window_idx: 2,
-                                kind: 0,
-                                arg: 3,
-                            },
-                            TraceEventWire {
-                                ts_ns: 123_789,
-                                tenant: u32::MAX,
-                                seq: 0,
-                                window_idx: 0,
-                                kind: 9,
-                                arg: 0,
-                            },
-                        ],
-                    },
-                    TraceShardWire {
-                        shard: 1,
-                        ..TraceShardWire::default()
-                    },
-                ],
-            },
-            Frame::TraceReport { shards: Vec::new() },
         ]
     }
 
@@ -1114,6 +844,29 @@ mod tests {
         let err = Frame::decode(&body).unwrap_err();
         assert!(matches!(err, ServiceError::Protocol(_)), "{err}");
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn retired_scrape_codes_are_unknown_and_v5_peers_are_refused() {
+        // v6 retired the metrics (9/10) and trace (11/12) scrapes.
+        for code in 9u8..=12 {
+            let mut body = vec![code];
+            put_u16(&mut body, PROTOCOL_VERSION);
+            let err = Frame::decode(&body).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown frame type {code}")),
+                "{err}"
+            );
+        }
+        let mut body = Frame::StatsRequest.encode().unwrap();
+        body[1..3].copy_from_slice(&5u16.to_le_bytes());
+        let err = Frame::decode(&body).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("protocol version 5 (this build speaks 6)"),
+            "{err}"
+        );
     }
 
     #[test]

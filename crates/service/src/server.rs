@@ -36,10 +36,7 @@
 
 use crate::admission::{ShedReason, TenantGate};
 use crate::postmortem::TraceSet;
-use crate::protocol::{
-    Frame, ServiceError, ShardMetricsWire, StageWire, TenantStatsWire, TraceEventWire,
-    TraceShardWire,
-};
+use crate::protocol::{Frame, ServiceError, TenantStatsWire};
 use crate::shard::{run_shard, ShardRequest};
 use crate::spsc::{self, Producer, ShardWaker};
 use crate::transport::{tcp_endpoint, Endpoint, FrameSink, FrameSource, TCP_BUF_BYTES};
@@ -82,8 +79,10 @@ pub struct ServiceConfig {
     /// built and the hot paths stay branch-free.
     pub trace_capacity: usize,
     /// Postmortem dump-file prefix (`{prefix}-{reason}-{millis}.trace`).
-    /// `None` keeps postmortems in memory — triggers still latch and
-    /// count, and `TraceRequest` scrapes still work.
+    /// `None` writes no dump file — triggers still latch and count, and
+    /// in-process readers still see the rings through
+    /// [`DecodeServer::trace`]. Dump files are the one route a trace
+    /// leaves the process by.
     pub trace_dump_prefix: Option<String>,
     /// Escalation-storm postmortem threshold: trigger when the fraction
     /// of a shard's last 64 windows that escalated past the L1
@@ -355,16 +354,18 @@ impl DecodeServer {
     }
 
     /// The server's live telemetry registry. Snapshot it from any
-    /// thread (for a `/metrics` endpoint or a periodic JSON dump) —
-    /// the record side is lock-free, so scraping never stalls decode.
+    /// thread — the record side is lock-free, so reading never stalls
+    /// decode. Out of process, counters leave by one route: a
+    /// `telemetry::MetricsServer` serving `/metrics`.
     pub fn metrics(&self) -> &Arc<telemetry::Registry> {
         &self.metrics
     }
 
     /// The server's flight recorder, when `trace_capacity > 0`: one
     /// ring per shard plus the postmortem trigger latch. Snapshot it
-    /// from any thread — recording is wait-free, so scraping never
-    /// stalls decode.
+    /// from any thread with [`TraceSet::collect`] — recording is
+    /// wait-free, so reading never stalls decode. Out of process,
+    /// traces leave by dump files only.
     pub fn trace(&self) -> Option<&Arc<TraceSet>> {
         self.trace.as_ref()
     }
@@ -527,38 +528,6 @@ fn validate_register(
 /// [`TenantGate::shed_admitted`]).
 const RING_CAPACITY: usize = 1024;
 
-/// Folds a telemetry snapshot into [`Frame::MetricsReport`] rows.
-pub(crate) fn metrics_wire_rows(snap: &telemetry::RegistrySnapshot) -> Vec<ShardMetricsWire> {
-    snap.shards
-        .iter()
-        .map(|s| ShardMetricsWire {
-            shard: s.shard,
-            rounds: s.rounds,
-            shots: s.shots,
-            sheds: s.sheds,
-            l1_rounds: s.l1_rounds,
-            escalated_windows: s.escalated_windows,
-            parks: s.parks,
-            wakes: s.wakes,
-            ring_depth: s.ring_depth,
-            ring_depth_max: s.ring_depth_max,
-            stages: telemetry::Stage::ALL
-                .iter()
-                .map(|&st| {
-                    let f = s.stage_summary(st);
-                    StageWire {
-                        count: f.count,
-                        sum_ns: f.sum_ns,
-                        p50_ns: f.p50_ns,
-                        p99_ns: f.p99_ns,
-                        max_ns: f.max_ns,
-                    }
-                })
-                .collect(),
-        })
-        .collect()
-}
-
 /// A shed reply for a submission that never reached a decoder, tagged
 /// with why it was shed.
 fn shed_commit(qubit: u32, shot: u64, reason: ShedReason) -> Frame {
@@ -572,35 +541,6 @@ fn shed_commit(qubit: u32, shot: u64, reason: ShedReason) -> Frame {
         windows: 0,
         service_ns_total: 0.0,
     }
-}
-
-/// Folds the flight recorder into [`Frame::TraceReport`] rows.
-fn trace_wire_rows(trace: Option<&Arc<TraceSet>>) -> Vec<TraceShardWire> {
-    let Some(trace) = trace else {
-        return Vec::new();
-    };
-    trace
-        .collect("scrape")
-        .shards
-        .into_iter()
-        .map(|s| TraceShardWire {
-            shard: s.shard,
-            recorded: s.recorded,
-            dropped: s.dropped,
-            events: s
-                .events
-                .iter()
-                .map(|e| TraceEventWire {
-                    ts_ns: e.ts_ns,
-                    tenant: e.tenant,
-                    seq: e.seq,
-                    window_idx: e.window_idx,
-                    kind: e.kind as u8,
-                    arg: e.arg,
-                })
-                .collect(),
-        })
-        .collect()
 }
 
 /// One session's request router: reads frames until shutdown/EOF and
@@ -822,23 +762,6 @@ fn route_session(
                 let mut tenants: Vec<TenantStatsWire> = srx.iter().flatten().collect();
                 tenants.sort_by_key(|t| t.qubit);
                 let _ = reply_tx.send(Frame::StatsReport { tenants });
-            }
-            Frame::MetricsRequest => {
-                // An in-band scrape: snapshot the lock-free registry
-                // from this router thread — no shard round trip, no
-                // decode-path interference.
-                let _ = reply_tx.send(Frame::MetricsReport {
-                    shards: metrics_wire_rows(&metrics.snapshot()),
-                });
-            }
-            Frame::TraceRequest => {
-                // Same shape as a metrics scrape: the rings are read
-                // concurrently with the writers (torn slots skipped),
-                // so the shards never notice. A server without tracing
-                // armed reports zero shards.
-                let _ = reply_tx.send(Frame::TraceReport {
-                    shards: trace_wire_rows(trace),
-                });
             }
             Frame::Shutdown => {
                 let _ = reply_tx.send(Frame::ShutdownAck);

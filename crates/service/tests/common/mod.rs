@@ -28,12 +28,11 @@ pub fn context() -> Arc<ExperimentContext> {
 /// shot is decoded, none shed, so each tenant's commits come back in
 /// shot order. (2 tenants × [`SHOTS`] per shard also stays under the
 /// 1024-slot submission ring.)
-pub fn server(ctx: &Arc<ExperimentContext>, trace_capacity: usize) -> Arc<DecodeServer> {
+pub fn server(ctx: &Arc<ExperimentContext>) -> Arc<DecodeServer> {
     let scenario = ScenarioContext::new(SCENARIO, Arc::clone(ctx)).unwrap();
     let cfg = ServiceConfig {
         shards: 2,
         max_inflight_shots: SHOTS as usize,
-        trace_capacity,
         ..ServiceConfig::default()
     };
     Arc::new(DecodeServer::new(cfg, vec![scenario]).unwrap())
@@ -79,19 +78,14 @@ pub fn register(client: &mut Endpoint) {
 }
 
 /// Every tenant's [`SHOTS`] seeded shots, round-robin by shot number,
-/// back to back in one buffer, and the offset at which the second half
-/// of the shots starts.
-pub fn pipeline(ctx: &ExperimentContext) -> (Vec<u8>, usize) {
+/// back to back in one buffer.
+pub fn pipeline(ctx: &ExperimentContext) -> Vec<u8> {
     let layers = decoding_graph::LayerMap::from_graph(&ctx.graph).unwrap();
     let mut streams: Vec<SyndromeStream<'_>> = (0..TENANTS)
         .map(|q| SyndromeStream::new(&ctx.circuit, layers.clone(), qubit_seed(7, q)))
         .collect();
     let mut wire = Vec::new();
-    let mut half = 0;
     for shot in 0..SHOTS {
-        if shot == SHOTS / 2 {
-            half = wire.len();
-        }
         for (qubit, stream) in streams.iter_mut().enumerate() {
             Frame::SubmitRounds {
                 qubit: qubit as u32,
@@ -102,7 +96,7 @@ pub fn pipeline(ctx: &ExperimentContext) -> (Vec<u8>, usize) {
             .unwrap();
         }
     }
-    (wire, half)
+    wire
 }
 
 /// Reads frames until every tenant's commits for `shots` are in,

@@ -21,15 +21,16 @@
 //!   decode shard; writers clone the `Arc` once at registration and
 //!   never contend afterwards.
 //! - Exposition: [`RegistrySnapshot::render_prometheus`] (text format
-//!   0.0.4, served live by [`MetricsServer`]),
-//!   [`RegistrySnapshot::render_json`] (the periodic snapshot
-//!   `repro serve --metrics-json` writes).
+//!   0.0.4, served live by [`MetricsServer`] — the one route counters
+//!   and histograms leave the process by; in-process readers call
+//!   [`Registry::snapshot`] directly).
 //!
 //! - [`TraceBuf`] — the causal flight recorder: a wait-free
 //!   seqlock-slot ring of `(tenant, seq, window_idx, kind, arg)` events
 //!   per shard, with a plain-text postmortem dump format
 //!   ([`render_dump`] / [`parse_dump`]) and a Chrome-trace/Perfetto
-//!   JSON exporter ([`render_chrome_trace`]).
+//!   JSON exporter ([`render_chrome_trace`]). Dump files are the one
+//!   route traces leave the process by.
 //!
 //! Timestamps come from [`clock::now`] — raw TSC cycles on x86_64,
 //! calibrated against `Instant` once per process — so taking a span
@@ -47,7 +48,7 @@ mod trace;
 
 pub use clock::{now, since_ns};
 pub use metrics::{Counter, Gauge, HistogramSnapshot, LogHistogram, NUM_BUCKETS};
-pub use registry::{Registry, RegistrySnapshot, ShardMetrics, ShardSnapshot, StageSnapshot};
+pub use registry::{Registry, RegistrySnapshot, ShardMetrics, ShardSnapshot};
 pub use server::MetricsServer;
 pub use stage::{Sampler, Stage, StageSpans};
 pub use trace::{

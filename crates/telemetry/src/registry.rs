@@ -4,8 +4,8 @@
 //! registration time (shard loop, waker, router, tenant decoders); the
 //! record path after that is plain `Relaxed` atomics with no shared
 //! locks. [`Registry::snapshot`] folds the live atomics into an owned
-//! [`RegistrySnapshot`] that renders as Prometheus text 0.0.4 (the
-//! `/metrics` endpoint) or JSON (the periodic `--metrics-json` file).
+//! [`RegistrySnapshot`] that renders as Prometheus text 0.0.4 — the
+//! `/metrics` endpoint, the one route counters leave the process by.
 
 use crate::metrics::{bucket_upper, Counter, Gauge, HistogramSnapshot, NUM_BUCKETS};
 use crate::stage::{Stage, StageSpans};
@@ -117,37 +117,6 @@ pub struct ShardSnapshot {
     pub stages: [HistogramSnapshot; Stage::COUNT],
 }
 
-impl ShardSnapshot {
-    /// Compact per-stage figures (count, sum, p50, p99, max) — the
-    /// shape the wire report and the JSON snapshot carry.
-    #[must_use]
-    pub fn stage_summary(&self, stage: Stage) -> StageSnapshot {
-        let h = &self.stages[stage as usize];
-        StageSnapshot {
-            count: h.count,
-            sum_ns: h.sum,
-            p50_ns: h.quantile(0.5),
-            p99_ns: h.quantile(0.99),
-            max_ns: h.max,
-        }
-    }
-}
-
-/// Summary figures of one stage histogram (nanoseconds).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageSnapshot {
-    /// Sampled spans recorded.
-    pub count: u64,
-    /// Sum of span durations, ns.
-    pub sum_ns: u64,
-    /// Median span, ns (log2-interpolated).
-    pub p50_ns: u64,
-    /// 99th-percentile span, ns (log2-interpolated).
-    pub p99_ns: u64,
-    /// Longest span, ns (exact).
-    pub max_ns: u64,
-}
-
 /// One exposition row: metric name, help text, per-shard getter.
 type FamilyRow = (&'static str, &'static str, fn(&ShardSnapshot) -> u64);
 
@@ -181,8 +150,10 @@ impl RegistrySnapshot {
     }
 
     /// Renders Prometheus text format 0.0.4: per-shard counter and
-    /// gauge families, plus one histogram family per stage with
-    /// cumulative `le` buckets and p50/p99 summary gauges.
+    /// gauge families, the `promatch_stage_duration_ns` histogram
+    /// family (cumulative `le` buckets, `_sum`, `_count` per shard and
+    /// stage), and its p50/p99 in a separate gauge family — a histogram
+    /// family may carry no `quantile` samples.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -238,10 +209,17 @@ impl RegistrySnapshot {
             }
         }
         let name = "promatch_stage_duration_ns";
+        let quantile_name = "promatch_stage_duration_quantile_ns";
         out.push_str(&format!(
             "# HELP {name} Sampled pipeline stage span durations, ns.\n\
              # TYPE {name} histogram\n"
         ));
+        // A family's samples must be contiguous, so the quantile gauges
+        // are buffered and appended after the whole histogram family.
+        let mut quantiles = format!(
+            "# HELP {quantile_name} Sampled pipeline stage span quantiles, ns.\n\
+             # TYPE {quantile_name} gauge\n"
+        );
         for s in &self.shards {
             for stage in Stage::ALL {
                 let h = &s.stages[stage as usize];
@@ -269,61 +247,15 @@ impl RegistrySnapshot {
                 out.push_str(&format!("{name}_sum{{{labels}}} {}\n", h.sum));
                 out.push_str(&format!("{name}_count{{{labels}}} {}\n", h.count));
                 for (q, label) in [(0.5, "0.5"), (0.99, "0.99")] {
-                    out.push_str(&format!(
-                        "{name}{{{labels},quantile=\"{label}\"}} {}\n",
+                    quantiles.push_str(&format!(
+                        "{quantile_name}{{{labels},quantile=\"{label}\"}} {}\n",
                         h.quantile(q)
                     ));
                 }
             }
         }
+        out.push_str(&quantiles);
         out
-    }
-
-    /// Renders the JSON telemetry snapshot (the file `--metrics-json`
-    /// writes): per-shard counters, ring gauges, and per-stage summary
-    /// figures.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\"shards\": [\n");
-        for (i, sh) in self.shards.iter().enumerate() {
-            s.push_str(&format!(
-                "  {{\"shard\": {}, \"rounds\": {}, \"shots\": {}, \
-                 \"sheds\": {}, \"l1_rounds\": {}, \"escalated_windows\": {}, \
-                 \"parks\": {}, \"wakes\": {}, \"ring_depth\": {}, \
-                 \"ring_depth_max\": {}, \"stages\": {{",
-                sh.shard,
-                sh.rounds,
-                sh.shots,
-                sh.sheds,
-                sh.l1_rounds,
-                sh.escalated_windows,
-                sh.parks,
-                sh.wakes,
-                sh.ring_depth,
-                sh.ring_depth_max,
-            ));
-            for (j, stage) in Stage::ALL.iter().enumerate() {
-                let f = sh.stage_summary(*stage);
-                s.push_str(&format!(
-                    "{}\"{}\": {{\"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \
-                     \"p99_ns\": {}, \"max_ns\": {}}}",
-                    if j == 0 { "" } else { ", " },
-                    stage.label(),
-                    f.count,
-                    f.sum_ns,
-                    f.p50_ns,
-                    f.p99_ns,
-                    f.max_ns,
-                ));
-            }
-            s.push_str(&format!(
-                "}}}}{}\n",
-                if i + 1 < self.shards.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("]}\n");
-        s
     }
 }
 
@@ -360,10 +292,10 @@ mod tests {
         assert_eq!(s0.ring_depth, 1);
         assert_eq!(s0.ring_depth_max, 5);
         assert_eq!(snap.max_ring_depth(), 5);
-        let solve = s0.stage_summary(Stage::Solve);
+        let solve = &s0.stages[Stage::Solve as usize];
         assert_eq!(solve.count, 2);
-        assert_eq!(solve.max_ns, 1500);
-        assert!(solve.p99_ns >= solve.p50_ns);
+        assert_eq!(solve.max, 1500);
+        assert!(solve.quantile(0.99) >= solve.quantile(0.5));
         // Fleet merge covers both shards.
         assert_eq!(snap.merged_stage(Stage::Solve).count, 3);
     }
@@ -377,26 +309,34 @@ mod tests {
             "promatch_escalated_windows_total",
             "promatch_ring_depth",
             "promatch_stage_duration_ns",
+            "promatch_stage_duration_quantile_ns",
         ] {
-            assert!(text.contains(&format!("# TYPE {family}")), "{family}");
+            assert!(text.contains(&format!("# TYPE {family} ")), "{family}");
         }
         assert!(text.contains("promatch_shed_total{shard=\"0\"} 2"));
         assert!(text.contains("promatch_ring_depth_max{shard=\"0\"} 5"));
         assert!(text.contains("stage=\"solve\""));
-        assert!(text.contains("quantile=\"0.99\""));
+        assert!(text.contains(
+            "promatch_stage_duration_quantile_ns{shard=\"0\",stage=\"solve\",quantile=\"0.99\"}"
+        ));
         assert!(text.contains("le=\"+Inf\""));
         // Cumulative bucket counts end at the total count.
         assert!(text.contains("promatch_stage_duration_ns_count{shard=\"0\",stage=\"solve\"} 2"));
-    }
-
-    #[test]
-    fn json_rendering_is_parsable_shape() {
-        let json = populated().snapshot().render_json();
-        assert!(json.contains("\"shard\": 0"));
-        assert!(json.contains("\"ring_depth_max\": 5"));
-        assert!(json.contains("\"solve\": {\"count\": 2"));
-        assert!(json.contains("\"window_total\""));
-        // Two shard objects, comma-separated.
-        assert_eq!(json.matches("\"stages\"").count(), 2);
+        // A histogram family carries only `_bucket`, `_sum` and `_count`
+        // samples: quantiles live in their own gauge family.
+        let histogram_samples: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("promatch_stage_duration_ns"))
+            .collect();
+        assert!(!histogram_samples.is_empty());
+        for line in histogram_samples {
+            let metric = line.split(['{', ' ']).next().unwrap();
+            assert!(
+                ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .any(|suffix| metric == format!("promatch_stage_duration_ns{suffix}")),
+                "not a histogram sample: {line}"
+            );
+        }
     }
 }
