@@ -85,7 +85,7 @@ pub use loadgen::{qubit_seed, run_loadgen, CommitRecord, LoadgenConfig, LoadgenR
 pub use postmortem::TraceSet;
 pub use protocol::{Frame, ServiceError, TenantStatsWire, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use server::{preferred_shard, DecodeServer, ScenarioContext, ServiceConfig};
-pub use transport::{channel_pair, tcp_endpoint, Endpoint, FrameSink, FrameSource};
+pub use transport::{channel_pair, tcp_endpoint, Endpoint, FrameSink, FrameSource, ReplySink};
 
 #[cfg(test)]
 mod tests {

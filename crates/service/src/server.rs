@@ -8,38 +8,49 @@
 //! number of transport sessions:
 //!
 //! ```text
-//!  client ──frames──▶ router (1/session) ──SPSC ring─▶ shard 0..S-1
-//!            │  one buffered  │   qubit→shard: stable hash,   │ owns per-qubit
-//!            │  read / burst  │   least-loaded steal at       │ SlidingWindowDecoder
-//!            │                │   registration only           │ + timeline
-//!  client ◀─frames── writer (1/session) ◀──reply channel──────┘
-//!            │  TCP_NODELAY,  │   recv, drain try_recv into one
-//!            │  one write /   │   recycled buffer (≤ 64 KiB),
-//!            │  writer wake   │   one send_wire
+//!  client ──frames──▶ router (1/session) ──SPSC ring──▶ shard 0..S-1
+//!            │  one buffered  │  publish the burst; then   │ tenants' decoders,
+//!            │  read / burst  │  wake busy shards, sweep   │ rings, timeline and
+//!            │                │  one parked shard itself   │ reply scratch behind
+//!            │                │                            │ one lock: its thread
+//!            │                │                            │ or a router sweeps
+//!  client ◀─frames── reply sink (1/session) ◀── one send_wire per ring sweep
+//!            │  TCP_NODELAY,  │  sink + recycled buffer behind one lock; the
+//!            │  write timeout │  router's own replies take the same lock
 //! ```
 //!
 //! Nothing on the TCP path waits on a kernel timer or pays a syscall per
 //! frame: [`tcp_endpoint`] sets `TCP_NODELAY`, so a reply written while
 //! an earlier one is un-ACKed leaves now rather than with the client's
 //! next submit (or its 40 ms delayed ACK); the router's source reads a
-//! whole burst of submits with one `read`; and the writer thread
-//! coalesces every reply queued by the time it wakes into one `write`,
-//! in channel order. A commit's remaining wall-clock life is four thread
-//! wakes — router, shard, writer, client — not a submit interval.
+//! whole burst of submits with one `read`; and one shard sweep's replies
+//! to a session leave in one `write`, issued by whichever thread swept.
+//!
+//! A session costs one thread, its router. The router publishes a
+//! burst's submissions without waking anyone; once its source holds no
+//! further whole frame, it wakes every shard it published to except one
+//! whose thread is parked, and sweeps that one itself. On an idle
+//! service a commit therefore costs two thread wakes — router (socket
+//! readable) and client (socket readable) — with the decode run to
+//! completion on the router in between. A router that loses the shard's
+//! lock, or leaves work after its pass, wakes the shard thread instead.
+//! Because shards write to sockets, an accepted socket carries a write
+//! timeout: a peer that stops reading stalls a shard at most once, for
+//! `REPLY_WRITE_TIMEOUT`, and then loses its session.
 //!
 //! Tenants are pinned: a qubit's decode state lives on exactly one shard
 //! (assigned at registration by stable hash, with a deterministic
 //! least-loaded fallback — "work stealing at enqueue" — when the hash
 //! shard is already busier than the lightest one). The submit hot path
 //! touches only the tenant's own [`crate::admission::TenantGate`]
-//! atomics and the owning shard's channel; no cross-shard locks.
+//! atomics and the owning shard's ring; no cross-shard locks.
 
 use crate::admission::{ShedReason, TenantGate};
 use crate::postmortem::TraceSet;
 use crate::protocol::{Frame, ServiceError, TenantStatsWire};
-use crate::shard::{run_shard, ShardRequest};
-use crate::spsc::{self, Producer, ShardWaker};
-use crate::transport::{tcp_endpoint, Endpoint, FrameSink, FrameSource, TCP_BUF_BYTES};
+use crate::shard::{hand_off, Shard, ShardRequest};
+use crate::spsc::{self, Producer};
+use crate::transport::{tcp_endpoint, Endpoint, FrameSource, ReplySink};
 use decoding_graph::packed::words_for;
 use decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use ler::{DecoderKind, ExperimentContext};
@@ -48,6 +59,7 @@ use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, RwLock};
+use std::time::Duration;
 
 use crate::admission::AdmissionConfig;
 
@@ -394,6 +406,7 @@ impl DecodeServer {
             let acceptor = scope.spawn(move || -> Result<(), ServiceError> {
                 for _ in 0..sessions {
                     let (stream, _) = listener.accept()?;
+                    stream.set_write_timeout(Some(REPLY_WRITE_TIMEOUT))?;
                     let ep = tcp_endpoint(stream)?;
                     if tx.send(ep).is_err() {
                         break;
@@ -406,48 +419,45 @@ impl DecodeServer {
         })
     }
 
-    /// Core loop: spawn shards, then one router + one writer thread per
-    /// arriving endpoint; return once every session and shard is done.
+    /// Core loop: spawn the shards, then one router thread per arriving
+    /// endpoint; return once every session and shard is done.
     fn serve_stream(&self, endpoints: Receiver<Endpoint>) {
         let registry = Registry::new(self.cfg.shards);
-        let wakers: Vec<Arc<ShardWaker>> = (0..self.cfg.shards)
-            .map(|_| Arc::new(ShardWaker::new()))
-            .collect();
-        std::thread::scope(|scope| {
-            let mut shard_txs: Vec<Sender<ShardRequest>> = Vec::with_capacity(self.cfg.shards);
-            for sid in 0..self.cfg.shards {
+        let (shard_txs, shards): (Vec<Sender<ShardRequest>>, Vec<Shard<'_>>) = (0..self.cfg.shards)
+            .map(|sid| {
                 let (tx, rx) = channel();
-                shard_txs.push(tx);
-                let cfg = &self.cfg;
-                let scenarios = &self.scenarios;
-                let waker = Arc::clone(&wakers[sid]);
-                let shard_metrics = Arc::clone(self.metrics.shard(sid));
-                let trace = self.trace.clone();
-                scope
-                    .spawn(move || run_shard(sid, cfg, scenarios, rx, waker, shard_metrics, trace));
+                let metrics = Arc::clone(self.metrics.shard(sid));
+                let shard = Shard::new(
+                    sid,
+                    &self.cfg,
+                    &self.scenarios,
+                    rx,
+                    metrics,
+                    self.trace.clone(),
+                );
+                (tx, shard)
+            })
+            .unzip();
+        std::thread::scope(|scope| {
+            for shard in &shards {
+                scope.spawn(move || shard.run());
             }
-            let registry = &registry;
+            let (registry, shards) = (&registry, &shards);
             for ep in endpoints {
                 let Endpoint { sink, source } = ep;
-                let (reply_tx, reply_rx) = channel::<Frame>();
-                scope.spawn(move || write_replies(&reply_rx, sink));
+                let reply = Arc::new(ReplySink::new(sink));
                 let shard_txs = shard_txs.clone();
-                let wakers = wakers.clone();
-                let cfg = &self.cfg;
-                let scenarios = &self.scenarios;
-                let metrics = &self.metrics;
-                let trace = &self.trace;
                 scope.spawn(move || {
                     route_session(
                         source,
-                        reply_tx,
+                        reply,
                         shard_txs,
-                        wakers,
+                        shards,
                         registry,
-                        cfg,
-                        scenarios,
-                        metrics,
-                        trace.as_ref(),
+                        &self.cfg,
+                        &self.scenarios,
+                        &self.metrics,
+                        self.trace.as_ref(),
                     );
                 });
             }
@@ -456,33 +466,15 @@ impl DecodeServer {
     }
 }
 
-/// One session's reply writer: blocks for a frame, then drains whatever
-/// else the shards and the router have queued — up to [`TCP_BUF_BYTES`]
-/// — into one recycled buffer and hands the lot to the sink in channel
-/// order, so the replies of one shard sweep cost one `write`, not one
-/// each. Ends when every reply sender is gone, the peer is, or a frame
-/// cannot be encoded (the frames queued ahead of it still go out).
-fn write_replies(replies: &Receiver<Frame>, mut sink: Box<dyn FrameSink>) {
-    let mut wire = Vec::new();
-    while let Ok(mut frame) = replies.recv() {
-        wire.clear();
-        let encoded = loop {
-            if frame.encode_into(&mut wire).is_err() {
-                break false;
-            }
-            if wire.len() >= TCP_BUF_BYTES {
-                break true;
-            }
-            match replies.try_recv() {
-                Ok(next) => frame = next,
-                Err(_) => break true,
-            }
-        };
-        if sink.send_wire(&wire).is_err() || !encoded {
-            break;
-        }
-    }
-}
+/// Write timeout of every accepted TCP socket. Shards write replies
+/// straight to the sockets of the sessions they serve, so without it a
+/// peer that stops reading would block its shard — and every other
+/// session on that shard — once the socket buffers fill. With it, the
+/// stalled write fails, the session's [`ReplySink`] dies (the socket is
+/// shut down both ways), and the shard moves on: a stalled peer costs
+/// its neighbours at most this long, once. Loopback writes to a reading
+/// peer take microseconds.
+const REPLY_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Validates a registration frame against the server's scenarios.
 #[allow(clippy::type_complexity)]
@@ -555,9 +547,9 @@ fn shed_commit(qubit: u32, shot: u64, reason: ShedReason) -> Frame {
 #[allow(clippy::too_many_arguments)]
 fn route_session(
     mut source: Box<dyn FrameSource>,
-    reply_tx: Sender<Frame>,
+    reply: Arc<ReplySink>,
     shard_txs: Vec<Sender<ShardRequest>>,
-    wakers: Vec<Arc<ShardWaker>>,
+    shards: &[Shard<'_>],
     registry: &Registry,
     cfg: &ServiceConfig,
     scenarios: &[ScenarioContext],
@@ -573,12 +565,18 @@ fn route_session(
     // 1-in-N ingest-span sampler: a hit stamps the ring slot's `enq`
     // with a raw timestamp the shard turns into an SPSC-delay span.
     let mut sampler = telemetry::Sampler::new(cfg.metrics_sample);
+    // Shards published to since the last hand-off.
+    let mut dirty = vec![false; shards.len()];
     loop {
+        // No published slot waits on a blocking read: hand off first.
+        if !source.has_buffered() {
+            hand_off(shards, &mut dirty);
+        }
         match source.recv_body(&mut body) {
             Ok(true) => {}
             Ok(false) => break,
             Err(e) => {
-                let _ = reply_tx.send(Frame::Error {
+                reply.send(&Frame::Error {
                     message: e.to_string(),
                 });
                 break;
@@ -589,7 +587,7 @@ fn route_session(
             let sb = match Frame::decode_submit_body(&body) {
                 Ok(sb) => sb,
                 Err(e) => {
-                    let _ = reply_tx.send(Frame::Error {
+                    reply.send(&Frame::Error {
                         message: e.to_string(),
                     });
                     break;
@@ -602,7 +600,7 @@ fn route_session(
                         e.insert(r);
                     }
                     None => {
-                        let _ = reply_tx.send(Frame::Error {
+                        reply.send(&Frame::Error {
                             message: format!("qubit {qubit} is not registered"),
                         });
                         continue;
@@ -624,16 +622,17 @@ fn route_session(
                     );
                     t.trigger("shed");
                 }
-                let _ = reply_tx.send(shed_commit(qubit, shot, ShedReason::InflightCap));
+                reply.send(&shed_commit(qubit, shot, ShedReason::InflightCap));
                 continue;
             }
             let producer = rings.entry(route.shard).or_insert_with(|| {
                 let (producer, consumer) = spsc::ring(RING_CAPACITY);
+                // No wake: the hand-off after the publish below covers
+                // the attachment too, since a sweep drains control first.
                 let _ = shard_txs[route.shard].send(ShardRequest::AttachRing {
                     ring: consumer,
-                    reply: reply_tx.clone(),
+                    reply: Arc::clone(&reply),
                 });
-                wakers[route.shard].wake();
                 producer
             });
             match producer.try_claim() {
@@ -665,12 +664,14 @@ fn route_session(
                         Some(message) => {
                             // The claimed slot is never published — the
                             // next claim recycles it.
-                            let _ = reply_tx.send(Frame::Error { message });
+                            reply.send(&Frame::Error { message });
                             route.gate.complete();
                         }
                         None => {
+                            // No wake: the shard is handed off once the
+                            // burst is in.
                             producer.publish();
-                            wakers[route.shard].wake();
+                            dirty[route.shard] = true;
                         }
                     }
                 }
@@ -689,15 +690,18 @@ fn route_session(
                         );
                         t.trigger("shed");
                     }
-                    let _ = reply_tx.send(shed_commit(qubit, shot, ShedReason::QueueFull));
+                    reply.send(&shed_commit(qubit, shot, ShedReason::QueueFull));
                 }
             }
             continue;
         }
+        // Every other frame is control or the session's end: no shard
+        // this session published to is left waiting behind it.
+        hand_off(shards, &mut dirty);
         let frame = match Frame::decode(&body) {
             Ok(frame) => frame,
             Err(e) => {
-                let _ = reply_tx.send(Frame::Error {
+                reply.send(&Frame::Error {
                     message: e.to_string(),
                 });
                 break;
@@ -724,7 +728,7 @@ fn route_session(
                 });
                 match outcome {
                     Err(message) => {
-                        let _ = reply_tx.send(Frame::RegisterAck {
+                        reply.send(&Frame::RegisterAck {
                             qubit,
                             ok: false,
                             shard: 0,
@@ -743,9 +747,9 @@ fn route_session(
                             predecode: pd,
                             datapath: dp,
                             gate,
-                            reply: reply_tx.clone(),
+                            reply: Arc::clone(&reply),
                         });
-                        wakers[route.shard].wake();
+                        shards[route.shard].waker().wake();
                     }
                 }
             }
@@ -754,26 +758,34 @@ fn route_session(
             }
             Frame::StatsRequest => {
                 let (stx, srx) = channel();
-                for (tx, waker) in shard_txs.iter().zip(&wakers) {
+                for (tx, shard) in shard_txs.iter().zip(shards) {
                     let _ = tx.send(ShardRequest::Stats { reply: stx.clone() });
-                    waker.wake();
+                    shard.waker().wake();
                 }
                 drop(stx);
                 let mut tenants: Vec<TenantStatsWire> = srx.iter().flatten().collect();
                 tenants.sort_by_key(|t| t.qubit);
-                let _ = reply_tx.send(Frame::StatsReport { tenants });
+                reply.send(&Frame::StatsReport { tenants });
             }
             Frame::Shutdown => {
-                let _ = reply_tx.send(Frame::ShutdownAck);
+                reply.send(&Frame::ShutdownAck);
                 break;
             }
             other => {
-                let _ = reply_tx.send(Frame::Error {
+                reply.send(&Frame::Error {
                     message: format!("unexpected frame type {} from a client", other.type_code()),
                 });
             }
         }
     }
+    // Close the rings, then hand their shards off once more: each sweeps
+    // what is left and drops its closed ring — and with it this session's
+    // reply sink — now rather than at its next idle timeout.
+    for (shard, producer) in rings {
+        drop(producer);
+        dirty[shard] = true;
+    }
+    hand_off(shards, &mut dirty);
 }
 
 #[cfg(test)]

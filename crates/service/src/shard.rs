@@ -1,27 +1,32 @@
 //! Shard workers: the decode engines of the worker pool.
 //!
-//! Each shard is one OS thread that *owns* the long-lived decode state
-//! of the tenants assigned to it — a [`SlidingWindowDecoder`] (window
-//! graph `Arc`s memoized from the scenario's shared
-//! [`decoding_graph::WindowCache`]), the tenant's latency model, shot
-//! sequence counters, and the shard's modeled arrival timeline. Nothing
-//! on the decode path takes a cross-shard lock: cold control traffic
-//! (register, stats, ring attachment) arrives on the shard's private
-//! channel; hot submissions arrive on lock-free SPSC rings (one per
-//! attached session, see [`crate::spsc`]) whose slots carry the shot's
-//! syndrome as packed words written by the session router straight from
-//! the wire.
+//! Each shard *owns* the long-lived decode state of the tenants assigned
+//! to it — a [`SlidingWindowDecoder`] (window graph `Arc`s memoized from
+//! the scenario's shared [`decoding_graph::WindowCache`]), the tenant's
+//! latency model, shot sequence counters, and the shard's modeled
+//! arrival timeline. That state, the shard's rings, its control
+//! receiver, its trace state and its reply scratch sit in one
+//! `ShardCore` behind one mutex, and whoever holds the lock sweeps: the
+//! shard's own thread, or a session router that found the thread parked
+//! and sweeps in its place ([`Shard::sweep_inline`]). Nothing on the
+//! decode path takes a cross-shard lock: cold control traffic (register,
+//! stats, ring attachment) arrives on the shard's private channel; hot
+//! submissions arrive on lock-free SPSC rings (one per attached session,
+//! see [`crate::spsc`]) whose slots carry the shot's syndrome as packed
+//! words written by the session router straight from the wire.
 //!
-//! The shard loop drains control messages first (so a registration is
-//! always applied before any submission that was admitted after it),
-//! then sweeps each ring — up to `batch_max` slots per ring per pass —
+//! A sweep drains control messages first (so a registration is always
+//! applied before any submission that was admitted after it), then
+//! visits each ring — up to `batch_max` slots per ring per pass —
 //! feeding every slot's packed words to
 //! [`SlidingWindowDecoder::decode_shot_packed_into`] without ever
 //! materializing a sparse detector list: the words move from the wire
 //! arena to the decoder's bit-set with zero per-round heap allocations.
 //! (`Datapath::Byte` tenants take the reference path instead: the words
 //! are expanded to a recycled sparse buffer and decoded byte-wise,
-//! bit-identical by construction.) An idle shard parks on its
+//! bit-identical by construction.) A ring's replies are encoded back to
+//! back into the core's recycled buffer and leave through the session's
+//! [`ReplySink`] in one write. An idle shard thread parks on its
 //! [`ShardWaker`] with a timeout, so a lost wakeup race costs bounded
 //! latency, never a hang.
 
@@ -30,6 +35,7 @@ use crate::postmortem::TraceSet;
 use crate::protocol::{Frame, TenantStatsWire};
 use crate::server::{ScenarioContext, ServiceConfig};
 use crate::spsc::{Consumer, ShardWaker, SubmitSlot};
+use crate::transport::ReplySink;
 use decoding_graph::packed::for_each_set_bit;
 use decoding_graph::LatencyModel;
 use ler::DecoderKind;
@@ -39,15 +45,14 @@ use realtime::{
 };
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use telemetry::{ShardMetrics, Stage, TraceBuf, TraceKind, SHARD_TENANT};
 
-/// A control request routed to one shard. Replies travel back through
-/// the originating session's frame channel. Submissions do NOT travel
+/// A control request routed to one shard. Submissions do NOT travel
 /// this channel — they arrive on the SPSC rings attached here.
 pub(crate) enum ShardRequest {
-    /// Attach a tenant to this shard.
+    /// Attach a tenant to this shard; the ack goes to `reply`.
     Register {
         qubit: u32,
         scenario: usize,
@@ -56,12 +61,13 @@ pub(crate) enum ShardRequest {
         predecode: PredecodeMode,
         datapath: Datapath,
         gate: Arc<TenantGate>,
-        reply: Sender<Frame>,
+        reply: Arc<ReplySink>,
     },
-    /// Attach one session's submission ring to this shard.
+    /// Attach one session's submission ring to this shard; the ring's
+    /// commits go to `reply`.
     AttachRing {
         ring: Consumer,
-        reply: Sender<Frame>,
+        reply: Arc<ReplySink>,
     },
     /// Report per-tenant SLO accounting for this shard's tenants.
     Stats { reply: Sender<Vec<TenantStatsWire>> },
@@ -114,14 +120,15 @@ const TIMELINE_CAP: usize = 1 << 18;
 const IDLE_PARK: Duration = Duration::from_micros(500);
 
 /// Shard-local flight-recorder state: the shard's ring, the shared
-/// trigger latch, and the escalation-storm gauge (a bitmask of the
-/// last 64 windows — 1 = escalated past L1).
+/// trigger latch, the escalation-storm gauge (a bitmask of the last 64
+/// windows — 1 = escalated past L1), and the ring-depth latch.
 struct ShardTrace {
     buf: Arc<TraceBuf>,
     set: Arc<TraceSet>,
     storm_bits: u64,
     storm_seen: u32,
     storm_latched: bool,
+    high_water_latched: bool,
 }
 
 impl ShardTrace {
@@ -172,168 +179,302 @@ impl Timeline {
     }
 }
 
-/// Runs one shard until the control channel is gone and every attached
-/// ring has been drained and closed.
-pub(crate) fn run_shard(
-    shard_id: usize,
-    cfg: &ServiceConfig,
-    scenarios: &[ScenarioContext],
-    rx: Receiver<ShardRequest>,
-    waker: Arc<ShardWaker>,
+/// One decode shard: the sweep state, behind the lock its thread and
+/// the session routers share, and the waker its thread parks on.
+pub(crate) struct Shard<'a> {
+    core: Mutex<ShardCore<'a>>,
+    waker: ShardWaker,
+}
+
+/// Everything a sweep touches. At most one thread sweeps a shard at a
+/// time: the one holding this lock.
+struct ShardCore<'a> {
+    id: usize,
+    cfg: &'a ServiceConfig,
+    scenarios: &'a [ScenarioContext],
     metrics: Arc<ShardMetrics>,
-    trace: Option<Arc<TraceSet>>,
-) {
-    waker.register();
-    let mut tenants: HashMap<u32, Tenant<'_>> = HashMap::new();
-    let mut timeline = Timeline::new();
-    let mut rings: Vec<(Consumer, Sender<Frame>)> = Vec::new();
-    let mut control_open = true;
-    let mut tr: Option<ShardTrace> = trace.map(|set| ShardTrace {
-        buf: Arc::clone(set.buf(shard_id)),
-        set,
-        storm_bits: 0,
-        storm_seen: 0,
-        storm_latched: false,
-    });
-    let mut high_water_latched = false;
-    // Wakes are counted at the waker (the producer side swaps the
-    // parked flag); fold them into the telemetry counter by delta.
-    let mut last_wakes = 0u64;
-    loop {
+    control: Receiver<ShardRequest>,
+    control_open: bool,
+    tenants: HashMap<u32, Tenant<'a>>,
+    timeline: Timeline,
+    rings: Vec<(Consumer, Arc<ReplySink>)>,
+    tr: Option<ShardTrace>,
+    /// One ring sweep's replies, encoded back to back (recycled).
+    wire: Vec<u8>,
+}
+
+impl<'a> Shard<'a> {
+    pub(crate) fn new(
+        id: usize,
+        cfg: &'a ServiceConfig,
+        scenarios: &'a [ScenarioContext],
+        control: Receiver<ShardRequest>,
+        metrics: Arc<ShardMetrics>,
+        trace: Option<Arc<TraceSet>>,
+    ) -> Self {
+        let tr = trace.map(|set| ShardTrace {
+            buf: Arc::clone(set.buf(id)),
+            set,
+            storm_bits: 0,
+            storm_seen: 0,
+            storm_latched: false,
+            high_water_latched: false,
+        });
+        Shard {
+            core: Mutex::new(ShardCore {
+                id,
+                cfg,
+                scenarios,
+                metrics,
+                control,
+                control_open: true,
+                tenants: HashMap::new(),
+                timeline: Timeline::new(),
+                rings: Vec::new(),
+                tr,
+                wire: Vec::new(),
+            }),
+            waker: ShardWaker::new(),
+        }
+    }
+
+    /// The waker the shard thread parks on.
+    pub(crate) fn waker(&self) -> &ShardWaker {
+        &self.waker
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ShardCore<'a>> {
+        self.core.lock().expect("shard poisoned")
+    }
+
+    /// The shard thread: sweeps until the control channel is gone and
+    /// every attached ring has been drained and closed, parking whenever
+    /// a sweep finds nothing.
+    pub(crate) fn run(&self) {
+        self.waker.register();
+        // Wakes are counted at the waker (the producer side swaps the
+        // parked flag); fold them into the telemetry counter by delta.
+        let mut last_wakes = 0u64;
+        let mut unwoken = false;
+        loop {
+            let mut core = self.lock();
+            let swept = core.step();
+            if std::mem::take(&mut unwoken) && swept > 0 {
+                core.metrics.timeout_pickups.inc();
+            }
+            let wakes = self.waker.wake_count();
+            if wakes > last_wakes {
+                core.record_wakes(wakes - last_wakes);
+                last_wakes = wakes;
+            }
+            if core.finished() {
+                break;
+            }
+            if swept > 0 {
+                continue;
+            }
+            self.waker.prepare_park();
+            // Re-check after raising the parked flag: a producer that
+            // published in between will have seen the flag, and either
+            // wakes this thread or sweeps inline once the lock is free.
+            if core.has_pending() {
+                self.waker.cancel_park();
+                continue;
+            }
+            core.metrics.parks.inc();
+            if let Some(t) = &core.tr {
+                t.buf.record(SHARD_TENANT, 0, 0, TraceKind::Park, 0);
+            }
+            drop(core);
+            unwoken = self.waker.park_timeout(IDLE_PARK);
+        }
+    }
+
+    /// Sweeps the shard on the calling router thread — one `try_lock`ed
+    /// pass while the shard thread sleeps on — and wakes the thread
+    /// instead when the lock is taken or work is left after the pass.
+    fn sweep_inline(&self) {
+        if let Ok(mut core) = self.core.try_lock() {
+            core.step();
+            core.metrics.inline_sweeps.inc();
+            if !core.has_pending() {
+                return;
+            }
+        }
+        self.waker.wake();
+    }
+}
+
+/// A router's hand-off of the shards it published to since its last
+/// one (`dirty`, cleared here): it wakes every such shard except one
+/// whose thread is parked, then sweeps that one itself, so an idle
+/// shard costs its client no thread wake at all.
+pub(crate) fn hand_off(shards: &[Shard<'_>], dirty: &mut [bool]) {
+    let mut inline = None;
+    for (shard, dirty) in shards.iter().zip(dirty.iter_mut()) {
+        if !std::mem::take(dirty) {
+            continue;
+        }
+        if inline.is_none() && shard.waker.is_parked() {
+            inline = Some(shard);
+        } else {
+            // Also for a shard that reads as running: the wake's swap,
+            // unlike the plain read above, orders this router's
+            // publishes before its look at the flag, so a shard raising
+            // the flag right now either finds the slots in its re-check
+            // or is woken.
+            shard.waker.wake();
+        }
+    }
+    if let Some(shard) = inline {
+        shard.sweep_inline();
+    }
+}
+
+impl ShardCore<'_> {
+    /// One pass: every queued control request, then at most
+    /// `batch_max` slots per ring, so control traffic and sibling rings
+    /// stay live. Returns the slots swept.
+    fn step(&mut self) -> usize {
         // Control first: a registration is always applied before any
         // submission swept afterwards (clients wait for the ack before
         // submitting, and the ack is sent from here).
-        while control_open {
-            match rx.try_recv() {
-                Ok(ShardRequest::Register {
-                    qubit,
-                    scenario,
-                    kind,
-                    window,
-                    predecode,
-                    datapath,
-                    gate,
-                    reply,
-                }) => {
-                    let sc = &scenarios[scenario];
-                    let mut decoder = SlidingWindowDecoder::with_cache(
-                        &sc.context().graph,
-                        Arc::clone(sc.layers()),
-                        kind,
-                        window,
-                        Arc::clone(sc.window_cache()),
-                    )
-                    .with_predecode(predecode)
-                    .with_datapath(datapath);
-                    decoder.set_spans(Arc::clone(&metrics.stages), cfg.metrics_sample);
-                    if let Some(t) = &tr {
-                        decoder.set_trace(Arc::clone(&t.buf), qubit);
-                    }
-                    let layers_per_shot = sc.layers().num_layers();
-                    tenants.insert(
-                        qubit,
-                        Tenant {
-                            qubit,
-                            decoder,
-                            fallback: fallback_latency_model(kind),
-                            datapath,
-                            layers_per_shot,
-                            next_shot: 0,
-                            shots: 0,
-                            windows: 0,
-                            l1_rounds: 0,
-                            escalated_windows: 0,
-                            gate,
-                            out: WindowedOutcome::default(),
-                            sparse: Vec::new(),
-                        },
-                    );
-                    let _ = reply.send(Frame::RegisterAck {
-                        qubit,
-                        ok: true,
-                        shard: shard_id as u32,
-                        message: String::new(),
-                    });
-                }
-                Ok(ShardRequest::AttachRing { ring, reply }) => {
-                    rings.push((ring, reply));
-                }
-                Ok(ShardRequest::Stats { reply }) => {
-                    let _ = reply.send(shard_stats(shard_id, cfg, &tenants, &timeline.arrivals));
-                }
+        while self.control_open {
+            match self.control.try_recv() {
+                Ok(request) => self.apply(request),
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => control_open = false,
+                Err(TryRecvError::Disconnected) => self.control_open = false,
             }
         }
-        // Hot path: sweep every ring, at most batch_max slots per ring
-        // per pass so control traffic and sibling rings stay live.
-        let depth: usize = rings.iter().map(|(ring, _)| ring.len()).sum();
-        metrics.ring_depth.set(depth as u64);
-        if let Some(t) = &tr {
-            if cfg.ring_high_water > 0 && depth as u32 >= cfg.ring_high_water && !high_water_latched
-            {
-                high_water_latched = true;
+        let depth: usize = self.rings.iter().map(|(ring, _)| ring.len()).sum();
+        self.metrics.ring_depth.set(depth as u64);
+        if let Some(t) = &mut self.tr {
+            let high_water = self.cfg.ring_high_water;
+            if high_water > 0 && depth as u32 >= high_water && !t.high_water_latched {
+                t.high_water_latched = true;
                 t.set.trigger("ring-high-water");
             }
         }
         let mut swept = 0usize;
-        for (ring, reply) in &mut rings {
-            let n = ring.len().min(cfg.batch_max);
+        for (ring, reply) in &mut self.rings {
+            let n = ring.len().min(self.cfg.batch_max);
+            if n == 0 {
+                continue;
+            }
+            self.wire.clear();
             for i in 0..n {
                 process_slot(
-                    &mut tenants,
-                    &mut timeline,
+                    &mut self.tenants,
+                    &mut self.timeline,
                     ring.slot(i),
-                    reply,
-                    &metrics,
-                    cfg,
-                    &mut tr,
+                    &mut self.wire,
+                    &self.metrics,
+                    self.cfg,
+                    &mut self.tr,
                 );
             }
             ring.advance(n);
+            reply.send_wire(&self.wire);
             swept += n;
         }
-        rings.retain(|(ring, _)| !ring.is_done());
-        let wakes = waker.wake_count();
-        if wakes > last_wakes {
-            metrics.wakes.add(wakes - last_wakes);
-            if let Some(t) = &tr {
-                t.buf.record(
-                    SHARD_TENANT,
-                    0,
-                    0,
-                    TraceKind::Wake,
-                    (wakes - last_wakes) as u32,
-                );
-            }
-            last_wakes = wakes;
-        }
-        if !control_open && rings.is_empty() {
-            break;
-        }
-        if swept == 0 {
-            waker.prepare_park();
-            // Re-check after raising the parked flag: a producer that
-            // published in between will have seen the flag and skips
-            // the park via `wake`.
-            if rings.iter().all(|(ring, _)| ring.is_empty()) {
-                metrics.parks.inc();
-                if let Some(t) = &tr {
-                    t.buf.record(SHARD_TENANT, 0, 0, TraceKind::Park, 0);
+        self.rings.retain(|(ring, _)| !ring.is_done());
+        swept
+    }
+
+    fn apply(&mut self, request: ShardRequest) {
+        match request {
+            ShardRequest::Register {
+                qubit,
+                scenario,
+                kind,
+                window,
+                predecode,
+                datapath,
+                gate,
+                reply,
+            } => {
+                let scenarios = self.scenarios;
+                let sc = &scenarios[scenario];
+                let mut decoder = SlidingWindowDecoder::with_cache(
+                    &sc.context().graph,
+                    Arc::clone(sc.layers()),
+                    kind,
+                    window,
+                    Arc::clone(sc.window_cache()),
+                )
+                .with_predecode(predecode)
+                .with_datapath(datapath);
+                decoder.set_spans(Arc::clone(&self.metrics.stages), self.cfg.metrics_sample);
+                if let Some(t) = &self.tr {
+                    decoder.set_trace(Arc::clone(&t.buf), qubit);
                 }
-                waker.park_timeout(IDLE_PARK);
+                let layers_per_shot = sc.layers().num_layers();
+                self.tenants.insert(
+                    qubit,
+                    Tenant {
+                        qubit,
+                        decoder,
+                        fallback: fallback_latency_model(kind),
+                        datapath,
+                        layers_per_shot,
+                        next_shot: 0,
+                        shots: 0,
+                        windows: 0,
+                        l1_rounds: 0,
+                        escalated_windows: 0,
+                        gate,
+                        out: WindowedOutcome::default(),
+                        sparse: Vec::new(),
+                    },
+                );
+                reply.send(&Frame::RegisterAck {
+                    qubit,
+                    ok: true,
+                    shard: self.id as u32,
+                    message: String::new(),
+                });
             }
+            ShardRequest::AttachRing { ring, reply } => self.rings.push((ring, reply)),
+            ShardRequest::Stats { reply } => {
+                let _ = reply.send(shard_stats(
+                    self.id,
+                    self.cfg,
+                    &self.tenants,
+                    &self.timeline.arrivals,
+                ));
+            }
+        }
+    }
+
+    /// Whether an attached ring holds a published, unswept slot.
+    fn has_pending(&self) -> bool {
+        self.rings.iter().any(|(ring, _)| !ring.is_empty())
+    }
+
+    /// The control channel is gone and every ring drained and closed.
+    fn finished(&self) -> bool {
+        !self.control_open && self.rings.is_empty()
+    }
+
+    fn record_wakes(&self, wakes: u64) {
+        self.metrics.wakes.add(wakes);
+        if let Some(t) = &self.tr {
+            t.buf
+                .record(SHARD_TENANT, 0, 0, TraceKind::Wake, wakes as u32);
         }
     }
 }
 
 /// Decodes one published ring slot: replay check, decode through the
-/// tenant's datapath, bill the modeled timeline, and reply.
+/// tenant's datapath, bill the modeled timeline, and append the reply
+/// to `wire`. A shard's replies are far below the frame-size limit, so
+/// encoding them cannot fail (and a failure would leave `wire` as it
+/// was).
 fn process_slot(
     tenants: &mut HashMap<u32, Tenant<'_>>,
     timeline: &mut Timeline,
     slot: &mut SubmitSlot,
-    reply: &Sender<Frame>,
+    wire: &mut Vec<u8>,
     metrics: &ShardMetrics,
     cfg: &ServiceConfig,
     tr: &mut Option<ShardTrace>,
@@ -362,20 +503,22 @@ fn process_slot(
         slot.enq = 0;
     }
     let Some(tenant) = tenants.get_mut(&qubit) else {
-        let _ = reply.send(Frame::Error {
+        let _ = Frame::Error {
             message: format!("qubit {qubit} is not registered on this shard"),
-        });
+        }
+        .encode_into(wire);
         return;
     };
     // Sequence numbers must be strictly increasing — gaps are fine (a
     // shot shed at the session router never reaches the shard).
     let next = tenant.next_shot;
     if shot < next {
-        let _ = reply.send(Frame::Error {
+        let _ = Frame::Error {
             message: format!(
                 "qubit {qubit}: shot {shot} replayed or out of order (next is {next})"
             ),
-        });
+        }
+        .encode_into(wire);
         tenant.gate.complete();
         return;
     }
@@ -435,7 +578,7 @@ fn process_slot(
             cfg.storm_threshold,
         );
     }
-    let _ = reply.send(Frame::CommitResult {
+    let _ = Frame::CommitResult {
         qubit,
         shot,
         obs_flip: tenant.out.obs_flip,
@@ -444,7 +587,8 @@ fn process_slot(
         shed_reason: 0,
         windows: tenant.out.windows.len() as u32,
         service_ns_total: total_ns,
-    });
+    }
+    .encode_into(wire);
 }
 
 /// Runs the shard's modeled admission simulation and merges it with the
@@ -516,6 +660,20 @@ mod tests {
         }
     }
 
+    /// Every frame in a sweep's reply buffer, in order.
+    fn frames(wire: &[u8]) -> Vec<Frame> {
+        let mut rest = wire;
+        std::iter::from_fn(|| Frame::read_from(&mut rest).unwrap()).collect()
+    }
+
+    /// The one reply `process_slot` appended, taken out of `wire`.
+    fn take_one(wire: &mut Vec<u8>) -> Frame {
+        let mut replies = frames(wire);
+        wire.clear();
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        replies.pop().unwrap()
+    }
+
     fn pack_slot(qubit: u32, shot: u64, dets: &[u32], num_dets: u32) -> SubmitSlot {
         let mut words = vec![0u64; words_for(num_dets as usize).max(1)];
         for &d in dets {
@@ -582,7 +740,7 @@ mod tests {
             }
             let mut tenants = HashMap::new();
             tenants.insert(0, test_tenant(0, decoder, gate));
-            let (tx, rx) = std::sync::mpsc::channel();
+            let mut wire = Vec::new();
             let mut timeline = Timeline::new();
             let metrics = ShardMetrics::default();
             for (i, dets) in shots.iter().enumerate() {
@@ -591,14 +749,13 @@ mod tests {
                     &mut tenants,
                     &mut timeline,
                     &mut slot,
-                    &tx,
+                    &mut wire,
                     &metrics,
                     &ServiceConfig::default(),
                     &mut None,
                 );
             }
-            drop(tx);
-            for frame in rx.iter() {
+            for frame in frames(&wire) {
                 match frame {
                     Frame::CommitResult { failed, .. } => assert!(!failed),
                     other => panic!("unexpected reply {other:?}"),
@@ -654,7 +811,7 @@ mod tests {
             }
             let mut tenants = HashMap::new();
             tenants.insert(3, test_tenant(3, decoder, gate));
-            let (tx, rx) = std::sync::mpsc::channel();
+            let mut wire = Vec::new();
             let mut timeline = Timeline::new();
             let metrics = ShardMetrics::default();
             for (i, dets) in shots.iter().enumerate() {
@@ -663,14 +820,13 @@ mod tests {
                     &mut tenants,
                     &mut timeline,
                     &mut slot,
-                    &tx,
+                    &mut wire,
                     &metrics,
                     &ServiceConfig::default(),
                     &mut None,
                 );
             }
-            drop(tx);
-            replies.push(rx.iter().collect::<Vec<Frame>>());
+            replies.push(frames(&wire));
             assert_eq!(tenants[&3].gate.in_flight(), 0);
         }
         assert_eq!(
@@ -690,7 +846,7 @@ mod tests {
         let gate = Arc::new(TenantGate::new(4));
         let mut tenants = HashMap::new();
         tenants.insert(1, test_tenant(1, decoder, Arc::clone(&gate)));
-        let (tx, rx) = std::sync::mpsc::channel();
+        let mut wire = Vec::new();
         let mut timeline = Timeline::new();
         let metrics = ShardMetrics::default();
         for (shot, expect_err) in [(0u64, false), (0, true), (5, false), (2, true)] {
@@ -700,12 +856,12 @@ mod tests {
                 &mut tenants,
                 &mut timeline,
                 &mut slot,
-                &tx,
+                &mut wire,
                 &metrics,
                 &ServiceConfig::default(),
                 &mut None,
             );
-            match rx.try_recv().unwrap() {
+            match take_one(&mut wire) {
                 Frame::Error { message } => {
                     assert!(expect_err, "unexpected reject: {message}");
                     assert!(message.contains("replayed or out of order"), "{message}");
@@ -723,12 +879,12 @@ mod tests {
             &mut tenants,
             &mut timeline,
             &mut slot,
-            &tx,
+            &mut wire,
             &metrics,
             &ServiceConfig::default(),
             &mut None,
         );
-        match rx.try_recv().unwrap() {
+        match take_one(&mut wire) {
             Frame::Error { message } => {
                 assert!(
                     message.contains("not registered on this shard"),
@@ -798,5 +954,193 @@ mod tests {
         t.push(arrival);
         assert_eq!(t.arrivals.len(), TIMELINE_CAP);
         assert_eq!(t.dropped, 2);
+    }
+
+    /// One shard around a small scenario, with a channel session whose
+    /// tenant 0 and ring are queued for registration (the first sweep
+    /// applies both and acks).
+    struct Fixture<'a> {
+        shard: Shard<'a>,
+        metrics: Arc<ShardMetrics>,
+        control: Sender<ShardRequest>,
+        producer: crate::spsc::Producer,
+        gate: Arc<TenantGate>,
+        client: crate::transport::Endpoint,
+        words: usize,
+    }
+
+    fn scenario() -> Vec<ScenarioContext> {
+        let ctx = Arc::new(ExperimentContext::with_rounds(3, 4, 1e-3));
+        vec![ScenarioContext::new("handoff", ctx).unwrap()]
+    }
+
+    fn fixture<'a>(cfg: &'a ServiceConfig, scenarios: &'a [ScenarioContext]) -> Fixture<'a> {
+        let (control, rx) = std::sync::mpsc::channel();
+        let metrics = Arc::new(ShardMetrics::default());
+        let shard = Shard::new(0, cfg, scenarios, rx, Arc::clone(&metrics), None);
+        let (client, server_end) = crate::transport::channel_pair();
+        let reply = Arc::new(ReplySink::new(server_end.sink));
+        let gate = Arc::new(TenantGate::new(1 << 16));
+        control
+            .send(ShardRequest::Register {
+                qubit: 0,
+                scenario: 0,
+                kind: DecoderKind::Mwpm,
+                window: WindowConfig::new(3, 2).unwrap(),
+                predecode: PredecodeMode::Off,
+                datapath: Datapath::Packed,
+                gate: Arc::clone(&gate),
+                reply: Arc::clone(&reply),
+            })
+            .unwrap();
+        let (producer, ring) = crate::spsc::ring(64);
+        control
+            .send(ShardRequest::AttachRing { ring, reply })
+            .unwrap();
+        let words = words_for(scenarios[0].layers().num_detectors() as usize).max(1);
+        Fixture {
+            shard,
+            metrics,
+            control,
+            producer,
+            gate,
+            client,
+            words,
+        }
+    }
+
+    /// Publishes an empty shot `shot` of tenant 0, as a router would.
+    fn publish(producer: &mut crate::spsc::Producer, gate: &TenantGate, words: usize, shot: u64) {
+        assert!(gate.try_admit());
+        let slot = producer.try_claim().expect("ring has room");
+        slot.qubit = 0;
+        slot.shot = shot;
+        slot.enq = 0;
+        slot.words.clear();
+        slot.words.resize(words, 0);
+        producer.publish();
+    }
+
+    /// Reads the registration ack, then commits for `shots` in order.
+    fn expect_commits(client: &mut crate::transport::Endpoint, shots: std::ops::Range<u64>) {
+        match client.source.recv().unwrap() {
+            Some(Frame::RegisterAck { ok: true, .. }) => {}
+            other => panic!("registration answered {other:?}"),
+        }
+        for want in shots {
+            match client.source.recv().unwrap() {
+                Some(Frame::CommitResult {
+                    shot, shed: false, ..
+                }) => assert_eq!(shot, want),
+                other => panic!("shot {want} answered {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_parked_shard_with_a_free_lock_is_swept_inline_without_a_wake() {
+        let (cfg, scenarios) = (ServiceConfig::default(), scenario());
+        let mut f = fixture(&cfg, &scenarios);
+        publish(&mut f.producer, &f.gate, f.words, 0);
+        // The shard thread parked (raised its flag) before the publish.
+        f.shard.waker.prepare_park();
+        hand_off(std::slice::from_ref(&f.shard), &mut [true]);
+        assert_eq!(f.shard.waker.wake_count(), 0, "nobody was woken");
+        assert!(f.shard.waker.is_parked(), "the thread sleeps on");
+        assert_eq!(f.metrics.inline_sweeps.get(), 1);
+        expect_commits(&mut f.client, 0..1);
+    }
+
+    #[test]
+    fn a_held_shard_lock_turns_the_hand_off_into_one_wake() {
+        let (cfg, scenarios) = (ServiceConfig::default(), scenario());
+        let mut f = fixture(&cfg, &scenarios);
+        publish(&mut f.producer, &f.gate, f.words, 0);
+        f.shard.waker.prepare_park();
+        let held = f.shard.lock();
+        hand_off(std::slice::from_ref(&f.shard), &mut [true]);
+        assert_eq!(f.shard.waker.wake_count(), 1, "exactly one wake");
+        assert!(!f.shard.waker.is_parked());
+        drop(held);
+        assert_eq!(f.metrics.inline_sweeps.get(), 0);
+        // The woken thread's sweep finds the slot.
+        assert_eq!(f.shard.lock().step(), 1);
+        expect_commits(&mut f.client, 0..1);
+    }
+
+    #[test]
+    fn a_running_shard_is_neither_swept_inline_nor_counted_as_woken() {
+        let (cfg, scenarios) = (ServiceConfig::default(), scenario());
+        let mut f = fixture(&cfg, &scenarios);
+        publish(&mut f.producer, &f.gate, f.words, 0);
+        hand_off(std::slice::from_ref(&f.shard), &mut [true]);
+        assert_eq!(f.shard.waker.wake_count(), 0);
+        assert_eq!(f.metrics.inline_sweeps.get(), 0);
+        // The running thread's next sweep takes the slot.
+        assert_eq!(f.shard.lock().step(), 1);
+        expect_commits(&mut f.client, 0..1);
+        // A shard nobody published to is left alone altogether.
+        f.shard.waker.prepare_park();
+        hand_off(std::slice::from_ref(&f.shard), &mut [false]);
+        assert_eq!(f.shard.waker.wake_count(), 0);
+        assert_eq!(f.metrics.inline_sweeps.get(), 0);
+    }
+
+    #[test]
+    fn work_left_after_an_inline_pass_falls_back_to_a_wake() {
+        let cfg = ServiceConfig {
+            batch_max: 1,
+            ..ServiceConfig::default()
+        };
+        let scenarios = scenario();
+        let mut f = fixture(&cfg, &scenarios);
+        publish(&mut f.producer, &f.gate, f.words, 0);
+        publish(&mut f.producer, &f.gate, f.words, 1);
+        f.shard.waker.prepare_park();
+        hand_off(std::slice::from_ref(&f.shard), &mut [true]);
+        assert_eq!(f.metrics.inline_sweeps.get(), 1);
+        assert_eq!(f.shard.waker.wake_count(), 1, "one slot was left");
+        assert_eq!(f.shard.lock().step(), 1);
+        expect_commits(&mut f.client, 0..2);
+    }
+
+    #[test]
+    fn inline_and_thread_sweeps_alternate_over_one_tenant_in_shot_order() {
+        const SHOTS: u64 = 64;
+        let (cfg, scenarios) = (ServiceConfig::default(), scenario());
+        let Fixture {
+            shard,
+            metrics,
+            control,
+            mut producer,
+            gate,
+            mut client,
+            words,
+        } = fixture(&cfg, &scenarios);
+        std::thread::scope(|scope| {
+            let shard = &shard;
+            scope.spawn(move || shard.run());
+            for shot in 0..SHOTS {
+                publish(&mut producer, &gate, words, shot);
+                if shot % 2 == 0 {
+                    // Hand off to the parked thread: swept here, unless
+                    // the thread's idle timeout wins the lock race.
+                    while !shard.waker.is_parked() {
+                        std::thread::yield_now();
+                    }
+                    hand_off(std::slice::from_ref(shard), &mut [true]);
+                } else {
+                    shard.waker.wake();
+                }
+            }
+            expect_commits(&mut client, 0..SHOTS);
+            // Closing the ring and the control channel ends the thread.
+            drop(producer);
+            drop(control);
+            shard.waker.wake();
+        });
+        assert!(metrics.inline_sweeps.get() > 0, "no sweep ran inline");
+        assert!(shard.waker.wake_count() > 0, "no sweep ran on the thread");
+        assert_eq!(gate.in_flight(), 0);
     }
 }

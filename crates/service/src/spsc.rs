@@ -15,7 +15,12 @@
 //! slot then `Release`-stores the tail; the consumer `Acquire`-loads the
 //! tail before reading slots, and `Release`-stores the head after it is
 //! done with them. Exactly one producer and one consumer exist per ring
-//! (enforced by ownership: the halves are `Send` but not `Clone`).
+//! (the halves are `Send` but not `Clone`). The producer is owned by its
+//! session router; the consumer lives inside its shard's lock, which
+//! the shard thread and any router sweeping the shard inline share — so
+//! "single consumer" means one lock holder at a time, not one thread.
+//! The Release/Acquire pair of the lock hand-off orders one holder's
+//! head store and slot reads before the next holder's.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -52,7 +57,11 @@ struct Inner {
 // touches indices in `[tail, head + capacity)`, the consumer only
 // `[head, tail)`, and the Release/Acquire pair on `tail` (resp. `head`)
 // orders the slot writes before the other side reads (resp. recycles)
-// them. Each half is owned by exactly one thread.
+// them. Each half is used by at most one thread at a time: every slot
+// accessor takes `&mut self` and neither half is `Clone`. In the server
+// the producer is owned by one router, and the consumer is reached only
+// through its shard's mutex, whose lock/unlock orders successive
+// holders' accesses.
 unsafe impl Sync for Inner {}
 
 /// Creates a ring of `capacity` slots (rounded up to a power of two).
@@ -114,12 +123,16 @@ impl Drop for Producer {
     }
 }
 
-/// The read half: exactly one per ring, owned by a shard.
+/// The read half: exactly one per ring, kept in its shard's lock — the
+/// shard thread or a router sweeping inline reads it, whichever holds
+/// the lock.
 pub struct Consumer {
     inner: Arc<Inner>,
 }
 
-// SAFETY: see `Producer`.
+// SAFETY: moving the consumer to another thread is fine; its slot
+// accessors take `&mut self`, so one thread at a time calls them — in
+// the server, whichever thread holds the shard lock it lives behind.
 unsafe impl Send for Consumer {}
 
 impl Consumer {
@@ -146,7 +159,8 @@ impl Consumer {
         let idx = (head + i) & (self.inner.slots.len() - 1);
         // SAFETY: `head + i < tail` (caller contract via `len`), so the
         // slot is published and not accessible to the producer; `&mut
-        // self` keeps the consumer single-threaded.
+        // self` (held under the shard lock) keeps the consumer to one
+        // thread at a time.
         unsafe { &mut *self.inner.slots[idx].get() }
     }
 
@@ -163,7 +177,9 @@ impl Consumer {
 /// The shard sets `parked` before checking its rings one last time and
 /// parking; a producer that publishes swaps `parked` off and unparks.
 /// The shard parks with a timeout, so a lost race costs bounded latency,
-/// never a hang.
+/// never a hang. A router that finds the flag raised may also leave it
+/// up and sweep the shard itself: the shard thread then sleeps on until
+/// its timeout.
 #[derive(Debug)]
 pub struct ShardWaker {
     parked: AtomicBool,
@@ -194,12 +210,28 @@ impl ShardWaker {
         self.parked.store(true, Ordering::SeqCst);
     }
 
+    /// Lowers the flag of a [`ShardWaker::prepare_park`] whose re-check
+    /// found work, so the running shard does not look parked.
+    pub(crate) fn cancel_park(&self) {
+        self.parked.store(false, Ordering::SeqCst);
+    }
+
+    /// Whether the shard has raised its flag and no wake has taken it
+    /// down since: it is parked, or about to park after finding its
+    /// rings empty.
+    pub(crate) fn is_parked(&self) -> bool {
+        self.parked.load(Ordering::SeqCst)
+    }
+
     /// Parks the calling thread until woken or `timeout` elapses.
-    pub fn park_timeout(&self, timeout: std::time::Duration) {
+    /// Returns `true` when the flag was still raised on return — no
+    /// [`ShardWaker::wake`] ended the park; the timeout (or a spurious
+    /// unpark) did.
+    pub fn park_timeout(&self, timeout: std::time::Duration) -> bool {
         if self.parked.load(Ordering::SeqCst) {
             std::thread::park_timeout(timeout);
         }
-        self.parked.store(false, Ordering::SeqCst);
+        self.parked.swap(false, Ordering::SeqCst)
     }
 
     /// Wakes the shard if it is parked (or about to park).
@@ -361,5 +393,28 @@ mod tests {
         assert_eq!(waker.wake_count(), 1);
         waker.wake();
         assert_eq!(waker.wake_count(), 1, "the second wake found it awake");
+    }
+
+    #[test]
+    fn park_timeout_reports_whether_a_wake_ended_it() {
+        let waker = ShardWaker::new();
+        waker.register();
+        waker.prepare_park();
+        assert!(waker.is_parked());
+        assert!(
+            waker.park_timeout(std::time::Duration::from_micros(50)),
+            "nobody woke it: the timeout did"
+        );
+        assert!(!waker.is_parked());
+        waker.prepare_park();
+        waker.wake();
+        assert!(!waker.is_parked(), "the wake took the flag down");
+        assert!(!waker.park_timeout(std::time::Duration::from_secs(5)));
+        // A re-check that found work lowers the flag without a wake.
+        waker.prepare_park();
+        waker.cancel_park();
+        assert!(!waker.is_parked());
+        waker.wake();
+        assert_eq!(waker.wake_count(), 1);
     }
 }

@@ -2,8 +2,10 @@
 //! pair of traits.
 //!
 //! A transport endpoint is a ([`FrameSink`], [`FrameSource`]) pair —
-//! split halves, so the server can hand the sink to a writer thread
-//! while a router thread blocks on the source. Both implementations
+//! split halves, so a session's router thread can block on the source
+//! while the sink, wrapped in a [`ReplySink`], takes replies from that
+//! router and from every shard that decodes the session's submissions.
+//! Both implementations
 //! move the **same encoded bytes** (see [`crate::protocol`]): the
 //! channel transport ships `Vec<u8>` wire frames through `std::sync::
 //! mpsc`, the TCP transport writes them to a `TcpStream`. In-process
@@ -16,13 +18,15 @@
 //! written while an earlier one is un-ACKed goes out now, not when the
 //! peer's next submit or its 40 ms delayed-ACK timer releases Nagle's
 //! buffer), the source reads through a 64 KiB buffer (a 16-frame burst
-//! is one `read`, not 32), and [`FrameSink::send_wire`] puts any number
-//! of already encoded frames on the wire in one `write`.
+//! is one `read`, not 32) and says when a whole further frame is already
+//! in it ([`FrameSource::has_buffered`]), and [`FrameSink::send_wire`]
+//! puts any number of already encoded frames on the wire in one `write`.
 
 use crate::protocol::{Frame, ServiceError, MAX_FRAME_LEN};
 use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 
 /// The sending half of a transport endpoint.
 pub trait FrameSink: Send {
@@ -43,6 +47,12 @@ pub trait FrameSink: Send {
     /// Returns an error when the peer is gone, the transport failed, or
     /// `wire` does not end on a frame boundary.
     fn send_wire(&mut self, wire: &[u8]) -> Result<(), ServiceError>;
+
+    /// Closes the connection in both directions after a failed send, so
+    /// a half-written frame is never followed by more bytes and the
+    /// peer's reader (and this side's) sees the end. The default does
+    /// nothing: a channel send is all or nothing.
+    fn shutdown(&mut self) {}
 }
 
 /// The receiving half of a transport endpoint.
@@ -58,6 +68,15 @@ pub trait FrameSource: Send {
     ///
     /// Returns an error for malformed framing or transport failures.
     fn recv_body(&mut self, buf: &mut Vec<u8>) -> Result<bool, ServiceError>;
+
+    /// Whether a whole further frame is already at hand, so the next
+    /// [`FrameSource::recv_body`] returns it without blocking (a source
+    /// may take it off its transport early to tell). The default `false`
+    /// is always safe: a caller that defers work while more input is at
+    /// hand then just never defers.
+    fn has_buffered(&mut self) -> bool {
+        false
+    }
 
     /// Receives the next frame; `None` means the peer closed cleanly.
     ///
@@ -80,6 +99,73 @@ pub struct Endpoint {
     pub sink: Box<dyn FrameSink>,
     /// Frames from the peer's sink arrive here.
     pub source: Box<dyn FrameSource>,
+}
+
+/// One session's reply path, shared by its router and every shard that
+/// sweeps one of its submission rings: the sink and a recycled encode
+/// buffer behind one lock, so replies reach the peer in the order their
+/// writers took the lock.
+///
+/// A send that fails — the peer is gone, or it stopped reading and a
+/// TCP write timed out — kills the sink: the transport is shut down both
+/// ways ([`FrameSink::shutdown`]), so no half-written frame is followed
+/// by more bytes, and every later reply is dropped. A stalled peer thus
+/// holds a writer for at most one write timeout, once.
+pub struct ReplySink {
+    state: Mutex<SinkState>,
+}
+
+struct SinkState {
+    sink: Box<dyn FrameSink>,
+    /// Encode scratch of [`ReplySink::send`], recycled across frames.
+    wire: Vec<u8>,
+    dead: bool,
+}
+
+impl ReplySink {
+    /// Wraps a transport sink.
+    pub fn new(sink: Box<dyn FrameSink>) -> Self {
+        ReplySink {
+            state: Mutex::new(SinkState {
+                sink,
+                wire: Vec::new(),
+                dead: false,
+            }),
+        }
+    }
+
+    /// Encodes one frame into the recycled buffer and sends it. A frame
+    /// that cannot be encoded kills the sink like a failed write.
+    pub fn send(&self, frame: &Frame) {
+        let mut state = self.state.lock().expect("reply sink poisoned");
+        let SinkState { sink, wire, dead } = &mut *state;
+        if *dead {
+            return;
+        }
+        wire.clear();
+        if frame
+            .encode_into(wire)
+            .and_then(|()| sink.send_wire(wire))
+            .is_err()
+        {
+            *dead = true;
+            sink.shutdown();
+        }
+    }
+
+    /// Sends `wire` — whole frames back to back, as
+    /// [`Frame::encode_into`] appends them — with one
+    /// [`FrameSink::send_wire`].
+    pub fn send_wire(&self, wire: &[u8]) {
+        if wire.is_empty() {
+            return;
+        }
+        let mut state = self.state.lock().expect("reply sink poisoned");
+        if !state.dead && state.sink.send_wire(wire).is_err() {
+            state.dead = true;
+            state.sink.shutdown();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -120,29 +206,39 @@ impl FrameSink for ChannelSink {
 
 struct ChannelSource {
     rx: Receiver<Vec<u8>>,
+    /// A message [`FrameSource::has_buffered`] took off the channel
+    /// ahead of its [`FrameSource::recv_body`].
+    ahead: Option<Vec<u8>>,
 }
 
 impl FrameSource for ChannelSource {
     fn recv_body(&mut self, buf: &mut Vec<u8>) -> Result<bool, ServiceError> {
-        match self.rx.recv() {
-            Ok(wire) => {
-                if wire.len() < 4 {
-                    return Err(ServiceError::Protocol("short wire frame".into()));
-                }
-                let len = u32::from_le_bytes(wire[..4].try_into().expect("4 bytes")) as usize;
-                if len > MAX_FRAME_LEN || wire.len() != 4 + len {
-                    return Err(ServiceError::Protocol(format!(
-                        "wire frame length {} does not match prefix {len}",
-                        wire.len() - 4
-                    )));
-                }
-                buf.clear();
-                buf.extend_from_slice(&wire[4..]);
-                Ok(true)
-            }
+        let wire = match self.ahead.take().map_or_else(|| self.rx.recv(), Ok) {
+            Ok(wire) => wire,
             // Sender dropped: clean end-of-stream, like TCP EOF.
-            Err(_) => Ok(false),
+            Err(_) => return Ok(false),
+        };
+        if wire.len() < 4 {
+            return Err(ServiceError::Protocol("short wire frame".into()));
         }
+        let len = u32::from_le_bytes(wire[..4].try_into().expect("4 bytes")) as usize;
+        if len > MAX_FRAME_LEN || wire.len() != 4 + len {
+            return Err(ServiceError::Protocol(format!(
+                "wire frame length {} does not match prefix {len}",
+                wire.len() - 4
+            )));
+        }
+        buf.clear();
+        buf.extend_from_slice(&wire[4..]);
+        Ok(true)
+    }
+
+    fn has_buffered(&mut self) -> bool {
+        // Every message is one whole frame.
+        if self.ahead.is_none() {
+            self.ahead = self.rx.try_recv().ok();
+        }
+        self.ahead.is_some()
     }
 }
 
@@ -153,11 +249,17 @@ pub fn channel_pair() -> (Endpoint, Endpoint) {
     (
         Endpoint {
             sink: Box::new(ChannelSink { tx: client_tx }),
-            source: Box::new(ChannelSource { rx: client_rx }),
+            source: Box::new(ChannelSource {
+                rx: client_rx,
+                ahead: None,
+            }),
         },
         Endpoint {
             sink: Box::new(ChannelSink { tx: server_tx }),
-            source: Box::new(ChannelSource { rx: server_rx }),
+            source: Box::new(ChannelSource {
+                rx: server_rx,
+                ahead: None,
+            }),
         },
     )
 }
@@ -165,10 +267,9 @@ pub fn channel_pair() -> (Endpoint, Endpoint) {
 // ---------------------------------------------------------------------
 // Loopback TCP transport.
 
-/// Read-buffer size of a TCP source and the reply writer's coalescing
-/// bound (see `server`): far above one burst of submits or commits, so a
-/// burst is one syscall each way, and small enough to stay cache-resident.
-pub(crate) const TCP_BUF_BYTES: usize = 64 << 10;
+/// Read-buffer size of a TCP source: far above one burst of submits, so
+/// a burst is one `read`, and small enough to stay cache-resident.
+const TCP_BUF_BYTES: usize = 64 << 10;
 
 struct TcpSink {
     stream: TcpStream,
@@ -185,6 +286,11 @@ impl FrameSink for TcpSink {
 
     fn send_wire(&mut self, wire: &[u8]) -> Result<(), ServiceError> {
         Ok(self.stream.write_all(wire)?)
+    }
+
+    fn shutdown(&mut self) {
+        // The socket, not the handle: the source's clone sees EOF too.
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -211,6 +317,15 @@ impl FrameSource for TcpSource {
         buf.resize(len, 0);
         self.stream.read_exact(buf)?;
         Ok(true)
+    }
+
+    fn has_buffered(&mut self) -> bool {
+        // A whole frame, not just its first bytes: a frame split across
+        // reads still needs a blocking one.
+        let buffered = self.stream.buffer();
+        buffered
+            .first_chunk::<4>()
+            .is_some_and(|len| buffered.len() - 4 >= u32::from_le_bytes(*len) as usize)
     }
 }
 
@@ -348,5 +463,69 @@ mod tests {
         let (_client, mut server) = channel_pair();
         assert!(server.sink.send_wire(&wire[..wire.len() - 1]).is_err());
         assert!(server.sink.send_wire(&wire[..2]).is_err());
+    }
+
+    #[test]
+    fn sources_report_only_whole_frames_as_buffered() {
+        let mut wire = Vec::new();
+        ping().encode_into(&mut wire).unwrap();
+        let one = wire.len();
+        ping().encode_into(&mut wire).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let tcp_client = tcp_endpoint(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        let tcp_server = tcp_endpoint(listener.accept().unwrap().0);
+        for (mut client, mut server) in [channel_pair(), (tcp_client.unwrap(), tcp_server.unwrap())]
+        {
+            assert!(!server.source.has_buffered(), "nothing sent yet");
+            client.sink.send_wire(&wire[..one]).unwrap();
+            assert_eq!(server.source.recv().unwrap(), Some(ping()));
+            assert!(!server.source.has_buffered());
+            // Two frames in one write: after the first, the second is at
+            // hand, and a frame still in flight is not.
+            client.sink.send_wire(&wire).unwrap();
+            assert_eq!(server.source.recv().unwrap(), Some(ping()));
+            assert!(server.source.has_buffered());
+            assert_eq!(server.source.recv().unwrap(), Some(ping()));
+            assert!(!server.source.has_buffered());
+        }
+        // Over TCP a frame split across reads is not a buffered frame
+        // until its last byte is in.
+        let (mut client, server) = (
+            tcp_endpoint(TcpStream::connect(listener.local_addr().unwrap()).unwrap()).unwrap(),
+            listener.accept().unwrap().0,
+        );
+        let mut source = TcpSource {
+            stream: BufReader::with_capacity(TCP_BUF_BYTES, server),
+        };
+        client.sink.send_wire(&wire[..one + 5]).unwrap();
+        assert_eq!(source.recv().unwrap(), Some(ping()));
+        assert!(!source.has_buffered(), "five bytes of a frame");
+        client.sink.send_wire(&wire[one + 5..]).unwrap();
+        assert_eq!(source.recv().unwrap(), Some(ping()));
+    }
+
+    #[test]
+    fn a_failed_send_kills_the_reply_sink_and_closes_the_socket() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client =
+            tcp_endpoint(TcpStream::connect(listener.local_addr().unwrap()).unwrap()).unwrap();
+        let Endpoint { sink, mut source } = tcp_endpoint(listener.accept().unwrap().0).unwrap();
+        let reply = ReplySink::new(sink);
+        reply.send(&Frame::ShutdownAck);
+        assert_eq!(client.source.recv().unwrap(), Some(Frame::ShutdownAck));
+        // A frame too large to encode fails like a write: the socket is
+        // shut down both ways, so the peer reads EOF, the server's own
+        // source sees the end, and later replies go nowhere.
+        reply.send(&Frame::Error {
+            message: "x".repeat(MAX_FRAME_LEN + 1),
+        });
+        assert_eq!(source.recv().unwrap(), None);
+        reply.send(&Frame::ShutdownAck);
+        reply.send_wire(&Frame::ShutdownAck.to_wire().unwrap());
+        assert_eq!(
+            client.source.recv().unwrap(),
+            None,
+            "no bytes after the failure"
+        );
     }
 }

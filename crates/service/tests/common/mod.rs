@@ -1,7 +1,7 @@
-//! Shared harness of the reply-writer tests: a small server, and a
-//! client that ships a whole session's submissions as **one** wire
-//! buffer through [`service::FrameSink::send_wire`] — one `write` on TCP,
-//! one message per frame on channels — so the server's writer meets the
+//! Shared harness of the reply-path tests: a small server, and a client
+//! that ships a whole session's submissions as **one** wire buffer
+//! through [`service::FrameSink::send_wire`] — one `write` on TCP, one
+//! message per frame on channels — so the server's reply path meets the
 //! deepest reply backlog a client can produce.
 
 #![allow(dead_code)] // each test binary uses its own subset

@@ -1,6 +1,7 @@
-//! Reply ordering through the coalescing writer: frames reach the client
-//! in exactly the order they entered the session's reply channel, however
-//! many of them one `write` carries.
+//! Reply ordering through the session's reply sink: frames reach the
+//! client in exactly the order their writers — shard sweeps and the
+//! router — took the sink's lock, however many of them one `write`
+//! carries.
 
 mod common;
 

@@ -1,13 +1,23 @@
 //! Session teardown under the deepest reply backlog: a client that
 //! pipelines its whole session in one write and then vanishes without
-//! reading a byte must not wedge the server — the writer's coalesced
-//! `write` fails, the router sees the reset, the shards drain their
-//! rings, and `serve_tcp` returns. A client speaking a retired frame
-//! (the v4/v5 scrape codes 9–12) ends only its own session.
+//! reading a byte must not wedge the server — the shard's reply `write`
+//! fails, the router sees the reset, the shards drain their rings, and
+//! `serve_tcp` returns. A client that stays connected but stops reading
+//! stalls only itself: the reply write times out, its session is cut,
+//! and a neighbour on the same shard keeps its commit stream. A client
+//! speaking a retired frame (the v4/v5 scrape codes 9–12) ends only its
+//! own session.
 
 mod common;
 
-use service::{channel_pair, Frame, PROTOCOL_VERSION};
+use ler::DecoderKind;
+use realtime::{Datapath, PredecodeMode};
+use service::{
+    channel_pair, tcp_endpoint, DecodeServer, Endpoint, Frame, ScenarioContext, ServiceConfig,
+    PROTOCOL_VERSION,
+};
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -22,6 +32,113 @@ fn a_client_that_drops_mid_pipeline_does_not_wedge_the_server() {
     done.recv_timeout(Duration::from_secs(5))
         .expect("serve_tcp still running 5 s after the client vanished")
         .expect("a vanished client is a session end, not a server error");
+}
+
+fn register(client: &mut Endpoint, qubit: u32) {
+    client
+        .sink
+        .send(&Frame::RegisterQubit {
+            qubit,
+            decoder: DecoderKind::Mwpm.code(),
+            window: 3,
+            commit: 2,
+            predecode: PredecodeMode::Off.code(),
+            datapath: Datapath::Packed.code(),
+            scenario: common::SCENARIO.into(),
+        })
+        .unwrap();
+    match client.source.recv().unwrap() {
+        Some(Frame::RegisterAck { ok: true, .. }) => {}
+        other => panic!("registration answered {other:?}"),
+    }
+}
+
+fn submit(qubit: u32, shot: u64, wire: &mut Vec<u8>) {
+    Frame::SubmitRounds {
+        qubit,
+        shot,
+        dets: Vec::new(),
+    }
+    .encode_into(wire)
+    .unwrap();
+}
+
+#[test]
+fn a_client_that_stops_reading_stalls_only_itself() {
+    // One shard: the stalled session and its neighbour share a decode
+    // thread, so a reply write that blocked for good would stop both.
+    let ctx = common::context();
+    let scenario = ScenarioContext::new(common::SCENARIO, Arc::clone(&ctx)).unwrap();
+    let cfg = ServiceConfig {
+        shards: 1,
+        max_inflight_shots: 1024,
+        ..ServiceConfig::default()
+    };
+    let server = Arc::new(DecodeServer::new(cfg, vec![scenario]).unwrap());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let serving = Arc::clone(&server);
+    std::thread::spawn(move || {
+        let _ = done_tx.send(serving.serve_tcp(&listener, 2));
+    });
+    let mut stalled = tcp_endpoint(TcpStream::connect(addr).unwrap()).unwrap();
+    register(&mut stalled, 0);
+    let mut neighbour = tcp_endpoint(TcpStream::connect(addr).unwrap()).unwrap();
+    register(&mut neighbour, 1);
+
+    // The stalled client pipelines submits until the server cuts it off,
+    // and never reads a reply. It keeps its socket open throughout.
+    let Endpoint {
+        sink: mut stalled_sink,
+        source: stalled_source,
+    } = stalled;
+    let flood = std::thread::spawn(move || {
+        let mut wire = Vec::new();
+        for batch in 0..10_000u64 {
+            wire.clear();
+            for shot in batch * 4096..(batch + 1) * 4096 {
+                submit(0, shot, &mut wire);
+            }
+            if stalled_sink.send_wire(&wire).is_err() {
+                return true;
+            }
+        }
+        false
+    });
+
+    // The neighbour's closed loop, under a guard: every commit, in order.
+    let (neighbour_tx, neighbour_done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut wire = Vec::new();
+        for shot in 0..300u64 {
+            wire.clear();
+            submit(1, shot, &mut wire);
+            neighbour.sink.send_wire(&wire).unwrap();
+            match neighbour.source.recv().unwrap() {
+                Some(Frame::CommitResult {
+                    qubit: 1,
+                    shot: s,
+                    shed: false,
+                    ..
+                }) => assert_eq!(s, shot),
+                other => panic!("neighbour shot {shot} answered {other:?}"),
+            }
+        }
+        common::shutdown(&mut neighbour);
+        let _ = neighbour_tx.send(());
+    });
+    neighbour_done
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the neighbour's commits stalled behind a client that stopped reading");
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("serve_tcp still running 5 s after the neighbour left")
+        .expect("a stalled client is a session end, not a server error");
+    assert!(
+        flood.join().unwrap(),
+        "the server never cut the stalled session off"
+    );
+    drop(stalled_source);
 }
 
 #[test]

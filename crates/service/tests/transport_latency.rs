@@ -8,12 +8,11 @@
 //! ≈ 0.1 ms, so a 20 ms bound separates the two without timing the
 //! happy path.
 //!
-//! Each trial owes the client three replies for one segment. The first
-//! is the router's own (an `Error` for an unregistered qubit, queued the
-//! moment the frame is parsed); the two commits follow a cold shard wake
-//! later, so the coalescing writer cannot fold all three into one
-//! `write` — with the writer alone, and Nagle left on, the stall would
-//! show on some runs only.
+//! Each trial owes the client three replies for one segment, in two
+//! writes: the router's own `Error` for an unregistered qubit leaves the
+//! moment the frame is parsed, and the two commits follow in one more
+//! `write` from the shard sweep that decodes them. With Nagle left on,
+//! that second write would sit behind the un-ACKed first.
 
 use ler::{DecoderKind, ExperimentContext};
 use realtime::{Datapath, PredecodeMode};

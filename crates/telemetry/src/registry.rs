@@ -31,6 +31,13 @@ pub struct ShardMetrics {
     pub parks: Counter,
     /// Times the waker actually unparked the shard thread.
     pub wakes: Counter,
+    /// Sweeps a session router ran itself on the parked shard it handed
+    /// off to, instead of waking the shard thread.
+    pub inline_sweeps: Counter,
+    /// Times the shard thread came back from its bounded park with no
+    /// wake delivered (the timeout, or a spurious unpark, ended it) and
+    /// then found work: a slot that waited out the park timeout.
+    pub timeout_pickups: Counter,
     /// SPSC ring occupancy (slots pending across the shard's rings),
     /// sampled once per sweep; `max()` is the high-water mark.
     pub ring_depth: Gauge,
@@ -81,6 +88,8 @@ impl Registry {
                     escalated_windows: m.escalated_windows.get(),
                     parks: m.parks.get(),
                     wakes: m.wakes.get(),
+                    inline_sweeps: m.inline_sweeps.get(),
+                    timeout_pickups: m.timeout_pickups.get(),
                     ring_depth: m.ring_depth.get(),
                     ring_depth_max: m.ring_depth.max(),
                     stages: Stage::ALL.map(|s| m.stages.stage(s).snapshot()),
@@ -109,6 +118,10 @@ pub struct ShardSnapshot {
     pub parks: u64,
     /// See [`ShardMetrics::wakes`].
     pub wakes: u64,
+    /// See [`ShardMetrics::inline_sweeps`].
+    pub inline_sweeps: u64,
+    /// See [`ShardMetrics::timeout_pickups`].
+    pub timeout_pickups: u64,
     /// Last-sampled SPSC ring occupancy.
     pub ring_depth: u64,
     /// High-water ring occupancy.
@@ -157,7 +170,7 @@ impl RegistrySnapshot {
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        let counters: [FamilyRow; 7] = [
+        let counters: [FamilyRow; 9] = [
             ("promatch_rounds_total", "Syndrome rounds committed.", |s| {
                 s.rounds
             }),
@@ -183,6 +196,16 @@ impl RegistrySnapshot {
             ("promatch_wakes_total", "Shard waker unpark events.", |s| {
                 s.wakes
             }),
+            (
+                "promatch_inline_sweeps_total",
+                "Sweeps a session router ran on a parked shard instead of waking it.",
+                |s| s.inline_sweeps,
+            ),
+            (
+                "promatch_timeout_pickups_total",
+                "Idle-park timeouts, with no wake delivered, that then found work.",
+                |s| s.timeout_pickups,
+            ),
         ];
         for (name, help, get) in counters {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
@@ -273,6 +296,8 @@ mod tests {
         m0.escalated_windows.add(7);
         m0.parks.add(3);
         m0.wakes.add(3);
+        m0.inline_sweeps.add(9);
+        m0.timeout_pickups.inc();
         m0.ring_depth.set(5);
         m0.ring_depth.set(1);
         m0.stages.record(Stage::Solve, 800);
@@ -291,6 +316,7 @@ mod tests {
         assert_eq!(s0.sheds, 2);
         assert_eq!(s0.ring_depth, 1);
         assert_eq!(s0.ring_depth_max, 5);
+        assert_eq!((s0.inline_sweeps, s0.timeout_pickups), (9, 1));
         assert_eq!(snap.max_ring_depth(), 5);
         let solve = &s0.stages[Stage::Solve as usize];
         assert_eq!(solve.count, 2);
@@ -307,6 +333,8 @@ mod tests {
             "promatch_rounds_total",
             "promatch_shed_total",
             "promatch_escalated_windows_total",
+            "promatch_inline_sweeps_total",
+            "promatch_timeout_pickups_total",
             "promatch_ring_depth",
             "promatch_stage_duration_ns",
             "promatch_stage_duration_quantile_ns",
@@ -315,6 +343,8 @@ mod tests {
         }
         assert!(text.contains("promatch_shed_total{shard=\"0\"} 2"));
         assert!(text.contains("promatch_ring_depth_max{shard=\"0\"} 5"));
+        assert!(text.contains("promatch_inline_sweeps_total{shard=\"0\"} 9"));
+        assert!(text.contains("promatch_timeout_pickups_total{shard=\"1\"} 0"));
         assert!(text.contains("stage=\"solve\""));
         assert!(text.contains(
             "promatch_stage_duration_quantile_ns{shard=\"0\",stage=\"solve\",quantile=\"0.99\"}"

@@ -23,10 +23,12 @@
 //! same traffic fills no row) and that reading a filled row never
 //! touches the heap.
 //!
-//! The reply side of the service has the same shape: the session writer
+//! The reply side of the service has the same shape: a shard sweep
 //! appends every `CommitResult` into one recycled buffer
-//! ([`Frame::encode_into`]), so a warmed buffer must take a thousand
-//! commits without one allocation event.
+//! ([`Frame::encode_into`]) and hands it to the session's [`ReplySink`]
+//! in one `send_wire`, and the router's own replies go through the
+//! sink's recycled buffer — so a warm session must take a thousand
+//! commits down either path without one allocation event.
 //!
 //! The solver side is pinned on a dense stream: the window engine lends
 //! every window's short-lived decoder one long-lived workspace, so a
@@ -42,11 +44,11 @@ use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
     Datapath, PredecodeMode, SlidingWindowDecoder, SyndromeStream, WindowConfig, WindowedOutcome,
 };
-use promatch_repro::service::Frame;
+use promatch_repro::service::{Frame, FrameSink, ReplySink, ServiceError};
 use promatch_repro::surface_code::{MemoryBasis, NoiseModel};
 use promatch_repro::telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Counts allocation *events* (alloc, alloc_zeroed, realloc); frees are
@@ -240,6 +242,52 @@ fn commit_results_append_into_a_warm_buffer_without_allocating() {
     let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
     assert_eq!(events, 0, "appending commits into a warm buffer allocated");
     assert_eq!(wire.len(), warm_len);
+
+    // The whole reply path of a warm session: shard sweeps of 16 commits
+    // (the default `batch_max`) encoded into the sweep's scratch and
+    // sent with one `send_wire` each, and the router's replies encoded
+    // into the sink's own recycled buffer.
+    let sent = Arc::new(AtomicUsize::new(0));
+    let sink = ReplySink::new(Box::new(ByteCount(Arc::clone(&sent))));
+    let mut scratch = Vec::new();
+    let mut session = || {
+        for first in (0..1000).step_by(16) {
+            scratch.clear();
+            for shot in first..(first + 16).min(1000) {
+                commit(shot).encode_into(&mut scratch).unwrap();
+            }
+            sink.send_wire(&scratch);
+        }
+        for shot in 0..1000 {
+            sink.send(&commit(shot));
+        }
+    };
+    session();
+    let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+    session();
+    let events = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
+    assert_eq!(events, 0, "a warm session's reply path allocated");
+    assert_eq!(
+        sent.load(Ordering::Relaxed),
+        4 * warm_len,
+        "every reply left"
+    );
+}
+
+/// A transport that only counts the bytes it is handed: writing to a
+/// socket allocates nothing either, so the count isolates the service's
+/// own reply path.
+struct ByteCount(Arc<AtomicUsize>);
+
+impl FrameSink for ByteCount {
+    fn send(&mut self, frame: &Frame) -> Result<(), ServiceError> {
+        self.send_wire(&frame.to_wire()?)
+    }
+
+    fn send_wire(&mut self, wire: &[u8]) -> Result<(), ServiceError> {
+        self.0.fetch_add(wire.len(), Ordering::Relaxed);
+        Ok(())
+    }
 }
 
 /// Called from the one test above, like the L1 half.
