@@ -25,13 +25,18 @@
 //! stated in, and [`PathTable`] cannot supply it — see the type's docs.
 
 use crate::graph::DecodingGraph;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{BitXor, Range};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Row sentinel of both tables: no path at any price.
 const ROW_UNREACHED: u32 = u32::MAX;
+
+/// The kernel's "not reached" distance.
+const UNREACHED: u64 = u64::MAX;
 
 /// A searched distance from `src` as a row cell.
 ///
@@ -39,33 +44,149 @@ const ROW_UNREACHED: u32 = u32::MAX;
 ///
 /// Panics if a finite distance does not fit below the sentinel (it would
 /// otherwise read as "unreachable").
-fn row_cell(d: i64, src: u32) -> u32 {
-    if d == i64::MAX {
+fn row_cell(d: u64, src: u32) -> u32 {
+    if d == UNREACHED {
         return ROW_UNREACHED;
     }
     assert!(
-        d < i64::from(ROW_UNREACHED),
+        d < u64::from(ROW_UNREACHED),
         "distance {d} from node {src} overflows the u32 row"
     );
     d as u32
 }
 
+/// A graph's adjacency, flat — what both tables search. Node `u`'s
+/// half-edges are `half[start[u]..start[u + 1]]`, in the order of
+/// [`DecodingGraph::neighbors`].
+#[derive(Clone, Debug)]
+struct Adjacency {
+    start: Vec<u32>,
+    /// `(neighbor, weight)` of each half-edge.
+    half: Vec<(u32, u32)>,
+    /// Observable mask of each half-edge, parallel to `half`.
+    obs: Vec<u64>,
+}
+
+/// The shortest-path kernel's scratch. It holds capacity only — every
+/// search starts from cleared buffers — so no result outlives a fill.
+#[derive(Default)]
+struct Scratch {
+    dist: Vec<u64>,
+    /// Pending `dist << 32 | node` keys of distances up to `u32::MAX`.
+    near: BinaryHeap<Reverse<u64>>,
+    /// Pending `(dist, node)` of longer distances, popped once `near` is
+    /// empty; only a graph whose rows overflow their cells uses it.
+    far: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+thread_local! {
+    /// One scratch per thread: racing fillers of different rows never
+    /// share it, and a thread's next fill reuses its buffers.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+impl Adjacency {
+    /// # Panics
+    ///
+    /// Panics if an edge weight is negative or does not fit a `u32`.
+    fn new(graph: &DecodingGraph) -> Self {
+        let nodes = graph.num_detectors() + 1;
+        let mut start = Vec::with_capacity(nodes as usize + 1);
+        let mut half = Vec::with_capacity(2 * graph.num_edges());
+        let mut obs = Vec::with_capacity(2 * graph.num_edges());
+        for u in 0..nodes {
+            start.push(half.len() as u32);
+            for (v, e) in graph.neighbors(u) {
+                let w = u32::try_from(e.weight)
+                    .unwrap_or_else(|_| panic!("edge weight {} does not fit a u32", e.weight));
+                half.push((v, w));
+                obs.push(e.obs);
+            }
+        }
+        start.push(half.len() as u32);
+        Adjacency { start, half, obs }
+    }
+
+    /// Node `u`'s half-edge ids.
+    fn range(&self, u: u32) -> Range<usize> {
+        self.start[u as usize] as usize..self.start[u as usize + 1] as usize
+    }
+
+    /// The cheapest `a → b` half-edge, first among ties.
+    fn cheapest(&self, a: u32, b: u32) -> Option<u32> {
+        let to_b = self.range(a).filter(|&h| self.half[h].0 == b);
+        to_b.min_by_key(|&h| self.half[h].1).map(|h| h as u32)
+    }
+
+    /// Dijkstra from `src`, exactly as [`DecodingGraph::dijkstra`] runs
+    /// it: `(dist, node)` pops in increasing order, and a popped node
+    /// relaxes its half-edges in adjacency order, improving a neighbor
+    /// only strictly — so ties between shortest paths break the same
+    /// way. Every improvement of `v` over half-edge `h` from `u` calls
+    /// `relaxed(u, v, h)`; `sink`, if any, is reached but never
+    /// expanded. `read` gets the final distances ([`UNREACHED`] = none).
+    fn shortest<R>(
+        &self,
+        src: u32,
+        sink: Option<u32>,
+        mut relaxed: impl FnMut(usize, usize, usize),
+        read: impl FnOnce(&[u64]) -> R,
+    ) -> R {
+        SCRATCH.with(|scratch| {
+            let Scratch { dist, near, far } = &mut *scratch.borrow_mut();
+            dist.clear();
+            dist.resize(self.start.len() - 1, UNREACHED);
+            near.clear();
+            far.clear();
+            dist[src as usize] = 0;
+            near.push(Reverse(u64::from(src)));
+            loop {
+                let (d, u) = match near.pop() {
+                    Some(Reverse(key)) => (key >> 32, key as u32),
+                    None => match far.pop() {
+                        Some(Reverse(entry)) => entry,
+                        None => break,
+                    },
+                };
+                if d > dist[u as usize] || Some(u) == sink {
+                    continue;
+                }
+                for h in self.range(u) {
+                    let (v, w) = self.half[h];
+                    let nd = d + u64::from(w);
+                    if nd < dist[v as usize] {
+                        dist[v as usize] = nd;
+                        relaxed(u as usize, v as usize, h);
+                        if nd <= u64::from(u32::MAX) {
+                            near.push(Reverse(nd << 32 | u64::from(v)));
+                        } else {
+                            far.push(Reverse((nd, v)));
+                        }
+                    }
+                }
+            }
+            read(dist)
+        })
+    }
+}
+
 /// All-pairs shortest-path data between detectors (and to the boundary).
 ///
 /// Row `a` — distance, observable mask, hop count and quantized class
-/// from `a` to every node — is one [`DecodingGraph::dijkstra`] from `a`,
-/// run the first time anything about `a` is asked and kept for the life
-/// of the table. Rows sit behind [`OnceLock`]s: racing first askers of
-/// one source run exactly one search, a filled row is a lock-free
-/// indexed load, and one table serves every shot, thread and tenant that
-/// shares it. The values are those of an eager all-pairs build; only
+/// from `a` to every node — is one Dijkstra from `a` over the table's
+/// flat copy of the adjacency, breaking ties as
+/// [`DecodingGraph::dijkstra`] does, run the first time anything about
+/// `a` is asked and kept for the life of the table. Rows sit behind
+/// [`OnceLock`]s: racing first askers of one source run exactly one
+/// search, a filled row is a lock-free indexed load, and one table
+/// serves every shot, thread and tenant that shares it. The values are those of an eager all-pairs build; only
 /// when they are computed differs.
 #[derive(Clone, Debug)]
 pub struct PathTable {
     n: usize,
-    /// A private copy of the graph the rows are searched on, so the table
-    /// borrows nothing.
-    graph: DecodingGraph,
+    /// The adjacency the rows are searched on, so the table borrows
+    /// nothing.
+    adj: Adjacency,
     /// `rows[a]`, `a` in `0..=n` (the last row is the boundary node's).
     rows: Vec<OnceLock<PathRow>>,
     /// Whether every edge mask (hence every path mask, their XOR) fits
@@ -141,8 +262,14 @@ impl PathRow {
 impl PathTable {
     /// Prepares the table over `graph`: the quantization thresholds and
     /// an empty row store. No search runs until a row is asked for; one
-    /// row costs one Dijkstra (≈ 60 µs on the d = 13 memory graph, whose
-    /// 1 177 rows come to ≈ 11 MB if every one is ever asked).
+    /// row costs one search, measured on a 2-vCPU x86-64 host at
+    /// ≈ 36–50 µs on a six-layer d = 13 window (505 nodes) and
+    /// ≈ 120–130 µs on the whole d = 13 memory graph, whose 1 177 rows
+    /// grew the process by 10.6 MB when every one was asked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge weight is negative or does not fit a `u32`.
     pub fn build(graph: &DecodingGraph) -> Self {
         let n = graph.num_detectors() as usize;
         // Quantization thresholds: multiples of the typical (median) edge
@@ -156,7 +283,7 @@ impl PathTable {
             .max(1);
         PathTable {
             n,
-            graph: graph.clone(),
+            adj: Adjacency::new(graph),
             rows: (0..=n).map(|_| OnceLock::new()).collect(),
             narrow_obs: graph.edges().iter().all(|e| e.obs <= u64::from(u8::MAX)),
             thresholds: [
@@ -193,26 +320,46 @@ impl PathTable {
     }
 
     fn fill_row(&self, src: u32) -> PathRow {
-        let sp = self.graph.dijkstra(src);
-        let dist = sp.dist.iter().map(|&d| row_cell(d, src)).collect();
-        let class = sp
-            .dist
+        if self.narrow_obs {
+            self.search_row(src, |h| self.adj.obs[h] as u8, ObsRow::Narrow)
+        } else {
+            self.search_row(src, |h| self.adj.obs[h], ObsRow::Wide)
+        }
+    }
+
+    /// One search from `src`, the hop and observable cells written in
+    /// place as paths improve; `edge_obs(h)` is half-edge `h`'s mask as
+    /// a cell, and `wrap` makes the cells a row.
+    fn search_row<O: Copy + Default + BitXor<Output = O>>(
+        &self,
+        src: u32,
+        edge_obs: impl Fn(usize) -> O,
+        wrap: impl FnOnce(Box<[O]>) -> ObsRow,
+    ) -> PathRow {
+        let mut hops = vec![u16::MAX; self.n + 1].into_boxed_slice();
+        let mut obs = vec![O::default(); self.n + 1].into_boxed_slice();
+        hops[src as usize] = 0;
+        let dist: Box<[u32]> = self.adj.shortest(
+            src,
+            None,
+            |u, v, h| {
+                obs[v] = obs[u] ^ edge_obs(h);
+                hops[v] = hops[u].saturating_add(1);
+            },
+            |dist| dist.iter().map(|&d| row_cell(d, src)).collect(),
+        );
+        let class = dist
             .iter()
-            .map(|&d| self.thresholds.iter().position(|&t| d <= t).unwrap_or(3) as u8)
+            .map(|&d| {
+                let within = |&t: &i64| d != ROW_UNREACHED && i64::from(d) <= t;
+                self.thresholds.iter().position(within).unwrap_or(3) as u8
+            })
             .collect();
         PathRow {
             dist,
-            hops: sp
-                .hops
-                .iter()
-                .map(|&h| h.min(u16::MAX as u32) as u16)
-                .collect(),
+            hops,
             class,
-            obs: if self.narrow_obs {
-                ObsRow::Narrow(sp.obs.iter().map(|&o| o as u8).collect())
-            } else {
-                ObsRow::Wide(sp.obs.into())
-            },
+            obs: wrap(obs),
         }
     }
 
@@ -293,11 +440,11 @@ const ALT_SOME: u8 = 2;
 ///   eagerly with one Dijkstra from the boundary (the boundary is the
 ///   source, so no shortest path transits it);
 /// * **rows** — `row(u)[v] = nt(u, v)`, filled on first use with one
-///   Dijkstra from `u` and kept for the life of the table. Rows sit
-///   behind [`OnceLock`]s: racing first users of one source run exactly
-///   one fill, and a filled row is a lock-free indexed load, so one
-///   table serves every window, shot and tenant of a scenario
-///   concurrently;
+///   Dijkstra from `u` that never expands the boundary, and kept for the
+///   life of the table. Rows sit behind [`OnceLock`]s: racing first
+///   users of one source run exactly one fill, and a filled row is a
+///   lock-free indexed load, so one table serves every window, shot and
+///   tenant of a scenario concurrently;
 /// * **edge facts** — per half-edge of the flat adjacency its weight and
 ///   observable mask, and one memo byte answering "is there a second way
 ///   across this edge at the edge's own price?"
@@ -311,22 +458,17 @@ const ALT_SOME: u8 = 2;
 #[derive(Debug)]
 pub struct NoTransitTable {
     n: usize,
-    /// Flat adjacency: node `u`'s `(neighbor, weight)` half-edges are
-    /// `adj[adj_start[u]..adj_start[u + 1]]`, in the order of
-    /// [`DecodingGraph::neighbors`].
-    adj_start: Vec<u32>,
-    adj: Vec<(u32, i64)>,
-    /// Observable mask of each half-edge, parallel to `adj`.
-    adj_obs: Vec<u64>,
-    /// Memo byte of each half-edge, parallel to `adj`: [`ALT_UNKNOWN`]
-    /// until [`NoTransitTable::has_alternative`] is first asked.
+    /// The adjacency every search runs on; a half-edge id indexes it.
+    adj: Adjacency,
+    /// Memo byte of each half-edge: [`ALT_UNKNOWN`] until
+    /// [`NoTransitTable::has_alternative`] is first asked.
     alt: Vec<AtomicU8>,
     alt_filled: AtomicUsize,
     /// `boundary_half[v]`: `v`'s cheapest boundary half-edge
     /// ([`NO_HALF_EDGE`] = none).
     boundary_half: Vec<u32>,
-    /// `escape[v]`: shortest boundary distance (`i64::MAX` = none).
-    escape: Vec<i64>,
+    /// `escape[v]`: shortest boundary distance ([`UNREACHED`] = none).
+    escape: Vec<u64>,
     /// `rows[u][v]` = `nt(u, v)` as `u32` ([`ROW_UNREACHED`] = none);
     /// column `n` is the boundary.
     rows: Vec<OnceLock<Box<[u32]>>>,
@@ -336,38 +478,29 @@ pub struct NoTransitTable {
 impl NoTransitTable {
     /// Builds the escape vector, the flat adjacency and the empty row
     /// and memo stores over `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge weight is negative or does not fit a `u32`.
     pub fn new(graph: &DecodingGraph) -> Self {
         let n = graph.num_detectors() as usize;
         let bd = graph.boundary_node();
-        let mut adj_start = Vec::with_capacity(n + 2);
-        let mut adj: Vec<(u32, i64)> = Vec::with_capacity(2 * graph.num_edges());
-        let mut adj_obs = Vec::with_capacity(2 * graph.num_edges());
-        let mut boundary_half = vec![NO_HALF_EDGE; n];
-        for u in 0..=n as u32 {
-            adj_start.push(adj.len() as u32);
-            for (v, e) in graph.neighbors(u) {
-                // The cheapest boundary edge, first among ties — what
-                // `DecodingGraph::edge_between(u, boundary)` reports.
-                if v == bd && u != bd {
-                    let best = &mut boundary_half[u as usize];
-                    if *best == NO_HALF_EDGE || e.weight < adj[*best as usize].1 {
-                        *best = adj.len() as u32;
-                    }
-                }
-                adj.push((v, e.weight));
-                adj_obs.push(e.obs);
-            }
-        }
-        adj_start.push(adj.len() as u32);
+        let adj = Adjacency::new(graph);
+        let escape = adj.shortest(bd, None, |_, _, _| {}, <[u64]>::to_vec);
+        let boundary_half = (0..n as u32)
+            .map(|u| adj.cheapest(u, bd).unwrap_or(NO_HALF_EDGE))
+            .collect();
         NoTransitTable {
             n,
-            adj_start,
-            alt: adj.iter().map(|_| AtomicU8::new(ALT_UNKNOWN)).collect(),
+            alt: adj
+                .half
+                .iter()
+                .map(|_| AtomicU8::new(ALT_UNKNOWN))
+                .collect(),
             alt_filled: AtomicUsize::new(0),
             adj,
-            adj_obs,
             boundary_half,
-            escape: graph.dijkstra(bd).dist,
+            escape,
             rows: (0..n).map(|_| OnceLock::new()).collect(),
             filled: AtomicUsize::new(0),
         }
@@ -381,7 +514,7 @@ impl NoTransitTable {
     /// Shortest distance from detector `v` to the boundary, `i64::MAX`
     /// when `v`'s component has no boundary edge.
     pub fn escape(&self, v: u32) -> i64 {
-        self.escape[v as usize]
+        i64::try_from(self.escape[v as usize]).unwrap_or(i64::MAX)
     }
 
     /// Whether some `u → v` path that does not transit the boundary
@@ -398,32 +531,21 @@ impl NoTransitTable {
         self.filled.load(Ordering::Relaxed)
     }
 
-    /// Node `u`'s `(neighbor, weight)` half-edges.
-    fn adjacent(&self, u: u32) -> &[(u32, i64)] {
-        let (lo, hi) = (self.adj_start[u as usize], self.adj_start[u as usize + 1]);
-        &self.adj[lo as usize..hi as usize]
-    }
-
-    /// Node `u`'s half-edges with their ids.
-    fn half_edges(&self, u: u32) -> impl Iterator<Item = (u32, &(u32, i64))> + '_ {
-        (self.adj_start[u as usize]..).zip(self.adjacent(u))
-    }
-
     /// The `(half-edge id, neighbor)` pairs of node `u`, in the order of
     /// [`DecodingGraph::neighbors`]. A half-edge id names one direction
     /// of one edge and is what the edge-fact getters below take.
     pub fn neighbors(&self, u: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.half_edges(u).map(|(half, &(v, _))| (half, v))
+        let range = self.adj.range(u);
+        let ids = range.start as u32..;
+        ids.zip(&self.adj.half[range])
+            .map(|(half, &(v, _))| (half, v))
     }
 
     /// The cheapest direct `a → b` half-edge (first among ties), if the
     /// two are adjacent; `b` may be the boundary node. Names the edge
     /// [`DecodingGraph::edge_between`] reports.
     pub fn edge_between(&self, a: u32, b: u32) -> Option<u32> {
-        self.half_edges(a)
-            .filter(|&(_, &(v, _))| v == b)
-            .min_by_key(|&(_, &(_, w))| w)
-            .map(|(half, _)| half)
+        self.adj.cheapest(a, b)
     }
 
     /// Detector `a`'s cheapest direct boundary half-edge, if it has one.
@@ -433,12 +555,12 @@ impl NoTransitTable {
 
     /// Weight of half-edge `half`.
     pub fn weight(&self, half: u32) -> i64 {
-        self.adj[half as usize].1
+        i64::from(self.adj.half[half as usize].1)
     }
 
     /// Observable mask of half-edge `half`.
     pub fn obs(&self, half: u32) -> u64 {
-        self.adj_obs[half as usize]
+        self.adj.obs[half as usize]
     }
 
     /// Whether some path from `half`'s source to its target costs at most
@@ -480,11 +602,11 @@ impl NoTransitTable {
     /// that cap it settles a handful of nodes, so the settled set is a
     /// short list rather than a dense array per fill.
     fn search_alternative(&self, half: u32) -> bool {
-        let src = self.adj_start.partition_point(|&start| start <= half) as u32 - 1;
-        let (dst, cap) = self.adj[half as usize];
+        let src = self.adj.start.partition_point(|&start| start <= half) as u32 - 1;
+        let (dst, cap) = self.adj.half[half as usize];
         let bd = self.n as u32;
         let mut settled: Vec<u32> = Vec::new();
-        let mut heap = BinaryHeap::from([Reverse((0i64, src))]);
+        let mut heap = BinaryHeap::from([Reverse((0u64, src))]);
         while let Some(Reverse((d, u))) = heap.pop() {
             if u == dst {
                 return true;
@@ -493,9 +615,9 @@ impl NoTransitTable {
                 continue;
             }
             settled.push(u);
-            for &(v, w) in self.adjacent(u) {
-                let nd = d.saturating_add(w);
-                if nd <= cap && !(u == src && v == dst) {
+            for &(v, w) in &self.adj.half[self.adj.range(u)] {
+                let nd = d + u64::from(w);
+                if nd <= u64::from(cap) && !(u == src && v == dst) {
                     heap.push(Reverse((nd, v)));
                 }
             }
@@ -512,31 +634,19 @@ impl NoTransitTable {
         })
     }
 
-    /// One Dijkstra from `src` that never expands the boundary node.
+    /// One search from `src` that never expands the boundary node.
     ///
     /// # Panics
     ///
     /// Panics if a finite distance does not fit below the `u32`
     /// sentinel (it would otherwise read as "unreached").
     fn fill_row(&self, src: u32) -> Box<[u32]> {
-        let bd = self.n as u32;
-        let mut dist = vec![i64::MAX; self.n + 1];
-        let mut heap = BinaryHeap::new();
-        dist[src as usize] = 0;
-        heap.push(Reverse((0i64, src)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] || u == bd {
-                continue;
-            }
-            for &(v, w) in self.adjacent(u) {
-                let nd = d + w;
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        dist.iter().map(|&d| row_cell(d, src)).collect()
+        self.adj.shortest(
+            src,
+            Some(self.n as u32),
+            |_, _, _| {},
+            |dist| dist.iter().map(|&d| row_cell(d, src)).collect(),
+        )
     }
 }
 
@@ -610,6 +720,137 @@ mod tests {
             t.clone().rows_filled(),
             t.rows_filled(),
             "a clone keeps its rows"
+        );
+    }
+
+    /// A textbook Dijkstra, distances only, that never expands `sink`
+    /// unless it is the source — the oracle of the no-transit rows and
+    /// (with no sink) of the escape vector.
+    fn plain_dijkstra(g: &DecodingGraph, src: u32, sink: Option<u32>) -> Vec<i64> {
+        let mut dist = vec![i64::MAX; g.num_detectors() as usize + 1];
+        let mut heap = BinaryHeap::from([Reverse((0i64, src))]);
+        dist[src as usize] = 0;
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] || (Some(u) == sink && u != src) {
+                continue;
+            }
+            for (v, e) in g.neighbors(u) {
+                if d + e.weight < dist[v as usize] {
+                    dist[v as usize] = d + e.weight;
+                    heap.push(Reverse((d + e.weight, v)));
+                }
+            }
+        }
+        dist
+    }
+
+    /// Every row of a fresh [`PathTable`] over `g`, the boundary's
+    /// included, equals [`DecodingGraph::dijkstra`] cell by cell, and
+    /// every no-transit row and escape equals [`plain_dijkstra`].
+    fn assert_tables_match_the_oracles(g: &DecodingGraph) {
+        let t = PathTable::build(g);
+        let nt = NoTransitTable::new(g);
+        let bd = g.boundary_node();
+        let class = |d: i64| t.thresholds.iter().position(|&th| d <= th).unwrap_or(3) as u8;
+        for src in 0..=bd {
+            let sp = g.dijkstra(src);
+            let row = t.row(src);
+            for v in 0..=bd {
+                let (d, at) = (sp.dist[v as usize], (src, v));
+                assert_eq!(row.distance(v), d, "{at:?}");
+                assert_eq!(row.path_obs(v), sp.obs[v as usize], "{at:?}");
+                assert_eq!(row.path_hops(v), sp.hops[v as usize].min(65_535), "{at:?}");
+                assert_eq!(row.path_class(v), class(d), "{at:?}");
+            }
+        }
+        let escape: Vec<i64> = (0..=bd).map(|v| nt.escape(v)).collect();
+        assert_eq!(escape, plain_dijkstra(g, bd, None), "the escape vector");
+        for src in 0..bd {
+            let want = plain_dijkstra(g, src, Some(bd));
+            let got: Vec<i64> = nt
+                .row(src)
+                .iter()
+                .map(|&d| {
+                    if d == ROW_UNREACHED {
+                        i64::MAX
+                    } else {
+                        i64::from(d)
+                    }
+                })
+                .collect();
+            assert_eq!(got, want, "no-transit row {src}");
+        }
+    }
+
+    #[test]
+    fn kernel_rows_equal_the_oracles_on_sd6_and_every_window() {
+        let code = RotatedSurfaceCode::new(5);
+        let g = DecodingGraph::from_dem(&extract_dem(
+            &code.memory_z_circuit(5, &NoiseModel::sd6(1e-3)),
+        ));
+        assert_tables_match_the_oracles(&g);
+        let layers = crate::window::LayerMap::from_graph(&g).unwrap();
+        for seam in [
+            crate::SeamPolicy::Cut,
+            crate::SeamPolicy::ArtificialBoundary,
+        ] {
+            let cache = crate::WindowCache::new(&g, seam);
+            for lo in 0..layers.num_layers() {
+                for hi in lo + 1..=layers.num_layers() {
+                    let win = cache.get_or_build(&g, layers.det_range(lo, hi), (lo, hi));
+                    assert_tables_match_the_oracles(win.graph());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_weights_and_tied_paths_break_as_the_reference_does() {
+        use crate::graph::Edge;
+        let edge = |u, v, weight, obs| Edge {
+            u,
+            v,
+            weight,
+            probability: 0.01,
+            obs,
+        };
+        // 0 reaches 3 at 5 two ways, via 1 (mask 1) and via 2 (mask 2);
+        // 3–4 and 1–5 are free, so a zero-weight relaxation reaches a
+        // lower-numbered node at the distance just popped (5 → 1 from
+        // source 5). The boundary edges are too dear to transit.
+        let bd = 6;
+        let g = DecodingGraph::from_parts(
+            6,
+            5,
+            vec![
+                edge(0, 1, 2, 1),
+                edge(0, 2, 2, 2),
+                edge(1, 3, 3, 0),
+                edge(2, 3, 3, 0),
+                edge(3, 4, 0, 4),
+                edge(1, 5, 0, 8),
+                edge(4, bd, 10, 16),
+                edge(5, bd, 10, 0),
+            ],
+            vec![[0.0; 3]; 6],
+        );
+        assert_tables_match_the_oracles(&g);
+        let t = PathTable::build(&g);
+        // The tie goes to the path through the lower-numbered node,
+        // popped first at distance 2.
+        assert_eq!(
+            (t.distance(0, 3), t.path_obs(0, 3), t.path_hops(0, 3)),
+            (5, 1, 2)
+        );
+        assert_eq!(
+            (t.distance(0, 4), t.path_obs(0, 4), t.path_hops(0, 4)),
+            (5, 5, 3)
+        );
+        assert_eq!((t.distance(4, 1), t.path_obs(4, 1)), (3, 4));
+        assert_eq!((t.distance(5, 0), t.path_obs(5, 0)), (2, 9));
+        assert_eq!(
+            (t.distance(5, 3), t.path_obs(5, 3), t.path_hops(5, 3)),
+            (3, 8, 2)
         );
     }
 

@@ -36,10 +36,6 @@
 //! assert_eq!(outcome.obs_flip, e.obs);
 //! ```
 
-mod streaming;
-
-pub use streaming::StreamingMwpmDecoder;
-
 use blossom::MatchingWorkspace;
 use decoding_graph::{
     DecodeOutcome, DecodeWorkspace, Decoder, DecodingGraph, DetectorId, MatchPair, MatchTarget,

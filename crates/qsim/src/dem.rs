@@ -8,7 +8,6 @@
 //! detectors, so the model maps directly onto a matching graph.
 
 use crate::frame::Shot;
-use crate::rngutil::sample_bernoulli_hits;
 use crate::sparse::SparseBits;
 use rand::Rng;
 
@@ -65,24 +64,6 @@ impl DetectorErrorModel {
                 obs ^= e.obs;
             }
         }
-        Shot {
-            dets: dets.into_vec(),
-            obs,
-        }
-    }
-
-    /// Samples one shot quickly when all probabilities are equal.
-    ///
-    /// Falls back to [`DetectorErrorModel::sample_shot`] behaviour when
-    /// they are not; used only as an internal fast path.
-    pub fn sample_shot_uniform_fast<R: Rng + ?Sized>(&self, rng: &mut R, p: f64) -> Shot {
-        let mut dets = SparseBits::new();
-        let mut obs = 0u64;
-        sample_bernoulli_hits(rng, self.errors.len(), p, |i| {
-            let e = &self.errors[i];
-            dets.xor_in_place(&e.dets);
-            obs ^= e.obs;
-        });
         Shot {
             dets: dets.into_vec(),
             obs,

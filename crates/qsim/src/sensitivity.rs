@@ -10,6 +10,27 @@
 //! resets clear them. Each noise component's symptom is then a small XOR
 //! of the current sensitivity sets — total cost O(circuit × symptom size).
 //!
+//! ## Cost model
+//!
+//! The walk allocates nothing per gate or component: a `Cx` or a
+//! measurement merges two sorted sets into a reused buffer and swaps it
+//! in, and a component's symptom is XORed into one scratch buffer. A
+//! symptom with ≤ 2 detectors is then a fixed-size key (first detector,
+//! second detector, observable mask), merged into a per-first-detector
+//! list of a handful of entries — no hashing, and the lists read out in
+//! the model's sorted order. At d = 13 SD6 that is 146 120 components,
+//! 99 918 of them graph-like, folding into 6 085 mechanisms; the cost is
+//! the set merges, not the allocator.
+//!
+//! ## Merge order
+//!
+//! Probabilities of components sharing a symptom combine by
+//! [`xor_probability`], which is not associative in floating point, so
+//! the fold order is part of the output: each mechanism folds its
+//! graph-like components in backward circuit order, then the blocks of
+//! the decompositions below in the same order. Changing that order
+//! changes the last bits of `p`, hence [`DetectorErrorModel::to_text`].
+//!
 //! ## Graphlike decomposition
 //!
 //! Matching decoders need every mechanism to flip at most two detectors.
@@ -30,8 +51,11 @@
 
 use crate::circuit::{Circuit, Op};
 use crate::dem::{xor_probability, DemError, DetectorErrorModel};
-use crate::sparse::SparseBits;
+use crate::sparse::{xor_sorted, SparseBits};
 use std::collections::HashMap;
+
+#[cfg(test)]
+mod reference;
 
 /// Statistics about one extraction run, for diagnostics and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -81,21 +105,26 @@ pub fn extract_dem_with_stats(circuit: &Circuit) -> (DetectorErrorModel, Extract
         }
     }
 
-    // Per-qubit sensitivity sets.
-    let mut sens_x: Vec<SparseBits> = vec![SparseBits::new(); nq];
-    let mut sens_z: Vec<SparseBits> = vec![SparseBits::new(); nq];
-
-    // Raw components: (symptom ids, probability).
-    let mut raw: Vec<(SparseBits, f64)> = Vec::new();
-    let mut stats = ExtractionStats::default();
+    // Per-qubit sensitivity sets, sorted.
+    let mut sens_x: Vec<Vec<u32>> = vec![Vec::new(); nq];
+    let mut sens_z: Vec<Vec<u32>> = vec![Vec::new(); nq];
+    // `swap` is the set being replaced; `sym` holds one component's
+    // symptom; `ya`/`yb` a qubit's Y sensitivity.
+    let (mut swap, mut sym, mut ya, mut yb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut merge = Merge {
+        num_det,
+        stats: ExtractionStats::default(),
+        rows: vec![Vec::new(); num_det as usize + 1],
+        queued: Vec::new(),
+    };
 
     let mut next_m = circuit.num_measurements();
     for op in circuit.ops().iter().rev() {
         match op {
             Op::ResetZ(qs) => {
                 for &q in qs {
-                    sens_x[q as usize] = SparseBits::new();
-                    sens_z[q as usize] = SparseBits::new();
+                    sens_x[q as usize].clear();
+                    sens_z[q as usize].clear();
                 }
             }
             Op::H(qs) => {
@@ -109,10 +138,10 @@ pub fn extract_dem_with_stats(circuit: &Circuit) -> (DetectorErrorModel, Extract
                 // behaves like X⊗X after it; a Z on the target like Z⊗Z.
                 for &(c, t) in pairs.iter().rev() {
                     let (c, t) = (c as usize, t as usize);
-                    let tx = sens_x[t].clone();
-                    sens_x[c].xor_in_place(&tx);
-                    let cz = sens_z[c].clone();
-                    sens_z[t].xor_in_place(&cz);
+                    xor_sorted(&sens_x[c], &sens_x[t], &mut swap);
+                    std::mem::swap(&mut sens_x[c], &mut swap);
+                    xor_sorted(&sens_z[t], &sens_z[c], &mut swap);
+                    std::mem::swap(&mut sens_z[t], &mut swap);
                 }
             }
             Op::MeasureZ(qs) => {
@@ -120,67 +149,52 @@ pub fn extract_dem_with_stats(circuit: &Circuit) -> (DetectorErrorModel, Extract
                     next_m -= 1;
                     // An X (or Y) immediately before a Z measurement flips
                     // its record bit, toggling every consumer.
-                    sens_x[q as usize].xor_in_place(&consumers[next_m]);
+                    xor_sorted(&sens_x[q as usize], consumers[next_m].as_slice(), &mut swap);
+                    std::mem::swap(&mut sens_x[q as usize], &mut swap);
                 }
             }
             Op::XError { qubits, p } => {
                 for &q in qubits {
-                    push_component(&mut raw, &mut stats, &[sens_x[q as usize].clone()], *p);
+                    merge.component(&sens_x[q as usize], *p);
                 }
             }
             Op::ZError { qubits, p } => {
                 for &q in qubits {
-                    push_component(&mut raw, &mut stats, &[sens_z[q as usize].clone()], *p);
+                    merge.component(&sens_z[q as usize], *p);
                 }
             }
             Op::PauliError { qubits, px, py, pz } => {
                 for &q in qubits {
-                    let q = q as usize;
-                    let x = sens_x[q].clone();
-                    let z = sens_z[q].clone();
-                    let y = SparseBits::xor(x.clone(), &z);
-                    push_component(&mut raw, &mut stats, &[x], *px);
-                    push_component(&mut raw, &mut stats, &[y], *py);
-                    push_component(&mut raw, &mut stats, &[z], *pz);
+                    let (x, z) = (&sens_x[q as usize], &sens_z[q as usize]);
+                    xor_sorted(x, z, &mut sym);
+                    merge.component(x, *px);
+                    merge.component(&sym, *py);
+                    merge.component(z, *pz);
                 }
             }
             Op::Depolarize1 { qubits, p } => {
                 let pc = p / 3.0;
                 for &q in qubits {
-                    let q = q as usize;
-                    let x = sens_x[q].clone();
-                    let z = sens_z[q].clone();
-                    let y = SparseBits::xor(x.clone(), &z);
-                    push_component(&mut raw, &mut stats, &[x], pc);
-                    push_component(&mut raw, &mut stats, &[z], pc);
-                    push_component(&mut raw, &mut stats, &[y], pc);
+                    let (x, z) = (&sens_x[q as usize], &sens_z[q as usize]);
+                    xor_sorted(x, z, &mut sym);
+                    merge.component(x, pc);
+                    merge.component(z, pc);
+                    merge.component(&sym, pc);
                 }
             }
             Op::Depolarize2 { pairs, p } => {
                 let pc = p / 15.0;
                 for &(a, b) in pairs {
                     let (a, b) = (a as usize, b as usize);
-                    let pauli_syms = |x: &SparseBits, z: &SparseBits| -> [SparseBits; 4] {
-                        [
-                            SparseBits::new(),
-                            x.clone(),
-                            z.clone(),
-                            SparseBits::xor(x.clone(), z),
-                        ]
-                    };
-                    let sa = pauli_syms(&sens_x[a], &sens_z[a]);
-                    let sb = pauli_syms(&sens_x[b], &sens_z[b]);
-                    for ia in 0..4 {
-                        for ib in 0..4 {
-                            if ia == 0 && ib == 0 {
-                                continue;
-                            }
-                            push_component(
-                                &mut raw,
-                                &mut stats,
-                                &[sa[ia].clone(), sb[ib].clone()],
-                                pc,
-                            );
+                    xor_sorted(&sens_x[a], &sens_z[a], &mut ya);
+                    xor_sorted(&sens_x[b], &sens_z[b], &mut yb);
+                    // Per qubit: I, X, Z, Y.
+                    let sa: [&[u32]; 4] = [&[], &sens_x[a], &sens_z[a], &ya];
+                    let sb: [&[u32]; 4] = [&[], &sens_x[b], &sens_z[b], &yb];
+                    for (ia, fa) in sa.iter().enumerate() {
+                        for fb in &sb[usize::from(ia == 0)..] {
+                            xor_sorted(fa, fb, &mut sym);
+                            merge.component(&sym, pc);
                         }
                     }
                 }
@@ -190,8 +204,7 @@ pub fn extract_dem_with_stats(circuit: &Circuit) -> (DetectorErrorModel, Extract
     }
     debug_assert_eq!(next_m, 0);
 
-    let errors = decompose_and_merge(raw, num_det, &mut stats);
-
+    let (errors, stats) = merge.finish();
     (
         DetectorErrorModel {
             num_detectors: num_det,
@@ -203,136 +216,155 @@ pub fn extract_dem_with_stats(circuit: &Circuit) -> (DetectorErrorModel, Extract
     )
 }
 
-/// Records a noise component given the symptoms of its per-qubit factors.
-fn push_component(
-    raw: &mut Vec<(SparseBits, f64)>,
-    stats: &mut ExtractionStats,
-    factor_symptoms: &[SparseBits],
-    p: f64,
-) {
-    if p <= 0.0 {
-        return;
+/// Where a ≤ 2-detector set lives in [`Merge::rows`]: row `d0 + 1` and
+/// column `d1 + 1` for `[d0, d1]`, with 0 for a missing detector, so
+/// `(row, column)` order is the sorted-slice order of the sets.
+fn slot(dets: &[u32]) -> (usize, u32) {
+    match *dets {
+        [] => (0, 0),
+        [a] => (a as usize + 1, 0),
+        [a, b] => (a as usize + 1, b + 1),
+        _ => unreachable!("a mechanism flips at most two detectors"),
     }
-    stats.components += 1;
-    let mut full = SparseBits::new();
-    for s in factor_symptoms {
-        full.xor_in_place(s);
-    }
-    if full.is_empty() {
-        return; // component has no effect
-    }
-    raw.push((full, p));
 }
 
-/// Splits symptom ids into (detector set, observable mask).
-fn split_symptom(symptom: &SparseBits, num_det: u32) -> (Vec<u32>, u64) {
-    let mut dets = Vec::new();
-    let mut obs = 0u64;
-    for id in symptom.iter() {
-        if id < num_det {
-            dets.push(id);
-        } else {
-            obs |= 1 << (id - num_det);
-        }
-    }
-    (dets, obs)
+/// The detector set of a [`slot`].
+fn slot_dets(row: usize, col: u32) -> Vec<u32> {
+    let ids = [row as u32, col].into_iter().take_while(|&x| x != 0);
+    ids.map(|x| x - 1).collect()
 }
 
-fn decompose_and_merge(
-    raw: Vec<(SparseBits, f64)>,
+/// Folds noise components into mechanisms, in arrival order.
+struct Merge {
     num_det: u32,
-    stats: &mut ExtractionStats,
-) -> Vec<DemError> {
-    // Pass 1: register primitive (≤2-detector) symptoms and queue the rest.
-    let mut primitives: HashMap<Vec<u32>, u64> = HashMap::new();
-    let mut queued: Vec<(Vec<u32>, u64, f64)> = Vec::new();
-    let mut merged: HashMap<(Vec<u32>, u64), f64> = HashMap::new();
+    stats: ExtractionStats,
+    /// `rows[row]` holds the `(column, obs, p)` mechanisms of one
+    /// [`slot`] row, in order of first arrival; a row is a detector's
+    /// few higher-numbered neighbours (plus the boundary).
+    rows: Vec<Vec<(u32, u64, f64)>>,
+    /// Components flipping more than two detectors, `(dets, obs, p)`,
+    /// decomposed once every graph-like component has arrived.
+    queued: Vec<(Vec<u32>, u64, f64)>,
+}
 
-    let add = |merged: &mut HashMap<(Vec<u32>, u64), f64>, dets: Vec<u32>, obs: u64, p: f64| {
-        if dets.is_empty() && obs == 0 {
+impl Merge {
+    /// Records one noise component: its symptom (sorted detector ids,
+    /// then observable ids offset by the detector count) and probability.
+    fn component(&mut self, symptom: &[u32], p: f64) {
+        if p <= 0.0 {
             return;
         }
-        let slot = merged.entry((dets, obs)).or_insert(0.0);
-        *slot = xor_probability(*slot, p);
-    };
-
-    for (symptom, p) in raw {
-        let (dets, obs) = split_symptom(&symptom, num_det);
+        self.stats.components += 1;
+        if symptom.is_empty() {
+            return; // component has no effect
+        }
+        let (dets, obs_ids) = symptom.split_at(symptom.partition_point(|&id| id < self.num_det));
+        let obs = obs_ids
+            .iter()
+            .fold(0u64, |m, &id| m | 1 << (id - self.num_det));
         if dets.len() <= 2 {
-            stats.graphlike_components += 1;
-            primitives.entry(dets.clone()).or_insert(obs);
-            add(&mut merged, dets, obs, p);
+            self.stats.graphlike_components += 1;
+            self.add(dets, obs, p);
         } else {
-            queued.push((dets, obs, p));
+            self.queued.push((dets.to_vec(), obs, p));
         }
     }
 
-    // Pass 2: decompose queued components against the primitive dictionary.
-    for (dets, total_obs, p) in queued {
-        let mut remaining = dets;
-        let mut blocks: Vec<(Vec<u32>, u64)> = Vec::new();
-        let mut used_fallback = false;
+    fn add(&mut self, dets: &[u32], obs: u64, p: f64) {
+        let (row, col) = slot(dets);
+        let row = &mut self.rows[row];
+        match row.iter_mut().find(|m| m.0 == col && m.1 == obs) {
+            Some(m) => m.2 = xor_probability(m.2, p),
+            None => row.push((col, obs, xor_probability(0.0, p))),
+        }
+    }
 
-        while remaining.len() > 2 {
-            let mut found = None;
-            'outer: for i in 0..remaining.len() {
-                for j in (i + 1)..remaining.len() {
-                    let key = vec![remaining[i], remaining[j]];
-                    if let Some(&obs) = primitives.get(&key) {
-                        found = Some((i, j, key, obs));
-                        break 'outer;
+    /// Decomposes the queued components, then reads the mechanisms out
+    /// sorted by `(dets, obs)`.
+    fn finish(mut self) -> (Vec<DemError>, ExtractionStats) {
+        if !self.queued.is_empty() {
+            self.decompose();
+        }
+        let mut errors = Vec::new();
+        for (r, row) in self.rows.iter_mut().enumerate() {
+            row.sort_unstable_by_key(|m| (m.0, m.1));
+            errors.extend(
+                row.iter()
+                    .filter(|m| m.2 > 0.0)
+                    .map(|&(col, obs, p)| DemError {
+                        dets: SparseBits::from_sorted(slot_dets(r, col)),
+                        obs,
+                        p,
+                    }),
+            );
+        }
+        (errors, self.stats)
+    }
+
+    /// Splits each queued component into blocks found in the primitive
+    /// dictionary — the first observable mask each ≤ 2-detector set
+    /// arrived with — pairing leftovers arbitrarily as a last resort.
+    fn decompose(&mut self) {
+        let mut primitives: HashMap<Vec<u32>, u64> = HashMap::new();
+        for (r, row) in self.rows.iter().enumerate() {
+            for &(col, obs, _) in row {
+                primitives.entry(slot_dets(r, col)).or_insert(obs);
+            }
+        }
+        for (dets, total_obs, p) in std::mem::take(&mut self.queued) {
+            let mut remaining = dets;
+            let mut blocks: Vec<(Vec<u32>, u64)> = Vec::new();
+            let mut used_fallback = false;
+
+            while remaining.len() > 2 {
+                let mut found = None;
+                'outer: for i in 0..remaining.len() {
+                    for j in (i + 1)..remaining.len() {
+                        let key = vec![remaining[i], remaining[j]];
+                        if let Some(&obs) = primitives.get(&key) {
+                            found = Some((i, j, key, obs));
+                            break 'outer;
+                        }
                     }
                 }
+                if let Some((i, j, key, obs)) = found {
+                    remaining.remove(j);
+                    remaining.remove(i);
+                    blocks.push((key, obs));
+                    continue;
+                }
+                // Try a primitive boundary singleton.
+                let single = (0..remaining.len())
+                    .find(|&i| primitives.contains_key(std::slice::from_ref(&remaining[i])));
+                if let Some(i) = single {
+                    let key = vec![remaining[i]];
+                    let obs = primitives[&key];
+                    remaining.remove(i);
+                    blocks.push((key, obs));
+                    continue;
+                }
+                // Last resort: arbitrary pairing.
+                used_fallback = true;
+                let a = remaining.remove(0);
+                let b = remaining.remove(0);
+                blocks.push((vec![a, b], 0));
             }
-            if let Some((i, j, key, obs)) = found {
-                remaining.remove(j);
-                remaining.remove(i);
-                blocks.push((key, obs));
-                continue;
-            }
-            // Try a primitive boundary singleton.
-            let single = (0..remaining.len())
-                .find(|&i| primitives.contains_key(std::slice::from_ref(&remaining[i])));
-            if let Some(i) = single {
-                let key = vec![remaining[i]];
-                let obs = primitives[&key];
-                remaining.remove(i);
-                blocks.push((key, obs));
-                continue;
-            }
-            // Last resort: arbitrary pairing.
-            used_fallback = true;
-            let a = remaining.remove(0);
-            let b = remaining.remove(0);
-            blocks.push((vec![a, b], 0));
-        }
 
-        // The final block carries whatever observable flips remain, so the
-        // decomposition's total effect is exact.
-        let assigned: u64 = blocks.iter().map(|(_, o)| *o).fold(0, |a, b| a ^ b);
-        blocks.push((remaining, total_obs ^ assigned));
+            // The final block carries whatever observable flips remain, so
+            // the decomposition's total effect is exact.
+            let assigned: u64 = blocks.iter().map(|(_, o)| *o).fold(0, |a, b| a ^ b);
+            blocks.push((remaining, total_obs ^ assigned));
 
-        if used_fallback {
-            stats.fallback_decompositions += 1;
-        } else {
-            stats.dictionary_decompositions += 1;
-        }
-        for (dets, obs) in blocks {
-            add(&mut merged, dets, obs, p);
+            if used_fallback {
+                self.stats.fallback_decompositions += 1;
+            } else {
+                self.stats.dictionary_decompositions += 1;
+            }
+            for (dets, obs) in blocks {
+                self.add(&dets, obs, p);
+            }
         }
     }
-
-    let mut errors: Vec<DemError> = merged
-        .into_iter()
-        .filter(|(_, p)| *p > 0.0)
-        .map(|((dets, obs), p)| DemError {
-            dets: SparseBits::from_sorted(dets),
-            obs,
-            p,
-        })
-        .collect();
-    errors.sort_by(|a, b| (a.dets.as_slice(), a.obs).cmp(&(b.dets.as_slice(), b.obs)));
-    errors
 }
 
 #[cfg(test)]
@@ -565,6 +597,105 @@ mod tests {
         let (dem, stats) = extract_dem_with_stats(&c);
         assert!(dem.max_symptom_size() <= 2, "graphlike violated: {dem:?}");
         assert!(stats.dictionary_decompositions + stats.fallback_decompositions >= 1);
+    }
+
+    /// A random noisy circuit on 3..=7 qubits: R/H/CX gates, CX fan-outs
+    /// (the hook pattern) and every noise channel, mid-circuit
+    /// measurements, and one single-record detector per measurement, so
+    /// symptoms of three or more detectors are common. Half the circuits
+    /// end with an X layer whose singleton symptoms stock the primitive
+    /// dictionary; without it most decompositions fall back to pairing.
+    fn random_noisy_circuit(seed: u64) -> Circuit {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nq: u32 = rng.gen_range(3..=7);
+        let mut b = CircuitBuilder::new(nq);
+        let all: Vec<u32> = (0..nq).collect();
+        b.reset_z(&all);
+        let mut records = Vec::new();
+        for _ in 0..rng.gen_range(8..40) {
+            let q = rng.gen_range(0..nq);
+            let t = (q + rng.gen_range(1..nq)) % nq;
+            let p = rng.gen_range(0.001..0.3);
+            match rng.gen_range(0..10) {
+                0 => {
+                    b.h(&[q]);
+                }
+                1 => {
+                    b.cx(&[(q, t)]);
+                }
+                2 => {
+                    b.x_error(&[q], p);
+                    for k in 1..nq {
+                        b.cx(&[(q, (q + k) % nq)]);
+                    }
+                }
+                3 => {
+                    b.x_error(&[q], p);
+                }
+                4 => {
+                    b.z_error(&[q], p);
+                }
+                5 => {
+                    b.depolarize1(&[q], p);
+                }
+                6 => {
+                    b.depolarize2(&[(q, t)], p);
+                }
+                7 => {
+                    b.pauli_error(&[q], p / 2.0, p / 4.0, p / 3.0);
+                }
+                8 => {
+                    b.reset_z(&[q]);
+                }
+                _ => records.push(b.measure_z(&[q]).start),
+            }
+        }
+        if rng.gen() {
+            b.x_error(&all, 0.01);
+        }
+        records.extend(b.measure_z(&all));
+        for (i, &m) in records.iter().enumerate() {
+            b.detector(&[m], [i as f64, 0.0, 0.0]);
+        }
+        b.observable(0, &records[records.len() - nq as usize..][..1]);
+        b.finish().unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The allocation-free walk and merge produce exactly the model
+        /// — every probability's bits, hence every `to_text` byte — and
+        /// the statistics of the implementation they replaced, on the
+        /// single-injection circuits and on noisy ones whose
+        /// multi-detector symptoms reach the dictionary and the fallback.
+        #[test]
+        fn extraction_equals_the_replaced_implementation(
+            seed in proptest::prelude::any::<u64>(),
+            nq in 2u32..7,
+        ) {
+            let (injected, _) = random_circuit_with_injection(nq, seed, &mut StdRng::seed_from_u64(0));
+            for c in [injected, random_noisy_circuit(seed)] {
+                let (dem, stats) = extract_dem_with_stats(&c);
+                let (want, want_stats) = reference::extract_dem_with_stats(&c);
+                proptest::prop_assert_eq!(stats, want_stats);
+                proptest::prop_assert_eq!(dem.to_text(), want.to_text());
+                proptest::prop_assert_eq!(dem, want);
+            }
+        }
+    }
+
+    #[test]
+    fn noisy_circuits_reach_both_decompositions() {
+        let mut total = ExtractionStats::default();
+        for seed in 0..64 {
+            let (_, stats) = extract_dem_with_stats(&random_noisy_circuit(seed));
+            total.dictionary_decompositions += stats.dictionary_decompositions;
+            total.fallback_decompositions += stats.fallback_decompositions;
+        }
+        assert!(total.dictionary_decompositions > 0, "{total:?}");
+        assert!(total.fallback_decompositions > 0, "{total:?}");
     }
 
     #[test]

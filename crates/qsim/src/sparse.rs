@@ -84,39 +84,35 @@ impl SparseBits {
         if other.0.is_empty() {
             return;
         }
-        if self.0.is_empty() {
-            self.0 = other.0.clone();
-            return;
-        }
         let mut out = Vec::with_capacity(self.0.len() + other.0.len());
-        let (a, b) = (&self.0, &other.0);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
+        xor_sorted(&self.0, &other.0, &mut out);
         self.0 = out;
     }
+}
 
-    /// Returns the symmetric difference of two sets.
-    pub fn xor(mut a: SparseBits, b: &SparseBits) -> SparseBits {
-        a.xor_in_place(b);
-        a
+/// Writes the symmetric difference of the sorted sets `a` and `b` to
+/// `out`, reusing its capacity.
+pub(crate) fn xor_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 impl FromIterator<u32> for SparseBits {
@@ -140,6 +136,11 @@ impl fmt::Debug for SparseBits {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn xor(mut a: SparseBits, b: &SparseBits) -> SparseBits {
+        a.xor_in_place(b);
+        a
+    }
 
     #[test]
     fn empty_set_basics() {
@@ -165,7 +166,7 @@ mod tests {
     fn xor_cancels_common_elements() {
         let a = SparseBits::from_sorted(vec![1, 2, 3]);
         let b = SparseBits::from_sorted(vec![2, 3, 4]);
-        let c = SparseBits::xor(a, &b);
+        let c = xor(a, &b);
         assert_eq!(c.as_slice(), &[1, 4]);
     }
 
@@ -191,18 +192,18 @@ mod tests {
         let a = SparseBits::from_sorted(vec![0, 2, 4]);
         let b = SparseBits::from_sorted(vec![1, 2, 5]);
         let c = SparseBits::from_sorted(vec![0, 5, 9]);
-        let ab_c = SparseBits::xor(SparseBits::xor(a.clone(), &b), &c);
-        let a_bc = SparseBits::xor(a.clone(), &SparseBits::xor(b.clone(), &c));
+        let ab_c = xor(xor(a.clone(), &b), &c);
+        let a_bc = xor(a.clone(), &xor(b.clone(), &c));
         assert_eq!(ab_c, a_bc);
-        let ba = SparseBits::xor(b, &a);
-        let ab = SparseBits::xor(a, &SparseBits::from_sorted(vec![1, 2, 5]));
+        let ba = xor(b, &a);
+        let ab = xor(a, &SparseBits::from_sorted(vec![1, 2, 5]));
         assert_eq!(ab, ba);
     }
 
     #[test]
     fn self_xor_is_empty() {
         let a = SparseBits::from_sorted(vec![1, 4, 6]);
-        let z = SparseBits::xor(a.clone(), &a);
+        let z = xor(a.clone(), &a);
         assert!(z.is_empty());
     }
 }
