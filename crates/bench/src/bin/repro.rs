@@ -374,7 +374,8 @@ fn run_scenario_serve(args: &[String]) -> ExitCode {
         ],
         "repro serve --scenario <name> --qubits Q --shards S [--rate R] \
          [--decoder K] [--window W] [--commit C] [--predecode off|batch] \
-         [--transport channel|tcp] [--metrics-addr HOST:PORT] \
+         [--transport channel|tcp (in-process socket pair|loopback)] \
+         [--metrics-addr HOST:PORT] \
          [--metrics-sample N] [--trace N] [--trace-out PATH] \
          [--storm-threshold F] [--ring-high-water N] \
          [datapath=packed|byte] [shots=N] [seed=N] [deadline=NS] [queue=N] \

@@ -3,7 +3,8 @@
 //! Boots a [`service::DecodeServer`] loaded with one named scenario
 //! (its context pulled from the process-wide `Arc` cache, so Q tenants
 //! and repeated invocations share one graph + path table), drives it
-//! with the closed-loop load generator over either transport, and
+//! with the closed-loop load generator in process (a Unix socket pair,
+//! the default) or over loopback TCP, and
 //! reports one [`ServicePoint`] per tenant — throughput (rounds/s),
 //! reaction percentiles, shed and deadline-miss counters, client-side
 //! logical failures — with the whole-run aggregate throughput in the
@@ -24,7 +25,8 @@ use std::time::Instant;
 /// and the server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeTransport {
-    /// In-process channels carrying encoded wire frames (default).
+    /// An in-process Unix socket pair carrying the same wire bytes as TCP
+    /// (default).
     Channel,
     /// Loopback TCP on an ephemeral port (bind to port 0).
     Tcp,

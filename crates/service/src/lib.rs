@@ -10,8 +10,9 @@
 //!
 //! * [`protocol`] — a versioned, length-prefixed binary wire protocol
 //!   (register / submit / commit / stats frames);
-//! * [`transport`] — the same frames over loopback TCP or in-process
-//!   channels, behind one [`FrameSink`]/[`FrameSource`] pair;
+//! * [`transport`] — the same frames as one byte stream over loopback TCP
+//!   or an in-process Unix socket pair, read and written by one
+//!   [`FrameSink`]/[`FrameSource`] pair;
 //! * [`server`] — [`DecodeServer`]: a sharded worker pool where each
 //!   shard owns its tenants' long-lived [`realtime::SlidingWindowDecoder`]
 //!   state (qubit → shard by stable hash, deterministic least-loaded
@@ -243,9 +244,12 @@ mod tests {
             vec![scenario],
         )
         .unwrap();
-        let (mut client, server_end) = channel_pair();
+        let (client, server_end) = channel_pair();
         std::thread::scope(|scope| {
             scope.spawn(|| server.serve(vec![server_end]));
+            // Owned by this body, so a failed assertion closes the
+            // session and `serve` returns instead of hanging the test.
+            let mut client = client;
             client
                 .sink
                 .send(&Frame::RegisterQubit {
@@ -262,24 +266,25 @@ mod tests {
                 client.source.recv().unwrap().unwrap(),
                 Frame::RegisterAck { ok: true, .. }
             ));
-            // Open-loop burst: 32 shots without reading a single commit.
-            // The gate admits at most one in-flight shot; the router
-            // forwards frames far faster than the shard decodes them
-            // (each shot carries a real syndrome), so most of the burst
-            // is shed. Every submission gets exactly one reply: a shed
+            // Open-loop burst: 32 shots in one write, without reading a
+            // single commit. The router reads the burst at once and
+            // publishes all of it before it hands off to the shard, and
+            // the gate admits at most one in-flight shot, so most of the
+            // burst is shed. Every submission gets exactly one reply: a shed
             // commit, a decoded commit, or — for admitted shots whose
             // sequence numbers were broken by earlier sheds — an error.
             let dets = ctx.dem.errors[0].dets.as_slice().to_vec();
+            let mut wire = Vec::new();
             for shot in 0..32u64 {
-                client
-                    .sink
-                    .send(&Frame::SubmitRounds {
-                        qubit: 0,
-                        shot,
-                        dets: dets.clone(),
-                    })
-                    .unwrap();
+                Frame::SubmitRounds {
+                    qubit: 0,
+                    shot,
+                    dets: dets.clone(),
+                }
+                .encode_into(&mut wire)
+                .unwrap();
             }
+            client.sink.send_wire(&wire).unwrap();
             let mut shed = 0;
             let mut decoded = 0;
             for _ in 0..32 {
@@ -461,9 +466,12 @@ mod tests {
             vec![scenario],
         )
         .unwrap();
-        let (mut client, server_end) = channel_pair();
+        let (client, server_end) = channel_pair();
         std::thread::scope(|scope| {
             scope.spawn(|| server.serve(vec![server_end]));
+            // Owned by this body, so a failed assertion closes the
+            // session and `serve` returns instead of hanging the test.
+            let mut client = client;
             client
                 .sink
                 .send(&Frame::RegisterQubit {
@@ -481,16 +489,17 @@ mod tests {
                 Frame::RegisterAck { ok: true, .. }
             ));
             let dets = ctx.dem.errors[0].dets.as_slice().to_vec();
+            let mut wire = Vec::new();
             for shot in 0..32u64 {
-                client
-                    .sink
-                    .send(&Frame::SubmitRounds {
-                        qubit: 0,
-                        shot,
-                        dets: dets.clone(),
-                    })
-                    .unwrap();
+                Frame::SubmitRounds {
+                    qubit: 0,
+                    shot,
+                    dets: dets.clone(),
+                }
+                .encode_into(&mut wire)
+                .unwrap();
             }
+            client.sink.send_wire(&wire).unwrap();
             let mut shed_reasons = Vec::new();
             for _ in 0..32 {
                 match client.source.recv().unwrap().unwrap() {

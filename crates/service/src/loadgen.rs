@@ -18,7 +18,7 @@
 //! against its own record and counts logical failures per tenant.
 
 use crate::protocol::{Frame, ServiceError, TenantStatsWire};
-use crate::transport::Endpoint;
+use crate::transport::{Endpoint, FrameSource};
 use decoding_graph::LayerMap;
 use ler::{DecoderKind, ExperimentContext};
 use realtime::{Datapath, PredecodeMode, SyndromeStream};
@@ -349,9 +349,7 @@ pub fn run_loadgen(
     })
 }
 
-fn expect_frame(
-    source: &mut Box<dyn crate::transport::FrameSource>,
-) -> Result<Frame, ServiceError> {
+fn expect_frame(source: &mut FrameSource) -> Result<Frame, ServiceError> {
     source
         .recv()?
         .ok_or_else(|| ServiceError::Protocol("server closed the session early".into()))

@@ -32,8 +32,8 @@
 //! postmortem dump files (`crate::TraceSet`). v6 retired the metrics and
 //! trace scrapes (former codes 9–12), which now decode as unknown types.
 //!
-//! The same bytes flow over both transports (loopback TCP and in-process
-//! channels; see [`crate::transport`]), so protocol coverage is
+//! The same bytes flow over both endpoints (loopback TCP and in-process
+//! socket pairs; see [`crate::transport`]), so protocol coverage is
 //! identical regardless of how the service is deployed.
 
 use std::io::{Read, Write};
@@ -549,22 +549,51 @@ impl Frame {
     /// failures, [`ServiceError::Protocol`] for oversized or malformed
     /// frames.
     pub fn read_from(r: &mut dyn Read) -> Result<Option<Frame>, ServiceError> {
-        let mut len_buf = [0u8; 4];
-        match r.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        let mut body = Vec::new();
+        if read_body(r, &mut body)? {
+            Frame::decode(&body).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// Reads one length-prefixed frame's body from `r` into `body`,
+/// replacing its contents; `false` means a clean EOF at a frame
+/// boundary. The one length-prefix reader: [`Frame::read_from`] and
+/// every transport source go through it.
+///
+/// Only EOF before the first prefix byte is a clean close. EOF after one
+/// to three prefix bytes, or inside the body, is a truncated frame.
+///
+/// # Errors
+///
+/// [`ServiceError::Io`] for a truncated frame or a transport failure,
+/// [`ServiceError::Protocol`] for a length above [`MAX_FRAME_LEN`].
+pub(crate) fn read_body<R: Read + ?Sized>(
+    r: &mut R,
+    body: &mut Vec<u8>,
+) -> Result<bool, ServiceError> {
+    let mut len = [0u8; 4];
+    loop {
+        match r.read(&mut len[..1]) {
+            Ok(0) => return Ok(false),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(ServiceError::Protocol(format!(
-                "frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"
-            )));
-        }
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body)?;
-        Frame::decode(&body).map(Some)
     }
+    r.read_exact(&mut len[1..])?;
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(ServiceError::Protocol(format!(
+            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"
+        )));
+    }
+    body.clear();
+    body.resize(len, 0);
+    r.read_exact(body)?;
+    Ok(true)
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -948,11 +977,32 @@ mod tests {
 
     #[test]
     fn mid_frame_eof_is_an_io_error_not_end_of_stream() {
-        let wire = Frame::Shutdown.to_wire().unwrap();
-        let mut cursor = std::io::Cursor::new(&wire[..wire.len() - 1]);
-        assert!(matches!(
-            Frame::read_from(&mut cursor),
-            Err(ServiceError::Io(_))
-        ));
+        let wire = Frame::SubmitRounds {
+            qubit: 1,
+            shot: 2,
+            dets: vec![3, 4],
+        }
+        .to_wire()
+        .unwrap();
+        // Only zero bytes is a clean close: a cut inside the length
+        // prefix (1–3 bytes) is as truncated as one inside the body.
+        for cut in 1..wire.len() {
+            let mut cursor = std::io::Cursor::new(&wire[..cut]);
+            assert!(
+                matches!(Frame::read_from(&mut cursor), Err(ServiceError::Io(_))),
+                "read_from, cut at {cut}"
+            );
+            let endpoints = ["in-process", "tcp"].into_iter();
+            for (endpoint, (mut client, mut server)) in
+                endpoints.zip(crate::transport::tests::both())
+            {
+                client.sink.send_wire(&wire[..cut]).unwrap();
+                drop(client);
+                assert!(
+                    matches!(server.source.recv(), Err(ServiceError::Io(_))),
+                    "{endpoint} source, cut at {cut}"
+                );
+            }
+        }
     }
 }

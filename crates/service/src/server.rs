@@ -34,9 +34,10 @@
 //! readable) and client (socket readable) — with the decode run to
 //! completion on the router in between. A router that loses the shard's
 //! lock, or leaves work after its pass, wakes the shard thread instead.
-//! Because shards write to sockets, an accepted socket carries a write
-//! timeout: a peer that stops reading stalls a shard at most once, for
-//! `REPLY_WRITE_TIMEOUT`, and then loses its session.
+//! Because shards write to sockets, every server-side socket — accepted
+//! or in-process — carries a 100 ms write timeout: a peer that stops
+//! reading stalls a shard at most once, for that long, and then loses
+//! its session.
 //!
 //! Tenants are pinned: a qubit's decode state lives on exactly one shard
 //! (assigned at registration by stable hash, with a deterministic
@@ -50,7 +51,7 @@ use crate::postmortem::TraceSet;
 use crate::protocol::{Frame, ServiceError, TenantStatsWire};
 use crate::shard::{hand_off, Shard, ShardRequest};
 use crate::spsc::{self, Producer};
-use crate::transport::{tcp_endpoint, Endpoint, FrameSource, ReplySink};
+use crate::transport::{server_side, tcp_endpoint, Endpoint, FrameSource, ReplySink};
 use decoding_graph::packed::words_for;
 use decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use ler::{DecoderKind, ExperimentContext};
@@ -59,7 +60,6 @@ use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 
 use crate::admission::AdmissionConfig;
 
@@ -406,8 +406,7 @@ impl DecodeServer {
             let acceptor = scope.spawn(move || -> Result<(), ServiceError> {
                 for _ in 0..sessions {
                     let (stream, _) = listener.accept()?;
-                    stream.set_write_timeout(Some(REPLY_WRITE_TIMEOUT))?;
-                    let ep = tcp_endpoint(stream)?;
+                    let ep = server_side(tcp_endpoint(stream)?)?;
                     if tx.send(ep).is_err() {
                         break;
                     }
@@ -465,16 +464,6 @@ impl DecodeServer {
         });
     }
 }
-
-/// Write timeout of every accepted TCP socket. Shards write replies
-/// straight to the sockets of the sessions they serve, so without it a
-/// peer that stops reading would block its shard — and every other
-/// session on that shard — once the socket buffers fill. With it, the
-/// stalled write fails, the session's [`ReplySink`] dies (the socket is
-/// shut down both ways), and the shard moves on: a stalled peer costs
-/// its neighbours at most this long, once. Loopback writes to a reading
-/// peer take microseconds.
-const REPLY_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Validates a registration frame against the server's scenarios.
 #[allow(clippy::type_complexity)]
@@ -546,7 +535,7 @@ fn shed_commit(qubit: u32, shot: u64, reason: ShedReason) -> Frame {
 /// to the owning shard exists.
 #[allow(clippy::too_many_arguments)]
 fn route_session(
-    mut source: Box<dyn FrameSource>,
+    mut source: FrameSource,
     reply: Arc<ReplySink>,
     shard_txs: Vec<Sender<ShardRequest>>,
     shards: &[Shard<'_>],

@@ -510,15 +510,26 @@ fn process_slot(
         return;
     };
     // Sequence numbers must be strictly increasing — gaps are fine (a
-    // shot shed at the session router never reaches the shard).
+    // shot shed at the session router never reaches the shard) — and
+    // the client-chosen number must leave the shot's rounds countable.
     let next = tenant.next_shot;
-    if shot < next {
-        let _ = Frame::Error {
-            message: format!(
-                "qubit {qubit}: shot {shot} replayed or out of order (next is {next})"
-            ),
-        }
-        .encode_into(wire);
+    let reject = if shot < next {
+        Some(format!(
+            "qubit {qubit}: shot {shot} replayed or out of order (next is {next})"
+        ))
+    } else if shot
+        .checked_add(1)
+        .and_then(|end| end.checked_mul(tenant.layers_per_shot as u64))
+        .is_none()
+    {
+        Some(format!(
+            "qubit {qubit}: shot {shot} overflows the round counter"
+        ))
+    } else {
+        None
+    };
+    if let Some(message) = reject {
+        let _ = Frame::Error { message }.encode_into(wire);
         tenant.gate.complete();
         return;
     }
@@ -849,7 +860,20 @@ mod tests {
         let mut wire = Vec::new();
         let mut timeline = Timeline::new();
         let metrics = ShardMetrics::default();
-        for (shot, expect_err) in [(0u64, false), (0, true), (5, false), (2, true)] {
+        let (replayed, uncountable) = (
+            Some("replayed or out of order"),
+            Some("overflows the round counter"),
+        );
+        for (shot, expect_err) in [
+            (0u64, None),
+            (0, replayed),
+            (5, None),
+            (2, replayed),
+            // The shot's rounds would overflow the round counter.
+            (u64::MAX / 2, uncountable),
+            (u64::MAX, uncountable),
+            (6, None),
+        ] {
             assert!(gate.try_admit());
             let mut slot = pack_slot(1, shot, &[], num_dets);
             process_slot(
@@ -863,11 +887,11 @@ mod tests {
             );
             match take_one(&mut wire) {
                 Frame::Error { message } => {
-                    assert!(expect_err, "unexpected reject: {message}");
-                    assert!(message.contains("replayed or out of order"), "{message}");
+                    let why = expect_err.unwrap_or_else(|| panic!("unexpected reject: {message}"));
+                    assert!(message.contains(why), "{message}");
                 }
                 Frame::CommitResult { shot: s, .. } => {
-                    assert!(!expect_err, "shot {s} should have been rejected");
+                    assert!(expect_err.is_none(), "shot {s} should have been rejected");
                 }
                 other => panic!("unexpected reply {other:?}"),
             }
@@ -956,7 +980,7 @@ mod tests {
         assert_eq!(t.dropped, 2);
     }
 
-    /// One shard around a small scenario, with a channel session whose
+    /// One shard around a small scenario, with an in-process session whose
     /// tenant 0 and ring are queued for registration (the first sweep
     /// applies both and acks).
     struct Fixture<'a> {

@@ -1,32 +1,33 @@
-//! Frame transports: loopback TCP and in-process channels behind one
-//! pair of traits.
+//! Frame transports: every session is one byte stream — a loopback TCP
+//! connection, or an in-process Unix socket pair from [`channel_pair`] —
+//! read and written by one sink and one source.
 //!
-//! A transport endpoint is a ([`FrameSink`], [`FrameSource`]) pair —
-//! split halves, so a session's router thread can block on the source
-//! while the sink, wrapped in a [`ReplySink`], takes replies from that
-//! router and from every shard that decodes the session's submissions.
-//! Both implementations
-//! move the **same encoded bytes** (see [`crate::protocol`]): the
-//! channel transport ships `Vec<u8>` wire frames through `std::sync::
-//! mpsc`, the TCP transport writes them to a `TcpStream`. In-process
-//! tests therefore exercise the full serialization path, and switching a
-//! deployment from channels to TCP changes nothing but the endpoint
-//! constructor.
+//! An [`Endpoint`] is a ([`FrameSink`], [`FrameSource`]) pair — split
+//! halves of one socket, so a session's router thread can block on the
+//! source while the sink, wrapped in a [`ReplySink`], takes replies from
+//! that router and from every shard that decodes the session's
+//! submissions. Both kinds of socket go through the same code, so
+//! in-process tests exercise the production read and write path. The
+//! kernel's socket buffers bound what is in flight, and every
+//! server-side socket has a write timeout, so a wrong or stalled peer
+//! can only produce an error, a write timeout or EOF — never an
+//! unbounded queue.
 //!
-//! The TCP endpoint never waits on a kernel timer and never pays a
-//! syscall per frame: [`tcp_endpoint`] sets `TCP_NODELAY` (a reply
-//! written while an earlier one is un-ACKed goes out now, not when the
-//! peer's next submit or its 40 ms delayed-ACK timer releases Nagle's
-//! buffer), the source reads through a 64 KiB buffer (a 16-frame burst
-//! is one `read`, not 32) and says when a whole further frame is already
-//! in it ([`FrameSource::has_buffered`]), and [`FrameSink::send_wire`]
-//! puts any number of already encoded frames on the wire in one `write`.
+//! No endpoint waits on a kernel timer or pays a syscall per frame:
+//! [`tcp_endpoint`] sets `TCP_NODELAY` (a reply written while an earlier
+//! one is un-ACKed goes out now, not when the peer's next submit or its
+//! 40 ms delayed-ACK timer releases Nagle's buffer), the source reads
+//! through a 64 KiB buffer (a 16-frame burst is one `read`, not 32) and
+//! says when a whole further frame is already in it
+//! ([`FrameSource::has_buffered`]), and [`FrameSink::send_wire`] puts any
+//! number of already encoded frames on the wire in one `write`.
 
-use crate::protocol::{Frame, ServiceError, MAX_FRAME_LEN};
-use std::io::{BufReader, Read, Write};
+use crate::protocol::{read_body, Frame, ServiceError};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// The sending half of a transport endpoint.
 pub trait FrameSink: Send {
@@ -38,25 +39,28 @@ pub trait FrameSink: Send {
     fn send(&mut self, frame: &Frame) -> Result<(), ServiceError>;
 
     /// Sends `wire` — whole length-prefixed frames back to back, as
-    /// [`Frame::encode_into`] appends them — in order. What the peer
-    /// receives is what one [`FrameSink::send`] per frame would have
-    /// delivered; TCP pays one `write` for the lot.
+    /// [`Frame::encode_into`] appends them — in order, with one `write`.
+    /// What the peer receives is what one [`FrameSink::send`] per frame
+    /// would have delivered.
     ///
     /// # Errors
     ///
-    /// Returns an error when the peer is gone, the transport failed, or
-    /// `wire` does not end on a frame boundary.
+    /// Returns an error when the peer is gone or the transport failed.
     fn send_wire(&mut self, wire: &[u8]) -> Result<(), ServiceError>;
 
     /// Closes the connection in both directions after a failed send, so
     /// a half-written frame is never followed by more bytes and the
-    /// peer's reader (and this side's) sees the end. The default does
-    /// nothing: a channel send is all or nothing.
-    fn shutdown(&mut self) {}
+    /// peer's reader (and this side's) sees the end.
+    fn shutdown(&mut self);
 }
 
-/// The receiving half of a transport endpoint.
-pub trait FrameSource: Send {
+/// The receiving half of a transport endpoint: the socket behind a
+/// 64 KiB read buffer.
+pub struct FrameSource {
+    stream: BufReader<Socket>,
+}
+
+impl FrameSource {
     /// Receives the next frame's *body* (everything after the length
     /// prefix) into `buf`, replacing its contents; returns `false` on a
     /// clean peer close. The zero-copy ingest path: the caller peeks
@@ -66,30 +70,31 @@ pub trait FrameSource: Send {
     ///
     /// # Errors
     ///
-    /// Returns an error for malformed framing or transport failures.
-    fn recv_body(&mut self, buf: &mut Vec<u8>) -> Result<bool, ServiceError>;
+    /// Returns an error for malformed or truncated framing and transport
+    /// failures.
+    pub fn recv_body(&mut self, buf: &mut Vec<u8>) -> Result<bool, ServiceError> {
+        read_body(&mut self.stream, buf)
+    }
 
-    /// Whether a whole further frame is already at hand, so the next
-    /// [`FrameSource::recv_body`] returns it without blocking (a source
-    /// may take it off its transport early to tell). The default `false`
-    /// is always safe: a caller that defers work while more input is at
-    /// hand then just never defers.
-    fn has_buffered(&mut self) -> bool {
-        false
+    /// Whether a whole further frame is already in the read buffer, so
+    /// the next [`FrameSource::recv_body`] returns it without blocking.
+    /// A frame split across reads is not buffered until its last byte
+    /// is in.
+    pub fn has_buffered(&self) -> bool {
+        let buffered = self.stream.buffer();
+        buffered
+            .first_chunk::<4>()
+            .is_some_and(|len| buffered.len() - 4 >= u32::from_le_bytes(*len) as usize)
     }
 
     /// Receives the next frame; `None` means the peer closed cleanly.
     ///
     /// # Errors
     ///
-    /// Returns an error for malformed bytes or transport failures.
-    fn recv(&mut self) -> Result<Option<Frame>, ServiceError> {
-        let mut buf = Vec::new();
-        if self.recv_body(&mut buf)? {
-            Frame::decode(&buf).map(Some)
-        } else {
-            Ok(None)
-        }
+    /// Returns an error for malformed or truncated bytes and transport
+    /// failures.
+    pub fn recv(&mut self) -> Result<Option<Frame>, ServiceError> {
+        Frame::read_from(&mut self.stream)
     }
 }
 
@@ -98,7 +103,7 @@ pub struct Endpoint {
     /// Frames written here reach the peer's source.
     pub sink: Box<dyn FrameSink>,
     /// Frames from the peer's sink arrive here.
-    pub source: Box<dyn FrameSource>,
+    pub source: FrameSource,
 }
 
 /// One session's reply path, shared by its router and every shard that
@@ -107,7 +112,7 @@ pub struct Endpoint {
 /// writers took the lock.
 ///
 /// A send that fails — the peer is gone, or it stopped reading and a
-/// TCP write timed out — kills the sink: the transport is shut down both
+/// write timed out — kills the sink: the transport is shut down both
 /// ways ([`FrameSink::shutdown`]), so no half-written frame is followed
 /// by more bytes, and every later reply is dropped. A stalled peer thus
 /// holds a writer for at most one write timeout, once.
@@ -168,165 +173,134 @@ impl ReplySink {
     }
 }
 
-// ---------------------------------------------------------------------
-// In-process channel transport.
+/// Read-buffer size of a source: far above one burst of submits, so a
+/// burst is one `read`, and small enough to stay cache-resident.
+const BUF_BYTES: usize = 64 << 10;
 
-struct ChannelSink {
-    tx: Sender<Vec<u8>>,
+/// Write timeout of every server-side socket. Shards write replies
+/// straight to the sockets of the sessions they serve, so without it a
+/// peer that stops reading would block its shard — and every other
+/// session on that shard — once the socket buffers fill. With it, the
+/// stalled write fails, the session's [`ReplySink`] dies (the socket is
+/// shut down both ways), and the shard moves on: a stalled peer costs
+/// its neighbours at most this long, once. Local writes to a reading
+/// peer take microseconds.
+const REPLY_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// The byte stream under an endpoint.
+enum Socket {
+    Tcp(TcpStream),
+    Unix(UnixStream),
 }
 
-impl ChannelSink {
-    /// Ships one frame's wire bytes as one channel message.
-    fn ship(&mut self, one: Vec<u8>) -> Result<(), ServiceError> {
-        self.tx
-            .send(one)
-            .map_err(|_| ServiceError::Protocol("channel peer hung up".into()))
-    }
-}
-
-impl FrameSink for ChannelSink {
-    fn send(&mut self, frame: &Frame) -> Result<(), ServiceError> {
-        self.ship(frame.to_wire()?)
+impl Socket {
+    fn try_clone(&self) -> io::Result<Socket> {
+        Ok(match self {
+            Socket::Tcp(s) => Socket::Tcp(s.try_clone()?),
+            Socket::Unix(s) => Socket::Unix(s.try_clone()?),
+        })
     }
 
-    fn send_wire(&mut self, mut wire: &[u8]) -> Result<(), ServiceError> {
-        // One channel message per frame, whatever the batch: the source
-        // side checks each message against its own length prefix.
-        while !wire.is_empty() {
-            let (one, rest) = wire
-                .first_chunk::<4>()
-                .and_then(|len| wire.split_at_checked(4 + u32::from_le_bytes(*len) as usize))
-                .ok_or_else(|| ServiceError::Protocol("wire batch ends mid-frame".into()))?;
-            self.ship(one.to_vec())?;
-            wire = rest;
+    fn shutdown(&self) -> io::Result<()> {
+        match self {
+            Socket::Tcp(s) => s.shutdown(Shutdown::Both),
+            Socket::Unix(s) => s.shutdown(Shutdown::Both),
         }
+    }
+}
+
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(s) => s.read(buf),
+            Socket::Unix(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Socket::Tcp(s) => s.write(buf),
+            Socket::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
 }
 
-struct ChannelSource {
-    rx: Receiver<Vec<u8>>,
-    /// A message [`FrameSource::has_buffered`] took off the channel
-    /// ahead of its [`FrameSource::recv_body`].
-    ahead: Option<Vec<u8>>,
-}
-
-impl FrameSource for ChannelSource {
-    fn recv_body(&mut self, buf: &mut Vec<u8>) -> Result<bool, ServiceError> {
-        let wire = match self.ahead.take().map_or_else(|| self.rx.recv(), Ok) {
-            Ok(wire) => wire,
-            // Sender dropped: clean end-of-stream, like TCP EOF.
-            Err(_) => return Ok(false),
-        };
-        if wire.len() < 4 {
-            return Err(ServiceError::Protocol("short wire frame".into()));
-        }
-        let len = u32::from_le_bytes(wire[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME_LEN || wire.len() != 4 + len {
-            return Err(ServiceError::Protocol(format!(
-                "wire frame length {} does not match prefix {len}",
-                wire.len() - 4
-            )));
-        }
-        buf.clear();
-        buf.extend_from_slice(&wire[4..]);
-        Ok(true)
-    }
-
-    fn has_buffered(&mut self) -> bool {
-        // Every message is one whole frame.
-        if self.ahead.is_none() {
-            self.ahead = self.rx.try_recv().ok();
-        }
-        self.ahead.is_some()
-    }
-}
-
-/// Creates a connected (client, server) pair of in-process endpoints.
-pub fn channel_pair() -> (Endpoint, Endpoint) {
-    let (client_tx, server_rx) = channel();
-    let (server_tx, client_rx) = channel();
-    (
-        Endpoint {
-            sink: Box::new(ChannelSink { tx: client_tx }),
-            source: Box::new(ChannelSource {
-                rx: client_rx,
-                ahead: None,
-            }),
-        },
-        Endpoint {
-            sink: Box::new(ChannelSink { tx: server_tx }),
-            source: Box::new(ChannelSource {
-                rx: server_rx,
-                ahead: None,
-            }),
-        },
-    )
-}
-
-// ---------------------------------------------------------------------
-// Loopback TCP transport.
-
-/// Read-buffer size of a TCP source: far above one burst of submits, so
-/// a burst is one `read`, and small enough to stay cache-resident.
-const TCP_BUF_BYTES: usize = 64 << 10;
-
-struct TcpSink {
-    stream: TcpStream,
+struct SocketSink {
+    socket: Socket,
     /// Encode scratch of [`FrameSink::send`], recycled across frames.
     wire: Vec<u8>,
 }
 
-impl FrameSink for TcpSink {
+impl FrameSink for SocketSink {
     fn send(&mut self, frame: &Frame) -> Result<(), ServiceError> {
         self.wire.clear();
         frame.encode_into(&mut self.wire)?;
-        Ok(self.stream.write_all(&self.wire)?)
+        Ok(self.socket.write_all(&self.wire)?)
     }
 
     fn send_wire(&mut self, wire: &[u8]) -> Result<(), ServiceError> {
-        Ok(self.stream.write_all(wire)?)
+        Ok(self.socket.write_all(wire)?)
     }
 
     fn shutdown(&mut self) {
         // The socket, not the handle: the source's clone sees EOF too.
-        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.socket.shutdown();
     }
 }
 
-struct TcpSource {
-    stream: BufReader<TcpStream>,
+impl Endpoint {
+    /// Splits `socket` into a sink (a `try_clone`, so sink and source
+    /// can live on different threads) and a buffered source.
+    fn over(socket: Socket) -> io::Result<Endpoint> {
+        Ok(Endpoint {
+            sink: Box::new(SocketSink {
+                socket: socket.try_clone()?,
+                wire: Vec::new(),
+            }),
+            source: FrameSource {
+                stream: BufReader::with_capacity(BUF_BYTES, socket),
+            },
+        })
+    }
 }
 
-impl FrameSource for TcpSource {
-    fn recv_body(&mut self, buf: &mut Vec<u8>) -> Result<bool, ServiceError> {
-        let mut len_buf = [0u8; 4];
-        match self.stream.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            // EOF at a frame boundary: clean close.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(false),
-            Err(e) => return Err(e.into()),
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(ServiceError::Protocol(format!(
-                "frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"
-            )));
-        }
-        buf.clear();
-        buf.resize(len, 0);
-        self.stream.read_exact(buf)?;
-        Ok(true)
+/// Readies the server half of a session by giving its socket
+/// [`REPLY_WRITE_TIMEOUT`]. It is the one place the timeout is set: the
+/// server half of [`channel_pair`] and every socket `serve_tcp` accepts
+/// come through here, and client halves never do. The option lives on
+/// the socket, not the handle, so the sink's clone has it too.
+pub(crate) fn server_side(ep: Endpoint) -> io::Result<Endpoint> {
+    let timeout = Some(REPLY_WRITE_TIMEOUT);
+    match ep.source.stream.get_ref() {
+        Socket::Tcp(s) => s.set_write_timeout(timeout)?,
+        Socket::Unix(s) => s.set_write_timeout(timeout)?,
     }
+    Ok(ep)
+}
 
-    fn has_buffered(&mut self) -> bool {
-        // A whole frame, not just its first bytes: a frame split across
-        // reads still needs a blocking one.
-        let buffered = self.stream.buffer();
-        buffered
-            .first_chunk::<4>()
-            .is_some_and(|len| buffered.len() - 4 >= u32::from_le_bytes(*len) as usize)
-    }
+/// Creates a connected (client, server) pair of in-process endpoints:
+/// the two ends of a Unix socket pair, read and written exactly as TCP
+/// endpoints are. The server half gets the reply write timeout.
+///
+/// # Panics
+///
+/// Panics if the process cannot create or clone a socket (it has run
+/// out of file descriptors).
+pub fn channel_pair() -> (Endpoint, Endpoint) {
+    let pair = || -> io::Result<(Endpoint, Endpoint)> {
+        let (client, server) = UnixStream::pair()?;
+        Ok((
+            Endpoint::over(Socket::Unix(client))?,
+            server_side(Endpoint::over(Socket::Unix(server))?)?,
+        ))
+    };
+    pair().expect("cannot create an in-process socket pair")
 }
 
 /// Wraps a connected TCP stream as a transport endpoint (the writer half
@@ -344,21 +318,13 @@ impl FrameSource for TcpSource {
 /// Propagates the `set_nodelay` or `try_clone` failure.
 pub fn tcp_endpoint(stream: TcpStream) -> Result<Endpoint, ServiceError> {
     stream.set_nodelay(true)?;
-    let writer = stream.try_clone()?;
-    Ok(Endpoint {
-        sink: Box::new(TcpSink {
-            stream: writer,
-            wire: Vec::new(),
-        }),
-        source: Box::new(TcpSource {
-            stream: BufReader::with_capacity(TCP_BUF_BYTES, stream),
-        }),
-    })
+    Ok(Endpoint::over(Socket::Tcp(stream))?)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::protocol::MAX_FRAME_LEN;
     use std::net::TcpListener;
 
     fn ping() -> Frame {
@@ -369,6 +335,20 @@ mod tests {
         }
     }
 
+    /// A connected (client, server) pair over loopback TCP, the server
+    /// half readied as `serve_tcp` readies an accepted socket.
+    pub(crate) fn tcp_pair() -> (Endpoint, Endpoint) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let server = tcp_endpoint(listener.accept().unwrap().0).unwrap();
+        (tcp_endpoint(client).unwrap(), server_side(server).unwrap())
+    }
+
+    /// Both endpoints, in-process first, as (client, server) pairs.
+    pub(crate) fn both() -> [(Endpoint, Endpoint); 2] {
+        [channel_pair(), tcp_pair()]
+    }
+
     #[test]
     fn channel_pair_delivers_frames_both_ways() {
         let (mut client, mut server) = channel_pair();
@@ -376,7 +356,7 @@ mod tests {
         assert_eq!(server.source.recv().unwrap(), Some(ping()));
         server.sink.send(&Frame::ShutdownAck).unwrap();
         assert_eq!(client.source.recv().unwrap(), Some(Frame::ShutdownAck));
-        // Dropping the client's sink ends the server's stream cleanly.
+        // Dropping the client closes its socket: a clean end of stream.
         drop(client);
         assert_eq!(server.source.recv().unwrap(), None);
     }
@@ -438,31 +418,34 @@ mod tests {
     }
 
     #[test]
+    fn only_server_halves_get_the_reply_write_timeout() {
+        let write_timeout = |ep: &Endpoint| match ep.source.stream.get_ref() {
+            Socket::Tcp(s) => s.write_timeout().unwrap(),
+            Socket::Unix(s) => s.write_timeout().unwrap(),
+        };
+        for (client, server) in both() {
+            assert_eq!(write_timeout(&server), Some(REPLY_WRITE_TIMEOUT));
+            assert_eq!(write_timeout(&client), None);
+        }
+    }
+
+    #[test]
     fn send_wire_delivers_a_batch_frame_for_frame_on_both_transports() {
         let frames = [ping(), Frame::ShutdownAck, ping()];
         let mut wire = Vec::new();
         for f in &frames {
             f.encode_into(&mut wire).unwrap();
         }
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp_client = tcp_endpoint(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
-        let tcp_server = tcp_endpoint(listener.accept().unwrap().0);
-        for (mut client, mut server) in [channel_pair(), (tcp_client.unwrap(), tcp_server.unwrap())]
-        {
+        for (mut client, mut server) in both() {
             server.sink.send_wire(&wire).unwrap();
             for f in &frames {
                 assert_eq!(client.source.recv().unwrap().as_ref(), Some(f));
             }
-            // The empty batch is nothing at all, not an empty message.
+            // The empty batch is nothing at all.
             server.sink.send_wire(&[]).unwrap();
             drop(server);
             assert_eq!(client.source.recv().unwrap(), None);
         }
-        // The channel transport splits per frame, so a batch that stops
-        // mid-frame is refused instead of shipped as a short message.
-        let (_client, mut server) = channel_pair();
-        assert!(server.sink.send_wire(&wire[..wire.len() - 1]).is_err());
-        assert!(server.sink.send_wire(&wire[..2]).is_err());
     }
 
     #[test]
@@ -471,11 +454,7 @@ mod tests {
         ping().encode_into(&mut wire).unwrap();
         let one = wire.len();
         ping().encode_into(&mut wire).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp_client = tcp_endpoint(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
-        let tcp_server = tcp_endpoint(listener.accept().unwrap().0);
-        for (mut client, mut server) in [channel_pair(), (tcp_client.unwrap(), tcp_server.unwrap())]
-        {
+        for (mut client, mut server) in both() {
             assert!(!server.source.has_buffered(), "nothing sent yet");
             client.sink.send_wire(&wire[..one]).unwrap();
             assert_eq!(server.source.recv().unwrap(), Some(ping()));
@@ -487,45 +466,37 @@ mod tests {
             assert!(server.source.has_buffered());
             assert_eq!(server.source.recv().unwrap(), Some(ping()));
             assert!(!server.source.has_buffered());
+            // A frame split across reads is not a buffered frame until
+            // its last byte is in.
+            client.sink.send_wire(&wire[..one + 5]).unwrap();
+            assert_eq!(server.source.recv().unwrap(), Some(ping()));
+            assert!(!server.source.has_buffered(), "five bytes of a frame");
+            client.sink.send_wire(&wire[one + 5..]).unwrap();
+            assert_eq!(server.source.recv().unwrap(), Some(ping()));
         }
-        // Over TCP a frame split across reads is not a buffered frame
-        // until its last byte is in.
-        let (mut client, server) = (
-            tcp_endpoint(TcpStream::connect(listener.local_addr().unwrap()).unwrap()).unwrap(),
-            listener.accept().unwrap().0,
-        );
-        let mut source = TcpSource {
-            stream: BufReader::with_capacity(TCP_BUF_BYTES, server),
-        };
-        client.sink.send_wire(&wire[..one + 5]).unwrap();
-        assert_eq!(source.recv().unwrap(), Some(ping()));
-        assert!(!source.has_buffered(), "five bytes of a frame");
-        client.sink.send_wire(&wire[one + 5..]).unwrap();
-        assert_eq!(source.recv().unwrap(), Some(ping()));
     }
 
     #[test]
     fn a_failed_send_kills_the_reply_sink_and_closes_the_socket() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client =
-            tcp_endpoint(TcpStream::connect(listener.local_addr().unwrap()).unwrap()).unwrap();
-        let Endpoint { sink, mut source } = tcp_endpoint(listener.accept().unwrap().0).unwrap();
-        let reply = ReplySink::new(sink);
-        reply.send(&Frame::ShutdownAck);
-        assert_eq!(client.source.recv().unwrap(), Some(Frame::ShutdownAck));
-        // A frame too large to encode fails like a write: the socket is
-        // shut down both ways, so the peer reads EOF, the server's own
-        // source sees the end, and later replies go nowhere.
-        reply.send(&Frame::Error {
-            message: "x".repeat(MAX_FRAME_LEN + 1),
-        });
-        assert_eq!(source.recv().unwrap(), None);
-        reply.send(&Frame::ShutdownAck);
-        reply.send_wire(&Frame::ShutdownAck.to_wire().unwrap());
-        assert_eq!(
-            client.source.recv().unwrap(),
-            None,
-            "no bytes after the failure"
-        );
+        for (mut client, server) in both() {
+            let Endpoint { sink, mut source } = server;
+            let reply = ReplySink::new(sink);
+            reply.send(&Frame::ShutdownAck);
+            assert_eq!(client.source.recv().unwrap(), Some(Frame::ShutdownAck));
+            // A frame too large to encode fails like a write: the socket
+            // is shut down both ways, so the peer reads EOF, the server's
+            // own source sees the end, and later replies go nowhere.
+            reply.send(&Frame::Error {
+                message: "x".repeat(MAX_FRAME_LEN + 1),
+            });
+            assert_eq!(source.recv().unwrap(), None);
+            reply.send(&Frame::ShutdownAck);
+            reply.send_wire(&Frame::ShutdownAck.to_wire().unwrap());
+            assert_eq!(
+                client.source.recv().unwrap(),
+                None,
+                "no bytes after the failure"
+            );
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Shared harness of the reply-path tests: a small server, and a client
 //! that ships a whole session's submissions as **one** wire buffer
-//! through [`service::FrameSink::send_wire`] — one `write` on TCP, one
-//! message per frame on channels — so the server's reply path meets the
-//! deepest reply backlog a client can produce.
+//! through [`service::FrameSink::send_wire`] — one `write` on either
+//! endpoint — so the server's reply path meets the deepest reply backlog
+//! a client can produce. The 2 000-submit pipeline fits the socket
+//! buffers, so a client can write it all before it reads.
 
 #![allow(dead_code)] // each test binary uses its own subset
 

@@ -2,7 +2,8 @@
 //! seeded 0–50 µs gaps, so each router finds its shards parked, busy, or
 //! half-way into a park in every proportion — sweeping inline, waking
 //! the thread, or losing the lock race to another session's router.
-//! Over both transports and S ∈ {1, 2}, every shot must be committed
+//! Over both endpoints — an in-process socket pair and loopback TCP —
+//! and S ∈ {1, 2}, every shot must be committed
 //! exactly once and in order per tenant, nothing may hang, and some
 //! sweeps must have run on a router.
 
@@ -141,7 +142,7 @@ fn stress(shards: usize, tcp: bool, submits: u64, guard: Duration) {
         let shots: u64 = snapshot.shards.iter().map(|s| s.shots).sum();
         let _ = done_tx.send((inline, shots));
     });
-    let transport = if tcp { "tcp" } else { "channel" };
+    let transport = if tcp { "tcp" } else { "in-process" };
     let (inline, shots) = done
         .recv_timeout(guard)
         .unwrap_or_else(|_| panic!("S={shards} {transport}: hung (or a session failed)"));

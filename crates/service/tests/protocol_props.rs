@@ -1,13 +1,23 @@
 //! Property tests over the wire protocol: encode → decode → encode is a
-//! byte-level fixed point for arbitrary frames, and the appending encoder
-//! emits the same bytes as the allocating one.
+//! byte-level fixed point for arbitrary frames, the appending encoder
+//! emits the same bytes as the allocating one, and hostile bytes written
+//! into a live session end that session and nothing else.
 //!
 //! The vendored proptest shim generates primitives only, so structured
-//! frames are derived deterministically from drawn integers (lengths,
-//! ids, and a per-case stream of values expanded by splitmix).
+//! frames and byte streams are derived deterministically from drawn
+//! integers (lengths, ids, and a per-case stream of values expanded by
+//! splitmix).
 
+mod common;
+
+use ler::DecoderKind;
 use proptest::prelude::*;
-use service::{Frame, TenantStatsWire};
+use realtime::{Datapath, PredecodeMode};
+use service::{
+    channel_pair, DecodeServer, Endpoint, Frame, ScenarioContext, ServiceConfig, TenantStatsWire,
+};
+use std::sync::OnceLock;
+use std::time::Duration;
 
 /// Deterministic value stream for filling variable-length fields.
 struct Mix(u64);
@@ -101,6 +111,96 @@ fn arbitrary_frame(ty: u8, seed: u64, len: usize) -> Frame {
     }
 }
 
+/// The hostile session's tenant. The neighbour's differs from it in two
+/// bytes, so no single-byte flip of a hostile frame can reach it: the
+/// registry is server-wide, so a submit for the neighbour's qubit from
+/// any session would land in the neighbour's tenant.
+const HOSTILE: u32 = 0;
+const NEIGHBOUR: u32 = 0x0101;
+/// Shots the neighbour pipelines while the hostile bytes arrive.
+const NEIGHBOUR_SHOTS: u64 = 64;
+
+fn scenario() -> &'static ScenarioContext {
+    static SCENARIO: OnceLock<ScenarioContext> = OnceLock::new();
+    SCENARIO.get_or_init(|| ScenarioContext::new(common::SCENARIO, common::context()).unwrap())
+}
+
+fn register(qubit: u32) -> Frame {
+    Frame::RegisterQubit {
+        qubit,
+        decoder: DecoderKind::Mwpm.code(),
+        window: 3,
+        commit: 2,
+        predecode: PredecodeMode::Off.code(),
+        datapath: Datapath::Packed.code(),
+        scenario: common::SCENARIO.into(),
+    }
+}
+
+/// The bytes a hostile client writes: random soup (`kind` 0), or a
+/// well-formed register + `len % 16` submits with one byte changed
+/// (`kind` 1) or cut short (`kind` 2).
+fn hostile_bytes(kind: u8, seed: u64, len: usize) -> Vec<u8> {
+    let mut m = Mix(seed);
+    if kind == 0 {
+        return (0..len).map(|_| m.next() as u8).collect();
+    }
+    let dets = u64::from(scenario().layers().num_detectors());
+    let mut wire = register(HOSTILE).to_wire().unwrap();
+    for shot in 0..(len % 16) as u64 {
+        Frame::SubmitRounds {
+            qubit: HOSTILE,
+            shot,
+            dets: (0..m.next() % 6)
+                .map(|_| (m.next() % dets) as u32)
+                .collect(),
+        }
+        .encode_into(&mut wire)
+        .unwrap();
+    }
+    let at = (m.next() % wire.len() as u64) as usize;
+    if kind == 1 {
+        wire[at] ^= (1 + m.next() % 255) as u8;
+    } else {
+        wire.truncate(at);
+    }
+    wire
+}
+
+/// The neighbour's whole session: register, pipeline
+/// [`NEIGHBOUR_SHOTS`] submits, and read every commit unshed and in
+/// order, then `ShutdownAck` and EOF.
+fn neighbour_session(mut client: Endpoint) {
+    client.sink.send(&register(NEIGHBOUR)).unwrap();
+    match client.source.recv().unwrap() {
+        Some(Frame::RegisterAck { ok: true, .. }) => {}
+        other => panic!("the neighbour's registration answered {other:?}"),
+    }
+    let mut wire = Vec::new();
+    for shot in 0..NEIGHBOUR_SHOTS {
+        Frame::SubmitRounds {
+            qubit: NEIGHBOUR,
+            shot,
+            dets: Vec::new(),
+        }
+        .encode_into(&mut wire)
+        .unwrap();
+    }
+    client.sink.send_wire(&wire).unwrap();
+    for shot in 0..NEIGHBOUR_SHOTS {
+        match client.source.recv().unwrap() {
+            Some(Frame::CommitResult {
+                qubit: NEIGHBOUR,
+                shot: s,
+                shed: false,
+                ..
+            }) => assert_eq!(s, shot, "the neighbour's commits out of order"),
+            other => panic!("the neighbour's shot {shot} answered {other:?}"),
+        }
+    }
+    common::shutdown(&mut client);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -180,5 +280,52 @@ proptest! {
         for cut in 0..body.len() {
             let _ = Frame::decode(&body[..cut]);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile bytes into one in-process session of a live server: the
+    /// server ends that session — an error frame, a write failure or
+    /// EOF — without a panic or a hang, and a well-behaved neighbour on
+    /// the same shard gets every commit in order.
+    #[test]
+    fn hostile_bytes_end_their_session_and_spare_the_neighbour(
+        kind in 0u8..3,
+        seed in any::<u64>(),
+        len in 0usize..256,
+    ) {
+        let cfg = ServiceConfig {
+            shards: 1,
+            max_inflight_shots: NEIGHBOUR_SHOTS as usize,
+            ..ServiceConfig::default()
+        };
+        let server = DecodeServer::new(cfg, vec![scenario().clone()]).unwrap();
+        let ((mut hostile, hostile_end), (neighbour, neighbour_end)) =
+            (channel_pair(), channel_pair());
+        let (served_tx, served) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.serve(vec![hostile_end, neighbour_end]);
+            let _ = served_tx.send(());
+        });
+        let (neighbour_tx, neighbour_done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            neighbour_session(neighbour);
+            let _ = neighbour_tx.send(());
+        });
+        // The server may cut the session off mid-write; that is its
+        // right, not a failure.
+        let _ = hostile.sink.send_wire(&hostile_bytes(kind, seed, len));
+        drop(hostile);
+        let guard = Duration::from_secs(5);
+        prop_assert!(
+            neighbour_done.recv_timeout(guard).is_ok(),
+            "the neighbour's session failed or stalled"
+        );
+        prop_assert!(
+            served.recv_timeout(guard).is_ok(),
+            "serve panicked or outlived both sessions"
+        );
     }
 }

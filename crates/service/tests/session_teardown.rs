@@ -3,10 +3,10 @@
 //! reading a byte must not wedge the server — the shard's reply `write`
 //! fails, the router sees the reset, the shards drain their rings, and
 //! `serve_tcp` returns. A client that stays connected but stops reading
-//! stalls only itself: the reply write times out, its session is cut,
-//! and a neighbour on the same shard keeps its commit stream. A client
-//! speaking a retired frame (the v4/v5 scrape codes 9–12) ends only its
-//! own session.
+//! stalls only itself, in process as over TCP: the reply write times
+//! out, its session is cut, and a neighbour on the same shard keeps its
+//! commit stream. A client speaking a retired frame (the v4/v5 scrape
+//! codes 9–12) ends only its own session.
 
 mod common;
 
@@ -14,9 +14,10 @@ use ler::DecoderKind;
 use realtime::{Datapath, PredecodeMode};
 use service::{
     channel_pair, tcp_endpoint, DecodeServer, Endpoint, Frame, ScenarioContext, ServiceConfig,
-    PROTOCOL_VERSION,
+    ServiceError, PROTOCOL_VERSION,
 };
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,8 +64,40 @@ fn submit(qubit: u32, shot: u64, wire: &mut Vec<u8>) {
     .unwrap();
 }
 
+/// Two client sessions of `server`, served from a detached thread over
+/// in-process socket pairs or loopback TCP, and the receiver of the
+/// serve call's result.
+fn two_sessions(
+    server: DecodeServer,
+    in_process: bool,
+) -> ([Endpoint; 2], Receiver<Result<(), ServiceError>>) {
+    let (done_tx, done) = std::sync::mpsc::channel();
+    if in_process {
+        let ((a, a_end), (b, b_end)) = (channel_pair(), channel_pair());
+        std::thread::spawn(move || {
+            server.serve(vec![a_end, b_end]);
+            let _ = done_tx.send(Ok(()));
+        });
+        return ([a, b], done);
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(server.serve_tcp(&listener, 2));
+    });
+    let connect = || tcp_endpoint(TcpStream::connect(addr).unwrap()).unwrap();
+    ([connect(), connect()], done)
+}
+
 #[test]
 fn a_client_that_stops_reading_stalls_only_itself() {
+    for in_process in [true, false] {
+        stops_reading(in_process);
+    }
+}
+
+fn stops_reading(in_process: bool) {
+    let endpoint = if in_process { "in-process" } else { "tcp" };
     // One shard: the stalled session and its neighbour share a decode
     // thread, so a reply write that blocked for good would stop both.
     let ctx = common::context();
@@ -74,17 +107,9 @@ fn a_client_that_stops_reading_stalls_only_itself() {
         max_inflight_shots: 1024,
         ..ServiceConfig::default()
     };
-    let server = Arc::new(DecodeServer::new(cfg, vec![scenario]).unwrap());
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let (done_tx, done) = std::sync::mpsc::channel();
-    let serving = Arc::clone(&server);
-    std::thread::spawn(move || {
-        let _ = done_tx.send(serving.serve_tcp(&listener, 2));
-    });
-    let mut stalled = tcp_endpoint(TcpStream::connect(addr).unwrap()).unwrap();
+    let server = DecodeServer::new(cfg, vec![scenario]).unwrap();
+    let ([mut stalled, mut neighbour], done) = two_sessions(server, in_process);
     register(&mut stalled, 0);
-    let mut neighbour = tcp_endpoint(TcpStream::connect(addr).unwrap()).unwrap();
     register(&mut neighbour, 1);
 
     // The stalled client pipelines submits until the server cuts it off,
@@ -130,13 +155,17 @@ fn a_client_that_stops_reading_stalls_only_itself() {
     });
     neighbour_done
         .recv_timeout(Duration::from_secs(5))
-        .expect("the neighbour's commits stalled behind a client that stopped reading");
+        .unwrap_or_else(|_| {
+            panic!(
+                "{endpoint}: the neighbour's commits stalled behind a client that stopped reading"
+            )
+        });
     done.recv_timeout(Duration::from_secs(5))
-        .expect("serve_tcp still running 5 s after the neighbour left")
+        .unwrap_or_else(|_| panic!("{endpoint}: serve still running 5 s after the neighbour left"))
         .expect("a stalled client is a session end, not a server error");
     assert!(
         flood.join().unwrap(),
-        "the server never cut the stalled session off"
+        "{endpoint}: the server never cut the stalled session off"
     );
     drop(stalled_source);
 }

@@ -288,6 +288,8 @@ impl FrameSink for ByteCount {
         self.0.fetch_add(wire.len(), Ordering::Relaxed);
         Ok(())
     }
+
+    fn shutdown(&mut self) {}
 }
 
 /// Called from the one test above, like the L1 half.
