@@ -18,6 +18,8 @@
 //! cycle), calibrated to the 456 ns the Astrea paper reports for
 //! HW = 10 brute-force decoding (see `DESIGN.md` §3.4).
 
+#![forbid(unsafe_code)]
+
 mod brute;
 mod greedy;
 mod latency;

@@ -1,6 +1,8 @@
 //! Scratch diagnostic: per-k failure counts of the main decoder
 //! configurations, paired on identical syndromes.
 
+#![forbid(unsafe_code)]
+
 use ler::{DecoderKind, ExperimentContext, InjectionSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

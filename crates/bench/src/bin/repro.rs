@@ -49,6 +49,8 @@
 //! the machine's parallelism — an explicit 0 is rejected).
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bench_suite::{
     experiments, LerRunConfig, RealtimeRunConfig, Scale, Scenario, ScenarioRegistry, ServeConfig,
 };
@@ -378,8 +380,7 @@ fn run_scenario_serve(args: &[String]) -> ExitCode {
          [--metrics-addr HOST:PORT] \
          [--metrics-sample N] [--trace N] [--trace-out PATH] \
          [--storm-threshold F] [--ring-high-water N] \
-         [datapath=packed|byte] [shots=N] [seed=N] [deadline=NS] [queue=N] \
-         [inflight=N]",
+         [shots=N] [seed=N] [deadline=NS] [queue=N] [inflight=N]",
         |scenario, overrides, out| {
             let mut cfg = ServeConfig::default();
             cfg.apply_overrides(overrides)?;

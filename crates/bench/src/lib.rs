@@ -10,6 +10,8 @@
 //! the *shape*: decoder ordering, approximate ratios, and crossovers.
 //! See `EXPERIMENTS.md` for a side-by-side record.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod realtime;
 pub mod scale;

@@ -12,8 +12,8 @@ use crate::scenario::Scenario;
 use decoding_graph::{SeamPolicy, WindowCache};
 use ler::effective_threads;
 use realtime::{
-    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig,
-    StreamRunResult, WindowConfig,
+    run_stream, BacklogConfig, Instruments, PredecodeMode, StreamRunConfig, StreamRunResult,
+    WindowConfig,
 };
 use std::io::Write;
 use std::sync::Arc;
@@ -33,8 +33,6 @@ pub struct LatencyPoint {
     pub commit: u32,
     /// Predecode mode label (`off` or `batch`).
     pub predecode: &'static str,
-    /// Syndrome datapath label (`packed` or `byte`).
-    pub datapath: &'static str,
     /// Where this row's percentiles come from: `modeled` rows carry the
     /// backlog simulation's reaction times (deterministic, seeded);
     /// `measured` rows restate the same run with wall-clock window-step
@@ -88,9 +86,6 @@ pub struct RealtimeRunConfig {
     pub deadline_ns: Option<f64>,
     /// Batch-predecoder (L1) mode applied ahead of every decoder.
     pub predecode: PredecodeMode,
-    /// Syndrome datapath of the sliding-window hot loop (packed is the
-    /// fast default; byte is the bit-identical reference path).
-    pub datapath: Datapath,
     /// Shots to stream per decoder.
     pub shots: usize,
     /// Stream RNG seed (every decoder sees identical shots).
@@ -109,7 +104,6 @@ impl Default for RealtimeRunConfig {
             round_ns: 1000.0,
             deadline_ns: None,
             predecode: PredecodeMode::Off,
-            datapath: Datapath::Packed,
             shots: 200,
             seed: 2024,
             threads: 0,
@@ -119,8 +113,7 @@ impl Default for RealtimeRunConfig {
 
 impl RealtimeRunConfig {
     /// Parses `key=value` overrides (`shots=`, `seed=`, `round=`,
-    /// `deadline=`, `window=`, `commit=`, `predecode=`, `datapath=`,
-    /// `threads=`).
+    /// `deadline=`, `window=`, `commit=`, `predecode=`, `threads=`).
     ///
     /// # Errors
     ///
@@ -142,9 +135,6 @@ impl RealtimeRunConfig {
                 "predecode" => {
                     self.predecode =
                         PredecodeMode::parse(value).map_err(|e| format!("predecode: {e}"))?;
-                }
-                "datapath" => {
-                    self.datapath = Datapath::parse(value).map_err(|e| format!("datapath: {e}"))?;
                 }
                 "threads" => self.threads = crate::scale::parse_threads(value)?,
                 other => return Err(format!("unknown option '{other}'")),
@@ -214,12 +204,10 @@ pub fn run_scenario_realtime(
     )?;
     writeln!(
         w,
-        "# window={} commit={} predecode={} datapath={} round={}ns deadline={}ns \
-         shots={} seed={}",
+        "# window={} commit={} predecode={} round={}ns deadline={}ns shots={} seed={}",
         wc.window,
         wc.commit,
         cfg.predecode.label(),
-        cfg.datapath.label(),
         backlog.round_ns,
         backlog.deadline_ns,
         cfg.shots,
@@ -233,7 +221,6 @@ pub fn run_scenario_realtime(
         window: wc,
         backlog,
         predecode: cfg.predecode,
-        datapath: cfg.datapath,
     };
     let threads = effective_threads(cfg.threads)
         .min(scenario.decoders.len())
@@ -327,7 +314,6 @@ pub fn run_scenario_realtime(
             window: wc.window,
             commit: wc.commit,
             predecode: cfg.predecode.label(),
-            datapath: cfg.datapath.label(),
             timing: "modeled",
             round_ns: backlog.round_ns,
             shots: run.shots,
@@ -387,7 +373,6 @@ mod tests {
             "window=3".into(),
             "commit=2".into(),
             "predecode=batch".into(),
-            "datapath=byte".into(),
             "threads=2".into(),
         ])
         .unwrap();
@@ -398,13 +383,16 @@ mod tests {
         assert_eq!(cfg.window, Some(3));
         assert_eq!(cfg.commit, Some(2));
         assert_eq!(cfg.predecode, PredecodeMode::Batch);
-        assert_eq!(cfg.datapath, Datapath::Byte);
         assert_eq!(cfg.threads, 2);
         assert!(cfg.apply_overrides(&["nope=1".into()]).is_err());
         assert!(cfg.apply_overrides(&["out=x.json".into()]).is_err());
         assert!(cfg.apply_overrides(&["shots".into()]).is_err());
         assert!(cfg.apply_overrides(&["predecode=pinball".into()]).is_err());
-        assert!(cfg.apply_overrides(&["datapath=nibble".into()]).is_err());
+        // Packed is the only datapath: the option is gone.
+        for dp in ["datapath=byte", "datapath=packed"] {
+            let err = cfg.apply_overrides(&[dp.into()]).unwrap_err();
+            assert!(err.contains("unknown option 'datapath'"), "{err}");
+        }
     }
 
     #[test]
@@ -452,7 +440,6 @@ mod tests {
             assert_eq!(p.scenario, "cc-d3");
             assert_eq!((p.window, p.commit), (sc.rt_window, sc.rt_commit));
             assert_eq!(p.predecode, "off");
-            assert_eq!(p.datapath, "packed");
             assert_eq!((p.shots, p.layers_per_shot), (24, sc.rounds + 1));
             assert_eq!(p.l1_rounds_fraction, 0.0);
             assert!((0.0..=1.0).contains(&p.miss_fraction));
@@ -462,7 +449,7 @@ mod tests {
             log.contains("# realtime cc-d3: code-capacity noise"),
             "{log}"
         );
-        assert!(log.contains("predecode=off datapath=packed"), "{log}");
+        assert!(log.contains("predecode=off round="), "{log}");
         assert!(log.contains("backlog depth over stream"));
         assert!(log.contains("measured window step"), "{log}");
         // Same seed, different thread count: identical modeled points
@@ -495,16 +482,6 @@ mod tests {
             assert_eq!(a.max_ns, b.max_ns);
             assert_eq!(a.failures, b.failures);
             assert!(a.rounds_per_s_per_core > 0.0);
-        }
-        // The byte reference path produces the same decode outcomes.
-        cfg.datapath = Datapath::Byte;
-        let mut sink_byte = Vec::new();
-        let pb = modeled(&run_scenario_realtime(sc, &cfg, &mut sink_byte).unwrap());
-        for (a, b) in p1.iter().zip(&pb) {
-            assert_eq!(b.datapath, "byte");
-            assert_eq!(a.p50_ns, b.p50_ns);
-            assert_eq!(a.max_ns, b.max_ns);
-            assert_eq!(a.failures, b.failures);
         }
     }
 

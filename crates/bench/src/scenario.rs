@@ -12,7 +12,7 @@
 use decoding_graph::{SeamPolicy, WindowCache};
 use ler::{run_eq1, wilson_interval, DecoderKind, Eq1Config, ExperimentContext};
 use realtime::{
-    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig, WindowConfig,
+    run_stream, BacklogConfig, Instruments, PredecodeMode, StreamRunConfig, WindowConfig,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -382,7 +382,6 @@ fn run_scenario_ler_windowed(
         window: wc,
         backlog: BacklogConfig::with_commit_deadline(1000.0, wc.commit),
         predecode: cfg.predecode,
-        datapath: Datapath::Packed,
     };
     let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
     let mut points = Vec::new();

@@ -13,7 +13,7 @@
 use crate::scale::{parse_positive, parse_threads};
 use crate::scenario::Scenario;
 use ler::DecoderKind;
-use realtime::{Datapath, PredecodeMode};
+use realtime::PredecodeMode;
 use service::{
     channel_pair, run_loadgen, tcp_endpoint, DecodeServer, LoadgenConfig, LoadgenReport,
     ScenarioContext, ServiceConfig,
@@ -60,9 +60,6 @@ pub struct ServeConfig {
     pub deadline_ns: Option<f64>,
     /// Batch-predecoder (L1) mode every tenant registers with.
     pub predecode: PredecodeMode,
-    /// Syndrome datapath every tenant registers with: `packed` rides the
-    /// zero-copy arena ingest (default), `byte` the reference path.
-    pub datapath: Datapath,
     /// Modeled bound on one tenant's waiting windows.
     pub queue: usize,
     /// Closed-loop depth: outstanding shots per tenant (also the live
@@ -108,7 +105,6 @@ impl Default for ServeConfig {
             commit: None,
             deadline_ns: None,
             predecode: PredecodeMode::Off,
-            datapath: Datapath::Packed,
             queue: 4,
             inflight: 2,
             transport: ServeTransport::Channel,
@@ -125,7 +121,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Parses `key=value` overrides (`qubits=`, `shards=`, `rate=`,
     /// `shots=`, `seed=`, `decoder=`, `window=`, `commit=`, `deadline=`,
-    /// `predecode=`, `datapath=`, `queue=`, `inflight=`, `transport=`,
+    /// `predecode=`, `queue=`, `inflight=`, `transport=`,
     /// `metrics-addr=`, `metrics-sample=`, `trace=`,
     /// `trace-out=`, `storm-threshold=`, `ring-high-water=`), rejecting
     /// zero sizes with a clear error.
@@ -167,9 +163,6 @@ impl ServeConfig {
                 "predecode" => {
                     self.predecode =
                         PredecodeMode::parse(value).map_err(|e| format!("predecode: {e}"))?;
-                }
-                "datapath" => {
-                    self.datapath = Datapath::parse(value).map_err(|e| format!("datapath: {e}"))?;
                 }
                 "queue" => self.queue = parse_positive("queue", value)? as usize,
                 "inflight" => self.inflight = parse_positive("inflight", value)? as usize,
@@ -235,10 +228,6 @@ pub struct ServicePoint {
     pub commit: u32,
     /// Predecode mode label (`off` or `batch`).
     pub predecode: &'static str,
-    /// Syndrome datapath label (`packed` or `byte`) every tenant
-    /// registered: packed rides the zero-copy arena ingest, byte is the
-    /// bit-identical reference path.
-    pub datapath: &'static str,
     /// Syndrome round period, ns (from the `--rate` flag).
     pub round_ns: f64,
     /// Reaction deadline per window, ns.
@@ -369,14 +358,13 @@ pub fn run_serve(
     writeln!(
         w,
         "# qubits={} shards={} decoder={} window={window} commit={commit} \
-         predecode={} datapath={} rate={:.0}/s (round={round_ns:.0}ns) \
+         predecode={} rate={:.0}/s (round={round_ns:.0}ns) \
          deadline={deadline_ns:.0}ns queue={} inflight={} shots/qubit={} \
          seed={} transport={:?}",
         cfg.qubits,
         cfg.shards,
         cfg.decoder.key(),
         cfg.predecode.label(),
-        cfg.datapath.label(),
         cfg.rate,
         cfg.queue,
         cfg.inflight,
@@ -443,7 +431,6 @@ pub fn run_serve(
         commit,
         inflight: cfg.inflight,
         predecode: cfg.predecode,
-        datapath: cfg.datapath,
     };
     let service_err = |e: service::ServiceError| std::io::Error::other(e.to_string());
     let report: LoadgenReport = match cfg.transport {
@@ -616,7 +603,6 @@ pub fn run_serve(
             window,
             commit,
             predecode: cfg.predecode.label(),
-            datapath: cfg.datapath.label(),
             round_ns,
             deadline_ns,
             shots: stats.shots,
@@ -675,7 +661,6 @@ mod tests {
             "commit=1".into(),
             "deadline=5000".into(),
             "predecode=batch".into(),
-            "datapath=byte".into(),
             "queue=6".into(),
             "inflight=3".into(),
             "transport=tcp".into(),
@@ -697,7 +682,6 @@ mod tests {
         assert_eq!(cfg.commit, Some(1));
         assert_eq!(cfg.deadline_ns, Some(5000.0));
         assert_eq!(cfg.predecode, PredecodeMode::Batch);
-        assert_eq!(cfg.datapath, Datapath::Byte);
         assert_eq!(cfg.queue, 6);
         assert_eq!(cfg.inflight, 3);
         assert_eq!(cfg.transport, ServeTransport::Tcp);
@@ -720,7 +704,11 @@ mod tests {
         assert!(cfg.apply_overrides(&["decoder=bogus".into()]).is_err());
         assert!(cfg.apply_overrides(&["transport=smoke".into()]).is_err());
         assert!(cfg.apply_overrides(&["predecode=pinball".into()]).is_err());
-        assert!(cfg.apply_overrides(&["datapath=sparse".into()]).is_err());
+        // Packed is the only datapath: the option is gone.
+        for dp in ["datapath=byte", "datapath=packed"] {
+            let err = cfg.apply_overrides(&[dp.into()]).unwrap_err();
+            assert!(err.contains("unknown option 'datapath'"), "{err}");
+        }
         assert!(cfg.apply_overrides(&["nope=1".into()]).is_err());
         assert!(cfg.apply_overrides(&["out=x.json".into()]).is_err());
     }
@@ -757,7 +745,6 @@ mod tests {
             assert_eq!(p.decoder, DecoderKind::Mwpm.label());
             assert_eq!((p.qubits, p.shards, p.qubit), (4, 2, q as u32));
             assert_eq!(p.predecode, "off");
-            assert_eq!(p.datapath, "packed");
             assert_eq!(p.l1_rounds_fraction, 0.0);
             assert!(p.rounds_per_s > 0.0);
             // The closed loop within its admission budget never sheds.
@@ -851,17 +838,6 @@ mod tests {
         }
         let log_l1 = String::from_utf8(sink_l1).unwrap();
         assert!(log_l1.contains("resolved at L1"), "{log_l1}");
-        // The byte reference datapath tags its points and produces the
-        // same per-tenant failures as the packed runs above.
-        cfg.predecode = PredecodeMode::Off;
-        cfg.datapath = Datapath::Byte;
-        let mut sink_byte = Vec::new();
-        let (byte_points, _, _, _) = run_serve(sc, &cfg, &mut sink_byte).unwrap();
-        for (b, p) in byte_points.iter().zip(&tcp_points) {
-            assert_eq!(b.datapath, "byte");
-            assert_eq!(b.failures, p.failures, "qubit {}", b.qubit);
-            assert_eq!(b.windows, p.windows);
-        }
     }
 
     #[test]

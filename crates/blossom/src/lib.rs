@@ -26,6 +26,8 @@
 //! assert_eq!(pm, vec![2, 3, 0, 1]); // (0,2) and (1,3): total weight 2
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod matching;
 
 pub use matching::{

@@ -47,6 +47,8 @@
 //! assert!(out.remaining.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod algorithm;
 mod combined;
 

@@ -57,6 +57,8 @@
 //! assert!(graph.num_edges() > 16);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod graph;
 pub mod latency;
 pub mod packed;

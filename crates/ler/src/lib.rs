@@ -19,6 +19,8 @@
 //!   4/5), step-usage frequencies (Table 6), and the accuracy/coverage
 //!   tradeoff (Fig 1b).
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod injection;
 pub mod poisson;

@@ -36,6 +36,8 @@
 //! assert_eq!(outcome.obs_flip, e.obs);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use blossom::MatchingWorkspace;
 use decoding_graph::{
     DecodeOutcome, DecodeWorkspace, Decoder, DecodingGraph, DetectorId, MatchPair, MatchTarget,

@@ -105,8 +105,8 @@ pub struct LocalMatch {
 }
 
 /// Why a batch left the verified L1 fast path. Identical between the
-/// sparse and packed datapaths (the packed ≡ sparse equality tests pin
-/// it), and carried on the Escalate trace event so postmortems can tell
+/// sparse reference and the packed path (the packed ≡ sparse equality
+/// tests pin it), and carried on the Escalate trace event so postmortems can tell
 /// a defect-count overflow from a verification failure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(u8)]

@@ -26,6 +26,8 @@
 //!   residual of `complex` batches to the full decoder. Consumed by the
 //!   real-time sliding-window runtime as its opt-in first stage.
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod clique;
 mod pipeline;

@@ -40,6 +40,8 @@
 //! assert_eq!(dem.errors[0].obs, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod circuit;
 pub mod dem;
 pub mod demtext;

@@ -9,7 +9,7 @@
 
 use crate::backlog::{service_ns, simulate_backlog, BacklogConfig, BacklogReport, WindowTiming};
 use crate::stream::SyndromeStream;
-use crate::window::{Datapath, PredecodeMode, SlidingWindowDecoder, WindowConfig, WindowedOutcome};
+use crate::window::{PredecodeMode, SlidingWindowDecoder, WindowConfig, WindowedOutcome};
 use astrea::AstreaLatencyModel;
 use decoding_graph::{DecodingGraph, LatencyModel, LayerMap, PolynomialLatency, WindowCache};
 use ler::DecoderKind;
@@ -57,9 +57,6 @@ pub struct StreamRunConfig {
     pub backlog: BacklogConfig,
     /// Whether the L1 batch predecoder runs ahead of the solver.
     pub predecode: PredecodeMode,
-    /// Syndrome representation of the window hot loop (bit-identical
-    /// outcomes either way; packed is the fast default).
-    pub datapath: Datapath,
 }
 
 /// Result of one streaming run.
@@ -154,8 +151,7 @@ pub fn run_stream(
     let mut stream = SyndromeStream::with_shared_layers(circuit, Arc::clone(&layers), cfg.seed);
     let mut swd =
         SlidingWindowDecoder::with_cache(graph, layers, kind, cfg.window, Arc::clone(cache))
-            .with_predecode(cfg.predecode)
-            .with_datapath(cfg.datapath);
+            .with_predecode(cfg.predecode);
     if let Some((sp, sample)) = instruments.spans {
         swd.set_spans(sp, sample);
     }
@@ -170,22 +166,10 @@ pub fn run_stream(
     let mut escalated_windows = 0u64;
     let mut out = WindowedOutcome::default();
     for shot_idx in 0..cfg.shots {
-        // Packed runs consume the stream as zero-copy arena views; byte
-        // runs materialize the sparse reference form. Bit-identical by
-        // construction (pinned by the zero-copy equivalence suite).
-        let true_obs = match cfg.datapath {
-            Datapath::Packed => {
-                let shot = stream.next_shot_packed();
-                let obs = shot.obs;
-                swd.decode_shot_packed_into(shot.words, &mut out);
-                obs
-            }
-            Datapath::Byte => {
-                let shot = stream.next_shot();
-                out = swd.decode_shot(&shot.dets);
-                shot.obs
-            }
-        };
+        // The stream's shots are zero-copy arena views.
+        let shot = stream.next_shot_packed();
+        let true_obs = shot.obs;
+        swd.decode_shot_packed_into(shot.words, &mut out);
         if out.failed {
             decode_failures += 1;
         }
@@ -246,7 +230,6 @@ mod tests {
             window: WindowConfig::new(4, 2).unwrap(),
             backlog: BacklogConfig::with_commit_deadline(1000.0, 2),
             predecode: PredecodeMode::Off,
-            datapath: Datapath::Packed,
         };
         plain(&ctx, kind, &cfg)
     }
@@ -300,7 +283,6 @@ mod tests {
             window: WindowConfig::new(4, 2).unwrap(),
             backlog: BacklogConfig::with_commit_deadline(1000.0, 2),
             predecode: PredecodeMode::Off,
-            datapath: Datapath::Packed,
         };
         let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
         for kind in [DecoderKind::Mwpm, DecoderKind::AstreaG] {
@@ -328,7 +310,6 @@ mod tests {
             window: WindowConfig::new(4, 2).unwrap(),
             backlog: BacklogConfig::with_commit_deadline(1000.0, 2),
             predecode: PredecodeMode::Batch,
-            datapath: Datapath::Packed,
         };
         let on = plain(&ctx, DecoderKind::Mwpm, &cfg);
         let on_again = plain(&ctx, DecoderKind::Mwpm, &cfg);
@@ -364,7 +345,6 @@ mod tests {
             window: WindowConfig::new(4, 2).unwrap(),
             backlog: BacklogConfig::with_commit_deadline(1000.0, 2),
             predecode: PredecodeMode::Batch,
-            datapath: Datapath::Packed,
         };
         let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
         let l1_spans = Arc::new(telemetry::StageSpans::new());

@@ -30,8 +30,7 @@
 //! use decoding_graph::{SeamPolicy, WindowCache};
 //! use ler::{DecoderKind, ExperimentContext};
 //! use realtime::{
-//!     run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig,
-//!     WindowConfig,
+//!     run_stream, BacklogConfig, Instruments, PredecodeMode, StreamRunConfig, WindowConfig,
 //! };
 //! use std::sync::Arc;
 //!
@@ -42,7 +41,6 @@
 //!     window: WindowConfig::new(4, 2).unwrap(),
 //!     backlog: BacklogConfig::with_commit_deadline(1000.0, 2),
 //!     predecode: PredecodeMode::Off,
-//!     datapath: Datapath::Packed,
 //! };
 //! let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
 //! let run = run_stream(
@@ -56,6 +54,8 @@
 //! assert_eq!(run.backlog.windows, 32 * 2);
 //! assert!(run.backlog.reaction.p50_ns > 0.0);
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod backlog;
 mod harness;

@@ -80,63 +80,34 @@ impl PredecodeMode {
     }
 }
 
-/// Which syndrome representation drives the sliding-window hot loop.
+/// The syndrome datapath: bit-packed `u64` words. Defects live in a
+/// [`PackedBits`] set (merge = set bits, sort = free, reset = O(touched
+/// words)), the window is pulled out with a seam-masked [`WordSpan`]
+/// extraction, and the L1 round cancellation runs as AND/XOR over words
+/// ([`predecoders::BatchPredecoder::decode_batch_packed`]).
 ///
-/// Both paths are bit-identical by construction (pinned by the packed
-/// equivalence suite); [`Datapath::Byte`] exists as the reference the
-/// packed path is checked against and as an escape hatch.
+/// Packed is the only datapath. The type, its one variant and its wire
+/// code stay because the frozen benchmark names them; ROADMAP 5(f)
+/// removes them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Datapath {
-    /// Sparse detector-id lists: carried defects and arrivals are merged
-    /// and sorted per window, and the L1 tier sweeps them one id at a
-    /// time.
-    Byte,
-    /// Bit-packed `u64` words: defects live in a [`PackedBits`] set
-    /// (merge = set bits, sort = free, reset = O(touched words)), the
-    /// window is pulled out with a seam-masked [`WordSpan`] extraction,
-    /// and the L1 round cancellation runs as AND/XOR over words
-    /// ([`predecoders::BatchPredecoder::decode_batch_packed`]).
+    /// The packed word datapath.
     #[default]
     Packed,
 }
 
 impl Datapath {
-    /// Parses the CLI spelling (`byte` or `packed`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the accepted spellings.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "byte" => Ok(Datapath::Byte),
-            "packed" => Ok(Datapath::Packed),
-            other => Err(format!("unknown datapath '{other}' (byte|packed)")),
-        }
-    }
-
-    /// The CLI/report spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            Datapath::Byte => "byte",
-            Datapath::Packed => "packed",
-        }
-    }
-
-    /// Stable wire code (`RegisterQubit` frames, protocol v3).
+    /// Stable wire code (`RegisterQubit` frames, protocol v3). Code 0
+    /// was the retired byte datapath.
     pub fn code(self) -> u8 {
         match self {
-            Datapath::Byte => 0,
             Datapath::Packed => 1,
         }
     }
 
     /// Decodes a wire code.
     pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(Datapath::Byte),
-            1 => Some(Datapath::Packed),
-            _ => None,
-        }
+        (code == 1).then_some(Datapath::Packed)
     }
 }
 
@@ -244,11 +215,13 @@ impl WindowedOutcome {
 
 /// One shot's syndrome, in either ingest representation.
 ///
-/// `Sparse` is the sorted flipped-detector list the byte datapath merges
-/// and sorts per window; `Packed` is a borrowed bit-packed word view
+/// `Packed` is the production input: a borrowed bit-packed word view
 /// (bit `d % 64` of word `d / 64` is detector `d`) — typically a
 /// [`crate::PackedShot`] slicing the stream arena or a service frame
-/// arena in place.
+/// arena in place. `Sparse` is the sorted flipped-detector list of the
+/// reference path ([`SlidingWindowDecoder::decode_shot_reference`]),
+/// merged and sorted per window and swept by the L1 tier one id at a
+/// time.
 #[derive(Clone, Copy)]
 enum ShotInput<'s> {
     Sparse(&'s [DetectorId]),
@@ -335,7 +308,6 @@ pub struct SlidingWindowDecoder<'g> {
     shared: Arc<WindowCache>,
     local: HashMap<(u32, u32), Arc<WindowContext>>,
     l1: Option<BatchPredecoder>,
-    datapath: Datapath,
     /// Defects deferred out of the previous window of the shot under
     /// decode; pooled, like every buffer below, so the steady-state hot
     /// loop never allocates.
@@ -435,7 +407,6 @@ impl<'g> SlidingWindowDecoder<'g> {
             shared: cache,
             local: HashMap::new(),
             l1: None,
-            datapath: Datapath::default(),
             carry: Vec::new(),
             active: Vec::new(),
             local_ids: Vec::new(),
@@ -477,16 +448,11 @@ impl<'g> SlidingWindowDecoder<'g> {
         self.trace_seq = seq;
     }
 
-    /// Selects the packed or byte syndrome datapath.
+    /// A no-op: packed is the only datapath. It stays because the frozen
+    /// benchmark calls it; ROADMAP 5(f) removes it.
     #[must_use]
-    pub fn with_datapath(mut self, datapath: Datapath) -> Self {
-        self.datapath = datapath;
+    pub fn with_datapath(self, _datapath: Datapath) -> Self {
         self
-    }
-
-    /// The syndrome datapath in effect.
-    pub fn datapath(&self) -> Datapath {
-        self.datapath
     }
 
     /// Switches the L1 batch-predecode tier on or off. The predecoder
@@ -535,27 +501,31 @@ impl<'g> SlidingWindowDecoder<'g> {
     /// `dets` is the complete sorted flipped-detector list of the shot;
     /// the driver itself re-slices it into arrival order (detectors are
     /// layer-contiguous), so callers can replay both live streams and
-    /// pre-sampled shots. On [`Datapath::Packed`] the list is packed
-    /// once and decoded exactly as
-    /// [`SlidingWindowDecoder::decode_shot_packed_into`] would; on
-    /// [`Datapath::Byte`] it is the sparse reference path.
+    /// pre-sampled shots. The list is packed once and decoded exactly as
+    /// [`SlidingWindowDecoder::decode_shot_packed_into`] would.
     pub fn decode_shot(&mut self, dets: &[DetectorId]) -> WindowedOutcome {
-        let mut out = WindowedOutcome::default();
-        match self.datapath {
-            Datapath::Byte => self.run_shot(ShotInput::Sparse(dets), &mut out),
-            Datapath::Packed => {
-                let num_dets = self.layers.num_detectors() as usize;
-                debug_assert!(dets.iter().all(|&d| (d as usize) < num_dets));
-                let mut packed = std::mem::take(&mut self.packed_in);
-                packed.clear();
-                packed.ensure(num_dets);
-                for &d in dets {
-                    packed.set(d as usize);
-                }
-                self.run_shot(ShotInput::Packed(packed.words()), &mut out);
-                self.packed_in = packed;
-            }
+        let num_dets = self.layers.num_detectors() as usize;
+        debug_assert!(dets.iter().all(|&d| (d as usize) < num_dets));
+        let mut packed = std::mem::take(&mut self.packed_in);
+        packed.clear();
+        packed.ensure(num_dets);
+        for &d in dets {
+            packed.set(d as usize);
         }
+        let mut out = WindowedOutcome::default();
+        self.run_shot(ShotInput::Packed(packed.words()), &mut out);
+        self.packed_in = packed;
+        out
+    }
+
+    /// The test oracle: decodes `dets` through the sparse reference path
+    /// — sorted detector lists merged per window, the L1 tier swept one
+    /// id at a time — that the packed path is checked against.
+    /// Bit-identical to [`SlidingWindowDecoder::decode_shot`] by
+    /// construction; production never calls it.
+    pub fn decode_shot_reference(&mut self, dets: &[DetectorId]) -> WindowedOutcome {
+        let mut out = WindowedOutcome::default();
+        self.run_shot(ShotInput::Sparse(dets), &mut out);
         out
     }
 
@@ -568,16 +538,7 @@ impl<'g> SlidingWindowDecoder<'g> {
     ///
     /// Bit-identical to [`SlidingWindowDecoder::decode_shot`] on the
     /// sparse form of the same syndrome.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the driver is on [`Datapath::Packed`].
     pub fn decode_shot_packed_into(&mut self, words: &[u64], out: &mut WindowedOutcome) {
-        assert_eq!(
-            self.datapath,
-            Datapath::Packed,
-            "packed ingest requires Datapath::Packed"
-        );
         self.run_shot(ShotInput::Packed(words), out);
     }
 
@@ -686,17 +647,18 @@ impl<'g> SlidingWindowDecoder<'g> {
             // keep only the escalated residual for the solver.
             if let Some(l1) = self.l1.as_mut() {
                 let t_l1 = span_start(sp);
-                let l1_out = if self.datapath == Datapath::Packed && hw > 0 {
-                    // Seam-masked word extraction of the window's bit
-                    // range (extended down to the oldest carried
-                    // defect), then the word-parallel L1 pipeline.
-                    let base_layer = self.layers.layer_of(self.active[0]).min(s);
-                    let wbase = self.layers.det_range(base_layer, hi).start;
-                    WordSpan::new(wbase as usize, hi_det as usize)
-                        .extract_into(self.pbits.words(), &mut self.pwords);
-                    l1.decode_batch_packed(&self.pwords, wbase)
-                } else {
-                    l1.decode_batch(&self.active)
+                let l1_out = match input {
+                    ShotInput::Packed(_) if hw > 0 => {
+                        // Seam-masked word extraction of the window's bit
+                        // range (extended down to the oldest carried
+                        // defect), then the word-parallel L1 pipeline.
+                        let base_layer = self.layers.layer_of(self.active[0]).min(s);
+                        let wbase = self.layers.det_range(base_layer, hi).start;
+                        WordSpan::new(wbase as usize, hi_det as usize)
+                            .extract_into(self.pbits.words(), &mut self.pwords);
+                        l1.decode_batch_packed(&self.pwords, wbase)
+                    }
+                    _ => l1.decode_batch(&self.active),
                 };
                 for m in &l1_out.matches {
                     if Self::settle(
@@ -993,20 +955,24 @@ mod tests {
         // The failed shot leaves the driver's pooled per-shot state
         // (carried defects, active list, packed scratch) wherever the
         // overflow caught it. A long-lived driver must still decode every
-        // later shot exactly as a fresh one would, through either entry
-        // point and on either datapath.
-        let astrea = |dp| windowed(&ctx, DecoderKind::Astrea, 4, 2).with_datapath(dp);
-        let mut byte = astrea(Datapath::Byte);
-        let mut packed = astrea(Datapath::Packed);
-        let mut zero = astrea(Datapath::Packed);
+        // later shot exactly as a fresh one would, through every entry
+        // point.
+        let astrea = || windowed(&ctx, DecoderKind::Astrea, 4, 2);
+        let mut reference = astrea();
+        let mut packed = astrea();
+        let mut zero = astrea();
         let mut got = WindowedOutcome::default();
         for (i, e) in ctx.dem.errors.iter().take(60).enumerate() {
             // Every 20th shot is the overflow again; the rest are ordinary.
             let overflow = i % 20 == 0;
             let shot = if overflow { &dets } else { e.dets.as_slice() };
-            let fresh = astrea(Datapath::Byte).decode_shot(shot);
+            let fresh = astrea().decode_shot_reference(shot);
             assert_eq!(fresh.failed, overflow);
-            assert_eq!(byte.decode_shot(shot), fresh, "byte, shot {i}");
+            assert_eq!(
+                reference.decode_shot_reference(shot),
+                fresh,
+                "reference, shot {i}"
+            );
             assert_eq!(packed.decode_shot(shot), fresh, "packed, shot {i}");
             zero.decode_shot_packed_into(&pack(&ctx, shot), &mut got);
             assert_eq!(got, fresh, "packed-into, shot {i}");
@@ -1075,22 +1041,19 @@ mod tests {
     }
 
     #[test]
-    fn datapath_defaults_to_packed_and_round_trips_labels() {
-        for dp in [Datapath::Byte, Datapath::Packed] {
-            assert_eq!(Datapath::parse(dp.label()), Ok(dp));
-            assert_eq!(Datapath::from_code(dp.code()), Some(dp));
-        }
+    fn datapath_is_packed_and_round_trips_its_wire_code() {
         assert_eq!(Datapath::default(), Datapath::Packed);
-        assert!(Datapath::parse("sparse").is_err());
+        assert_eq!(
+            Datapath::from_code(Datapath::Packed.code()),
+            Some(Datapath::Packed)
+        );
+        // 0 was the retired byte datapath.
+        assert_eq!(Datapath::from_code(0), None);
         assert_eq!(Datapath::from_code(9), None);
-        let ctx = ctx(3, 4);
-        let swd = windowed(&ctx, DecoderKind::Mwpm, 4, 2);
-        assert_eq!(swd.datapath(), Datapath::Packed);
-        assert_eq!(swd.with_datapath(Datapath::Byte).datapath(), Datapath::Byte);
     }
 
     #[test]
-    fn packed_and_byte_datapaths_agree_bit_for_bit() {
+    fn packed_path_agrees_with_the_reference_bit_for_bit() {
         let ctx = ctx(3, 6);
         // Single mechanisms plus denser composite shots (unions of
         // several mechanisms) so carried defects, L1 escalation, and
@@ -1122,15 +1085,11 @@ mod tests {
             DecoderKind::AstreaG,
         ] {
             for mode in [PredecodeMode::Off, PredecodeMode::Batch] {
-                let mut packed = windowed(&ctx, kind, 4, 2)
-                    .with_predecode(mode)
-                    .with_datapath(Datapath::Packed);
-                let mut byte = windowed(&ctx, kind, 4, 2)
-                    .with_predecode(mode)
-                    .with_datapath(Datapath::Byte);
+                let mut packed = windowed(&ctx, kind, 4, 2).with_predecode(mode);
+                let mut reference = windowed(&ctx, kind, 4, 2).with_predecode(mode);
                 for dets in &shots {
                     let got = packed.decode_shot(dets);
-                    let want = byte.decode_shot(dets);
+                    let want = reference.decode_shot_reference(dets);
                     assert_eq!(got, want, "{kind:?} predecode={}", mode.label());
                 }
             }
@@ -1147,22 +1106,17 @@ mod tests {
                 let mut out = WindowedOutcome::default();
                 // Defect-free shot first (the steady-state hot case).
                 zero.decode_shot_packed_into(&pack(&ctx, &[]), &mut out);
-                assert_eq!(out, sparse.decode_shot(&[]));
+                assert_eq!(out, sparse.decode_shot_reference(&[]));
                 for e in ctx.dem.errors.iter().take(40) {
                     zero.decode_shot_packed_into(&pack(&ctx, e.dets.as_slice()), &mut out);
-                    assert_eq!(out, sparse.decode_shot(e.dets.as_slice()), "{kind:?} {e:?}");
+                    assert_eq!(
+                        out,
+                        sparse.decode_shot_reference(e.dets.as_slice()),
+                        "{kind:?} {e:?}"
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "packed ingest requires Datapath::Packed")]
-    fn packed_ingest_rejects_the_byte_datapath() {
-        let ctx = ctx(3, 4);
-        let mut swd = windowed(&ctx, DecoderKind::Mwpm, 4, 2).with_datapath(Datapath::Byte);
-        let mut out = WindowedOutcome::default();
-        swd.decode_shot_packed_into(&[0], &mut out);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!     channel_pair, run_loadgen, DecodeServer, LoadgenConfig, ScenarioContext, ServiceConfig,
 //! };
 //! use ler::{DecoderKind, ExperimentContext};
-//! use realtime::{Datapath, PredecodeMode};
+//! use realtime::PredecodeMode;
 //!
 //! let ctx = Arc::new(ExperimentContext::with_rounds(3, 3, 1e-3));
 //! let scenario = ScenarioContext::new("demo", Arc::clone(&ctx)).unwrap();
@@ -61,7 +61,6 @@
 //!         window: 3,
 //!         commit: 2,
 //!         predecode: PredecodeMode::Off,
-//!         datapath: Datapath::Packed,
 //!         inflight: 2,
 //!     };
 //!     run_loadgen(client, &ctx, scenario.layers(), &cfg).unwrap()
@@ -92,7 +91,7 @@ pub use transport::{channel_pair, tcp_endpoint, Endpoint, FrameSink, FrameSource
 mod tests {
     use super::*;
     use ler::{DecoderKind, ExperimentContext};
-    use realtime::{Datapath, PredecodeMode};
+    use realtime::PredecodeMode;
     use std::sync::Arc;
 
     fn small_ctx() -> Arc<ExperimentContext> {
@@ -109,7 +108,6 @@ mod tests {
             window: 3,
             commit: 2,
             predecode: PredecodeMode::Off,
-            datapath: Datapath::Packed,
             inflight: 2,
         }
     }
@@ -383,7 +381,7 @@ mod tests {
                     window: 3,
                     commit: 2,
                     predecode: 1,
-                    datapath: 0,
+                    datapath: 1,
                     scenario: "t".into(),
                 })
                 .unwrap();
@@ -601,5 +599,70 @@ mod tests {
         });
         assert_eq!(ra.tenants.len(), 2);
         assert!(ra.tenants.iter().all(|t| t.commits.len() == 5));
+    }
+
+    #[test]
+    fn a_session_cannot_submit_for_another_sessions_tenant() {
+        let ctx = small_ctx();
+        let scenario = ScenarioContext::new("t", Arc::clone(&ctx)).unwrap();
+        let server = DecodeServer::new(ServiceConfig::default(), vec![scenario]).unwrap();
+        let (client_a, server_a) = channel_pair();
+        let (client_b, server_b) = channel_pair();
+        std::thread::scope(|scope| {
+            scope.spawn(|| server.serve(vec![server_a, server_b]));
+            // Owned by this body, so a failed assertion closes both
+            // sessions and `serve` returns instead of hanging the test.
+            let (mut a, mut b) = (client_a, client_b);
+            a.sink
+                .send(&Frame::RegisterQubit {
+                    qubit: 7,
+                    decoder: DecoderKind::Mwpm.code(),
+                    window: 3,
+                    commit: 2,
+                    predecode: 0,
+                    datapath: 1,
+                    scenario: "t".into(),
+                })
+                .unwrap();
+            let ack = a.source.recv().unwrap().unwrap();
+            assert!(
+                matches!(ack, Frame::RegisterAck { ok: true, .. }),
+                "{ack:?}"
+            );
+            let dets = ctx.dem.errors[0].dets.as_slice().to_vec();
+            let submit = Frame::SubmitRounds {
+                qubit: 7,
+                shot: 0,
+                dets,
+            };
+            // B never registered qubit 7: its submit is refused and
+            // never reaches the tenant.
+            b.sink.send(&submit).unwrap();
+            let err = b.source.recv().unwrap().unwrap();
+            assert!(
+                matches!(&err, Frame::Error { message }
+                    if message.contains("qubit 7 is not registered on this session")),
+                "{err:?}"
+            );
+            // So A's own shot 0 is still the tenant's next shot.
+            a.sink.send(&submit).unwrap();
+            let commit = a.source.recv().unwrap().unwrap();
+            assert!(
+                matches!(
+                    commit,
+                    Frame::CommitResult {
+                        qubit: 7,
+                        shot: 0,
+                        shed: false,
+                        ..
+                    }
+                ),
+                "{commit:?}"
+            );
+            for client in [&mut a, &mut b] {
+                client.sink.send(&Frame::Shutdown).unwrap();
+                assert_eq!(client.source.recv().unwrap(), Some(Frame::ShutdownAck));
+            }
+        });
     }
 }

@@ -57,9 +57,6 @@ pub struct LoadgenConfig {
     pub commit: u32,
     /// Predecode mode every tenant registers with.
     pub predecode: PredecodeMode,
-    /// Syndrome datapath every tenant registers with (the packed arena
-    /// path, or the byte reference path).
-    pub datapath: Datapath,
     /// Maximum outstanding shots per tenant (the closed loop's depth).
     pub inflight: usize,
 }
@@ -175,7 +172,7 @@ pub fn run_loadgen(
             window: cfg.window,
             commit: cfg.commit,
             predecode: cfg.predecode.code(),
-            datapath: cfg.datapath.code(),
+            datapath: Datapath::Packed.code(),
             scenario: cfg.scenario.clone(),
         })?;
     }

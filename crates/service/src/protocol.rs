@@ -131,8 +131,10 @@ pub enum Frame {
         commit: u32,
         /// Predecode mode wire code ([`realtime::PredecodeMode::code`]).
         predecode: u8,
-        /// Datapath wire code ([`realtime::Datapath::code`]): packed
-        /// (zero-copy arena ingest) or byte (the sparse reference path).
+        /// Datapath wire code ([`realtime::Datapath::code`]). Packed (1)
+        /// is the only datapath; the server refuses any other code,
+        /// including the retired byte datapath's 0. The frozen benchmark
+        /// writes this byte; ROADMAP 5(f) removes it.
         datapath: u8,
         /// Scenario name the server must have preloaded.
         scenario: String,

@@ -56,10 +56,10 @@ use decoding_graph::packed::words_for;
 use decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use ler::{DecoderKind, ExperimentContext};
 use realtime::{Datapath, PredecodeMode, WindowConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::TcpListener;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex};
 
 use crate::admission::AdmissionConfig;
 
@@ -235,10 +235,11 @@ pub fn preferred_shard(qubit: u32, shards: usize) -> usize {
     (splitmix64(qubit as u64) % shards as u64) as usize
 }
 
-/// A registered tenant's routing entry, shared across sessions. Carries
-/// the scenario's detector-space geometry so the session router can
-/// validate and bit-pack submissions without touching shared state.
-#[derive(Clone, Debug)]
+/// A registered tenant's routing entry, held by the session that
+/// registered it. Carries the scenario's detector-space geometry so the
+/// session router can validate and bit-pack submissions without
+/// touching shared state.
+#[derive(Debug)]
 struct TenantRoute {
     shard: usize,
     gate: Arc<TenantGate>,
@@ -249,23 +250,24 @@ struct TenantRoute {
     wps: usize,
 }
 
-/// qubit → shard routing, written at registration, read on submit (and
-/// memoized per session, so steady-state submits skip even the read
-/// lock).
+/// The server-wide registration state: which qubits are taken (for the
+/// duplicate check) and how many tenants each shard holds. Routes live
+/// only in the registering session, so no session can submit for
+/// another's tenant.
 struct Registry {
-    inner: RwLock<RegistryInner>,
+    inner: Mutex<RegistryInner>,
 }
 
 struct RegistryInner {
-    routes: HashMap<u32, TenantRoute>,
+    qubits: HashSet<u32>,
     loads: Vec<usize>,
 }
 
 impl Registry {
     fn new(shards: usize) -> Self {
         Registry {
-            inner: RwLock::new(RegistryInner {
-                routes: HashMap::new(),
+            inner: Mutex::new(RegistryInner {
+                qubits: HashSet::new(),
                 loads: vec![0; shards],
             }),
         }
@@ -281,8 +283,8 @@ impl Registry {
         gate: Arc<TenantGate>,
         num_dets: u32,
     ) -> Result<TenantRoute, String> {
-        let mut g = self.inner.write().expect("registry poisoned");
-        if g.routes.contains_key(&qubit) {
+        let mut g = self.inner.lock().expect("registry poisoned");
+        if !g.qubits.insert(qubit) {
             return Err(format!("qubit {qubit} is already registered"));
         }
         let pref = preferred_shard(qubit, g.loads.len());
@@ -298,23 +300,12 @@ impl Registry {
             pref
         };
         g.loads[shard] += 1;
-        let route = TenantRoute {
+        Ok(TenantRoute {
             shard,
             gate,
             num_dets,
             wps: words_for(num_dets as usize).max(1),
-        };
-        g.routes.insert(qubit, route.clone());
-        Ok(route)
-    }
-
-    fn lookup(&self, qubit: u32) -> Option<TenantRoute> {
-        self.inner
-            .read()
-            .expect("registry poisoned")
-            .routes
-            .get(&qubit)
-            .cloned()
+        })
     }
 }
 
@@ -466,7 +457,7 @@ impl DecodeServer {
 }
 
 /// Validates a registration frame against the server's scenarios.
-#[allow(clippy::type_complexity)]
+/// Packed is the only datapath: any other datapath code is refused.
 fn validate_register(
     scenarios: &[ScenarioContext],
     decoder: u8,
@@ -475,7 +466,7 @@ fn validate_register(
     predecode: u8,
     datapath: u8,
     scenario: &str,
-) -> Result<(usize, DecoderKind, WindowConfig, PredecodeMode, Datapath), String> {
+) -> Result<(usize, DecoderKind, WindowConfig, PredecodeMode), String> {
     let idx = scenarios
         .iter()
         .position(|s| s.name == scenario)
@@ -490,8 +481,12 @@ fn validate_register(
         DecoderKind::from_code(decoder).ok_or_else(|| format!("unknown decoder code {decoder}"))?;
     let pd = PredecodeMode::from_code(predecode)
         .ok_or_else(|| format!("unknown predecode code {predecode}"))?;
-    let dp =
-        Datapath::from_code(datapath).ok_or_else(|| format!("unknown datapath code {datapath}"))?;
+    if Datapath::from_code(datapath).is_none() {
+        return Err(format!(
+            "unknown datapath code {datapath}: packed (1) is the only datapath, \
+             the byte datapath (0) was retired"
+        ));
+    }
     let wc = WindowConfig::new(window, commit)?;
     let layers = scenarios[idx].layers().num_layers();
     if wc.window > layers {
@@ -499,7 +494,7 @@ fn validate_register(
             "window {window} exceeds the {layers} round layers of scenario {scenario}"
         ));
     }
-    Ok((idx, kind, wc, pd, dp))
+    Ok((idx, kind, wc, pd))
 }
 
 /// Slots per (session, shard) submission ring. Power of two, far above
@@ -545,7 +540,8 @@ fn route_session(
     metrics: &telemetry::Registry,
     trace: Option<&Arc<TraceSet>>,
 ) {
-    // Session-local route memo: steady-state submits touch no lock.
+    // The routes of the tenants this session registered: a submit for
+    // any other qubit is refused, and steady-state submits touch no lock.
     let mut routes: HashMap<u32, TenantRoute> = HashMap::new();
     // One lazily attached ring per shard this session submits to.
     let mut rings: HashMap<usize, Producer> = HashMap::new();
@@ -583,20 +579,12 @@ fn route_session(
                 }
             };
             let (qubit, shot) = (sb.qubit, sb.shot);
-            if let std::collections::hash_map::Entry::Vacant(e) = routes.entry(qubit) {
-                match registry.lookup(qubit) {
-                    Some(r) => {
-                        e.insert(r);
-                    }
-                    None => {
-                        reply.send(&Frame::Error {
-                            message: format!("qubit {qubit} is not registered"),
-                        });
-                        continue;
-                    }
-                }
-            }
-            let route = &routes[&qubit];
+            let Some(route) = routes.get(&qubit) else {
+                reply.send(&Frame::Error {
+                    message: format!("qubit {qubit} is not registered on this session"),
+                });
+                continue;
+            };
             if !route.gate.try_admit() {
                 // Live admission: in-flight cap hit, shed without
                 // decoding.
@@ -709,11 +697,11 @@ fn route_session(
                 let outcome = validate_register(
                     scenarios, decoder, window, commit, predecode, datapath, &scenario,
                 )
-                .and_then(|(idx, kind, wc, pd, dp)| {
+                .and_then(|(idx, kind, wc, pd)| {
                     let gate = Arc::new(TenantGate::new(cfg.max_inflight_shots));
                     let num_dets = scenarios[idx].layers().num_detectors();
                     let route = registry.assign(qubit, Arc::clone(&gate), num_dets)?;
-                    Ok((idx, kind, wc, pd, dp, gate, route))
+                    Ok((idx, kind, wc, pd, gate, route))
                 });
                 match outcome {
                     Err(message) => {
@@ -724,21 +712,21 @@ fn route_session(
                             message,
                         });
                     }
-                    Ok((idx, kind, wc, pd, dp, gate, route)) => {
-                        routes.insert(qubit, route.clone());
+                    Ok((idx, kind, wc, pd, gate, route)) => {
+                        let shard = route.shard;
+                        routes.insert(qubit, route);
                         // The shard sends the ack so that it is ordered
                         // after the tenant state actually exists.
-                        let _ = shard_txs[route.shard].send(ShardRequest::Register {
+                        let _ = shard_txs[shard].send(ShardRequest::Register {
                             qubit,
                             scenario: idx,
                             kind,
                             window: wc,
                             predecode: pd,
-                            datapath: dp,
                             gate,
                             reply: Arc::clone(&reply),
                         });
-                        shards[route.shard].waker().wake();
+                        shards[shard].waker().wake();
                     }
                 }
             }
@@ -871,8 +859,6 @@ mod tests {
             .assign(3, Arc::new(TenantGate::new(1)), 70)
             .unwrap_err();
         assert!(err.contains("already registered"));
-        assert!(registry.lookup(3).is_some());
-        assert!(registry.lookup(99).is_none());
     }
 
     #[test]
@@ -881,9 +867,8 @@ mod tests {
         let scenarios = vec![ScenarioContext::new("test", ctx).unwrap()];
         // 4 layers: window 4 ok, window 5 too big.
         assert!(validate_register(&scenarios, 0, 4, 2, 0, 1, "test").is_ok());
-        let (_, _, _, pd, dp) = validate_register(&scenarios, 0, 4, 2, 1, 0, "test").unwrap();
+        let (_, _, _, pd) = validate_register(&scenarios, 0, 4, 2, 1, 1, "test").unwrap();
         assert_eq!(pd, PredecodeMode::Batch);
-        assert_eq!(dp, Datapath::Byte);
         assert!(validate_register(&scenarios, 0, 5, 2, 0, 1, "test")
             .unwrap_err()
             .contains("exceeds"));
@@ -895,9 +880,16 @@ mod tests {
         assert!(validate_register(&scenarios, 0, 4, 2, 9, 1, "test")
             .unwrap_err()
             .contains("predecode code"));
-        assert!(validate_register(&scenarios, 0, 4, 2, 0, 9, "test")
+        // Packed (1) is the only datapath; the retired byte code 0 and
+        // unknown codes are refused.
+        for code in [0, 2, 9] {
+            assert!(validate_register(&scenarios, 0, 4, 2, 0, code, "test")
+                .unwrap_err()
+                .contains("datapath code"));
+        }
+        assert!(validate_register(&scenarios, 0, 4, 2, 0, 0, "test")
             .unwrap_err()
-            .contains("datapath code"));
+            .contains("byte datapath (0) was retired"));
         assert!(validate_register(&scenarios, 0, 4, 2, 0, 1, "nope")
             .unwrap_err()
             .contains("unknown scenario"));

@@ -22,13 +22,10 @@
 //! [`SlidingWindowDecoder::decode_shot_packed_into`] without ever
 //! materializing a sparse detector list: the words move from the wire
 //! arena to the decoder's bit-set with zero per-round heap allocations.
-//! (`Datapath::Byte` tenants take the reference path instead: the words
-//! are expanded to a recycled sparse buffer and decoded byte-wise,
-//! bit-identical by construction.) A ring's replies are encoded back to
-//! back into the core's recycled buffer and leave through the session's
-//! [`ReplySink`] in one write. An idle shard thread parks on its
-//! [`ShardWaker`] with a timeout, so a lost wakeup race costs bounded
-//! latency, never a hang.
+//! A ring's replies are encoded back to back into the core's recycled
+//! buffer and leave through the session's [`ReplySink`] in one write.
+//! An idle shard thread parks on its [`ShardWaker`] with a timeout, so a
+//! lost wakeup race costs bounded latency, never a hang.
 
 use crate::admission::{simulate_shard, TenantGate, WindowArrival};
 use crate::postmortem::TraceSet;
@@ -36,12 +33,11 @@ use crate::protocol::{Frame, TenantStatsWire};
 use crate::server::{ScenarioContext, ServiceConfig};
 use crate::spsc::{Consumer, ShardWaker, SubmitSlot};
 use crate::transport::ReplySink;
-use decoding_graph::packed::for_each_set_bit;
 use decoding_graph::LatencyModel;
 use ler::DecoderKind;
 use realtime::{
-    fallback_latency_model, service_ns, Datapath, PredecodeMode, SlidingWindowDecoder,
-    WindowConfig, WindowedOutcome,
+    fallback_latency_model, service_ns, PredecodeMode, SlidingWindowDecoder, WindowConfig,
+    WindowedOutcome,
 };
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -59,7 +55,6 @@ pub(crate) enum ShardRequest {
         kind: DecoderKind,
         window: WindowConfig,
         predecode: PredecodeMode,
-        datapath: Datapath,
         gate: Arc<TenantGate>,
         reply: Arc<ReplySink>,
     },
@@ -78,7 +73,6 @@ struct Tenant<'a> {
     qubit: u32,
     decoder: SlidingWindowDecoder<'a>,
     fallback: Box<dyn LatencyModel + Send>,
-    datapath: Datapath,
     layers_per_shot: u32,
     next_shot: u64,
     shots: u64,
@@ -89,11 +83,9 @@ struct Tenant<'a> {
     /// Windows escalated past the L1 tier to the matching solver.
     escalated_windows: u64,
     gate: Arc<TenantGate>,
-    /// Recycled outcome buffer for the packed ingest path (the window
-    /// records `Vec` keeps its capacity across shots).
+    /// Recycled outcome buffer (the window records `Vec` keeps its
+    /// capacity across shots).
     out: WindowedOutcome,
-    /// Recycled sparse detector buffer for the byte reference path.
-    sparse: Vec<u32>,
 }
 
 /// Windows one shot's decode produces: the number of window steps of
@@ -389,7 +381,6 @@ impl ShardCore<'_> {
                 kind,
                 window,
                 predecode,
-                datapath,
                 gate,
                 reply,
             } => {
@@ -402,8 +393,7 @@ impl ShardCore<'_> {
                     window,
                     Arc::clone(sc.window_cache()),
                 )
-                .with_predecode(predecode)
-                .with_datapath(datapath);
+                .with_predecode(predecode);
                 decoder.set_spans(Arc::clone(&self.metrics.stages), self.cfg.metrics_sample);
                 if let Some(t) = &self.tr {
                     decoder.set_trace(Arc::clone(&t.buf), qubit);
@@ -415,7 +405,6 @@ impl ShardCore<'_> {
                         qubit,
                         decoder,
                         fallback: fallback_latency_model(kind),
-                        datapath,
                         layers_per_shot,
                         next_shot: 0,
                         shots: 0,
@@ -424,7 +413,6 @@ impl ShardCore<'_> {
                         escalated_windows: 0,
                         gate,
                         out: WindowedOutcome::default(),
-                        sparse: Vec::new(),
                     },
                 );
                 reply.send(&Frame::RegisterAck {
@@ -465,11 +453,10 @@ impl ShardCore<'_> {
     }
 }
 
-/// Decodes one published ring slot: replay check, decode through the
-/// tenant's datapath, bill the modeled timeline, and append the reply
-/// to `wire`. A shard's replies are far below the frame-size limit, so
-/// encoding them cannot fail (and a failure would leave `wire` as it
-/// was).
+/// Decodes one published ring slot: replay check, decode, bill the
+/// modeled timeline, and append the reply to `wire`. A shard's replies
+/// are far below the frame-size limit, so encoding them cannot fail (and
+/// a failure would leave `wire` as it was).
 fn process_slot(
     tenants: &mut HashMap<u32, Tenant<'_>>,
     timeline: &mut Timeline,
@@ -538,23 +525,11 @@ fn process_slot(
         // gaps the decoder's own counter would not).
         tenant.decoder.set_trace_seq(shot);
     }
-    match tenant.datapath {
-        Datapath::Packed => {
-            // Zero-copy: the wire arena's words feed the decoder's
-            // bit-set directly; `out` recycles its window buffer.
-            let Tenant { decoder, out, .. } = tenant;
-            decoder.decode_shot_packed_into(&slot.words, out);
-        }
-        Datapath::Byte => {
-            // Reference path: expand the words back to the sparse list
-            // the byte datapath consumes (buffer recycled, but the
-            // decode itself allocates — that is the point of keeping it).
-            tenant.sparse.clear();
-            let sparse = &mut tenant.sparse;
-            for_each_set_bit(&slot.words, |d| sparse.push(d as u32));
-            tenant.out = tenant.decoder.decode_shot(&tenant.sparse);
-        }
-    }
+    // Zero-copy: the wire arena's words feed the decoder's bit-set
+    // directly; `out` recycles its window buffer.
+    tenant
+        .decoder
+        .decode_shot_packed_into(&slot.words, &mut tenant.out);
     let base_round = shot * tenant.layers_per_shot as u64;
     let mut total_ns = 0.0;
     for w in &tenant.out.windows {
@@ -653,12 +628,10 @@ mod tests {
         gate: Arc<TenantGate>,
     ) -> Tenant<'_> {
         let layers_per_shot = decoder.layers().num_layers();
-        let datapath = decoder.datapath();
         Tenant {
             qubit,
             decoder,
             fallback: fallback_latency_model(DecoderKind::Mwpm),
-            datapath,
             layers_per_shot,
             next_shot: 0,
             shots: 0,
@@ -667,7 +640,6 @@ mod tests {
             escalated_windows: 0,
             gate,
             out: WindowedOutcome::default(),
-            sparse: Vec::new(),
         }
     }
 
@@ -797,10 +769,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_byte_tenants_commit_identical_results() {
-        // The ring always carries packed words; a Datapath::Byte tenant
-        // must decode them through the sparse reference path to the
-        // exact same outcome a Packed tenant reaches zero-copy.
+    fn tenant_commits_match_the_reference_decode() {
+        // The ring carries packed words, decoded zero-copy; every commit
+        // must carry exactly what the standalone sparse reference path
+        // decodes from the same detectors.
         let ctx = ExperimentContext::with_rounds(3, 6, 1e-3);
         let cfg = WindowConfig::new(4, 2).unwrap();
         let shots: Vec<Vec<u32>> = ctx
@@ -810,41 +782,53 @@ mod tests {
             .take(24)
             .map(|e| e.dets.as_slice().to_vec())
             .collect();
-        let mut replies = Vec::new();
-        for dp in [Datapath::Packed, Datapath::Byte] {
-            let layers = LayerMap::from_graph(&ctx.graph).unwrap();
-            let num_dets = layers.num_detectors();
-            let decoder = SlidingWindowDecoder::new(&ctx.graph, layers, DecoderKind::Mwpm, cfg)
-                .with_datapath(dp);
-            let gate = Arc::new(TenantGate::new(shots.len()));
-            for _ in &shots {
-                assert!(gate.try_admit());
-            }
-            let mut tenants = HashMap::new();
-            tenants.insert(3, test_tenant(3, decoder, gate));
-            let mut wire = Vec::new();
-            let mut timeline = Timeline::new();
-            let metrics = ShardMetrics::default();
-            for (i, dets) in shots.iter().enumerate() {
-                let mut slot = pack_slot(3, i as u64, dets, num_dets);
-                process_slot(
-                    &mut tenants,
-                    &mut timeline,
-                    &mut slot,
-                    &mut wire,
-                    &metrics,
-                    &ServiceConfig::default(),
-                    &mut None,
-                );
-            }
-            replies.push(frames(&wire));
-            assert_eq!(tenants[&3].gate.in_flight(), 0);
+        let layers = LayerMap::from_graph(&ctx.graph).unwrap();
+        let num_dets = layers.num_detectors();
+        let decoder = SlidingWindowDecoder::new(&ctx.graph, layers.clone(), DecoderKind::Mwpm, cfg);
+        let mut oracle = SlidingWindowDecoder::new(&ctx.graph, layers, DecoderKind::Mwpm, cfg);
+        let fallback = fallback_latency_model(DecoderKind::Mwpm);
+        let gate = Arc::new(TenantGate::new(shots.len()));
+        for _ in &shots {
+            assert!(gate.try_admit());
         }
-        assert_eq!(
-            replies[0], replies[1],
-            "byte path is the bit-identical reference"
-        );
-        assert_eq!(replies[0].len(), shots.len());
+        let mut tenants = HashMap::new();
+        tenants.insert(3, test_tenant(3, decoder, gate));
+        let mut wire = Vec::new();
+        let mut timeline = Timeline::new();
+        let metrics = ShardMetrics::default();
+        for (i, dets) in shots.iter().enumerate() {
+            let mut slot = pack_slot(3, i as u64, dets, num_dets);
+            process_slot(
+                &mut tenants,
+                &mut timeline,
+                &mut slot,
+                &mut wire,
+                &metrics,
+                &ServiceConfig::default(),
+                &mut None,
+            );
+            let want = oracle.decode_shot_reference(dets);
+            let service_ns_total = want
+                .windows
+                .iter()
+                .map(|w| service_ns(w.latency_ns, w.solver_hw, fallback.as_ref()))
+                .sum();
+            assert_eq!(
+                take_one(&mut wire),
+                Frame::CommitResult {
+                    qubit: 3,
+                    shot: i as u64,
+                    obs_flip: want.obs_flip,
+                    failed: want.failed,
+                    shed: false,
+                    shed_reason: 0,
+                    windows: want.windows.len() as u32,
+                    service_ns_total,
+                },
+                "shot {i}"
+            );
+        }
+        assert_eq!(tenants[&3].gate.in_flight(), 0);
     }
 
     #[test]
@@ -1012,7 +996,6 @@ mod tests {
                 kind: DecoderKind::Mwpm,
                 window: WindowConfig::new(3, 2).unwrap(),
                 predecode: PredecodeMode::Off,
-                datapath: Datapath::Packed,
                 gate: Arc::clone(&gate),
                 reply: Arc::clone(&reply),
             })

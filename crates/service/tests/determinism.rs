@@ -9,10 +9,13 @@
 //!   decode results);
 //! * **Single-tenant equivalence** — every tenant's commit stream equals
 //!   the single-tenant sliding-window replay (`repro realtime`'s decode
-//!   path) of the same seeded stream.
+//!   path) of the same seeded stream, and the byte-per-detector
+//!   reference path
+//!   ([`realtime::SlidingWindowDecoder::decode_shot_reference`]) commits
+//!   the same stream the service does.
 
 use ler::{DecoderKind, ExperimentContext};
-use realtime::{Datapath, PredecodeMode, SlidingWindowDecoder, SyndromeStream, WindowConfig};
+use realtime::{PredecodeMode, SlidingWindowDecoder, SyndromeStream, WindowConfig};
 use service::{
     channel_pair, qubit_seed, run_loadgen, tcp_endpoint, DecodeServer, LoadgenConfig,
     LoadgenReport, ScenarioContext, ServiceConfig,
@@ -29,7 +32,6 @@ fn loadgen_cfg(qubits: u32, shots: u64, kind: DecoderKind) -> LoadgenConfig {
         window: 4,
         commit: 2,
         predecode: PredecodeMode::Off,
-        datapath: Datapath::Packed,
         inflight: 3,
     }
 }
@@ -111,28 +113,52 @@ fn tenant_commit_streams_equal_single_tenant_windowed_replay() {
 
 #[test]
 fn byte_and_packed_datapath_commit_streams_are_identical() {
-    // The zero-copy arena path and the byte reference path must be
-    // bit-identical all the way through the service: same tenants, same
-    // seeds, only the registered datapath differs.
+    // The service decodes every shot zero-copy on the packed path; the
+    // byte-per-detector reference path, replaying each tenant's seeded
+    // stream standalone, must commit the same stream and do the same
+    // window, L1 and escalation work.
     let ctx = Arc::new(ExperimentContext::with_rounds(3, 5, 2e-3));
+    let layers = decoding_graph::LayerMap::from_graph(&ctx.graph).unwrap();
     for kind in [DecoderKind::Mwpm, DecoderKind::AstreaG] {
-        let packed = serve_channel(&ctx, 2, &loadgen_cfg(4, 20, kind));
-        let byte = serve_channel(
-            &ctx,
-            2,
-            &LoadgenConfig {
-                datapath: Datapath::Byte,
+        for predecode in [PredecodeMode::Off, PredecodeMode::Batch] {
+            let cfg = LoadgenConfig {
+                predecode,
                 ..loadgen_cfg(4, 20, kind)
-            },
-        );
-        for (a, b) in packed.tenants.iter().zip(&byte.tenants) {
-            assert_eq!(a.commits, b.commits, "qubit {} ({kind:?})", a.qubit);
-            assert_eq!(a.failures, b.failures);
-        }
-        for (a, b) in packed.stats.iter().zip(&byte.stats) {
-            assert_eq!(a.windows, b.windows, "qubit {} ({kind:?})", a.qubit);
-            assert_eq!(a.l1_rounds, b.l1_rounds);
-            assert_eq!(a.escalated_windows, b.escalated_windows);
+            };
+            let report = serve_channel(&ctx, 2, &cfg);
+            assert_eq!(report.tenants.len(), 4);
+            for (tenant, stats) in report.tenants.iter().zip(&report.stats) {
+                assert_eq!(tenant.qubit, stats.qubit);
+                let mut stream = SyndromeStream::new(&ctx.circuit, layers.clone(), tenant.seed);
+                let mut oracle = SlidingWindowDecoder::new(
+                    &ctx.graph,
+                    layers.clone(),
+                    kind,
+                    WindowConfig::new(cfg.window, cfg.commit).unwrap(),
+                )
+                .with_predecode(predecode);
+                let (mut windows, mut l1_rounds, mut escalated_windows) = (0u64, 0, 0);
+                for commit in &tenant.commits {
+                    let out = oracle.decode_shot_reference(&stream.next_shot().dets);
+                    assert!(!commit.shed);
+                    assert_eq!(
+                        (commit.obs_flip, commit.failed),
+                        (out.obs_flip, out.failed),
+                        "qubit {} shot {} ({kind:?}, {predecode:?})",
+                        tenant.qubit,
+                        commit.shot
+                    );
+                    windows += out.windows.len() as u64;
+                    l1_rounds += out.l1_rounds();
+                    escalated_windows += out.escalated_windows();
+                }
+                assert_eq!(
+                    (stats.windows, stats.l1_rounds, stats.escalated_windows),
+                    (windows, l1_rounds, escalated_windows),
+                    "qubit {} ({kind:?}, {predecode:?})",
+                    tenant.qubit
+                );
+            }
         }
     }
 }

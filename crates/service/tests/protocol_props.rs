@@ -111,12 +111,11 @@ fn arbitrary_frame(ty: u8, seed: u64, len: usize) -> Frame {
     }
 }
 
-/// The hostile session's tenant. The neighbour's differs from it in two
-/// bytes, so no single-byte flip of a hostile frame can reach it: the
-/// registry is server-wide, so a submit for the neighbour's qubit from
-/// any session would land in the neighbour's tenant.
+/// The hostile session's tenant, and the neighbour's, one bit apart: a
+/// flipped hostile frame that names the neighbour's qubit is refused,
+/// because the neighbour registered it first, on its own session.
 const HOSTILE: u32 = 0;
-const NEIGHBOUR: u32 = 0x0101;
+const NEIGHBOUR: u32 = HOSTILE ^ 1;
 /// Shots the neighbour pipelines while the hostile bytes arrive.
 const NEIGHBOUR_SHOTS: u64 = 64;
 
@@ -167,15 +166,19 @@ fn hostile_bytes(kind: u8, seed: u64, len: usize) -> Vec<u8> {
     wire
 }
 
-/// The neighbour's whole session: register, pipeline
-/// [`NEIGHBOUR_SHOTS`] submits, and read every commit unshed and in
-/// order, then `ShutdownAck` and EOF.
-fn neighbour_session(mut client: Endpoint) {
+/// The neighbour's registration, acknowledged.
+fn neighbour_register(client: &mut Endpoint) {
     client.sink.send(&register(NEIGHBOUR)).unwrap();
     match client.source.recv().unwrap() {
         Some(Frame::RegisterAck { ok: true, .. }) => {}
         other => panic!("the neighbour's registration answered {other:?}"),
     }
+}
+
+/// The rest of the neighbour's session: pipeline [`NEIGHBOUR_SHOTS`]
+/// submits, and read every commit unshed and in order, then
+/// `ShutdownAck` and EOF.
+fn neighbour_session(mut client: Endpoint) {
     let mut wire = Vec::new();
     for shot in 0..NEIGHBOUR_SHOTS {
         Frame::SubmitRounds {
@@ -302,13 +305,15 @@ proptest! {
             ..ServiceConfig::default()
         };
         let server = DecodeServer::new(cfg, vec![scenario().clone()]).unwrap();
-        let ((mut hostile, hostile_end), (neighbour, neighbour_end)) =
+        let ((mut hostile, hostile_end), (mut neighbour, neighbour_end)) =
             (channel_pair(), channel_pair());
         let (served_tx, served) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             server.serve(vec![hostile_end, neighbour_end]);
             let _ = served_tx.send(());
         });
+        // The neighbour's tenant exists before the first hostile byte.
+        neighbour_register(&mut neighbour);
         let (neighbour_tx, neighbour_done) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             neighbour_session(neighbour);

@@ -34,6 +34,8 @@
 //! assert_eq!(circuit.num_detectors(), 12 * 6); // (rounds + 1) layers
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod layout;
 mod memory;
 mod noise;

@@ -21,6 +21,8 @@
 //! near-term error rate p = 10⁻⁴ it is measurably less accurate than
 //! MWPM, which is the effect Figure 4 reports.
 
+#![forbid(unsafe_code)]
+
 use decoding_graph::{DecodeOutcome, Decoder, DecodingGraph, DetectorId, PackedBits};
 
 /// Union-find decoder over a decoding graph.

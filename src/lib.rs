@@ -5,6 +5,8 @@
 //! normally depend on the individual crates (`promatch`, `mwpm`, ...)
 //! directly.
 
+#![forbid(unsafe_code)]
+
 pub use astrea;
 pub use blossom;
 pub use decoding_graph;

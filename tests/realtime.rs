@@ -20,8 +20,8 @@ use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{build_decoder, wilson_interval, DecoderKind, ExperimentContext};
 use promatch_repro::qsim::FrameSampler;
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, SlidingWindowDecoder,
-    StreamRunConfig, WindowConfig,
+    run_stream, BacklogConfig, Instruments, PredecodeMode, SlidingWindowDecoder, StreamRunConfig,
+    WindowConfig,
 };
 use promatch_repro::surface_code::NoiseModel;
 use proptest::prelude::*;
@@ -237,7 +237,6 @@ fn sd6_d5_stream_run_reports_sane_reaction_times() {
         window: WindowConfig::new(4, 2).unwrap(),
         backlog: BacklogConfig::with_commit_deadline(1000.0, 2),
         predecode: PredecodeMode::Off,
-        datapath: Datapath::Packed,
     };
     let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
     let stream = || {

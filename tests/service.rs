@@ -11,7 +11,7 @@
 
 use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig, WindowConfig,
+    run_stream, BacklogConfig, Instruments, PredecodeMode, StreamRunConfig, WindowConfig,
 };
 use promatch_repro::service::{
     channel_pair, qubit_seed, run_loadgen, DecodeServer, LoadgenConfig, ScenarioContext,
@@ -46,7 +46,6 @@ fn multi_tenant_service_matches_single_tenant_realtime_runs() {
         commit,
         inflight: 3,
         predecode: PredecodeMode::Off,
-        datapath: Datapath::Packed,
     };
     let report = std::thread::scope(|scope| {
         scope.spawn(|| server.serve(vec![server_end]));
@@ -65,7 +64,6 @@ fn multi_tenant_service_matches_single_tenant_realtime_runs() {
                 window: WindowConfig::new(window, commit).unwrap(),
                 backlog: BacklogConfig::with_commit_deadline(1000.0, commit),
                 predecode: PredecodeMode::Off,
-                datapath: Datapath::Packed,
             },
             scenario.window_cache(),
             Instruments::default(),

@@ -13,8 +13,8 @@ use promatch_repro::ler::{
 use promatch_repro::mwpm::MwpmDecoder;
 use promatch_repro::qsim::{extract_dem, FrameSampler};
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, StreamRunConfig,
-    StreamRunResult, WindowConfig,
+    run_stream, BacklogConfig, Instruments, PredecodeMode, StreamRunConfig, StreamRunResult,
+    WindowConfig,
 };
 use promatch_repro::surface_code::{MemoryBasis, NoiseModel, RotatedSurfaceCode};
 use rand::rngs::StdRng;
@@ -198,7 +198,6 @@ fn sd6_stream(
         window: WindowConfig::new(4, 2).unwrap(),
         backlog: BacklogConfig::with_commit_deadline(1_000.0, 2),
         predecode,
-        datapath: Datapath::Packed,
     };
     let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
     run_stream(

@@ -17,8 +17,8 @@
 use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, SlidingWindowDecoder,
-    StreamRunConfig, SyndromeStream, WindowConfig, WindowRecord,
+    run_stream, BacklogConfig, Instruments, PredecodeMode, SlidingWindowDecoder, StreamRunConfig,
+    SyndromeStream, WindowConfig, WindowRecord,
 };
 use promatch_repro::telemetry::{
     parse_dump, render_chrome_trace, render_dump, TraceBuf, TraceDump, TraceKind,
@@ -46,7 +46,6 @@ fn cfg(seed: u64, predecode: PredecodeMode) -> StreamRunConfig {
         window: WindowConfig::new(4, 2).unwrap(),
         backlog: BacklogConfig::with_commit_deadline(1000.0, 2),
         predecode,
-        datapath: Datapath::Packed,
     }
 }
 

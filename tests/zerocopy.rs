@@ -6,28 +6,30 @@
 //! into the stream's arena, [`SyndromeStream::next_shot_packed`] hands
 //! out a borrowed word view, and
 //! [`SlidingWindowDecoder::decode_shot_packed_into`] consumes the view
-//! in place. These tests pin the fused path to the byte reference at
-//! every fusion seam:
+//! in place. These tests pin the fused path to the sparse reference
+//! path ([`SlidingWindowDecoder::decode_shot_reference`]) at every
+//! fusion seam:
 //!
-//! * whole-`StreamRunResult` equality of `run_stream` under
-//!   [`Datapath::Packed`] (the arena path) vs [`Datapath::Byte`] for
-//!   **all** Table-2 decoders × all tested `(window, commit)` splits ×
-//!   both predecode modes (release-gated proptest, random seeds);
+//! * whole-`StreamRunResult` equality of `run_stream` (the arena path)
+//!   against the reference replay of the same stream for **all**
+//!   Table-2 decoders × all tested `(window, commit)` splits × both
+//!   predecode modes (release-gated proptest, random seeds);
 //! * stream-level equality of `next_shot_packed` views against
 //!   `next_shot` sparse shots across arena-refill boundaries (ungated);
 //! * per-shot equality of `decode_shot_packed_into` fed from live arena
-//!   views against the byte decoder fed sparse detectors (ungated).
+//!   views against the reference decoder fed sparse detectors (ungated).
 //!
-//! CI runs the release suite at `PROMATCH_THREADS=1` and `=4`, and once
-//! more under `RUSTFLAGS="-C target-cpu=native"` so the AVX2 kernels run
-//! against the arena views, not just the scalar fallbacks.
+//! CI runs the release suite at `PROMATCH_THREADS=1` and `=4`.
 
+mod common;
+
+use common::reference_run;
 use promatch_repro::decoding_graph::packed::for_each_set_bit;
 use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Datapath, Instruments, PredecodeMode, SlidingWindowDecoder,
-    StreamRunConfig, SyndromeStream, WindowConfig, WindowedOutcome,
+    run_stream, BacklogConfig, Instruments, PredecodeMode, SlidingWindowDecoder, StreamRunConfig,
+    SyndromeStream, WindowConfig, WindowedOutcome,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -43,10 +45,7 @@ fn ctx() -> &'static ExperimentContext {
 /// whole-shot window.
 const SPLITS: [(u32, u32); 4] = [(4, 2), (5, 3), (6, 3), (10, 10)];
 
-/// One streaming config, identical across datapaths except for the path
-/// under test.
 fn stream_cfg(
-    datapath: Datapath,
     (window, commit): (u32, u32),
     predecode: PredecodeMode,
     seed: u64,
@@ -58,7 +57,6 @@ fn stream_cfg(
         window: WindowConfig::new(window, commit).unwrap(),
         backlog: BacklogConfig::with_commit_deadline(1000.0, commit),
         predecode,
-        datapath,
     }
 }
 
@@ -66,41 +64,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Exhaustive fused-path equivalence: for one random seed, *every*
-    /// Table-2 decoder × split × predecode mode produces a packed
-    /// (arena-ingest) run equal to the byte reference run structure for
-    /// structure — failures, L1/escalation counters, and the whole
-    /// per-window backlog trace.
+    /// Table-2 decoder × split × predecode mode produces an arena-ingest
+    /// run equal to the reference replay structure for structure —
+    /// failures, L1/escalation counters, and the whole per-window
+    /// backlog trace.
     #[test]
     #[cfg_attr(
         debug_assertions,
         ignore = "statistical suite runs in release (see CI)"
     )]
-    fn arena_stream_runs_match_byte_reference_everywhere(
+    fn arena_stream_runs_match_the_reference_replay_everywhere(
         seed in 0u64..1 << 20,
     ) {
         let ctx = ctx();
         let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
         for split in SPLITS {
             for predecode in [PredecodeMode::Off, PredecodeMode::Batch] {
+                let cfg = stream_cfg(split, predecode, seed, 16);
                 for kind in DecoderKind::table2() {
-                    let byte = run_stream(
+                    let want = reference_run(&ctx.graph, &ctx.circuit, kind, &cfg, &cache);
+                    let got = run_stream(
                         &ctx.graph,
                         &ctx.circuit,
                         kind,
-                        &stream_cfg(Datapath::Byte, split, predecode, seed, 16),
-                        &cache,
-                        Instruments::default(),
-                    );
-                    let packed = run_stream(
-                        &ctx.graph,
-                        &ctx.circuit,
-                        kind,
-                        &stream_cfg(Datapath::Packed, split, predecode, seed, 16),
+                        &cfg,
                         &cache,
                         Instruments::default(),
                     );
                     prop_assert_eq!(
-                        &byte, &packed,
+                        &want, &got,
                         "{}: fused arena path diverges (w={}, c={}, {:?}, seed {})",
                         kind.label(), split.0, split.1, predecode, seed
                     );
@@ -134,8 +126,9 @@ fn packed_views_match_sparse_shots_across_refills() {
 }
 
 /// Zero-copy decode ingest: `decode_shot_packed_into` fed live arena
-/// views commits exactly what the byte decoder commits from the sparse
-/// reads of an identically seeded stream. Ungated.
+/// views commits exactly what the byte-per-detector reference path
+/// commits from the sparse reads of an identically seeded stream.
+/// Ungated.
 #[test]
 fn packed_into_outcomes_match_byte_outcomes_shot_by_shot() {
     let ctx = ctx();
@@ -150,20 +143,19 @@ fn packed_into_outcomes_match_byte_outcomes_shot_by_shot() {
             ] {
                 let mut sparse_stream = SyndromeStream::new(&ctx.circuit, layers.clone(), 0xA12E);
                 let mut packed_stream = SyndromeStream::new(&ctx.circuit, layers.clone(), 0xA12E);
-                let mut byte = SlidingWindowDecoder::new(&ctx.graph, layers.clone(), kind, cfg)
-                    .with_predecode(predecode)
-                    .with_datapath(Datapath::Byte);
-                let mut packed = SlidingWindowDecoder::new(&ctx.graph, layers.clone(), kind, cfg)
-                    .with_predecode(predecode)
-                    .with_datapath(Datapath::Packed);
+                let decoder = || {
+                    SlidingWindowDecoder::new(&ctx.graph, layers.clone(), kind, cfg)
+                        .with_predecode(predecode)
+                };
+                let (mut reference, mut packed) = (decoder(), decoder());
                 let mut out = WindowedOutcome::default();
                 for shot_idx in 0..24 {
                     let sparse = sparse_stream.next_shot();
                     let view = packed_stream.next_shot_packed();
-                    let b = byte.decode_shot(&sparse.dets);
+                    let want = reference.decode_shot_reference(&sparse.dets);
                     packed.decode_shot_packed_into(view.words, &mut out);
                     assert_eq!(
-                        b,
+                        want,
                         out,
                         "{}: shot {shot_idx} diverges (w={window}, c={commit}, {predecode:?})",
                         kind.label()

@@ -42,7 +42,7 @@
 use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{DecoderKind, ExperimentContext};
 use promatch_repro::realtime::{
-    Datapath, PredecodeMode, SlidingWindowDecoder, SyndromeStream, WindowConfig, WindowedOutcome,
+    PredecodeMode, SlidingWindowDecoder, SyndromeStream, WindowConfig, WindowedOutcome,
 };
 use promatch_repro::service::{Frame, FrameSink, ReplySink, ServiceError};
 use promatch_repro::surface_code::{MemoryBasis, NoiseModel};
@@ -95,8 +95,7 @@ fn steady_state_packed_decode_makes_zero_allocations() {
             // proving overwrite is allocation-free too.
             let trace = Arc::new(telemetry::TraceBuf::new(64));
             let mut swd = SlidingWindowDecoder::new(&ctx.graph, layers.clone(), kind, cfg)
-                .with_predecode(predecode)
-                .with_datapath(Datapath::Packed);
+                .with_predecode(predecode);
             swd.set_spans(Arc::clone(&spans), 1);
             swd.set_trace(Arc::clone(&trace), 0);
             let mut out = WindowedOutcome::default();
