@@ -327,9 +327,7 @@ fn run_scenario_ler(args: &[String]) -> ExitCode {
         |scenario, overrides, out| {
             let mut cfg = LerRunConfig::default();
             cfg.apply_overrides(overrides)?;
-            bench_suite::run_scenario_ler(scenario, &cfg, out)
-                .map(drop)
-                .map_err(|e| e.to_string())
+            bench_suite::run_scenario_ler(scenario, &cfg, out).map_err(|e| e.to_string())
         },
     )
 }
@@ -346,9 +344,7 @@ fn run_scenario_realtime(args: &[String]) -> ExitCode {
         |scenario, overrides, out| {
             let mut cfg = RealtimeRunConfig::default();
             cfg.apply_overrides(overrides)?;
-            bench_suite::run_scenario_realtime(scenario, &cfg, out)
-                .map(drop)
-                .map_err(|e| e.to_string())
+            bench_suite::run_scenario_realtime(scenario, &cfg, out).map_err(|e| e.to_string())
         },
     )
 }
@@ -384,9 +380,7 @@ fn run_scenario_serve(args: &[String]) -> ExitCode {
         |scenario, overrides, out| {
             let mut cfg = ServeConfig::default();
             cfg.apply_overrides(overrides)?;
-            bench_suite::run_serve(scenario, &cfg, out)
-                .map(drop)
-                .map_err(|e| e.to_string())
+            bench_suite::run_serve(scenario, &cfg, out).map_err(|e| e.to_string())
         },
     )
 }

@@ -3,7 +3,9 @@
 //! The [`experiments`] module contains one entry point per table/figure
 //! of the Promatch paper's evaluation (§6). The `repro` binary exposes
 //! them as subcommands; integration tests call the quick-scale variants
-//! directly.
+//! directly. The scenario studies — [`run_scenario_ler`],
+//! [`run_scenario_realtime`] and [`run_serve`] — work the same way for a
+//! named [`Scenario`]: each prints its table and returns nothing else.
 //!
 //! Absolute numbers differ from the paper (our substrate is a simulator,
 //! not the authors' Stim + FPGA testbed); the reproduction criterion is
@@ -18,15 +20,10 @@ pub mod scale;
 pub mod scenario;
 pub mod serve;
 
-pub use self::realtime::{run_scenario_realtime, LatencyPoint, RealtimeRunConfig};
+pub use self::realtime::{run_scenario_realtime, RealtimeRunConfig};
 pub use scale::Scale;
-pub use scenario::{
-    run_scenario_ler, LerPoint, LerRunConfig, NoiseSpec, Scenario, ScenarioRegistry,
-};
-pub use serve::{
-    run_serve, ServeConfig, ServeTransport, ServicePoint, ServiceSummary, StageBreakdownRow,
-    TelemetrySummary, TraceSummary,
-};
+pub use scenario::{run_scenario_ler, LerRunConfig, NoiseSpec, Scenario, ScenarioRegistry};
+pub use serve::{run_serve, ServeConfig, ServeTransport};
 
 /// Formats a rate in the paper's scientific style (e.g. `2.6e-14`).
 pub fn fmt_rate(x: f64) -> String {

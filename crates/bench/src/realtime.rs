@@ -4,10 +4,12 @@
 //! every decoder in the scenario's set streams the same seeded shots
 //! round-by-round, decodes them through sliding windows, and feeds the
 //! modeled per-window latencies into the backlog simulator. The output
-//! is the tail-latency view of a scenario: p50/p99/max reaction times,
-//! backlog-depth traces, and deadline-miss fractions, one modeled and
-//! one measured [`LatencyPoint`] per decoder.
+//! is the tail-latency view of a scenario: per decoder, one row of
+//! modeled p50/p99/max reaction times, deadline-miss fraction and
+//! deepest backlog, then its backlog-depth trace and the measured
+//! (wall-clock) window-step times of the same run.
 
+use crate::scale::{for_each_override, parse, parse_positive, parse_threads};
 use crate::scenario::Scenario;
 use decoding_graph::{SeamPolicy, WindowCache};
 use ler::effective_threads;
@@ -18,58 +20,6 @@ use realtime::{
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One `(scenario, decoder)` streaming reaction-time point from the
-/// realtime backlog simulation (`repro realtime`).
-#[derive(Clone, Debug)]
-pub struct LatencyPoint {
-    /// Scenario name the point was measured under.
-    pub scenario: String,
-    /// Paper-style decoder label.
-    pub decoder: &'static str,
-    /// Sliding-window size in round layers.
-    pub window: u32,
-    /// Committed layers per window step.
-    pub commit: u32,
-    /// Predecode mode label (`off` or `batch`).
-    pub predecode: &'static str,
-    /// Where this row's percentiles come from: `modeled` rows carry the
-    /// backlog simulation's reaction times (deterministic, seeded);
-    /// `measured` rows restate the same run with wall-clock window-step
-    /// decode times from the stage spans (machine-dependent).
-    pub timing: &'static str,
-    /// Syndrome round period, ns.
-    pub round_ns: f64,
-    /// Shots streamed.
-    pub shots: usize,
-    /// Round layers per shot.
-    pub layers_per_shot: u32,
-    /// Median reaction time, ns.
-    pub p50_ns: f64,
-    /// 99th-percentile reaction time, ns.
-    pub p99_ns: f64,
-    /// Worst reaction time, ns.
-    pub max_ns: f64,
-    /// Mean reaction time, ns.
-    pub mean_ns: f64,
-    /// Fraction of windows missing the reaction deadline.
-    pub miss_fraction: f64,
-    /// Deepest decode backlog observed.
-    pub max_backlog: usize,
-    /// Mean decode backlog.
-    pub mean_backlog: f64,
-    /// Fraction of streamed rounds the L1 tier resolved before any
-    /// matching solver ran (0 with predecoding off).
-    pub l1_rounds_fraction: f64,
-    /// Fraction of windows escalated past the L1 tier to the solver.
-    pub escalation_fraction: f64,
-    /// Streaming logical failures over the run.
-    pub failures: u64,
-    /// Measured streaming decode throughput of this run's single worker
-    /// thread: syndrome rounds decoded per wall-clock second (stream
-    /// sampling included, backlog modeling excluded).
-    pub rounds_per_s_per_core: f64,
-}
 
 /// Configuration of a `repro realtime` run. `None` fields fall back to
 /// the scenario's own defaults.
@@ -117,30 +67,26 @@ impl RealtimeRunConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown keys or unparsable values.
+    /// Returns a message for unknown keys, unparsable values, and a zero
+    /// `shots`.
     pub fn apply_overrides(&mut self, args: &[String]) -> Result<(), String> {
-        for arg in args {
-            let Some((key, value)) = arg.split_once('=') else {
-                return Err(format!("expected key=value, got '{arg}'"));
-            };
+        for_each_override(args, |key, value| {
             match key {
-                "shots" => self.shots = value.parse().map_err(|e| format!("shots: {e}"))?,
-                "seed" => self.seed = value.parse().map_err(|e| format!("seed: {e}"))?,
-                "round" => self.round_ns = value.parse().map_err(|e| format!("round: {e}"))?,
-                "deadline" => {
-                    self.deadline_ns = Some(value.parse().map_err(|e| format!("deadline: {e}"))?);
-                }
-                "window" => self.window = Some(value.parse().map_err(|e| format!("window: {e}"))?),
-                "commit" => self.commit = Some(value.parse().map_err(|e| format!("commit: {e}"))?),
+                "shots" => self.shots = parse_positive(key, value)? as usize,
+                "seed" => self.seed = parse(key, value)?,
+                "round" => self.round_ns = parse(key, value)?,
+                "deadline" => self.deadline_ns = Some(parse(key, value)?),
+                "window" => self.window = Some(parse(key, value)?),
+                "commit" => self.commit = Some(parse(key, value)?),
                 "predecode" => {
                     self.predecode =
                         PredecodeMode::parse(value).map_err(|e| format!("predecode: {e}"))?;
                 }
-                "threads" => self.threads = crate::scale::parse_threads(value)?,
-                other => return Err(format!("unknown option '{other}'")),
+                "threads" => self.threads = parse_threads(value)?,
+                _ => return Ok(false),
             }
-        }
-        Ok(())
+            Ok(true)
+        })
     }
 
     /// Resolves the `(window, commit, deadline)` triple against a
@@ -148,7 +94,9 @@ impl RealtimeRunConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message for an invalid `(window, commit)` split.
+    /// Returns a message for an invalid `(window, commit)` split, and for
+    /// a round period or deadline that is not a positive number (the
+    /// values the decode service refuses too).
     pub fn resolve(&self, scenario: &Scenario) -> Result<(WindowConfig, BacklogConfig), String> {
         let window = self.window.unwrap_or(scenario.rt_window);
         let commit = self.commit.unwrap_or(scenario.rt_commit);
@@ -160,12 +108,21 @@ impl RealtimeRunConfig {
             },
             None => BacklogConfig::with_commit_deadline(self.round_ns, commit),
         };
+        for (name, ns) in [
+            ("round", backlog.round_ns),
+            ("deadline", backlog.deadline_ns),
+        ] {
+            if !ns.is_finite() || ns <= 0.0 {
+                return Err(format!("{name} must be positive, got {ns}"));
+            }
+        }
         Ok((wc, backlog))
     }
 }
 
-/// Runs the streaming study of one scenario, printing the table to `w`
-/// and returning a modeled and a measured point per decoder.
+/// Runs the streaming study of one scenario, printing the table to `w`:
+/// a modeled row, its backlog trace and its measured window-step times
+/// per decoder.
 ///
 /// Every decoder streams identical shots (same seed); the per-decoder
 /// runs are independent, so they are fanned out over worker threads
@@ -179,7 +136,7 @@ pub fn run_scenario_realtime(
     scenario: &Scenario,
     cfg: &RealtimeRunConfig,
     w: &mut dyn Write,
-) -> std::io::Result<Vec<LatencyPoint>> {
+) -> std::io::Result<()> {
     let (wc, backlog) = cfg
         .resolve(scenario)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
@@ -230,8 +187,8 @@ pub fn run_scenario_realtime(
     // table is built once, not once per decoder.
     let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
     // Every run also records wall-clock stage spans (sample 1-in-1) so
-    // the study can emit a `measured` latency row next to each modeled
-    // one; spans are a pure side channel, so determinism is unaffected.
+    // the study can print measured window-step times under each modeled
+    // row; spans are a pure side channel, so determinism is unaffected.
     let spans: Vec<Arc<telemetry::StageSpans>> = (0..scenario.decoders.len())
         .map(|_| Arc::new(telemetry::StageSpans::new()))
         .collect();
@@ -285,7 +242,6 @@ pub fn run_scenario_realtime(
         "{:<24} {:>9} {:>9} {:>9} {:>7} {:>6} {:>9} {:>12}",
         "decoder", "p50 ns", "p99 ns", "max ns", "miss%", "maxQ", "fail/shot", "rounds/s/core"
     )?;
-    let mut points = Vec::new();
     for ((kind, (run, elapsed)), sp) in scenario.decoders.iter().zip(&results).zip(&spans) {
         let streamed_rounds = run.shots as f64 * run.layers_per_shot as f64;
         let rounds_per_s_per_core = if elapsed.as_secs_f64() > 0.0 {
@@ -308,32 +264,8 @@ pub fn run_scenario_realtime(
         let buckets = run.backlog.trace_buckets(24);
         let depths: Vec<String> = buckets.iter().map(|d| d.to_string()).collect();
         writeln!(w, "  backlog depth over stream: [{}]", depths.join(" "))?;
-        let modeled = LatencyPoint {
-            scenario: scenario.name.to_string(),
-            decoder: kind.label(),
-            window: wc.window,
-            commit: wc.commit,
-            predecode: cfg.predecode.label(),
-            timing: "modeled",
-            round_ns: backlog.round_ns,
-            shots: run.shots,
-            layers_per_shot: run.layers_per_shot,
-            p50_ns: run.backlog.reaction.p50_ns,
-            p99_ns: run.backlog.reaction.p99_ns,
-            max_ns: run.backlog.reaction.max_ns,
-            mean_ns: run.backlog.reaction.mean_ns,
-            miss_fraction: run.backlog.miss_fraction,
-            max_backlog: run.backlog.max_backlog,
-            mean_backlog: run.backlog.mean_backlog,
-            l1_rounds_fraction: run.l1_rounds_fraction(),
-            escalation_fraction: run.escalation_fraction(),
-            failures: run.failures,
-            rounds_per_s_per_core,
-        };
-        // The measured companion restates the same run with wall-clock
-        // window-step times from the stage spans in place of the modeled
-        // reaction percentiles. Everything else is shared with the
-        // modeled row (it *is* the same run).
+        // The same run's wall-clock window-step times, from the stage
+        // spans.
         let steps = sp.stage(telemetry::Stage::WindowTotal).snapshot();
         writeln!(
             w,
@@ -343,18 +275,8 @@ pub fn run_scenario_realtime(
             steps.max,
             steps.count,
         )?;
-        let measured = LatencyPoint {
-            timing: "measured",
-            p50_ns: steps.quantile(0.5) as f64,
-            p99_ns: steps.quantile(0.99) as f64,
-            max_ns: steps.max as f64,
-            mean_ns: steps.mean(),
-            ..modeled.clone()
-        };
-        points.push(modeled);
-        points.push(measured);
     }
-    Ok(points)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -388,6 +310,8 @@ mod tests {
         assert!(cfg.apply_overrides(&["out=x.json".into()]).is_err());
         assert!(cfg.apply_overrides(&["shots".into()]).is_err());
         assert!(cfg.apply_overrides(&["predecode=pinball".into()]).is_err());
+        let err = cfg.apply_overrides(&["shots=0".into()]).unwrap_err();
+        assert_eq!(err, "shots must be at least 1");
         // Packed is the only datapath: the option is gone.
         for dp in ["datapath=byte", "datapath=packed"] {
             let err = cfg.apply_overrides(&[dp.into()]).unwrap_err();
@@ -409,6 +333,21 @@ mod tests {
         bad.apply_overrides(&["window=2".into(), "commit=3".into()])
             .unwrap();
         assert!(bad.resolve(sc).is_err());
+        // A round period or deadline the decode service would refuse is
+        // refused here too, whether set directly or derived.
+        for args in [
+            ["round=0", "seed=1"],
+            ["round=-5", "seed=1"],
+            ["round=inf", "seed=1"],
+            ["deadline=nan", "seed=1"],
+            ["deadline=0", "seed=1"],
+            ["deadline=-1", "seed=1"],
+        ] {
+            let mut bad = RealtimeRunConfig::default();
+            bad.apply_overrides(&args.map(String::from)).unwrap();
+            let err = bad.resolve(sc).unwrap_err();
+            assert!(err.contains("must be positive"), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -424,6 +363,22 @@ mod tests {
         }
     }
 
+    /// The thread-count-independent part of a printed study: each
+    /// decoder row without its wall-clock `rounds/s/core` column, and
+    /// each backlog trace.
+    fn modeled_lines(log: &str) -> Vec<&str> {
+        log.lines()
+            .filter(|l| !l.starts_with('#') && !l.starts_with("  measured"))
+            .map(|l| {
+                if l.starts_with("  backlog") {
+                    l
+                } else {
+                    l.rsplit_once(' ').map_or(l, |(head, _)| head.trim_end())
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn tiny_realtime_study_runs_end_to_end() {
         let reg = ScenarioRegistry::builtin();
@@ -435,53 +390,54 @@ mod tests {
             ..RealtimeRunConfig::default()
         };
         let mut sink = Vec::new();
-        let all2 = run_scenario_realtime(sc, &cfg, &mut sink).unwrap();
-        for p in &all2 {
-            assert_eq!(p.scenario, "cc-d3");
-            assert_eq!((p.window, p.commit), (sc.rt_window, sc.rt_commit));
-            assert_eq!(p.predecode, "off");
-            assert_eq!((p.shots, p.layers_per_shot), (24, sc.rounds + 1));
-            assert_eq!(p.l1_rounds_fraction, 0.0);
-            assert!((0.0..=1.0).contains(&p.miss_fraction));
-        }
+        run_scenario_realtime(sc, &cfg, &mut sink).unwrap();
         let log = String::from_utf8(sink).unwrap();
         assert!(
             log.contains("# realtime cc-d3: code-capacity noise"),
             "{log}"
         );
-        assert!(log.contains("predecode=off round="), "{log}");
-        assert!(log.contains("backlog depth over stream"));
-        assert!(log.contains("measured window step"), "{log}");
-        // Same seed, different thread count: identical modeled points
-        // (wall-clock throughput and the measured rows are the
-        // legitimate exceptions — they time real execution).
-        let modeled = |pts: &[LatencyPoint]| -> Vec<LatencyPoint> {
-            pts.iter()
-                .filter(|p| p.timing == "modeled")
-                .cloned()
-                .collect()
-        };
-        cfg.threads = 1;
-        let mut sink1 = Vec::new();
-        let all1 = run_scenario_realtime(sc, &cfg, &mut sink1).unwrap();
-        // One modeled + one measured row per decoder.
-        assert_eq!(all1.len(), 2 * sc.decoders.len());
-        for pair in all1.chunks(2) {
-            assert_eq!(pair[0].timing, "modeled");
-            assert_eq!(pair[1].timing, "measured");
-            assert_eq!(pair[0].decoder, pair[1].decoder);
-            assert!(pair[1].p50_ns > 0.0, "measured p50 comes from real time");
+        assert!(
+            log.contains(&format!(
+                "# window={} commit={} predecode=off round=",
+                sc.rt_window, sc.rt_commit
+            )),
+            "{log}"
+        );
+        // Per decoder: a modeled row, its backlog trace and the measured
+        // window steps of the same run, in decoder order.
+        let body: Vec<&str> = log
+            .lines()
+            .skip_while(|l| !l.starts_with("decoder "))
+            .skip(1)
+            .filter(|l| !l.is_empty())
+            .collect();
+        assert_eq!(body.len(), 3 * sc.decoders.len(), "{log}");
+        for (kind, lines) in sc.decoders.iter().zip(body.chunks(3)) {
+            let cols: Vec<&str> = lines[0][24..].split_whitespace().collect();
+            assert!(lines[0].starts_with(kind.label()), "{log}");
+            let miss: f64 = cols[3].trim_end_matches('%').parse().unwrap();
+            assert!((0.0..=100.0).contains(&miss), "{log}");
+            assert!(cols[5].ends_with("/24"), "{log}");
+            assert!(cols[6].parse::<f64>().unwrap() > 0.0, "{log}");
+            assert!(lines[1].starts_with("  backlog depth over stream: ["));
+            // The measured p50 comes from real time.
+            let p50 = lines[2]
+                .strip_prefix("  measured window step: p50 ")
+                .and_then(|rest| rest.split(' ').next())
+                .unwrap_or_else(|| panic!("{log}"));
+            assert!(p50.parse::<u64>().unwrap() > 0, "{log}");
         }
-        let p1 = modeled(&all1);
-        cfg.threads = 3;
-        let mut sink3 = Vec::new();
-        let p3 = modeled(&run_scenario_realtime(sc, &cfg, &mut sink3).unwrap());
-        assert_eq!(p1.len(), p3.len());
-        for (a, b) in p1.iter().zip(&p3) {
-            assert_eq!(a.p50_ns, b.p50_ns);
-            assert_eq!(a.max_ns, b.max_ns);
-            assert_eq!(a.failures, b.failures);
-            assert!(a.rounds_per_s_per_core > 0.0);
+        // Same seed, different thread count: identical modeled columns
+        // (wall-clock throughput and the measured window steps are the
+        // legitimate exceptions — they time real execution).
+        let modeled = modeled_lines(&log);
+        assert_eq!(modeled.len(), 1 + 2 * sc.decoders.len());
+        for threads in [1, 3] {
+            cfg.threads = threads;
+            let mut other = Vec::new();
+            run_scenario_realtime(sc, &cfg, &mut other).unwrap();
+            let other = String::from_utf8(other).unwrap();
+            assert_eq!(modeled_lines(&other), modeled, "threads={threads}");
         }
     }
 

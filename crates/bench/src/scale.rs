@@ -29,7 +29,7 @@ pub fn parse_threads(value: &str) -> Result<usize, String> {
 ///
 /// Returns a message for unparsable values and for `0`.
 pub fn parse_positive(flag: &str, value: &str) -> Result<u64, String> {
-    let n: u64 = value.parse().map_err(|e| format!("{flag}: {e}"))?;
+    let n: u64 = parse(flag, value)?;
     if n == 0 {
         return Err(format!("{flag} must be at least 1"));
     }
@@ -99,12 +99,10 @@ impl Scale {
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown keys or unparsable values.
+    /// Returns a message for unknown keys, unparsable values, and a zero
+    /// `shots` or `kmax`.
     pub fn apply_overrides(&mut self, args: &[String]) -> Result<(), String> {
-        for arg in args {
-            let Some((key, value)) = arg.split_once('=') else {
-                return Err(format!("expected key=value, got '{arg}'"));
-            };
+        for_each_override(args, |key, value| {
             match key {
                 "distances" => {
                     self.distances = value
@@ -113,18 +111,46 @@ impl Scale {
                         .collect::<Result<Vec<_>, _>>()
                         .map_err(|e| format!("distances: {e}"))?;
                 }
-                "shots" => {
-                    self.shots_per_k = value.parse().map_err(|e| format!("shots: {e}"))?;
-                }
-                "kmax" => self.k_max = value.parse().map_err(|e| format!("kmax: {e}"))?,
-                "p" => self.p = value.parse().map_err(|e| format!("p: {e}"))?,
-                "seed" => self.seed = value.parse().map_err(|e| format!("seed: {e}"))?,
+                "shots" => self.shots_per_k = parse_positive(key, value)? as usize,
+                "kmax" => self.k_max = parse_positive(key, value)? as usize,
+                "p" => self.p = parse(key, value)?,
+                "seed" => self.seed = parse(key, value)?,
                 "threads" => self.threads = parse_threads(value)?,
-                other => return Err(format!("unknown option '{other}'")),
+                _ => return Ok(false),
             }
-        }
-        Ok(())
+            Ok(true)
+        })
     }
+}
+
+/// Splits each `key=value` override and hands it to `set`, which applies
+/// the keys it knows and returns `Ok(false)` for any other.
+///
+/// # Errors
+///
+/// Returns `expected key=value` for an argument without `=`, `unknown
+/// option` for a key `set` refuses, and `set`'s own errors as they are.
+pub(crate) fn for_each_override(
+    args: &[String],
+    mut set: impl FnMut(&str, &str) -> Result<bool, String>,
+) -> Result<(), String> {
+    for arg in args {
+        let Some((key, value)) = arg.split_once('=') else {
+            return Err(format!("expected key=value, got '{arg}'"));
+        };
+        if !set(key, value)? {
+            return Err(format!("unknown option '{key}'"));
+        }
+    }
+    Ok(())
+}
+
+/// Parses one override value, prefixing a parse error with its key.
+pub(crate) fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{key}: {e}"))
 }
 
 #[cfg(test)]
@@ -165,6 +191,10 @@ mod tests {
         assert!(s.apply_overrides(&["bogus=1".into()]).is_err());
         assert!(s.apply_overrides(&["shots".into()]).is_err());
         assert!(s.apply_overrides(&["shots=abc".into()]).is_err());
+        for zero in ["shots=0", "kmax=0"] {
+            let err = s.apply_overrides(&[zero.into()]).unwrap_err();
+            assert!(err.ends_with("must be at least 1"), "{zero}: {err}");
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! or performance trajectory — the workload axis the paper varies in
 //! §6 — and the [`ScenarioRegistry`] names the configurations the
 //! `repro` CLI exposes (`repro ler --scenario sd6-d11`,
-//! `repro realtime --scenario biased-z-d5`). Every result row carries
-//! its scenario name, so runs from different commits compare
+//! `repro realtime --scenario biased-z-d5`). Every printed table opens
+//! with its scenario name, so runs from different commits compare
 //! like-for-like per workload.
 
+use crate::scale::{for_each_override, parse, parse_positive, parse_threads};
 use decoding_graph::{SeamPolicy, WindowCache};
 use ler::{run_eq1, wilson_interval, DecoderKind, Eq1Config, ExperimentContext};
 use realtime::{
@@ -262,34 +263,6 @@ impl ScenarioRegistry {
     }
 }
 
-/// One `(scenario, decoder)` logical-error-rate point with 95 % Wilson
-/// bounds.
-#[derive(Clone, Debug)]
-pub struct LerPoint {
-    /// Scenario name the point was measured under.
-    pub scenario: String,
-    /// Paper-style decoder label.
-    pub decoder: &'static str,
-    /// Code distance.
-    pub d: u32,
-    /// Syndrome-extraction rounds.
-    pub rounds: u32,
-    /// Physical error rate.
-    pub p: f64,
-    /// Maximum injected mechanism count of the Equation-1 study.
-    pub k_max: usize,
-    /// Injection samples per `k`.
-    pub shots_per_k: usize,
-    /// Predecode mode label (`off` or `batch`).
-    pub predecode: &'static str,
-    /// Equation-1 LER estimate.
-    pub ler: f64,
-    /// Lower 95 % Wilson bound.
-    pub low: f64,
-    /// Upper 95 % Wilson bound.
-    pub high: f64,
-}
-
 /// Configuration of a `repro ler --scenario` run. `None` fields fall
 /// back to the scenario's own defaults.
 #[derive(Clone, Debug)]
@@ -328,27 +301,23 @@ impl LerRunConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown keys or unparsable values.
+    /// Returns a message for unknown keys, unparsable values, and a zero
+    /// `shots` or `kmax`.
     pub fn apply_overrides(&mut self, args: &[String]) -> Result<(), String> {
-        for arg in args {
-            let Some((key, value)) = arg.split_once('=') else {
-                return Err(format!("expected key=value, got '{arg}'"));
-            };
+        for_each_override(args, |key, value| {
             match key {
-                "shots" => {
-                    self.shots_per_k = Some(value.parse().map_err(|e| format!("shots: {e}"))?);
-                }
-                "kmax" => self.k_max = Some(value.parse().map_err(|e| format!("kmax: {e}"))?),
-                "seed" => self.seed = value.parse().map_err(|e| format!("seed: {e}"))?,
+                "shots" => self.shots_per_k = Some(parse_positive(key, value)? as usize),
+                "kmax" => self.k_max = Some(parse_positive(key, value)? as usize),
+                "seed" => self.seed = parse(key, value)?,
                 "predecode" => {
                     self.predecode =
                         PredecodeMode::parse(value).map_err(|e| format!("predecode: {e}"))?;
                 }
-                "threads" => self.threads = crate::scale::parse_threads(value)?,
-                other => return Err(format!("unknown option '{other}'")),
+                "threads" => self.threads = parse_threads(value)?,
+                _ => return Ok(false),
             }
-        }
-        Ok(())
+            Ok(true)
+        })
     }
 }
 
@@ -361,7 +330,7 @@ fn run_scenario_ler_windowed(
     scenario: &Scenario,
     cfg: &LerRunConfig,
     w: &mut dyn Write,
-) -> std::io::Result<Vec<LerPoint>> {
+) -> std::io::Result<()> {
     let shots_per_k = cfg.shots_per_k.unwrap_or(scenario.shots_per_k);
     let k_max = cfg.k_max.unwrap_or(scenario.k_max);
     let shots = shots_per_k * k_max.max(1);
@@ -384,7 +353,6 @@ fn run_scenario_ler_windowed(
         predecode: cfg.predecode,
     };
     let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
-    let mut points = Vec::new();
     writeln!(
         w,
         "{:<24} {:>10}  {:>22} {:>6}",
@@ -409,30 +377,17 @@ fn run_scenario_ler_windowed(
             crate::fmt_rate(iv.high),
             100.0 * run.l1_rounds_fraction(),
         )?;
-        points.push(LerPoint {
-            scenario: scenario.name.to_string(),
-            decoder: kind.label(),
-            d: scenario.distance,
-            rounds: scenario.rounds,
-            p: scenario.p,
-            k_max,
-            shots_per_k,
-            predecode: cfg.predecode.label(),
-            ler: iv.estimate,
-            low: iv.low,
-            high: iv.high,
-        });
     }
-    Ok(points)
+    Ok(())
 }
 
-/// Runs the Equation-1 LER study of one scenario, printing the table to
-/// `w` and returning the per-decoder points (with 95 % Wilson bounds).
+/// Runs the Equation-1 LER study of one scenario, printing one row per
+/// decoder (the estimate and its 95 % Wilson bounds) to `w`.
 pub fn run_scenario_ler(
     scenario: &Scenario,
     cfg: &LerRunConfig,
     w: &mut dyn Write,
-) -> std::io::Result<Vec<LerPoint>> {
+) -> std::io::Result<()> {
     let shots_per_k = cfg.shots_per_k.unwrap_or(scenario.shots_per_k);
     let k_max = cfg.k_max.unwrap_or(scenario.k_max);
     writeln!(
@@ -465,7 +420,6 @@ pub fn run_scenario_ler(
         threads: cfg.threads,
     };
     let report = run_eq1(&ctx, &scenario.decoders, &eq1);
-    let mut points = Vec::new();
     writeln!(w, "{:<24} {:>10}  {:>22}", "decoder", "LER", "95% Wilson")?;
     for kind in &scenario.decoders {
         let iv = report
@@ -479,21 +433,8 @@ pub fn run_scenario_ler(
             crate::fmt_rate(iv.low),
             crate::fmt_rate(iv.high),
         )?;
-        points.push(LerPoint {
-            scenario: scenario.name.to_string(),
-            decoder: kind.label(),
-            d: scenario.distance,
-            rounds: scenario.rounds,
-            p: scenario.p,
-            k_max,
-            shots_per_k,
-            predecode: cfg.predecode.label(),
-            ler: iv.estimate,
-            low: iv.low,
-            high: iv.high,
-        });
     }
-    Ok(points)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -554,6 +495,37 @@ mod tests {
         assert!(cfg.apply_overrides(&["nope=1".into()]).is_err());
         assert!(cfg.apply_overrides(&["out=x.json".into()]).is_err());
         assert!(cfg.apply_overrides(&["predecode=pinball".into()]).is_err());
+        for zero in ["shots=0", "kmax=0"] {
+            let err = cfg.apply_overrides(&[zero.into()]).unwrap_err();
+            assert!(err.ends_with("must be at least 1"), "{zero}: {err}");
+        }
+    }
+
+    /// Each decoder's printed `(estimate, low, high)`, in decoder order:
+    /// the row opens with the label padded to its column and carries the
+    /// Wilson bounds as `[low, high]`.
+    fn printed_intervals(log: &str, decoders: &[DecoderKind]) -> Vec<(f64, f64, f64)> {
+        let rate = |s: &str| -> f64 {
+            let s = s.trim();
+            if s == crate::fmt_rate(0.0) {
+                0.0
+            } else {
+                s.parse().unwrap_or_else(|e| panic!("'{s}': {e}"))
+            }
+        };
+        decoders
+            .iter()
+            .map(|kind| {
+                let label = format!("{:<24} ", kind.label());
+                let row = log
+                    .lines()
+                    .find(|l| l.starts_with(&label))
+                    .unwrap_or_else(|| panic!("no row for {}:\n{log}", kind.label()));
+                let (estimate, rest) = row[label.len()..].split_once('[').unwrap();
+                let (low, high) = rest.split_once(']').unwrap().0.split_once(", ").unwrap();
+                (rate(estimate), rate(low), rate(high))
+            })
+            .collect()
     }
 
     #[test]
@@ -568,24 +540,17 @@ mod tests {
             threads: 1,
         };
         let mut sink = Vec::new();
-        let points = run_scenario_ler(sc, &cfg, &mut sink).unwrap();
-        for (pt, kind) in points.iter().zip(&sc.decoders) {
-            assert_eq!(pt.scenario, "cc-d3");
-            assert_eq!(pt.decoder, kind.label());
-            assert_eq!((pt.d, pt.rounds, pt.p), (sc.distance, sc.rounds, sc.p));
-            assert_eq!((pt.k_max, pt.shots_per_k), (2, 30));
-            assert_eq!(pt.predecode, "off");
-        }
-        // The table names the scenario and carries one row per decoder.
+        run_scenario_ler(sc, &cfg, &mut sink).unwrap();
+        // The table names the scenario, its configuration and the
+        // Equation-1 study, and carries one row per decoder.
         let log = String::from_utf8(sink).unwrap();
         assert!(
-            log.contains("# scenario cc-d3: code-capacity noise"),
+            log.contains("# scenario cc-d3: code-capacity noise, d=3, rounds=1, p=1e-2"),
             "{log}"
         );
-        assert!(log.contains("k_max=2, shots/k=30"), "{log}");
-        for kind in &sc.decoders {
-            assert!(log.contains(kind.label()), "{log}");
-        }
+        assert!(log.contains("eq1 with k_max=2, shots/k=30"), "{log}");
+        assert!(!log.contains("windowed Monte-Carlo"), "{log}");
+        assert_eq!(printed_intervals(&log, &sc.decoders).len(), 2);
     }
 
     #[test]
@@ -600,14 +565,16 @@ mod tests {
             threads: 1,
         };
         let mut sink = Vec::new();
-        let points = run_scenario_ler(sc, &cfg, &mut sink).unwrap();
-        assert_eq!(points.len(), sc.decoders.len());
-        for pt in &points {
-            assert_eq!(pt.predecode, "batch");
-            assert!(pt.low <= pt.ler && pt.ler <= pt.high);
-        }
+        run_scenario_ler(sc, &cfg, &mut sink).unwrap();
         let log = String::from_utf8(sink).unwrap();
-        assert!(log.contains("windowed Monte-Carlo LER"), "{log}");
+        assert!(
+            log.contains("windowed Monte-Carlo LER: predecode=batch"),
+            "{log}"
+        );
+        assert!(log.contains("shots=40"), "{log}");
+        for (ler, low, high) in printed_intervals(&log, &sc.decoders) {
+            assert!(low <= ler && ler <= high, "{log}");
+        }
     }
 
     #[test]
@@ -624,8 +591,13 @@ mod tests {
             threads: 1,
             ..LerRunConfig::default()
         };
-        let points = run_scenario_ler(sc, &cfg, &mut Vec::new()).unwrap();
-        assert!(points.iter().all(|pt| pt.k_max == mechanisms));
+        let mut sink = Vec::new();
+        run_scenario_ler(sc, &cfg, &mut sink).unwrap();
+        let log = String::from_utf8(sink).unwrap();
+        assert!(
+            log.contains(&format!("eq1 with k_max={mechanisms},")),
+            "{log}"
+        );
     }
 
     #[test]
@@ -640,11 +612,13 @@ mod tests {
             threads: 1,
         };
         let mut sink = Vec::new();
-        let points = run_scenario_ler(sc, &cfg, &mut sink).unwrap();
-        assert_eq!(points.len(), sc.decoders.len());
-        for pt in &points {
-            assert_eq!(pt.scenario, "cc-d3");
-            assert!(pt.low <= pt.ler && pt.ler <= pt.high);
+        run_scenario_ler(sc, &cfg, &mut sink).unwrap();
+        let log = String::from_utf8(sink).unwrap();
+        assert!(log.contains("# scenario cc-d3:"), "{log}");
+        let intervals = printed_intervals(&log, &sc.decoders);
+        assert_eq!(intervals.len(), sc.decoders.len());
+        for (ler, low, high) in intervals {
+            assert!(low <= ler && ler <= high, "{log}");
         }
     }
 }

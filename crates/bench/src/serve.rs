@@ -4,13 +4,13 @@
 //! (its context pulled from the process-wide `Arc` cache, so Q tenants
 //! and repeated invocations share one graph + path table), drives it
 //! with the closed-loop load generator in process (a Unix socket pair,
-//! the default) or over loopback TCP, and
-//! reports one [`ServicePoint`] per tenant — throughput (rounds/s),
-//! reaction percentiles, shed and deadline-miss counters, client-side
-//! logical failures — with the whole-run aggregate throughput in the
-//! [`ServiceSummary`].
+//! the default) or over loopback TCP, and prints the whole-run
+//! throughput (rounds/s), the per-stage telemetry breakdown, and one
+//! row per tenant — shots, windows, shed and deadline-miss counters,
+//! modeled reaction percentiles, L1-resolved rounds and client-side
+//! logical failures.
 
-use crate::scale::{parse_positive, parse_threads};
+use crate::scale::{for_each_override, parse, parse_positive, parse_threads};
 use crate::scenario::Scenario;
 use ler::DecoderKind;
 use realtime::PredecodeMode;
@@ -130,42 +130,33 @@ impl ServeConfig {
     ///
     /// Returns a message for unknown keys or invalid values.
     pub fn apply_overrides(&mut self, args: &[String]) -> Result<(), String> {
-        for arg in args {
-            let Some((key, value)) = arg.split_once('=') else {
-                return Err(format!("expected key=value, got '{arg}'"));
-            };
+        for_each_override(args, |key, value| {
             match key {
-                "qubits" => self.qubits = parse_positive("qubits", value)? as u32,
-                "shards" => self.shards = parse_positive("shards", value)? as usize,
+                "qubits" => self.qubits = parse_positive(key, value)? as u32,
+                "shards" => self.shards = parse_positive(key, value)? as usize,
                 "rate" => {
-                    self.rate = value.parse().map_err(|e| format!("rate: {e}"))?;
+                    self.rate = parse(key, value)?;
                     if !self.rate.is_finite() || self.rate <= 0.0 {
                         return Err(format!("rate must be positive, got {value}"));
                     }
                 }
-                "shots" => self.shots = parse_positive("shots", value)?,
-                "seed" => self.seed = value.parse().map_err(|e| format!("seed: {e}"))?,
+                "shots" => self.shots = parse_positive(key, value)?,
+                "seed" => self.seed = parse(key, value)?,
                 "decoder" => {
                     self.decoder = DecoderKind::parse(value).ok_or_else(|| {
                         let known: Vec<&str> = DecoderKind::ALL.iter().map(|k| k.key()).collect();
                         format!("unknown decoder '{value}' (known: {})", known.join(", "))
                     })?;
                 }
-                "window" => {
-                    self.window = Some(parse_positive("window", value)? as u32);
-                }
-                "commit" => {
-                    self.commit = Some(parse_positive("commit", value)? as u32);
-                }
-                "deadline" => {
-                    self.deadline_ns = Some(value.parse().map_err(|e| format!("deadline: {e}"))?);
-                }
+                "window" => self.window = Some(parse_positive(key, value)? as u32),
+                "commit" => self.commit = Some(parse_positive(key, value)? as u32),
+                "deadline" => self.deadline_ns = Some(parse(key, value)?),
                 "predecode" => {
                     self.predecode =
                         PredecodeMode::parse(value).map_err(|e| format!("predecode: {e}"))?;
                 }
-                "queue" => self.queue = parse_positive("queue", value)? as usize,
-                "inflight" => self.inflight = parse_positive("inflight", value)? as usize,
+                "queue" => self.queue = parse_positive(key, value)? as usize,
+                "inflight" => self.inflight = parse_positive(key, value)? as usize,
                 "transport" => {
                     self.transport = match value {
                         "channel" => ServeTransport::Channel,
@@ -176,28 +167,19 @@ impl ServeConfig {
                     };
                 }
                 "metrics-addr" => self.metrics_addr = Some(value.to_string()),
-                "metrics-sample" => {
-                    self.metrics_sample =
-                        value.parse().map_err(|e| format!("metrics-sample: {e}"))?;
-                }
-                "trace" => self.trace = value.parse().map_err(|e| format!("trace: {e}"))?,
+                "metrics-sample" => self.metrics_sample = parse(key, value)?,
+                "trace" => self.trace = parse(key, value)?,
                 "trace-out" => self.trace_out = Some(value.to_string()),
-                "storm-threshold" => {
-                    self.storm_threshold =
-                        value.parse().map_err(|e| format!("storm-threshold: {e}"))?;
-                }
-                "ring-high-water" => {
-                    self.ring_high_water =
-                        value.parse().map_err(|e| format!("ring-high-water: {e}"))?;
-                }
+                "storm-threshold" => self.storm_threshold = parse(key, value)?,
+                "ring-high-water" => self.ring_high_water = parse(key, value)?,
                 // `threads=` is accepted for CLI symmetry with the other
                 // subcommands: the worker pool's parallelism is its shard
                 // count.
                 "threads" => self.shards = parse_threads(value)?,
-                other => return Err(format!("unknown option '{other}'")),
+                _ => return Ok(false),
             }
-        }
-        Ok(())
+            Ok(true)
+        })
     }
 
     /// The modeled round period, ns.
@@ -206,141 +188,17 @@ impl ServeConfig {
     }
 }
 
-/// One `(scenario, tenant)` row of a multi-tenant decode-service run
-/// (`repro serve`).
-#[derive(Clone, Debug)]
-pub struct ServicePoint {
-    /// Scenario name the service was loaded with.
-    pub scenario: String,
-    /// Paper-style decoder label every tenant registered.
-    pub decoder: &'static str,
-    /// Tenants driven in the run.
-    pub qubits: u32,
-    /// Decode shards of the worker pool.
-    pub shards: usize,
-    /// This row's tenant id.
-    pub qubit: u32,
-    /// Shard that owned the tenant.
-    pub shard: u32,
-    /// Sliding-window size in round layers.
-    pub window: u32,
-    /// Committed layers per window step.
-    pub commit: u32,
-    /// Predecode mode label (`off` or `batch`).
-    pub predecode: &'static str,
-    /// Syndrome round period, ns (from the `--rate` flag).
-    pub round_ns: f64,
-    /// Reaction deadline per window, ns.
-    pub deadline_ns: f64,
-    /// Shots committed for this tenant.
-    pub shots: u64,
-    /// Windows decoded for this tenant.
-    pub windows: u64,
-    /// Windows shed by admission control.
-    pub shed: u64,
-    /// Windows whose modeled reaction exceeded the deadline.
-    pub deadline_misses: u64,
-    /// Median modeled reaction time, ns.
-    pub p50_ns: f64,
-    /// 99th-percentile modeled reaction time, ns.
-    pub p99_ns: f64,
-    /// Worst modeled reaction time, ns.
-    pub max_ns: f64,
-    /// Mean modeled reaction time, ns.
-    pub mean_ns: f64,
-    /// Fraction of this tenant's submitted rounds the L1 tier resolved
-    /// before any matching solver ran (0 with predecoding off).
-    pub l1_rounds_fraction: f64,
-    /// Fraction of this tenant's windows escalated past the L1 tier.
-    pub escalation_fraction: f64,
-    /// Logical failures scored client-side for this tenant.
-    pub failures: u64,
-    /// This tenant's measured decode throughput, syndrome rounds per
-    /// wall-clock second (`shots × layers_per_shot / wall_seconds`).
-    /// The whole-service aggregate lives in [`ServiceSummary`].
-    pub rounds_per_s: f64,
-}
-
-/// Whole-run aggregate of a `repro serve` study.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ServiceSummary {
-    /// Whole-service decode throughput, syndrome rounds per second.
-    pub rounds_per_s: f64,
-    /// Aggregate throughput normalized to one decode shard.
-    pub rounds_per_s_per_shard: f64,
-    /// Deepest SPSC submission-ring occupancy any shard observed over
-    /// the run (from the telemetry ring-depth gauges).
-    pub max_ring_depth: u64,
-}
-
-/// One stage row of the serve-run telemetry breakdown: the merged
-/// cross-shard latency histogram of one pipeline stage, folded to
-/// count/sum/percentiles.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageBreakdownRow {
-    /// Stage label (`ingest`, `predecode`, `window`, `solve`, `commit`,
-    /// `window_total`).
-    pub stage: &'static str,
-    /// Sampled spans recorded for the stage.
-    pub count: u64,
-    /// Summed span duration, ns.
-    pub sum_ns: u64,
-    /// Median span duration, ns.
-    pub p50_ns: u64,
-    /// 99th-percentile span duration, ns.
-    pub p99_ns: u64,
-    /// Worst span duration, ns.
-    pub max_ns: u64,
-}
-
-/// The per-stage telemetry breakdown of a `repro serve` run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TelemetrySummary {
-    /// Span-sampling rate the run used (1-in-N window steps; 0 = spans
-    /// disabled, counters only).
-    pub sample_every: u32,
-    /// Deepest SPSC ring occupancy any shard observed.
-    pub max_ring_depth: u64,
-    /// One row per pipeline stage, merged across shards.
-    pub stages: Vec<StageBreakdownRow>,
-}
-
-/// The flight-recorder rollup of a trace-armed `repro serve` run
-/// (`None` from [`run_serve`] when tracing was off).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Events recorded across every shard's flight-recorder ring over
-    /// the run's lifetime.
-    pub events: u64,
-    /// Events the rings overwrote before the end-of-run snapshot (ring
-    /// wrap; the recorder never blocks the hot path to preserve them).
-    pub dropped: u64,
-    /// Postmortem triggers fired over the run (shed, deadline miss,
-    /// escalation storm, ring high-water). Only the first writes a dump
-    /// file; the rest just count.
-    pub dump_triggers: u64,
-}
-
-/// Runs the decode-service study of one scenario, printing the tables
-/// to `w` and returning the per-tenant points, the whole-run aggregate,
-/// the per-stage telemetry breakdown and (trace-armed runs only) the
-/// flight-recorder rollup.
+/// Runs the decode-service study of one scenario, printing to `w` the
+/// flight-recorder rollup (trace-armed runs only), the whole-run
+/// throughput, the per-stage telemetry breakdown and the per-tenant
+/// table.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the progress writer; service-level errors
 /// (invalid window, transport failures) are reported as
 /// [`std::io::ErrorKind::InvalidInput`] / [`std::io::ErrorKind::Other`].
-pub fn run_serve(
-    scenario: &Scenario,
-    cfg: &ServeConfig,
-    w: &mut dyn Write,
-) -> std::io::Result<(
-    Vec<ServicePoint>,
-    ServiceSummary,
-    TelemetrySummary,
-    Option<TraceSummary>,
-)> {
+pub fn run_serve(scenario: &Scenario, cfg: &ServeConfig, w: &mut dyn Write) -> std::io::Result<()> {
     let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
     let window = cfg.window.unwrap_or(scenario.rt_window);
     let commit = cfg.commit.unwrap_or(scenario.rt_commit);
@@ -459,61 +317,30 @@ pub fn run_serve(
             })?
         }
     };
-    // The run's final telemetry state; everything below reads this one
-    // consistent snapshot.
-    let snap = registry.snapshot();
-    let telemetry_summary = TelemetrySummary {
-        sample_every: cfg.metrics_sample,
-        max_ring_depth: snap.max_ring_depth(),
-        stages: telemetry::Stage::ALL
-            .iter()
-            .map(|&st| {
-                let h = snap.merged_stage(st);
-                StageBreakdownRow {
-                    stage: st.label(),
-                    count: h.count,
-                    sum_ns: h.sum,
-                    p50_ns: h.quantile(0.5),
-                    p99_ns: h.quantile(0.99),
-                    max_ns: h.max,
-                }
-            })
-            .collect(),
-    };
     // Flight-recorder rollup and end-of-run dump. Triggered postmortems
     // (shed, deadline miss, storm, high-water) already froze their own
     // dump during the run; the end-of-run dump is the final ring state.
-    let trace_summary = server.trace().map(|trace| {
+    if let Some(trace) = server.trace() {
         if let Some(path) = &cfg.trace_out {
             let dump = trace.collect("end-of-run");
             if let Err(e) = std::fs::write(path, telemetry::render_dump(&dump)) {
-                let _ = writeln!(w, "# trace: failed to write {path}: {e}");
+                writeln!(w, "# trace: failed to write {path}: {e}")?;
             } else {
-                let _ = writeln!(w, "# trace: wrote {path} ({} events)", dump.len());
+                writeln!(w, "# trace: wrote {path} ({} events)", dump.len())?;
             }
         }
         if let Some(path) = trace.dump_path() {
-            let _ = writeln!(w, "# trace: postmortem frozen at {path}");
+            writeln!(w, "# trace: postmortem frozen at {path}")?;
         }
-        TraceSummary {
-            events: trace.events_recorded(),
-            dropped: trace.events_dropped(),
-            dump_triggers: trace.triggers(),
-        }
-    });
-    if let Some(t) = &trace_summary {
         writeln!(
             w,
             "# trace: {} events recorded ({} dropped), {} dump triggers",
-            t.events, t.dropped, t.dump_triggers
+            trace.events_recorded(),
+            trace.events_dropped(),
+            trace.triggers()
         )?;
     }
-    let aggregate_rounds_per_s = report.rounds_per_second();
-    let summary = ServiceSummary {
-        rounds_per_s: aggregate_rounds_per_s,
-        rounds_per_s_per_shard: aggregate_rounds_per_s / cfg.shards.max(1) as f64,
-        max_ring_depth: snap.max_ring_depth(),
-    };
+    let rounds_per_s = report.rounds_per_second();
     writeln!(
         w,
         "# {} shots ({} rounds) in {:.3}s -> {:.0} rounds/s decoded \
@@ -521,21 +348,31 @@ pub fn run_serve(
         report.shots_submitted,
         report.rounds_submitted,
         report.wall_seconds,
-        aggregate_rounds_per_s,
-        summary.rounds_per_s_per_shard,
+        rounds_per_s,
+        rounds_per_s / cfg.shards.max(1) as f64,
         cfg.shards,
     )?;
+    // The run's final telemetry state: the ring-depth gauge and one
+    // merged cross-shard histogram per stage.
+    let snap = registry.snapshot();
     writeln!(
         w,
         "# telemetry: max ring depth {} across {} shards (sample 1-in-{})",
-        summary.max_ring_depth, cfg.shards, cfg.metrics_sample,
+        snap.max_ring_depth(),
+        cfg.shards,
+        cfg.metrics_sample,
     )?;
-    for row in &telemetry_summary.stages {
-        if row.count > 0 {
+    for stage in telemetry::Stage::ALL {
+        let h = snap.merged_stage(stage);
+        if h.count > 0 {
             writeln!(
                 w,
                 "#   stage {:<13} p50 {:>7} ns  p99 {:>7} ns  max {:>8} ns  ({} spans)",
-                row.stage, row.p50_ns, row.p99_ns, row.max_ns, row.count,
+                stage.label(),
+                h.quantile(0.5),
+                h.quantile(0.99),
+                h.max,
+                h.count,
             )?;
         }
     }
@@ -554,27 +391,12 @@ pub fn run_serve(
         "L1%",
         "fail/shot"
     )?;
-    let layers_per_shot = u64::from(scenario_ctx.layers().num_layers());
-    let mut points = Vec::new();
+    let layers_per_shot = u64::from(report.layers_per_shot);
     for (tenant, stats) in report.tenants.iter().zip(&report.stats) {
-        // L1-resolved rounds over all streamed rounds; escalations over
-        // all decoded windows. Both are zero with predecoding off.
+        // L1-resolved rounds over all streamed rounds (zero with
+        // predecoding off).
         let l1_rounds_fraction = if stats.shots > 0 {
             stats.l1_rounds as f64 / (stats.shots * layers_per_shot) as f64
-        } else {
-            0.0
-        };
-        let escalation_fraction = if stats.windows > 0 {
-            stats.escalated_windows as f64 / stats.windows as f64
-        } else {
-            0.0
-        };
-        // Per-tenant throughput: this tenant's committed rounds over its
-        // *own* first-submit→last-commit wall clock (dividing by the
-        // whole-run wall clock would stamp every equal-shots tenant with
-        // one identical number).
-        let rounds_per_s = if tenant.wall_seconds > 0.0 {
-            (stats.shots * layers_per_shot) as f64 / tenant.wall_seconds
         } else {
             0.0
         };
@@ -593,53 +415,25 @@ pub fn run_serve(
             100.0 * l1_rounds_fraction,
             format!("{}/{}", tenant.failures, tenant.commits.len()),
         )?;
-        points.push(ServicePoint {
-            scenario: scenario.name.to_string(),
-            decoder: cfg.decoder.label(),
-            qubits: cfg.qubits,
-            shards: cfg.shards,
-            qubit: tenant.qubit,
-            shard: tenant.shard,
-            window,
-            commit,
-            predecode: cfg.predecode.label(),
-            round_ns,
-            deadline_ns,
-            shots: stats.shots,
-            windows: stats.windows,
-            shed: stats.shed,
-            deadline_misses: stats.deadline_misses,
-            p50_ns: stats.p50_ns,
-            p99_ns: stats.p99_ns,
-            max_ns: stats.max_ns,
-            mean_ns: stats.mean_ns,
-            l1_rounds_fraction,
-            escalation_fraction,
-            failures: tenant.failures,
-            rounds_per_s,
-        });
     }
-    let total_misses: u64 = points.iter().map(|p| p.deadline_misses).sum();
-    let total_shed: u64 = points.iter().map(|p| p.shed).sum();
+    let total_misses: u64 = report.stats.iter().map(|s| s.deadline_misses).sum();
+    let total_shed: u64 = report.stats.iter().map(|s| s.shed).sum();
     writeln!(
         w,
         "# total: {total_shed} shed, {total_misses} deadline misses across {} tenants",
-        points.len()
+        report.tenants.len()
     )?;
     if cfg.predecode != PredecodeMode::Off {
-        let rounds: u64 = points.iter().map(|p| p.shots * layers_per_shot).sum();
-        let l1: f64 = points
-            .iter()
-            .map(|p| p.l1_rounds_fraction * (p.shots * layers_per_shot) as f64)
-            .sum();
+        let rounds: u64 = report.stats.iter().map(|s| s.shots * layers_per_shot).sum();
+        let l1: u64 = report.stats.iter().map(|s| s.l1_rounds).sum();
         writeln!(
             w,
             "# predecode={}: {:.1}% of {rounds} rounds resolved at L1 before any solver",
             cfg.predecode.label(),
-            100.0 * l1 / rounds.max(1) as f64,
+            100.0 * l1 as f64 / rounds.max(1) as f64,
         )?;
     }
-    Ok((points, summary, telemetry_summary, trace_summary))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -713,6 +507,30 @@ mod tests {
         assert!(cfg.apply_overrides(&["out=x.json".into()]).is_err());
     }
 
+    /// The per-tenant rows of a printed study, split into columns
+    /// (`qubit shard shots windows shed misses p50 p99 max L1% fail/shot`).
+    fn tenant_rows(log: &str) -> Vec<Vec<&str>> {
+        log.lines()
+            .skip_while(|l| !l.starts_with("qubit "))
+            .skip(1)
+            .take_while(|l| !l.starts_with('#'))
+            .map(|l| l.split_whitespace().collect())
+            .collect()
+    }
+
+    /// The number printed right after the first `prefix` in `log`.
+    fn number_after(log: &str, prefix: &str) -> f64 {
+        let (_, rest) = log
+            .split_once(prefix)
+            .unwrap_or_else(|| panic!("no '{prefix}' in:\n{log}"));
+        let digits: String = rest
+            .trim_start()
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || *c == '.')
+            .collect();
+        digits.parse().unwrap_or_else(|e| panic!("{prefix}: {e}"))
+    }
+
     #[test]
     fn tiny_serve_study_runs_end_to_end() {
         let dir = std::env::temp_dir().join("promatch_serve_test");
@@ -728,7 +546,7 @@ mod tests {
             decoder: DecoderKind::Mwpm,
             // The default µs-scale deadline trips the wall-clock
             // deadline-miss postmortem under parallel-test load; pin it
-            // far out so `dump_triggers == 0` below is deterministic.
+            // far out so the zero dump triggers below are deterministic.
             deadline_ns: Some(1e12),
             metrics_addr: Some("127.0.0.1:0".into()),
             metrics_sample: 1,
@@ -737,106 +555,83 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut sink = Vec::new();
-        let (points, summary, tel, trace) = run_serve(sc, &cfg, &mut sink).unwrap();
-        // One service point per tenant, in tenant order.
-        assert_eq!(points.len(), 4);
-        for (q, p) in points.iter().enumerate() {
-            assert_eq!(p.scenario, "cc-d3");
-            assert_eq!(p.decoder, DecoderKind::Mwpm.label());
-            assert_eq!((p.qubits, p.shards, p.qubit), (4, 2, q as u32));
-            assert_eq!(p.predecode, "off");
-            assert_eq!(p.l1_rounds_fraction, 0.0);
-            assert!(p.rounds_per_s > 0.0);
-            // The closed loop within its admission budget never sheds.
-            assert_eq!(p.shed, 0);
-        }
-        assert!(summary.rounds_per_s > 0.0);
-        assert_eq!(summary.max_ring_depth, tel.max_ring_depth);
-        // The per-stage breakdown rides along (sample 1 records spans
-        // for every submission and window step).
-        assert_eq!(tel.sample_every, 1);
-        assert_eq!(tel.stages.len(), telemetry::Stage::ALL.len());
-        assert!(tel
-            .stages
-            .iter()
-            .any(|s| s.stage == "window_total" && s.count > 0));
+        run_serve(sc, &cfg, &mut sink).unwrap();
         let log = String::from_utf8(sink).unwrap();
-        assert!(log.contains("rounds/s decoded"), "{log}");
+        assert!(log.contains("decoder=mwpm"), "{log}");
+        assert!(number_after(&log, "-> ") > 0.0, "{log}");
         assert!(log.contains("cached lookup"), "{log}");
         assert!(log.contains("# metrics: http://"), "{log}");
         assert!(log.contains("max ring depth"), "{log}");
+        assert!(log.contains("(sample 1-in-1)"), "{log}");
+        // One row per tenant, in tenant order; with predecoding off no
+        // round resolves at L1, and the closed loop within its admission
+        // budget never sheds.
+        let rows = tenant_rows(&log);
+        assert_eq!(rows.len(), 4, "{log}");
+        for (q, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), 11, "{log}");
+            assert_eq!(
+                (row[0], row[2], row[4]),
+                (q.to_string().as_str(), "20", "0")
+            );
+            assert_eq!(row[9], "0.0%", "{log}");
+        }
         assert!(log.contains("# total: 0 shed,"), "{log}");
-        // The flight recorder was armed: the run returns the trace
-        // rollup, the end-of-run dump parses, and a clean run fires no
-        // postmortem triggers.
-        let trace = trace.expect("trace-armed run returns a rollup");
-        assert!(trace.events > 0);
-        assert_eq!(trace.dump_triggers, 0);
-        assert!(log.contains("0 dump triggers"), "{log}");
+        // The per-stage breakdown rides along (sample 1 records spans for
+        // every submission and window step).
+        assert!(
+            number_after(&log, "#   stage window_total  p50 ") > 0.0,
+            "{log}"
+        );
+        // The flight recorder was armed: the run prints its rollup, the
+        // end-of-run dump parses, and a clean run fires no postmortem
+        // triggers.
+        let rollup = log
+            .lines()
+            .find(|l| l.contains("events recorded"))
+            .unwrap_or_else(|| panic!("{log}"));
+        assert!(number_after(rollup, "# trace: ") > 0.0, "{rollup}");
+        assert!(rollup.ends_with(", 0 dump triggers"), "{rollup}");
         let dump_text = std::fs::read_to_string(&trace_out).unwrap();
         let dump = telemetry::parse_dump(&dump_text).unwrap();
         assert_eq!(dump.reason, "end-of-run");
         assert!(!dump.is_empty(), "armed run recorded no events");
         std::fs::remove_file(&trace_out).unwrap();
         // The TCP transport produces the same commit streams (spot-check
-        // via identical failure counts and shot totals).
+        // via identical shot, window and failure counts per tenant).
         cfg.transport = ServeTransport::Tcp;
         cfg.metrics_addr = None;
         cfg.trace = 0;
         cfg.trace_out = None;
         let mut sink_tcp = Vec::new();
-        let (tcp_points, tcp_summary, tcp_tel, tcp_trace) =
-            run_serve(sc, &cfg, &mut sink_tcp).unwrap();
+        run_serve(sc, &cfg, &mut sink_tcp).unwrap();
+        let log_tcp = String::from_utf8(sink_tcp).unwrap();
         // Tracing off: no rollup.
-        assert!(tcp_trace.is_none());
-        // Sampled spans landed in the telemetry summary and the deepest
-        // observed ring occupancy is surfaced in the service summary.
-        assert!(tcp_tel
-            .stages
-            .iter()
-            .any(|s| s.stage == "window_total" && s.count > 0));
-        assert!(tcp_summary.max_ring_depth > 0);
-        assert_eq!(tcp_points.len(), 4);
-        for p in &tcp_points {
-            assert_eq!(p.shots, 20);
-            // Each row's rate divides this tenant's rounds by its *own*
-            // first-submit→last-commit span. That span is at most the
-            // whole run's, so every equal-shots tenant clears its
-            // aggregate share (aggregate / qubits), with slack for the
-            // ramp-up before the tenant's first submission.
-            assert!(p.rounds_per_s > 0.0);
-            assert!(
-                p.rounds_per_s * (1.0 + 1e-9) >= tcp_summary.rounds_per_s / 4.0,
-                "tenant {} rate {} below aggregate share {}",
-                p.qubit,
-                p.rounds_per_s,
-                tcp_summary.rounds_per_s / 4.0
-            );
-        }
-        // Per-tenant wall clocks differ, so the rows are no longer four
-        // copies of one number.
-        let min = tcp_points
-            .iter()
-            .map(|p| p.rounds_per_s)
-            .fold(f64::MAX, f64::min);
-        let max = tcp_points
-            .iter()
-            .map(|p| p.rounds_per_s)
-            .fold(0.0, f64::max);
-        assert!(max > min, "all tenant rows carry one identical rate {min}");
-        // With batch predecoding the same tiny run sheds most rounds at
-        // L1 (cc-d3 at its default p is sparse) and tags the points.
+        assert!(!log_tcp.contains("# trace:"), "{log_tcp}");
+        // Sampled spans landed in the breakdown and the deepest observed
+        // ring occupancy is printed.
+        assert!(log_tcp.contains("#   stage window_total "), "{log_tcp}");
+        assert!(number_after(&log_tcp, "max ring depth ") > 0.0, "{log_tcp}");
+        let counts = |rows: &[Vec<&str>]| -> Vec<[String; 4]> {
+            rows.iter()
+                .map(|r| [r[0], r[2], r[3], r[10]].map(String::from))
+                .collect()
+        };
+        assert_eq!(counts(&tenant_rows(&log_tcp)), counts(&rows), "{log_tcp}");
+        // With batch predecoding the same tiny run resolves most rounds
+        // at L1 (cc-d3 at its default p is sparse).
         cfg.transport = ServeTransport::Channel;
         cfg.predecode = PredecodeMode::Batch;
         let mut sink_l1 = Vec::new();
-        let (l1_points, _, _, _) = run_serve(sc, &cfg, &mut sink_l1).unwrap();
-        assert_eq!(l1_points.len(), 4);
-        for p in &l1_points {
-            assert_eq!(p.predecode, "batch");
-            assert!(p.l1_rounds_fraction > 0.5, "{}", p.l1_rounds_fraction);
-            assert!(p.escalation_fraction < 0.5, "{}", p.escalation_fraction);
-        }
+        run_serve(sc, &cfg, &mut sink_l1).unwrap();
         let log_l1 = String::from_utf8(sink_l1).unwrap();
+        let rows_l1 = tenant_rows(&log_l1);
+        assert_eq!(rows_l1.len(), 4, "{log_l1}");
+        for row in &rows_l1 {
+            let l1: f64 = row[9].trim_end_matches('%').parse().unwrap();
+            assert!(l1 > 50.0, "{log_l1}");
+        }
+        assert!(log_l1.contains("predecode=batch"), "{log_l1}");
         assert!(log_l1.contains("resolved at L1"), "{log_l1}");
     }
 

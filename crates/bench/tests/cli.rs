@@ -1,6 +1,6 @@
-//! `repro` command-line surface: retired entry points are refused with a
-//! message instead of being silently accepted, and the registry listing
-//! still works.
+//! `repro` command-line surface: retired entry points and out-of-range
+//! values are refused with a message instead of being silently accepted
+//! (or panicking), and the registry listing still works.
 
 use bench_suite::ScenarioRegistry;
 use std::process::{Command, Output};
@@ -16,6 +16,7 @@ fn refused(args: &[&str], message: &str) {
     let out = repro(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{args:?} was accepted");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     assert!(stderr.contains(message), "{args:?}: {stderr}");
 }
 
@@ -74,6 +75,34 @@ fn out_key_is_refused_by_every_scenario_subcommand() {
         refused(
             &[sub, "--scenario", "cc-d3", "out=x.json"],
             "unknown option 'out'",
+        );
+    }
+}
+
+#[test]
+fn zero_shot_and_kmax_counts_are_refused_not_panicked() {
+    for key in ["shots", "kmax"] {
+        let zero = format!("{key}=0");
+        let message = format!("{key} must be at least 1");
+        refused(&["table2", &zero], &message);
+        refused(&["ler", "--scenario", "cc-d3", &zero], &message);
+        refused(
+            &["ler", "--scenario", "cc-d3", "--predecode", "batch", &zero],
+            &message,
+        );
+    }
+}
+
+#[test]
+fn realtime_refuses_what_serve_refuses() {
+    refused(
+        &["realtime", "--scenario", "cc-d3", "shots=0"],
+        "shots must be at least 1",
+    );
+    for bad in ["round=0", "round=-5", "deadline=nan", "deadline=0"] {
+        refused(
+            &["realtime", "--scenario", "cc-d3", bad],
+            "must be positive",
         );
     }
 }

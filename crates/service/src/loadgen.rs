@@ -78,7 +78,9 @@ pub struct CommitRecord {
     pub shed_reason: u8,
 }
 
-/// One tenant's client-side view of the run.
+/// One tenant's client-side view of the run: its commit stream and the
+/// failures scored against it. Throughput is timed for the whole
+/// session only ([`LoadgenReport::rounds_per_second`]).
 #[derive(Clone, Debug)]
 pub struct TenantRun {
     /// Tenant id.
@@ -93,11 +95,6 @@ pub struct TenantRun {
     pub failures: u64,
     /// Shots shed by live admission control.
     pub shed_shots: u64,
-    /// Wall-clock seconds between *this tenant's* first submission and
-    /// its last commit (0 for an empty run). The per-tenant throughput
-    /// denominator — the whole-run wall clock would understate every
-    /// tenant that finished early.
-    pub wall_seconds: f64,
 }
 
 /// Everything a load-generator session produced.
@@ -139,8 +136,6 @@ struct TenantDriver<'a> {
     expected_obs: HashMap<u64, u64>,
     submitted: u64,
     committed: u64,
-    first_submit: Option<Instant>,
-    last_commit: Option<Instant>,
     run: TenantRun,
 }
 
@@ -212,8 +207,6 @@ pub fn run_loadgen(
                 expected_obs: HashMap::new(),
                 submitted: 0,
                 committed: 0,
-                first_submit: None,
-                last_commit: None,
                 run: TenantRun {
                     qubit,
                     seed,
@@ -221,7 +214,6 @@ pub fn run_loadgen(
                     commits: Vec::new(),
                     failures: 0,
                     shed_shots: 0,
-                    wall_seconds: 0.0,
                 },
             }
         })
@@ -238,9 +230,6 @@ pub fn run_loadgen(
                 if t.submitted < cfg.shots_per_qubit && in_flight < cfg.inflight {
                     let shot = t.stream.next_shot();
                     t.expected_obs.insert(t.submitted, shot.obs);
-                    if t.first_submit.is_none() {
-                        t.first_submit = Some(Instant::now());
-                    }
                     sink.send(&Frame::SubmitRounds {
                         qubit: t.run.qubit,
                         shot: t.submitted,
@@ -291,7 +280,6 @@ pub fn run_loadgen(
                     shed_reason,
                 });
                 t.committed += 1;
-                t.last_commit = Some(Instant::now());
                 outstanding_total -= 1;
             }
             Frame::Error { message } => {
@@ -310,9 +298,6 @@ pub fn run_loadgen(
     // stream is in shot order.
     for t in tenants.iter_mut() {
         t.run.commits.sort_by_key(|c| c.shot);
-        if let (Some(first), Some(last)) = (t.first_submit, t.last_commit) {
-            t.run.wall_seconds = last.duration_since(first).as_secs_f64();
-        }
     }
     // Phase 3: stats, then shutdown.
     sink.send(&Frame::StatsRequest)?;

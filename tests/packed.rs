@@ -13,44 +13,17 @@
 
 mod common;
 
-use common::reference_run;
+use common::{ctx, reference_run, stream_cfg, SPLITS};
 use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
-use promatch_repro::ler::{DecoderKind, ExperimentContext};
+use promatch_repro::ler::DecoderKind;
 use promatch_repro::qsim::FrameSampler;
 use promatch_repro::realtime::{
-    run_stream, BacklogConfig, Instruments, PredecodeMode, SlidingWindowDecoder, StreamRunConfig,
-    WindowConfig,
+    run_stream, Instruments, PredecodeMode, SlidingWindowDecoder, WindowConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
-
-/// The shared d = 3, 9-round context (10 detector layers), matching the
-/// realtime equivalence suite.
-fn ctx() -> &'static ExperimentContext {
-    static CTX: OnceLock<ExperimentContext> = OnceLock::new();
-    CTX.get_or_init(|| ExperimentContext::with_rounds(3, 9, 1e-3))
-}
-
-/// The `(window, commit)` splits exercised, including the degenerate
-/// whole-shot window.
-const SPLITS: [(u32, u32); 4] = [(4, 2), (5, 3), (6, 3), (10, 10)];
-
-fn stream_cfg(
-    (window, commit): (u32, u32),
-    predecode: PredecodeMode,
-    seed: u64,
-    shots: usize,
-) -> StreamRunConfig {
-    StreamRunConfig {
-        shots,
-        seed,
-        window: WindowConfig::new(window, commit).unwrap(),
-        backlog: BacklogConfig::with_commit_deadline(1000.0, commit),
-        predecode,
-    }
-}
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

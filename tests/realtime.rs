@@ -16,6 +16,9 @@
 //!    inside the 95 % Wilson band of whole-shot MWPM on the *same*
 //!    shots.
 
+mod common;
+
+use common::{confined_mechanisms, ctx, steps, SPLITS};
 use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::{build_decoder, wilson_interval, DecoderKind, ExperimentContext};
 use promatch_repro::qsim::FrameSampler;
@@ -27,57 +30,7 @@ use promatch_repro::surface_code::NoiseModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
-
-/// The shared d = 3, 9-round context of the equivalence tests
-/// (10 detector layers).
-fn ctx() -> &'static ExperimentContext {
-    static CTX: OnceLock<ExperimentContext> = OnceLock::new();
-    CTX.get_or_init(|| ExperimentContext::with_rounds(3, 9, 1e-3))
-}
-
-/// The `(window, commit)` splits exercised, including the degenerate
-/// whole-shot window.
-const SPLITS: [(u32, u32); 4] = [(4, 2), (5, 3), (6, 3), (10, 10)];
-
-/// The commit-step positions of a `(window, commit)` split over
-/// `num_layers` layers (mirrors the sliding-window loop).
-fn steps(window: u32, commit: u32, num_layers: u32) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let mut s = 0u32;
-    loop {
-        let hi = (s + window).min(num_layers);
-        let commit_end = if hi == num_layers {
-            num_layers
-        } else {
-            s + commit
-        };
-        out.push((s, commit_end));
-        if hi == num_layers {
-            return out;
-        }
-        s += commit;
-    }
-}
-
-/// DEM mechanisms whose defects sit strictly inside the commit region of
-/// step `(s, commit_end)`, one layer clear of the bottom seam.
-fn confined_mechanisms(s: u32, commit_end: u32, layers: &LayerMap) -> Vec<usize> {
-    let lo = if s == 0 { 0 } else { s + 1 };
-    ctx()
-        .dem
-        .errors
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| {
-            e.dets.iter().all(|d| {
-                let l = layers.layer_of(d);
-                l >= lo && l < commit_end
-            })
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
