@@ -13,7 +13,8 @@
 //!   path table that Promatch's Step 3 hardware keeps in on-chip memory
 //!   (Table 8 of the paper).
 //! * [`NoTransitTable`] — boundary-as-sink distances (a static escape
-//!   vector plus lazily memoized rows) and per-edge facts (a flat
+//!   vector plus lazily memoized rows that stop at the largest cap the
+//!   predecoder asks) and per-edge facts (a flat
 //!   adjacency with weights and masks, plus a lazily memoized
 //!   "is there a second way across?" byte per half-edge), the lookups
 //!   behind the L1 batch predecoder's uniqueness proofs.

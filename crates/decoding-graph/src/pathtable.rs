@@ -124,11 +124,15 @@ impl Adjacency {
     /// only strictly — so ties between shortest paths break the same
     /// way. Every improvement of `v` over half-edge `h` from `u` calls
     /// `relaxed(u, v, h)`; `sink`, if any, is reached but never
-    /// expanded. `read` gets the final distances ([`UNREACHED`] = none).
+    /// expanded; a tentative distance above `limit` is dropped, so every
+    /// node within `limit` still ends exact (each prefix of its shortest
+    /// path is within it too) and every other node reads [`UNREACHED`].
+    /// `read` gets the final distances.
     fn shortest<R>(
         &self,
         src: u32,
         sink: Option<u32>,
+        limit: u64,
         mut relaxed: impl FnMut(usize, usize, usize),
         read: impl FnOnce(&[u64]) -> R,
     ) -> R {
@@ -154,7 +158,7 @@ impl Adjacency {
                 for h in self.range(u) {
                     let (v, w) = self.half[h];
                     let nd = d + u64::from(w);
-                    if nd < dist[v as usize] {
+                    if nd < dist[v as usize] && nd <= limit {
                         dist[v as usize] = nd;
                         relaxed(u as usize, v as usize, h);
                         if nd <= u64::from(u32::MAX) {
@@ -261,7 +265,11 @@ impl PathRow {
 
 impl PathTable {
     /// Prepares the table over `graph`: the quantization thresholds and
-    /// an empty row store. No search runs until a row is asked for; one
+    /// an empty row store. It reads only the detector count and the
+    /// ordered `(u, v, weight, obs)` edge list, so two graphs equal in
+    /// those get tables equal cell for cell — which is what lets
+    /// [`crate::WindowCache`] give every content-equal window one table.
+    /// No search runs until a row is asked for; one
     /// row costs one search, measured on a 2-vCPU x86-64 host at
     /// ≈ 36–50 µs on a six-layer d = 13 window (505 nodes) and
     /// ≈ 120–130 µs on the whole d = 13 memory graph, whose 1 177 rows
@@ -342,6 +350,7 @@ impl PathTable {
         let dist: Box<[u32]> = self.adj.shortest(
             src,
             None,
+            UNREACHED,
             |u, v, h| {
                 obs[v] = obs[u] ^ edge_obs(h);
                 hops[v] = hops[u].saturating_add(1);
@@ -434,17 +443,42 @@ const ALT_SOME: u8 = 2;
 /// for a lone boundary defect `esc(u)` *is* the local cost, so
 /// `T(u, v) ≤ cost + esc(v)` always holds and decides nothing.
 ///
-/// Three stores, all pure functions of the graph:
+/// The rows hold only what the predecoder can ask. It passes
+/// [`NoTransitTable::within`] caps of two kinds, each built from local
+/// costs (a lone defect's boundary edge or a pair's edge: one edge
+/// weight):
+///
+/// * local cost + local cost — the weight-isolation bar between two
+///   components (`BatchPredecoder::try_resolve_verified`);
+/// * local cost + `escape(v)` — the exchange-argument bar against a
+///   defect `v` outside the members (`isolated_from_rest`), which
+///   saturates to `i64::MAX` when `v`'s component has no boundary.
+///
+/// So no finite cap exceeds [`NoTransitTable::reach`] =
+/// `max_w + max(max_w, max finite escape)` — 43 451 at d = 13 SD6,
+/// p = 1e-3, about seven median edges.
+///
+/// Four stores, all pure functions of the graph:
 ///
 /// * **escape** — `esc[v]`, the shortest `v → boundary` distance, built
 ///   eagerly with one Dijkstra from the boundary (the boundary is the
-///   source, so no shortest path transits it);
-/// * **rows** — `row(u)[v] = nt(u, v)`, filled on first use with one
-///   Dijkstra from `u` that never expands the boundary, and kept for the
-///   life of the table. Rows sit behind [`OnceLock`]s: racing first
-///   users of one source run exactly one fill, and a filled row is a
-///   lock-free indexed load, so one table serves every window, shot and
-///   tenant of a scenario concurrently;
+///   source, so no shortest path transits it). It is also every row's
+///   boundary column: a shortest way to the boundary never returns
+///   through it;
+/// * **components** — a label per detector, equal within a component of
+///   the graph with the boundary removed: one search per component at
+///   build, and the answer to the saturated `i64::MAX` cap of a
+///   boundary-less component;
+/// * **rows** — `nt(u, v)` for every detector `v` within `reach` of
+///   `u`, filled on first use with one Dijkstra from `u` that never
+///   expands the boundary and drops every distance above `reach`, and
+///   kept for the life of the table as a dense `u32` span over the
+///   detector ids it reached. Detectors are layer-contiguous, so the
+///   span is a few layers wide (≈ 890 of the 1 176 detectors at d = 13,
+///   13 rounds; ≈ 1 160 of 8 820 at 104 rounds). Rows sit behind
+///   [`OnceLock`]s: racing first users of one source run exactly one
+///   fill, and a filled row is a lock-free indexed load, so one table
+///   serves every window, shot and tenant of a scenario concurrently;
 /// * **edge facts** — per half-edge of the flat adjacency its weight and
 ///   observable mask, and one memo byte answering "is there a second way
 ///   across this edge at the edge's own price?"
@@ -469,15 +503,37 @@ pub struct NoTransitTable {
     boundary_half: Vec<u32>,
     /// `escape[v]`: shortest boundary distance ([`UNREACHED`] = none).
     escape: Vec<u64>,
-    /// `rows[u][v]` = `nt(u, v)` as `u32` ([`ROW_UNREACHED`] = none);
-    /// column `n` is the boundary.
-    rows: Vec<OnceLock<Box<[u32]>>>,
+    /// The largest distance a row stores; see the type's docs.
+    reach: u64,
+    /// `component[v]`: the lowest detector id of `v`'s component once
+    /// the boundary is removed.
+    component: Vec<u32>,
+    /// `rows[u]`: `nt(u, v)` for every detector `v` within `reach`.
+    rows: Vec<OnceLock<SpanRow>>,
     filled: AtomicUsize,
 }
 
+/// The no-transit distances from one source to the detectors
+/// `lo..lo + cells.len()`, [`ROW_UNREACHED`] where the source's search
+/// did not get within `reach`.
+#[derive(Debug)]
+struct SpanRow {
+    lo: u32,
+    cells: Box<[u32]>,
+}
+
+impl SpanRow {
+    /// The stored distance to detector `v`, `None` if `v` is farther
+    /// than `reach` (or unreachable).
+    fn get(&self, v: u32) -> Option<u32> {
+        let d = *self.cells.get(v.wrapping_sub(self.lo) as usize)?;
+        (d != ROW_UNREACHED).then_some(d)
+    }
+}
+
 impl NoTransitTable {
-    /// Builds the escape vector, the flat adjacency and the empty row
-    /// and memo stores over `graph`.
+    /// Builds the escape vector, `reach`, the component labels, the flat
+    /// adjacency and the empty row and memo stores over `graph`.
     ///
     /// # Panics
     ///
@@ -486,10 +542,31 @@ impl NoTransitTable {
         let n = graph.num_detectors() as usize;
         let bd = graph.boundary_node();
         let adj = Adjacency::new(graph);
-        let escape = adj.shortest(bd, None, |_, _, _| {}, <[u64]>::to_vec);
+        let escape = adj.shortest(bd, None, UNREACHED, |_, _, _| {}, <[u64]>::to_vec);
         let boundary_half = (0..n as u32)
             .map(|u| adj.cheapest(u, bd).unwrap_or(NO_HALF_EDGE))
             .collect();
+        let max_w = adj
+            .half
+            .iter()
+            .map(|&(_, w)| u64::from(w))
+            .max()
+            .unwrap_or(0);
+        let finite_escapes = escape[..n].iter().copied().filter(|&e| e != UNREACHED);
+        let reach = max_w + max_w.max(finite_escapes.max().unwrap_or(0));
+        // One search per component; the boundary is reached, never crossed.
+        let mut component = vec![u32::MAX; n];
+        for root in 0..n as u32 {
+            if component[root as usize] == u32::MAX {
+                component[root as usize] = root;
+                let label = |_, v: usize, _| {
+                    if v < n {
+                        component[v] = root;
+                    }
+                };
+                adj.shortest(root, Some(bd), UNREACHED, label, |_| ());
+            }
+        }
         NoTransitTable {
             n,
             alt: adj
@@ -501,6 +578,8 @@ impl NoTransitTable {
             adj,
             boundary_half,
             escape,
+            reach,
+            component,
             rows: (0..n).map(|_| OnceLock::new()).collect(),
             filled: AtomicUsize::new(0),
         }
@@ -517,12 +596,41 @@ impl NoTransitTable {
         i64::try_from(self.escape[v as usize]).unwrap_or(i64::MAX)
     }
 
+    /// The largest distance a row stores: no finite cap the L1
+    /// predecoder asks exceeds it (see the type's docs).
+    pub fn reach(&self) -> i64 {
+        i64::try_from(self.reach).unwrap_or(i64::MAX)
+    }
+
     /// Whether some `u → v` path that does not transit the boundary
-    /// costs at most `cap`. An unreachable `v` is never within any cap,
-    /// `i64::MAX` (a saturated `cost + escape`) included.
+    /// costs at most `cap`; `v` may be the boundary node. An unreachable
+    /// `v` is never within any cap, `i64::MAX` (a saturated
+    /// `cost + escape`) included.
+    ///
+    /// Exact for every cap, but fast only for the caps the predecoder
+    /// asks: up to [`NoTransitTable::reach`] it is one load from `u`'s
+    /// row, and `i64::MAX` compares component labels. Any other cap
+    /// beyond `reach` whose answer the row does not hold runs a one-off
+    /// uncapped search.
     pub fn within(&self, u: u32, v: u32, cap: i64) -> bool {
-        let d = self.row(u)[v as usize];
-        d != ROW_UNREACHED && i64::from(d) <= cap
+        if v as usize == self.n {
+            return self.escape[u as usize] != UNREACHED && self.escape(u) <= cap;
+        }
+        match self.row(u).get(v) {
+            Some(d) => i64::from(d) <= cap,
+            None if cap <= self.reach() => false,
+            None if cap == i64::MAX => self.component[u as usize] == self.component[v as usize],
+            None => {
+                let d = self.adj.shortest(
+                    u,
+                    Some(self.n as u32),
+                    UNREACHED,
+                    |_, _, _| {},
+                    |dist| dist[v as usize],
+                );
+                d <= cap as u64
+            }
+        }
     }
 
     /// Source rows filled so far. Bounded by the detector count, and
@@ -626,7 +734,7 @@ impl NoTransitTable {
     }
 
     /// The distance row of detector `u`, filled on first use.
-    fn row(&self, u: u32) -> &[u32] {
+    fn row(&self, u: u32) -> &SpanRow {
         self.rows[u as usize].get_or_init(|| {
             // A statistic only: the row itself is published by the cell.
             self.filled.fetch_add(1, Ordering::Relaxed);
@@ -634,18 +742,30 @@ impl NoTransitTable {
         })
     }
 
-    /// One search from `src` that never expands the boundary node.
+    /// One search from `src` that never expands the boundary node and
+    /// stops at `reach`, kept over the span of detector ids it reached.
     ///
     /// # Panics
     ///
-    /// Panics if a finite distance does not fit below the `u32`
+    /// Panics if a stored distance does not fit below the `u32`
     /// sentinel (it would otherwise read as "unreached").
-    fn fill_row(&self, src: u32) -> Box<[u32]> {
+    fn fill_row(&self, src: u32) -> SpanRow {
+        let n = self.n;
         self.adj.shortest(
             src,
-            Some(self.n as u32),
+            Some(n as u32),
+            self.reach,
             |_, _, _| {},
-            |dist| dist.iter().map(|&d| row_cell(d, src)).collect(),
+            |dist| {
+                // The source itself is reached, so the span is never empty.
+                let reached = |d: &u64| *d != UNREACHED;
+                let lo = dist[..n].iter().position(reached).unwrap_or(src as usize);
+                let hi = dist[..n].iter().rposition(reached).unwrap_or(src as usize);
+                SpanRow {
+                    lo: lo as u32,
+                    cells: dist[lo..=hi].iter().map(|&d| row_cell(d, src)).collect(),
+                }
+            },
         )
     }
 }
@@ -746,7 +866,11 @@ mod tests {
 
     /// Every row of a fresh [`PathTable`] over `g`, the boundary's
     /// included, equals [`DecodingGraph::dijkstra`] cell by cell, and
-    /// every no-transit row and escape equals [`plain_dijkstra`].
+    /// the escape vector equals [`plain_dijkstra`]. Every no-transit
+    /// cell a row stores equals [`plain_dijkstra`], every cell it does
+    /// not store is farther than `reach`, and `within` agrees with the
+    /// oracle on both sides of the distance, at `reach`, just past it
+    /// (the fallback search) and at `i64::MAX` (the component labels).
     fn assert_tables_match_the_oracles(g: &DecodingGraph) {
         let t = PathTable::build(g);
         let nt = NoTransitTable::new(g);
@@ -765,20 +889,20 @@ mod tests {
         }
         let escape: Vec<i64> = (0..=bd).map(|v| nt.escape(v)).collect();
         assert_eq!(escape, plain_dijkstra(g, bd, None), "the escape vector");
+        let reach = nt.reach();
         for src in 0..bd {
             let want = plain_dijkstra(g, src, Some(bd));
-            let got: Vec<i64> = nt
-                .row(src)
-                .iter()
-                .map(|&d| {
-                    if d == ROW_UNREACHED {
-                        i64::MAX
-                    } else {
-                        i64::from(d)
-                    }
-                })
-                .collect();
-            assert_eq!(got, want, "no-transit row {src}");
+            for v in 0..=bd {
+                let (d, at) = (want[v as usize], (src, v));
+                match nt.row(src).get(v) {
+                    Some(cell) => assert_eq!(i64::from(cell), d, "stored {at:?}"),
+                    None => assert!(v == bd || d > reach, "{at:?} at {d} within {reach}"),
+                }
+                for cap in [d - 1, d, reach, reach + 1, i64::MAX] {
+                    let hit = d != i64::MAX && d <= cap;
+                    assert_eq!(nt.within(src, v, cap), hit, "{at:?} cap {cap} dist {d}");
+                }
+            }
         }
     }
 
@@ -1016,6 +1140,55 @@ mod tests {
             }
         }
         assert_eq!(nt.rows_filled(), n as usize, "one fill per source");
+    }
+
+    /// A chain of `len` detectors joined by edges of weight 10, plus
+    /// `extra` edges; the boundary is node `n`.
+    fn chain_graph(n: u32, len: u32, extra: &[(u32, u32, i64)]) -> DecodingGraph {
+        use crate::graph::Edge;
+        let edge = |u, v, weight| Edge {
+            u,
+            v,
+            weight,
+            probability: 0.01,
+            obs: 0,
+        };
+        let links = (1..len).map(|v| edge(v - 1, v, 10));
+        let edges = links.chain(extra.iter().map(|&(u, v, w)| edge(u, v, w)));
+        DecodingGraph::from_parts(n, 1, edges.collect(), vec![[0.0; 3]; n as usize])
+    }
+
+    #[test]
+    fn a_saturated_cap_past_the_row_reads_the_component_labels() {
+        // 0–1–2–3 at 10 a link with no boundary; 4 hangs off it at 1.
+        // reach = 10 + max(10, 1) = 20, so 0 → 3 at 30 is past 0's row.
+        let g = chain_graph(5, 4, &[(4, 5, 1)]);
+        let nt = NoTransitTable::new(&g);
+        assert_eq!(nt.reach(), 20);
+        assert_eq!(nt.escape(0), i64::MAX, "a boundary-less component");
+        assert_eq!(nt.row(0).get(3), None, "beyond reach");
+        assert!(nt.within(0, 3, i64::MAX), "same component");
+        assert!(!nt.within(0, 4, i64::MAX), "another component");
+        assert!(!nt.within(4, 0, i64::MAX));
+        assert!(!nt.within(0, 3, 20));
+        assert_tables_match_the_oracles(&g);
+    }
+
+    #[test]
+    fn a_cap_between_reach_and_saturation_runs_the_fallback_search() {
+        // 0–…–5 at 10 a link, the boundary at 10 from both ends: escapes
+        // peak at 30 in the middle, reach = 10 + 30 = 40, and 0 → 5 at 50
+        // lies past 0's row.
+        let g = chain_graph(6, 6, &[(0, 6, 10), (5, 6, 10)]);
+        let nt = NoTransitTable::new(&g);
+        assert_eq!(nt.reach(), 40);
+        assert_eq!(nt.row(0).get(4), Some(40), "reach itself is stored");
+        assert_eq!(nt.row(0).get(5), None, "beyond reach");
+        assert!(!nt.within(0, 5, 49));
+        assert!(nt.within(0, 5, 50));
+        assert!(nt.within(0, 5, i64::MAX));
+        assert!(!nt.within(0, 5, 40));
+        assert_tables_match_the_oracles(&g);
     }
 
     #[test]

@@ -280,22 +280,25 @@ impl GraphWindow {
 ///
 /// Extracting the subgraph is paid at build; the path table fills a
 /// source row at a time as decodes ask ([`PathTable::row`]), and a
-/// filled row is read-only. [`WindowCache`] hands contexts out behind
-/// [`Arc`] so any number of concurrent consumers — the per-decoder
-/// fan-out of `repro realtime`, or every tenant of a multi-tenant decode
-/// service — share a single copy per layer range, and each row is
-/// searched once between them.
+/// filled row is read-only. The window is the range's own (its detector
+/// coordinates carry absolute time, and decoders borrow its graph), but
+/// the table is a pure function of the local graph, so [`WindowCache`]
+/// gives every range with an equal local graph the same table. It hands
+/// contexts out behind [`Arc`] so any number of concurrent consumers —
+/// the per-decoder fan-out of `repro realtime`, or every tenant of a
+/// multi-tenant decode service — share a single copy per layer range,
+/// and each row is searched once between them.
 #[derive(Clone, Debug)]
 pub struct WindowContext {
     win: GraphWindow,
-    paths: PathTable,
+    paths: Arc<PathTable>,
 }
 
 impl WindowContext {
-    /// Extracts the window over `range` and builds its path table.
+    /// Extracts the window over `range` and builds its own path table.
     pub fn build(parent: &DecodingGraph, range: Range<DetectorId>, seam: SeamPolicy) -> Self {
         let win = GraphWindow::extract(parent, range, seam);
-        let paths = PathTable::build(win.graph());
+        let paths = Arc::new(PathTable::build(win.graph()));
         WindowContext { win, paths }
     }
 
@@ -319,6 +322,16 @@ impl WindowContext {
 /// `(lo_layer, hi_layer)` range, plus the one per-parent
 /// [`NoTransitTable`] the scenario's L1 predecoders read.
 ///
+/// Path tables are keyed by what they hold, not by position: ranges
+/// whose local graphs are equal — the same detector count and the same
+/// ordered `(u, v, weight, obs)` edge list, all that [`PathTable::build`]
+/// reads — share one table and every row it has filled. Bulk windows of
+/// one width are such ranges, so there are as many tables as window
+/// shapes the traffic asks for, whatever the round count: a d = 13 SD6
+/// stream with a (6, 3) window holds 38 ranges at 52 rounds on 7 tables,
+/// as many tables as at 13 rounds. Nothing is shared between caches:
+/// each [`WindowCache::new`] starts empty.
+///
 /// All entries must be extracted from the **same parent graph** (one
 /// cache per scenario); the cache checks this with the parent's detector
 /// count on every call. The internal lock is only taken on lookup-or-
@@ -334,6 +347,8 @@ pub struct WindowCache {
     /// caller per key runs the build (inside the cell), while different
     /// keys still build in parallel.
     inner: Mutex<HashMap<(u32, u32), WindowCell>>,
+    /// Every distinct local graph's table, interned by content.
+    tables: Mutex<HashMap<TableKey, Arc<PathTable>>>,
     builds: AtomicUsize,
     /// The parent graph's boundary-as-sink distances — per scenario, not
     /// per window: the L1 predecoder runs on parent detector ids.
@@ -342,6 +357,29 @@ pub struct WindowCache {
 
 /// One cache entry: a once-cell the winning builder fills exactly once.
 type WindowCell = Arc<OnceLock<Arc<WindowContext>>>;
+
+/// Everything [`PathTable::build`] reads of a graph: its detector count
+/// and ordered `(u, v, weight, obs)` edge list. Edge order sets the
+/// adjacency order and so the tie-breaking of path masks and hop counts;
+/// equal keys give tables equal cell for cell.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct TableKey {
+    num_detectors: u32,
+    edges: Vec<(u32, u32, i64, u64)>,
+}
+
+impl TableKey {
+    fn of(graph: &DecodingGraph) -> Self {
+        TableKey {
+            num_detectors: graph.num_detectors(),
+            edges: graph
+                .edges()
+                .iter()
+                .map(|e| (e.u, e.v, e.weight, e.obs))
+                .collect(),
+        }
+    }
+}
 
 /// Cheap structural identity of a graph, used to catch a cache being
 /// fed a different parent than it was built for. Detector count alone
@@ -372,6 +410,7 @@ impl WindowCache {
             seam,
             fingerprint: GraphFingerprint::of(parent),
             inner: Mutex::new(HashMap::new()),
+            tables: Mutex::new(HashMap::new()),
             builds: AtomicUsize::new(0),
             no_transit: Arc::new(NoTransitTable::new(parent)),
         }
@@ -409,8 +448,10 @@ impl WindowCache {
     /// Returns the cached window for layers `key = (lo, hi)` covering
     /// detector `range`, building (and retaining) it on first use.
     ///
-    /// The build (subgraph extraction; the path table's rows fill
-    /// later, on use) runs *outside* the map lock: the lock is held only to
+    /// The build extracts the subgraph and takes the path table interned
+    /// for its content, preparing a new (empty) one only for a local
+    /// graph not seen before; the rows fill later, on use. It runs
+    /// *outside* the map lock: the lock is held only to
     /// fetch-or-insert the key's once-cell, then the build runs inside
     /// the cell. Concurrent consumers warming *different* ranges build
     /// in parallel and hits never stall behind a miss; racing callers of
@@ -439,7 +480,15 @@ impl WindowCache {
         };
         Arc::clone(cell.get_or_init(|| {
             self.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(WindowContext::build(parent, range, self.seam))
+            let win = GraphWindow::extract(parent, range, self.seam);
+            let mut tables = self.tables.lock().expect("window cache poisoned");
+            let paths = tables
+                .entry(TableKey::of(win.graph()))
+                .or_insert_with(|| Arc::new(PathTable::build(win.graph())));
+            Arc::new(WindowContext {
+                paths: Arc::clone(paths),
+                win,
+            })
         }))
     }
 }
@@ -656,6 +705,45 @@ mod tests {
                 "a single Arc circulates for the key"
             );
         }
+    }
+
+    /// Every row of `shared`, cell for cell, against a fresh table of
+    /// `own`.
+    fn assert_same_cells(shared: &PathTable, own: &DecodingGraph) {
+        let fresh = PathTable::build(own);
+        let bd = own.boundary_node();
+        assert_eq!(shared.num_detectors(), fresh.num_detectors());
+        for a in 0..=bd {
+            let (got, want) = (shared.row(a), fresh.row(a));
+            for b in 0..=bd {
+                assert_eq!(got.distance(b), want.distance(b), "({a},{b})");
+                assert_eq!(got.path_obs(b), want.path_obs(b), "({a},{b})");
+                assert_eq!(got.path_hops(b), want.path_hops(b), "({a},{b})");
+                assert_eq!(got.path_class(b), want.path_class(b), "({a},{b})");
+            }
+        }
+    }
+
+    #[test]
+    fn content_equal_windows_share_one_path_table() {
+        let code = RotatedSurfaceCode::new(5);
+        let g = DecodingGraph::from_dem(&extract_dem(
+            &code.memory_z_circuit(20, &NoiseModel::sd6(1e-3)),
+        ));
+        let layers = LayerMap::from_graph(&g).unwrap();
+        let cache = WindowCache::new(&g, SeamPolicy::Cut);
+        let ctx = |lo, hi| cache.get_or_build(&g, layers.det_range(lo, hi), (lo, hi));
+        let (a, b) = (ctx(4, 10), ctx(9, 15));
+        assert!(!Arc::ptr_eq(&a, &b), "each range keeps its own window");
+        assert_ne!(a.graph().coords(), b.graph().coords());
+        assert!(std::ptr::eq(a.paths(), b.paths()), "two bulk windows");
+        assert_same_cells(a.paths(), a.graph());
+        assert_same_cells(b.paths(), b.graph());
+        // Another width and the first window are other local graphs.
+        for other in [ctx(4, 9), ctx(0, 6)] {
+            assert!(!std::ptr::eq(a.paths(), other.paths()));
+        }
+        assert_eq!(cache.builds(), 4, "builds count ranges, not tables");
     }
 
     #[test]

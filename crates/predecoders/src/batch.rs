@@ -1248,6 +1248,56 @@ mod tests {
         }
     }
 
+    /// The differential where rows are truncated: 300 sampled SD6
+    /// d = 13, p = 1e-3, 13-round shots, each cut into the layer slices
+    /// of a (6, 3) window, through both entry points against the
+    /// reference, which reads no [`NoTransitTable`].
+    #[test]
+    #[ignore = "d = 13 sampled slices; run in release (CI statistical job)"]
+    fn sampled_d13_window_slices_equal_the_search_oracle() {
+        let code = RotatedSurfaceCode::new(13);
+        let circuit = code.memory_z_circuit(13, &NoiseModel::sd6(1e-3));
+        let g = DecodingGraph::from_dem(&extract_dem(&circuit));
+        let layers = decoding_graph::LayerMap::from_graph(&g).unwrap();
+        let mut pre = BatchPredecoder::new(&g);
+        let mut oracle = Reference::new(&g);
+        // A source's row is truncated when a corner detector of the shot
+        // lies beyond reach of it.
+        let reach = pre.table.reach();
+        let corners = [0, g.num_detectors() - 1];
+        let truncated: Vec<u32> = (0..g.num_detectors())
+            .filter(|&u| {
+                corners
+                    .iter()
+                    .any(|&c| oracle.probe(u, c, PROBE_CAP, None) > reach)
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(13);
+        for shot in qsim::FrameSampler::new(&circuit).sample_shots(300, &mut rng) {
+            for s in [0, 3, 6, 9] {
+                let range = layers.det_range(s, (s + 6).min(layers.num_layers()));
+                let batch: Vec<u32> = shot
+                    .dets
+                    .iter()
+                    .copied()
+                    .filter(|d| range.contains(d))
+                    .collect();
+                assert_equals_reference(&mut pre, &mut oracle, &batch);
+            }
+        }
+        // A row the slices filled is read again without a fill.
+        let was_filled = |u| {
+            let before = pre.table.rows_filled();
+            pre.table.within(u, u, 0);
+            pre.table.rows_filled() == before
+        };
+        assert!(
+            truncated.iter().any(|&u| was_filled(u)),
+            "no truncated row was under test ({} truncated sources)",
+            truncated.len()
+        );
+    }
+
     /// Packs `dets` into window words with bit `d - base`.
     fn pack(dets: &[u32], base: u32) -> Vec<u64> {
         let hi = dets.iter().max().map_or(0, |&d| (d - base) as usize + 1);

@@ -19,7 +19,7 @@
 mod common;
 
 use common::{confined_mechanisms, ctx, steps, SPLITS};
-use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
+use promatch_repro::decoding_graph::{LayerMap, PathTable, SeamPolicy, WindowCache};
 use promatch_repro::ler::{build_decoder, wilson_interval, DecoderKind, ExperimentContext};
 use promatch_repro::qsim::FrameSampler;
 use promatch_repro::realtime::{
@@ -30,6 +30,7 @@ use promatch_repro::surface_code::NoiseModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 proptest! {
@@ -215,4 +216,67 @@ fn sd6_d5_stream_run_reports_sane_reaction_times() {
         "windowed Promatch || AG LER too high: {}",
         run.ler
     );
+}
+
+/// Path tables are keyed by what they hold, not by position: a d = 13,
+/// (6, 3) stream with L1 on needs as many distinct tables at 52 rounds
+/// as at 13, because every bulk window of one shape shares one.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "statistical suite runs in release (see CI)"
+)]
+fn distinct_path_tables_do_not_grow_with_the_round_count() {
+    let (window, commit) = (6, 3);
+    // (distinct tables, ranges) behind a 64-shot stream's cache.
+    let tables_and_ranges = |rounds| {
+        let ctx = ExperimentContext::with_noise(
+            promatch_repro::surface_code::MemoryBasis::Z,
+            13,
+            rounds,
+            &NoiseModel::sd6(1e-3),
+            1e-3,
+        );
+        let layers = LayerMap::from_graph(&ctx.graph).unwrap();
+        let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
+        let mut swd = SlidingWindowDecoder::with_cache(
+            &ctx.graph,
+            Arc::new(layers.clone()),
+            DecoderKind::PromatchParAg,
+            WindowConfig::new(window, commit).unwrap(),
+            Arc::clone(&cache),
+        )
+        .with_predecode(PredecodeMode::Batch);
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        for shot in FrameSampler::new(&ctx.circuit).sample_shots(64, &mut rng) {
+            swd.decode_shot(&shot.dets);
+        }
+        // A step's range tops out at the step's window and may reach
+        // down to any layer (carried defects extend it). Probe them all:
+        // a probe that builds names a range the stream never used, so
+        // only the hits are the cache's ranges.
+        let used = cache.builds();
+        let mut tables = HashSet::new();
+        let mut ranges = 0;
+        for (s, _) in steps(window, commit, layers.num_layers()) {
+            let hi = (s + window).min(layers.num_layers());
+            for lo in 0..=s {
+                let builds = cache.builds();
+                let win = cache.get_or_build(&ctx.graph, layers.det_range(lo, hi), (lo, hi));
+                if cache.builds() == builds {
+                    ranges += 1;
+                    tables.insert(win.paths() as *const PathTable);
+                }
+            }
+        }
+        assert_eq!(ranges, used, "every range the stream built was found");
+        (tables.len(), ranges)
+    };
+    let (short, short_ranges) = tables_and_ranges(13);
+    let (long, long_ranges) = tables_and_ranges(52);
+    assert_eq!(
+        short, long,
+        "distinct tables at 13 rounds ({short_ranges} ranges) and 52 ({long_ranges})"
+    );
+    assert!(long < long_ranges, "{long} tables for {long_ranges} ranges");
 }
