@@ -458,17 +458,13 @@ const ALT_SOME: u8 = 2;
 /// `max_w + max(max_w, max finite escape)` — 43 451 at d = 13 SD6,
 /// p = 1e-3, about seven median edges.
 ///
-/// Four stores, all pure functions of the graph:
+/// Three stores, all pure functions of the graph:
 ///
 /// * **escape** — `esc[v]`, the shortest `v → boundary` distance, built
 ///   eagerly with one Dijkstra from the boundary (the boundary is the
-///   source, so no shortest path transits it). It is also every row's
-///   boundary column: a shortest way to the boundary never returns
-///   through it;
-/// * **components** — a label per detector, equal within a component of
-///   the graph with the boundary removed: one search per component at
-///   build, and the answer to the saturated `i64::MAX` cap of a
-///   boundary-less component;
+///   source, so no shortest path transits it). It is also `nt(u, ·)`
+///   at the boundary (a shortest way there never returns through it),
+///   so rows hold detectors only;
 /// * **rows** — `nt(u, v)` for every detector `v` within `reach` of
 ///   `u`, filled on first use with one Dijkstra from `u` that never
 ///   expands the boundary and drops every distance above `reach`, and
@@ -505,9 +501,6 @@ pub struct NoTransitTable {
     escape: Vec<u64>,
     /// The largest distance a row stores; see the type's docs.
     reach: u64,
-    /// `component[v]`: the lowest detector id of `v`'s component once
-    /// the boundary is removed.
-    component: Vec<u32>,
     /// `rows[u]`: `nt(u, v)` for every detector `v` within `reach`.
     rows: Vec<OnceLock<SpanRow>>,
     filled: AtomicUsize,
@@ -532,8 +525,8 @@ impl SpanRow {
 }
 
 impl NoTransitTable {
-    /// Builds the escape vector, `reach`, the component labels, the flat
-    /// adjacency and the empty row and memo stores over `graph`.
+    /// Builds the escape vector, `reach`, the flat adjacency and the
+    /// empty row and memo stores over `graph`.
     ///
     /// # Panics
     ///
@@ -554,19 +547,6 @@ impl NoTransitTable {
             .unwrap_or(0);
         let finite_escapes = escape[..n].iter().copied().filter(|&e| e != UNREACHED);
         let reach = max_w + max_w.max(finite_escapes.max().unwrap_or(0));
-        // One search per component; the boundary is reached, never crossed.
-        let mut component = vec![u32::MAX; n];
-        for root in 0..n as u32 {
-            if component[root as usize] == u32::MAX {
-                component[root as usize] = root;
-                let label = |_, v: usize, _| {
-                    if v < n {
-                        component[v] = root;
-                    }
-                };
-                adj.shortest(root, Some(bd), UNREACHED, label, |_| ());
-            }
-        }
         NoTransitTable {
             n,
             alt: adj
@@ -579,7 +559,6 @@ impl NoTransitTable {
             boundary_half,
             escape,
             reach,
-            component,
             rows: (0..n).map(|_| OnceLock::new()).collect(),
             filled: AtomicUsize::new(0),
         }
@@ -602,24 +581,21 @@ impl NoTransitTable {
         i64::try_from(self.reach).unwrap_or(i64::MAX)
     }
 
-    /// Whether some `u → v` path that does not transit the boundary
-    /// costs at most `cap`; `v` may be the boundary node. An unreachable
-    /// `v` is never within any cap, `i64::MAX` (a saturated
-    /// `cost + escape`) included.
+    /// Whether some `u → v` path between detectors (`u`, `v` below the
+    /// boundary id) that does not transit the boundary costs at most
+    /// `cap`. An unreachable `v` is never within any cap, `i64::MAX` (a
+    /// saturated `cost + escape`) included.
     ///
     /// Exact for every cap, but fast only for the caps the predecoder
     /// asks: up to [`NoTransitTable::reach`] it is one load from `u`'s
-    /// row, and `i64::MAX` compares component labels. Any other cap
-    /// beyond `reach` whose answer the row does not hold runs a one-off
-    /// uncapped search.
+    /// row. A cap beyond `reach` whose answer the row does not hold —
+    /// only `i64::MAX`, from a defect whose component has no boundary —
+    /// runs a one-off uncapped search.
     pub fn within(&self, u: u32, v: u32, cap: i64) -> bool {
-        if v as usize == self.n {
-            return self.escape[u as usize] != UNREACHED && self.escape(u) <= cap;
-        }
+        debug_assert!((v as usize) < self.n, "within takes detectors only");
         match self.row(u).get(v) {
             Some(d) => i64::from(d) <= cap,
             None if cap <= self.reach() => false,
-            None if cap == i64::MAX => self.component[u as usize] == self.component[v as usize],
             None => {
                 let d = self.adj.shortest(
                     u,
@@ -866,11 +842,12 @@ mod tests {
 
     /// Every row of a fresh [`PathTable`] over `g`, the boundary's
     /// included, equals [`DecodingGraph::dijkstra`] cell by cell, and
-    /// the escape vector equals [`plain_dijkstra`]. Every no-transit
-    /// cell a row stores equals [`plain_dijkstra`], every cell it does
-    /// not store is farther than `reach`, and `within` agrees with the
-    /// oracle on both sides of the distance, at `reach`, just past it
-    /// (the fallback search) and at `i64::MAX` (the component labels).
+    /// the escape vector equals [`plain_dijkstra`], from the boundary and
+    /// as every no-transit boundary column. Every no-transit cell a row
+    /// stores equals [`plain_dijkstra`], every cell it does not store is
+    /// farther than `reach`, and `within` agrees with the oracle on both
+    /// sides of the distance, at `reach`, and past it (the fallback
+    /// search) just beyond and at `i64::MAX`.
     fn assert_tables_match_the_oracles(g: &DecodingGraph) {
         let t = PathTable::build(g);
         let nt = NoTransitTable::new(g);
@@ -892,11 +869,16 @@ mod tests {
         let reach = nt.reach();
         for src in 0..bd {
             let want = plain_dijkstra(g, src, Some(bd));
-            for v in 0..=bd {
+            assert_eq!(
+                nt.escape(src),
+                want[bd as usize],
+                "boundary column of {src}"
+            );
+            for v in 0..bd {
                 let (d, at) = (want[v as usize], (src, v));
                 match nt.row(src).get(v) {
                     Some(cell) => assert_eq!(i64::from(cell), d, "stored {at:?}"),
-                    None => assert!(v == bd || d > reach, "{at:?} at {d} within {reach}"),
+                    None => assert!(d > reach, "{at:?} at {d} within {reach}"),
                 }
                 for cap in [d - 1, d, reach, reach + 1, i64::MAX] {
                     let hit = d != i64::MAX && d <= cap;
@@ -1126,8 +1108,6 @@ mod tests {
         assert_eq!(nt.rows_filled(), 0, "rows are lazy");
         for u in 0..n {
             assert_eq!(nt.escape(u), t.boundary_distance(u));
-            assert!(nt.within(u, g.boundary_node(), nt.escape(u)));
-            assert!(!nt.within(u, g.boundary_node(), nt.escape(u) - 1));
             for v in 0..n {
                 let transit = nt.escape(u) + nt.escape(v);
                 let d = t.distance(u, v);
@@ -1159,7 +1139,7 @@ mod tests {
     }
 
     #[test]
-    fn a_saturated_cap_past_the_row_reads_the_component_labels() {
+    fn a_saturated_cap_past_the_row_runs_the_fallback_search() {
         // 0–1–2–3 at 10 a link with no boundary; 4 hangs off it at 1.
         // reach = 10 + max(10, 1) = 20, so 0 → 3 at 30 is past 0's row.
         let g = chain_graph(5, 4, &[(4, 5, 1)]);

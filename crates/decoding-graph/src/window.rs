@@ -325,12 +325,14 @@ impl WindowContext {
 /// Path tables are keyed by what they hold, not by position: ranges
 /// whose local graphs are equal — the same detector count and the same
 /// ordered `(u, v, weight, obs)` edge list, all that [`PathTable::build`]
-/// reads — share one table and every row it has filled. Bulk windows of
-/// one width are such ranges, so there are as many tables as window
-/// shapes the traffic asks for, whatever the round count: a d = 13 SD6
-/// stream with a (6, 3) window holds 38 ranges at 52 rounds on 7 tables,
-/// as many tables as at 13 rounds. Nothing is shared between caches:
-/// each [`WindowCache::new`] starts empty.
+/// reads — share one table and every row it has filled. Ranges of one
+/// shape (width, and whether the range starts at the first layer or ends
+/// at the last) are such ranges wherever they sit, so there is one table
+/// per shape the traffic asks for: 64 shots of a d = 13 SD6 stream with
+/// a (6, 3) window build 38 ranges on 7 tables at 52 rounds. Longer
+/// streams meet more shapes only through rarer deep carries (200 shots:
+/// 6, 8 and 9 tables at 13, 52 and 104 rounds). Nothing is shared
+/// between caches: each [`WindowCache::new`] starts empty.
 ///
 /// All entries must be extracted from the **same parent graph** (one
 /// cache per scenario); the cache checks this with the parent's detector
@@ -453,7 +455,9 @@ impl WindowCache {
     /// graph not seen before; the rows fill later, on use. It runs
     /// *outside* the map lock: the lock is held only to
     /// fetch-or-insert the key's once-cell, then the build runs inside
-    /// the cell. Concurrent consumers warming *different* ranges build
+    /// the cell. The table store's lock is held only to look up or
+    /// insert a finished table, never while a key is collected or a
+    /// table prepared. Concurrent consumers warming *different* ranges build
     /// in parallel and hits never stall behind a miss; racing callers of
     /// the *same* range serialize on the cell, so every key is built
     /// exactly once and exactly one `Arc` per key ever circulates.
@@ -481,14 +485,21 @@ impl WindowCache {
         Arc::clone(cell.get_or_init(|| {
             self.builds.fetch_add(1, Ordering::Relaxed);
             let win = GraphWindow::extract(parent, range, self.seam);
-            let mut tables = self.tables.lock().expect("window cache poisoned");
-            let paths = tables
-                .entry(TableKey::of(win.graph()))
-                .or_insert_with(|| Arc::new(PathTable::build(win.graph())));
-            Arc::new(WindowContext {
-                paths: Arc::clone(paths),
-                win,
-            })
+            let key = TableKey::of(win.graph());
+            let interned = self
+                .tables
+                .lock()
+                .expect("window cache poisoned")
+                .get(&key)
+                .cloned();
+            // A new graph's table is prepared outside the lock; of two
+            // racing builds of equal graphs, the first to insert wins.
+            let paths = interned.unwrap_or_else(|| {
+                let fresh = Arc::new(PathTable::build(win.graph()));
+                let mut tables = self.tables.lock().expect("window cache poisoned");
+                Arc::clone(tables.entry(key).or_insert(fresh))
+            });
+            Arc::new(WindowContext { win, paths })
         }))
     }
 }

@@ -30,7 +30,7 @@ use promatch_repro::surface_code::NoiseModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 proptest! {
@@ -218,18 +218,22 @@ fn sd6_d5_stream_run_reports_sane_reaction_times() {
     );
 }
 
-/// Path tables are keyed by what they hold, not by position: a d = 13,
-/// (6, 3) stream with L1 on needs as many distinct tables at 52 rounds
-/// as at 13, because every bulk window of one shape shares one.
+/// Path tables are keyed by what they hold, not by position. On a
+/// d = 13, (6, 3) stream with L1 on, at 13 and at 52 rounds, every
+/// range the stream built maps to the one table of its shape — its
+/// width and whether it starts at the first layer or ends at the last —
+/// so there are exactly as many tables as shapes, and every bulk window
+/// (a step's own range clear of both ends) shares one table. How many
+/// shapes a stream meets is the traffic's: carried defects extend a
+/// range below its step, deeper on rarer shots.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "statistical suite runs in release (see CI)"
 )]
-fn distinct_path_tables_do_not_grow_with_the_round_count() {
+fn path_tables_follow_range_shapes_not_positions() {
     let (window, commit) = (6, 3);
-    // (distinct tables, ranges) behind a 64-shot stream's cache.
-    let tables_and_ranges = |rounds| {
+    for rounds in [13, 52] {
         let ctx = ExperimentContext::with_noise(
             promatch_repro::surface_code::MemoryBasis::Z,
             13,
@@ -238,6 +242,7 @@ fn distinct_path_tables_do_not_grow_with_the_round_count() {
             1e-3,
         );
         let layers = LayerMap::from_graph(&ctx.graph).unwrap();
+        let last = layers.num_layers();
         let cache = Arc::new(WindowCache::new(&ctx.graph, SeamPolicy::Cut));
         let mut swd = SlidingWindowDecoder::with_cache(
             &ctx.graph,
@@ -256,27 +261,40 @@ fn distinct_path_tables_do_not_grow_with_the_round_count() {
         // a probe that builds names a range the stream never used, so
         // only the hits are the cache's ranges.
         let used = cache.builds();
-        let mut tables = HashSet::new();
+        let mut by_shape = HashMap::<_, HashSet<_>>::new();
+        let mut bulk = HashSet::new();
         let mut ranges = 0;
-        for (s, _) in steps(window, commit, layers.num_layers()) {
-            let hi = (s + window).min(layers.num_layers());
+        for (s, _) in steps(window, commit, last) {
+            let hi = (s + window).min(last);
             for lo in 0..=s {
                 let builds = cache.builds();
                 let win = cache.get_or_build(&ctx.graph, layers.det_range(lo, hi), (lo, hi));
                 if cache.builds() == builds {
                     ranges += 1;
-                    tables.insert(win.paths() as *const PathTable);
+                    let table = win.paths() as *const PathTable;
+                    let shape = (hi - lo, lo == 0, hi == last);
+                    by_shape.entry(shape).or_default().insert(table);
+                    if lo == s && lo > 0 && hi < last {
+                        bulk.insert(table);
+                    }
                 }
             }
         }
         assert_eq!(ranges, used, "every range the stream built was found");
-        (tables.len(), ranges)
-    };
-    let (short, short_ranges) = tables_and_ranges(13);
-    let (long, long_ranges) = tables_and_ranges(52);
-    assert_eq!(
-        short, long,
-        "distinct tables at 13 rounds ({short_ranges} ranges) and 52 ({long_ranges})"
-    );
-    assert!(long < long_ranges, "{long} tables for {long_ranges} ranges");
+        for (shape, tables) in &by_shape {
+            assert_eq!(tables.len(), 1, "{rounds} rounds: shape {shape:?}");
+        }
+        let distinct: HashSet<_> = by_shape.values().flatten().collect();
+        assert_eq!(
+            distinct.len(),
+            by_shape.len(),
+            "{rounds} rounds: one table per shape"
+        );
+        assert_eq!(
+            bulk.len(),
+            1,
+            "{rounds} rounds: the bulk windows share one table"
+        );
+        assert!(distinct.len() < ranges, "{rounds} rounds: {ranges} ranges");
+    }
 }
