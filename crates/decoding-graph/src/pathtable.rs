@@ -11,9 +11,9 @@
 //!   which is exactly how Table 8 arrives at 129 KB (d = 11) and 345 KB
 //!   (d = 13).
 //!
-//! [`PathTable`] stores both the exact values (used by the idealized
-//! decoders and as ground truth for ablations) and the 2-bit quantized
-//! class per pair (used by Promatch's Step 3 in its default
+//! [`PathTable`] stores the exact values (used by the idealized decoders
+//! and as ground truth for ablations) and derives from each the 2-bit
+//! quantized class of the pair (used by Promatch's Step 3 in its default
 //! hardware-faithful configuration). It is a software table, filled a
 //! source row at a time on first use: a stream only ever asks from the
 //! detectors that fired in it, and an all-pairs build of every window
@@ -25,10 +25,10 @@
 //! stated in, and [`PathTable`] cannot supply it — see the type's docs.
 
 use crate::graph::DecodingGraph;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::{BitXor, Range};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -38,19 +38,23 @@ const ROW_UNREACHED: u32 = u32::MAX;
 /// The kernel's "not reached" distance.
 const UNREACHED: u64 = u64::MAX;
 
-/// A searched distance from `src` as a row cell.
+/// A searched distance from `src` as a row cell's distance field, the
+/// top `32 - obs_bits` bits of a `u32`; the field's all-ones value,
+/// `ROW_UNREACHED >> obs_bits`, is the unreached sentinel.
 ///
 /// # Panics
 ///
 /// Panics if a finite distance does not fit below the sentinel (it would
 /// otherwise read as "unreachable").
-fn row_cell(d: u64, src: u32) -> u32 {
+fn row_cell(d: u64, src: u32, obs_bits: u32) -> u32 {
+    let unreached = ROW_UNREACHED >> obs_bits;
     if d == UNREACHED {
-        return ROW_UNREACHED;
+        return unreached;
     }
     assert!(
-        d < u64::from(ROW_UNREACHED),
-        "distance {d} from node {src} overflows the u32 row"
+        d < u64::from(unreached),
+        "distance {d} from node {src} overflows the u32 row ({} distance bits)",
+        32 - obs_bits
     );
     d as u32
 }
@@ -176,15 +180,19 @@ impl Adjacency {
 
 /// All-pairs shortest-path data between detectors (and to the boundary).
 ///
-/// Row `a` — distance, observable mask, hop count and quantized class
-/// from `a` to every node — is one Dijkstra from `a` over the table's
-/// flat copy of the adjacency, breaking ties as
-/// [`DecodingGraph::dijkstra`] does, run the first time anything about
-/// `a` is asked and kept for the life of the table. Rows sit behind
-/// [`OnceLock`]s: racing first askers of one source run exactly one
-/// search, a filled row is a lock-free indexed load, and one table
-/// serves every shot, thread and tenant that shares it. The values are those of an eager all-pairs build; only
-/// when they are computed differs.
+/// Row `a` — distance and observable mask from `a` to every node — is
+/// one Dijkstra from `a` over the table's flat copy of the adjacency,
+/// breaking ties as [`DecodingGraph::dijkstra`] does, run the first time
+/// anything about `a` is asked and kept for the life of the table. The
+/// quantized class is not stored: it is a function of the distance and
+/// the table's thresholds, computed on each ask. Hop counts are not
+/// stored either; Figure 5, their only reader, takes them from
+/// [`DecodingGraph::dijkstra`], which finds the same paths. Rows sit
+/// behind [`OnceLock`]s: racing first askers of one source run exactly
+/// one search, a filled row is a lock-free indexed load, and one table
+/// serves every shot, thread and tenant that shares it. The values are
+/// those of an eager all-pairs build; only when they are computed
+/// differs.
 #[derive(Clone, Debug)]
 pub struct PathTable {
     n: usize,
@@ -193,73 +201,62 @@ pub struct PathTable {
     adj: Adjacency,
     /// `rows[a]`, `a` in `0..=n` (the last row is the boundary node's).
     rows: Vec<OnceLock<PathRow>>,
-    /// Whether every edge mask (hence every path mask, their XOR) fits
-    /// a byte.
-    narrow_obs: bool,
+    /// Bit width of the widest edge mask (hence of every path mask,
+    /// their XOR) when it is at most [`PACKED_OBS_BITS`], so rows pack
+    /// masks into their distance cells; `None` for wider masks.
+    obs_bits: Option<u32>,
     /// Upper distance bound of classes 0, 1 and 2.
     thresholds: [i64; 3],
     /// Representative weight of each class.
     class_weights: [i64; 4],
 }
 
+/// The widest edge mask a packed row cell holds.
+const PACKED_OBS_BITS: u32 = 8;
+
 /// One source's shortest-path data to every node (column `n` = the
-/// boundary), as narrow as the values allow: a fully filled table of a
-/// d = 13 six-layer window is 505² × 8 B ≈ 2 MB.
+/// boundary), one `u32` a cell while every edge mask fits a byte: the
+/// distance in the high bits, the mask in the low `obs_bits`, the width
+/// of the graph's widest edge mask (one for every memory experiment,
+/// which leaves 31 bits of distance). A fully filled table of a d = 13
+/// six-layer window is 505² × 4 B ≈ 1 MB. A graph with wider masks
+/// keeps them in a `u64` array beside bare `u32` distances.
 #[derive(Clone, Debug)]
 pub struct PathRow {
-    /// Exact distance ([`ROW_UNREACHED`] = none).
-    dist: Box<[u32]>,
-    /// Hop count (chain length) of the shortest path, saturating.
-    hops: Box<[u16]>,
-    /// 2-bit quantized weight class.
-    class: Box<[u8]>,
-    /// Observable mask along the shortest path.
-    obs: ObsRow,
-}
-
-/// Observable masks of one row, a byte each while every edge mask of the
-/// graph fits one (every memory experiment has a single observable).
-#[derive(Clone, Debug)]
-enum ObsRow {
-    Narrow(Box<[u8]>),
-    Wide(Box<[u64]>),
+    /// `dist << obs_bits | obs`, an unreached cell's distance field all
+    /// ones and its mask 0.
+    cells: Box<[u32]>,
+    /// Width of the cells' mask field.
+    obs_bits: u32,
+    /// The masks, when they do not fit the cells (`obs_bits` is then 0).
+    wide_obs: Option<Box<[u64]>>,
 }
 
 impl PathRow {
     /// Exact shortest-path weight to node `b` (`i64::MAX` = unreachable).
     #[inline]
     pub fn distance(&self, b: u32) -> i64 {
-        match self.dist[b as usize] {
-            ROW_UNREACHED => i64::MAX,
-            d => i64::from(d),
+        let d = self.cells[b as usize] >> self.obs_bits;
+        if d == ROW_UNREACHED >> self.obs_bits {
+            i64::MAX
+        } else {
+            i64::from(d)
         }
     }
 
     /// Distance to the boundary (the row's last column).
     #[inline]
     pub fn boundary_distance(&self) -> i64 {
-        self.distance(self.dist.len() as u32 - 1)
+        self.distance(self.cells.len() as u32 - 1)
     }
 
     /// Observable mask along the shortest path to node `b`.
     #[inline]
     pub fn path_obs(&self, b: u32) -> u64 {
-        match &self.obs {
-            ObsRow::Narrow(obs) => u64::from(obs[b as usize]),
-            ObsRow::Wide(obs) => obs[b as usize],
+        match &self.wide_obs {
+            Some(obs) => obs[b as usize],
+            None => u64::from(self.cells[b as usize] & !(ROW_UNREACHED << self.obs_bits)),
         }
-    }
-
-    /// Chain length (edge count) of the shortest path to node `b`.
-    #[inline]
-    pub fn path_hops(&self, b: u32) -> u32 {
-        u32::from(self.hops[b as usize])
-    }
-
-    /// The 2-bit quantized class of the path to node `b` (0..=3).
-    #[inline]
-    pub fn path_class(&self, b: u32) -> u8 {
-        self.class[b as usize]
     }
 }
 
@@ -269,11 +266,12 @@ impl PathTable {
     /// ordered `(u, v, weight, obs)` edge list, so two graphs equal in
     /// those get tables equal cell for cell — which is what lets
     /// [`crate::WindowCache`] give every content-equal window one table.
-    /// No search runs until a row is asked for; one
-    /// row costs one search, measured on a 2-vCPU x86-64 host at
-    /// ≈ 36–50 µs on a six-layer d = 13 window (505 nodes) and
-    /// ≈ 120–130 µs on the whole d = 13 memory graph, whose 1 177 rows
-    /// grew the process by 10.6 MB when every one was asked.
+    /// No search runs until a row is asked for; one row costs one
+    /// search and one allocation, measured on a 2-vCPU x86-64 host at
+    /// ≈ 34–52 µs on a six-layer d = 13 window (505 nodes; every row
+    /// filled grows the process by ≈ 0.8 MB) and ≈ 98–139 µs on the
+    /// whole d = 13 memory graph, whose 1 177 rows grew the process by
+    /// 5.4 MB when every one was asked.
     ///
     /// # Panics
     ///
@@ -289,11 +287,13 @@ impl PathTable {
             .copied()
             .unwrap_or(1)
             .max(1);
+        let masks = graph.edges().iter().fold(0, |acc, e| acc | e.obs);
+        let obs_bits = u64::BITS - masks.leading_zeros();
         PathTable {
             n,
             adj: Adjacency::new(graph),
             rows: (0..=n).map(|_| OnceLock::new()).collect(),
-            narrow_obs: graph.edges().iter().all(|e| e.obs <= u64::from(u8::MAX)),
+            obs_bits: (obs_bits <= PACKED_OBS_BITS).then_some(obs_bits),
             thresholds: [
                 typical + typical / 2,     // ≤ 1.5 w: one hop
                 2 * typical + typical / 2, // ≤ 2.5 w: two hops
@@ -320,55 +320,55 @@ impl PathTable {
     ///
     /// # Panics
     ///
-    /// Panics at fill if a finite distance does not fit below the `u32`
-    /// sentinel (it would otherwise read as "unreachable").
+    /// Panics at fill if a finite distance does not fit below the row's
+    /// unreached sentinel: `2^(32 - b) - 1` for `b`-bit packed masks,
+    /// `u32::MAX` beside wide ones.
     #[inline]
     pub fn row(&self, a: u32) -> &PathRow {
         self.rows[a as usize].get_or_init(|| self.fill_row(a))
     }
 
+    /// One search from `src`. Packed, each reached node's mask is
+    /// written into its cell as paths improve and its distance field is
+    /// or-ed in once the search ends: one allocation a row.
     fn fill_row(&self, src: u32) -> PathRow {
-        if self.narrow_obs {
-            self.search_row(src, |h| self.adj.obs[h] as u8, ObsRow::Narrow)
-        } else {
-            self.search_row(src, |h| self.adj.obs[h], ObsRow::Wide)
-        }
-    }
-
-    /// One search from `src`, the hop and observable cells written in
-    /// place as paths improve; `edge_obs(h)` is half-edge `h`'s mask as
-    /// a cell, and `wrap` makes the cells a row.
-    fn search_row<O: Copy + Default + BitXor<Output = O>>(
-        &self,
-        src: u32,
-        edge_obs: impl Fn(usize) -> O,
-        wrap: impl FnOnce(Box<[O]>) -> ObsRow,
-    ) -> PathRow {
-        let mut hops = vec![u16::MAX; self.n + 1].into_boxed_slice();
-        let mut obs = vec![O::default(); self.n + 1].into_boxed_slice();
-        hops[src as usize] = 0;
-        let dist: Box<[u32]> = self.adj.shortest(
-            src,
-            None,
-            UNREACHED,
-            |u, v, h| {
-                obs[v] = obs[u] ^ edge_obs(h);
-                hops[v] = hops[u].saturating_add(1);
-            },
-            |dist| dist.iter().map(|&d| row_cell(d, src)).collect(),
-        );
-        let class = dist
-            .iter()
-            .map(|&d| {
-                let within = |&t: &i64| d != ROW_UNREACHED && i64::from(d) <= t;
-                self.thresholds.iter().position(within).unwrap_or(3) as u8
-            })
-            .collect();
-        PathRow {
-            dist,
-            hops,
-            class,
-            obs: wrap(obs),
+        let nodes = self.n + 1;
+        match self.obs_bits {
+            Some(obs_bits) => {
+                let mut cells = vec![0u32; nodes].into_boxed_slice();
+                let cell = Cell::from_mut(&mut cells[..]).as_slice_of_cells();
+                self.adj.shortest(
+                    src,
+                    None,
+                    UNREACHED,
+                    |u, v, h| cell[v].set(cell[u].get() ^ self.adj.obs[h] as u32),
+                    |dist| {
+                        for (c, &d) in cell.iter().zip(dist) {
+                            c.set(row_cell(d, src, obs_bits) << obs_bits | c.get());
+                        }
+                    },
+                );
+                PathRow {
+                    cells,
+                    obs_bits,
+                    wide_obs: None,
+                }
+            }
+            None => {
+                let mut obs = vec![0u64; nodes].into_boxed_slice();
+                let cells = self.adj.shortest(
+                    src,
+                    None,
+                    UNREACHED,
+                    |u, v, h| obs[v] = obs[u] ^ self.adj.obs[h],
+                    |dist| dist.iter().map(|&d| row_cell(d, src, 0)).collect(),
+                );
+                PathRow {
+                    cells,
+                    obs_bits: 0,
+                    wide_obs: Some(obs),
+                }
+            }
         }
     }
 
@@ -383,14 +383,12 @@ impl PathTable {
         self.row(a).path_obs(b)
     }
 
-    /// Chain length (edge count) of the shortest path between `a` and `b`.
-    pub fn path_hops(&self, a: u32, b: u32) -> u32 {
-        self.row(a).path_hops(b)
-    }
-
-    /// The 2-bit quantized class of the pair (0..=3).
+    /// The 2-bit quantized class of the pair (0..=3): the first class
+    /// whose threshold the distance does not exceed, 3 past them all
+    /// (an unreachable pair included).
     pub fn path_class(&self, a: u32, b: u32) -> u8 {
-        self.row(a).path_class(b)
+        let d = self.distance(a, b);
+        self.thresholds.iter().position(|&t| d <= t).unwrap_or(3) as u8
     }
 
     /// The representative weight of the pair's quantized class — what the
@@ -407,6 +405,23 @@ impl PathTable {
     /// Observable mask of detector `a`'s shortest boundary path.
     pub fn boundary_obs(&self, a: u32) -> u64 {
         self.path_obs(a, self.n as u32)
+    }
+
+    /// Hop counts of the paths row `src` holds, found by the search the
+    /// rows are filled with: the oracles compare them with
+    /// [`DecodingGraph::dijkstra`]'s, where Figure 5 reads chain lengths.
+    #[cfg(test)]
+    pub(crate) fn kernel_hops(&self, src: u32) -> Vec<u32> {
+        let mut hops = vec![u32::MAX; self.n + 1];
+        hops[src as usize] = 0;
+        self.adj.shortest(
+            src,
+            None,
+            UNREACHED,
+            |u, v, _| hops[v] = hops[u] + 1,
+            |_| (),
+        );
+        hops
     }
 
     /// The storage model of the paper's Table 8.
@@ -739,7 +754,7 @@ impl NoTransitTable {
                 let hi = dist[..n].iter().rposition(reached).unwrap_or(src as usize);
                 SpanRow {
                     lo: lo as u32,
-                    cells: dist[lo..=hi].iter().map(|&d| row_cell(d, src)).collect(),
+                    cells: dist[lo..=hi].iter().map(|&d| row_cell(d, src, 0)).collect(),
                 }
             },
         )
@@ -801,14 +816,12 @@ mod tests {
             let row = t.row(src);
             assert_eq!(t.rows_filled(), src as usize + 1);
             assert_eq!(row.boundary_distance(), t.boundary_distance(src));
+            assert_eq!(t.kernel_hops(src), sp.hops, "hops from {src}");
             for v in 0..=g.num_detectors() {
                 assert_eq!(t.distance(src, v), sp.dist[v as usize]);
                 assert_eq!(t.path_obs(src, v), sp.obs[v as usize]);
-                assert_eq!(t.path_hops(src, v), sp.hops[v as usize]);
                 assert_eq!(row.distance(v), sp.dist[v as usize]);
                 assert_eq!(row.path_obs(v), sp.obs[v as usize]);
-                assert_eq!(row.path_hops(v), sp.hops[v as usize]);
-                assert_eq!(row.path_class(v), t.path_class(src, v));
             }
         }
         assert_eq!(t.rows_filled(), g.num_detectors() as usize + 1);
@@ -841,7 +854,9 @@ mod tests {
     }
 
     /// Every row of a fresh [`PathTable`] over `g`, the boundary's
-    /// included, equals [`DecodingGraph::dijkstra`] cell by cell, and
+    /// included, equals [`DecodingGraph::dijkstra`] cell by cell — the
+    /// hops of the paths the row's search found included, and the class
+    /// against the threshold rule applied to the oracle's distance — and
     /// the escape vector equals [`plain_dijkstra`], from the boundary and
     /// as every no-transit boundary column. Every no-transit cell a row
     /// stores equals [`plain_dijkstra`], every cell it does not store is
@@ -856,12 +871,13 @@ mod tests {
         for src in 0..=bd {
             let sp = g.dijkstra(src);
             let row = t.row(src);
+            let hops = t.kernel_hops(src);
             for v in 0..=bd {
                 let (d, at) = (sp.dist[v as usize], (src, v));
                 assert_eq!(row.distance(v), d, "{at:?}");
                 assert_eq!(row.path_obs(v), sp.obs[v as usize], "{at:?}");
-                assert_eq!(row.path_hops(v), sp.hops[v as usize].min(65_535), "{at:?}");
-                assert_eq!(row.path_class(v), class(d), "{at:?}");
+                assert_eq!(hops[v as usize], sp.hops[v as usize], "{at:?}");
+                assert_eq!(t.path_class(src, v), class(d), "{at:?}");
             }
         }
         let escape: Vec<i64> = (0..=bd).map(|v| nt.escape(v)).collect();
@@ -944,20 +960,12 @@ mod tests {
         let t = PathTable::build(&g);
         // The tie goes to the path through the lower-numbered node,
         // popped first at distance 2.
-        assert_eq!(
-            (t.distance(0, 3), t.path_obs(0, 3), t.path_hops(0, 3)),
-            (5, 1, 2)
-        );
-        assert_eq!(
-            (t.distance(0, 4), t.path_obs(0, 4), t.path_hops(0, 4)),
-            (5, 5, 3)
-        );
+        let (from_0, from_5) = (t.kernel_hops(0), t.kernel_hops(5));
+        assert_eq!((t.distance(0, 3), t.path_obs(0, 3), from_0[3]), (5, 1, 2));
+        assert_eq!((t.distance(0, 4), t.path_obs(0, 4), from_0[4]), (5, 5, 3));
         assert_eq!((t.distance(4, 1), t.path_obs(4, 1)), (3, 4));
         assert_eq!((t.distance(5, 0), t.path_obs(5, 0)), (2, 9));
-        assert_eq!(
-            (t.distance(5, 3), t.path_obs(5, 3), t.path_hops(5, 3)),
-            (3, 8, 2)
-        );
+        assert_eq!((t.distance(5, 3), t.path_obs(5, 3), from_5[3]), (3, 8, 2));
     }
 
     #[test]
@@ -986,20 +994,67 @@ mod tests {
             probability: 0.01,
             obs,
         };
-        // 0–1–boundary with a mask past one byte; 2 hangs off nothing.
+        // 0–1–boundary, the first mask past one byte (wide rows) or the
+        // single observable (packed rows); 2 hangs off nothing.
+        for (mask, obs_bits) in [(1 << 11, None), (1, Some(1))] {
+            let g = DecodingGraph::from_parts(
+                3,
+                12,
+                vec![edge(0, 1, 5, mask), edge(1, 3, 7, 1)],
+                vec![[0.0; 3]; 3],
+            );
+            let t = PathTable::build(&g);
+            assert_eq!(t.obs_bits, obs_bits);
+            assert_eq!(t.path_obs(0, 3), mask ^ 1);
+            assert_eq!(t.boundary_distance(0), 12);
+            assert_eq!(t.kernel_hops(0)[3], 2);
+            for (a, b) in [(0, 2), (2, 0), (2, 3), (3, 2)] {
+                let row = t.row(a);
+                assert_eq!(
+                    (row.distance(b), row.path_obs(b), t.path_class(a, b)),
+                    (i64::MAX, 0, 3),
+                    "{mask}: ({a},{b})"
+                );
+            }
+            assert_eq!((t.distance(2, 2), t.path_obs(2, 2)), (0, 0));
+        }
+    }
+
+    #[test]
+    fn byte_wide_masks_round_trip_through_packed_cells() {
+        use crate::graph::Edge;
+        let edge = |u, v, weight, obs| Edge {
+            u,
+            v,
+            weight,
+            probability: 0.01,
+            obs,
+        };
+        // A star: hub 0 reaches detector m at 3 over an edge of mask m,
+        // for every nonzero byte m, so the path a → 0 → b carries a ^ b;
+        // the hub touches the boundary at 4.
+        let bd = 256;
+        let spokes = (1..bd).map(|m| edge(0, m, 3, u64::from(m)));
         let g = DecodingGraph::from_parts(
-            3,
-            12,
-            vec![edge(0, 1, 5, 1 << 11), edge(1, 3, 7, 1)],
-            vec![[0.0; 3]; 3],
+            bd,
+            8,
+            spokes.chain([edge(0, bd, 4, 0)]).collect(),
+            vec![[0.0; 3]; bd as usize],
         );
         let t = PathTable::build(&g);
-        assert_eq!(t.path_obs(0, 3), (1 << 11) | 1);
-        assert_eq!(t.boundary_distance(0), 12);
-        assert_eq!(t.path_hops(0, 3), 2);
-        assert_eq!(t.distance(0, 2), i64::MAX);
-        assert_eq!(t.path_class(0, 2), 3);
-        assert_eq!(t.distance(2, 2), 0);
+        assert_eq!(t.obs_bits, Some(8));
+        for a in 0..bd {
+            let row = t.row(a);
+            let spoke = |v: u32| 3 * i64::from(v != 0);
+            for b in 0..bd {
+                let d = if a == b { 0 } else { spoke(a) + spoke(b) };
+                let want = (d, u64::from(a ^ b));
+                assert_eq!((row.distance(b), row.path_obs(b)), want, "({a},{b})");
+            }
+            let to_boundary = (row.boundary_distance(), t.boundary_obs(a));
+            assert_eq!(to_boundary, (spoke(a) + 4, u64::from(a)), "{a}");
+        }
+        assert_tables_match_the_oracles(&g);
     }
 
     #[test]
@@ -1020,7 +1075,7 @@ mod tests {
         let t = PathTable::build(&g);
         for a in 0..g.num_detectors() {
             assert_eq!(t.distance(a, a), 0);
-            assert_eq!(t.path_hops(a, a), 0);
+            assert_eq!(t.kernel_hops(a)[a as usize], 0);
             assert_eq!(t.path_obs(a, a), 0);
         }
     }
@@ -1266,28 +1321,28 @@ mod tests {
         assert!((1..=2).contains(&nt.alternatives_filled()));
     }
 
-    /// Detectors 0–1 joined by an edge of `weight`; only 0 touches the
-    /// boundary.
-    fn two_node_graph(weight: i64) -> DecodingGraph {
+    /// Detectors 0–1 joined by an edge of `weight` and mask `obs`; only 0
+    /// touches the boundary.
+    fn two_node_graph(weight: i64, obs: u64) -> DecodingGraph {
         use crate::graph::Edge;
-        let edge = |u, v, weight| Edge {
+        let edge = |u, v, weight, obs| Edge {
             u,
             v,
             weight,
             probability: 0.01,
-            obs: 0,
+            obs,
         };
         DecodingGraph::from_parts(
             2,
             1,
-            vec![edge(0, 1, weight), edge(0, 2, 1)],
+            vec![edge(0, 1, weight, obs), edge(0, 2, 1, 0)],
             vec![[0.0; 3], [1.0, 0.0, 0.0]],
         )
     }
 
     #[test]
     fn the_largest_representable_distance_is_still_reached() {
-        let nt = NoTransitTable::new(&two_node_graph(i64::from(u32::MAX) - 1));
+        let nt = NoTransitTable::new(&two_node_graph(i64::from(u32::MAX) - 1, 0));
         assert!(nt.within(0, 1, i64::MAX));
         assert!(!nt.within(0, 1, i64::from(u32::MAX) - 2));
     }
@@ -1295,7 +1350,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflows the u32 row")]
     fn a_distance_colliding_with_the_sentinel_is_refused_at_fill() {
-        let nt = NoTransitTable::new(&two_node_graph(i64::from(u32::MAX)));
+        let nt = NoTransitTable::new(&two_node_graph(i64::from(u32::MAX), 0));
         nt.within(0, 1, i64::MAX);
+    }
+
+    #[test]
+    fn the_largest_packed_distance_is_still_stored() {
+        // One mask bit leaves 31 distance bits, all ones the sentinel; 1
+        // reaches the boundary through 0 at one below it.
+        let largest = i64::from(u32::MAX >> 1) - 1;
+        let t = PathTable::build(&two_node_graph(largest - 1, 1));
+        assert_eq!(t.obs_bits, Some(1));
+        assert_eq!((t.distance(1, 0), t.path_obs(1, 0)), (largest - 1, 1));
+        assert_eq!((t.boundary_distance(1), t.boundary_obs(1)), (largest, 1));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "distance 2147483647 from node 0 overflows the u32 row (31 distance bits)"
+    )]
+    fn a_distance_past_the_packed_range_is_refused_at_fill() {
+        let t = PathTable::build(&two_node_graph(i64::from(u32::MAX >> 1), 1));
+        t.distance(0, 1);
     }
 }

@@ -55,6 +55,9 @@ pub struct MwpmDecoder<'a> {
     paths: &'a PathTable,
     ws: DecodeWorkspace,
     blossom_ws: MatchingWorkspace,
+    /// `hops[a]`: the hop count of every shortest path from `a`, searched
+    /// the first time [`MwpmDecoder::chain_lengths`] asks about `a`.
+    hops: Vec<Option<Box<[u32]>>>,
 }
 
 impl<'a> MwpmDecoder<'a> {
@@ -74,6 +77,7 @@ impl<'a> MwpmDecoder<'a> {
             paths,
             ws: DecodeWorkspace::new(),
             blossom_ws: MatchingWorkspace::new(),
+            hops: Vec::new(),
         }
     }
 
@@ -89,14 +93,23 @@ impl<'a> MwpmDecoder<'a> {
 
     /// Chain length (hop count) of each matched pair in `matches`;
     /// boundary matches count their boundary-path hops. Used for the
-    /// paper's Figure 5 analysis.
-    pub fn chain_lengths(&self, matches: &[MatchPair]) -> Vec<u32> {
-        let bd = self.graph.boundary_node();
+    /// paper's Figure 5 analysis. The path table keeps no hop counts, so
+    /// each distinct `a` costs one [`DecodingGraph::dijkstra`], which
+    /// finds the table's paths, on first ask.
+    pub fn chain_lengths(&mut self, matches: &[MatchPair]) -> Vec<u32> {
+        let graph = self.graph;
+        let bd = graph.boundary_node();
+        self.hops.resize(bd as usize + 1, None);
         matches
             .iter()
-            .map(|m| match m.b {
-                MatchTarget::Detector(b) => self.paths.path_hops(m.a, b),
-                MatchTarget::Boundary => self.paths.path_hops(m.a, bd),
+            .map(|m| {
+                let b = match m.b {
+                    MatchTarget::Detector(b) => b,
+                    MatchTarget::Boundary => bd,
+                };
+                let hops = self.hops[m.a as usize]
+                    .get_or_insert_with(|| graph.dijkstra(m.a).hops.into_boxed_slice());
+                hops[b as usize]
             })
             .collect()
     }
@@ -408,6 +421,38 @@ mod tests {
         let mut best = i64::MAX;
         rec(paths, dets, 0, &mut best, 0);
         best
+    }
+
+    #[test]
+    fn chain_lengths_are_the_reference_hops_of_every_match() {
+        let f = fixture(5, 5e-3);
+        let mut dec = MwpmDecoder::new(&f.graph, &f.paths);
+        let bd = f.graph.boundary_node();
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut pairs, mut boundary) = (0, 0);
+        for _ in 0..200 {
+            let shot = f.dem.sample_shot(&mut rng);
+            let out = dec.decode(&shot.dets);
+            let lengths = dec.chain_lengths(&out.matches);
+            assert_eq!(lengths.len(), out.matches.len());
+            for (m, len) in out.matches.iter().zip(lengths) {
+                let b = match m.b {
+                    MatchTarget::Detector(b) => {
+                        pairs += 1;
+                        b
+                    }
+                    MatchTarget::Boundary => {
+                        boundary += 1;
+                        bd
+                    }
+                };
+                assert_eq!(len, f.graph.dijkstra(m.a).hops[b as usize], "{m:?}");
+            }
+        }
+        assert!(
+            pairs > 0 && boundary > 0,
+            "{pairs} pairs, {boundary} boundary"
+        );
     }
 
     #[test]
