@@ -732,8 +732,8 @@ mod tests {
                 assert_eq!(got.distance(b), want.distance(b), "({a},{b})");
                 assert_eq!(got.path_obs(b), want.path_obs(b), "({a},{b})");
                 assert_eq!(hops[b as usize], want_hops[b as usize], "({a},{b})");
-                let class = (shared.path_class(a, b), fresh.path_class(a, b));
-                assert_eq!(class.0, class.1, "({a},{b})");
+                let class = shared.path_class(a, b);
+                assert_eq!(class, fresh.path_class(a, b), "({a},{b})");
             }
         }
     }
