@@ -18,9 +18,10 @@
 //!   adjacency with weights and masks, plus a lazily memoized
 //!   "is there a second way across?" byte per half-edge), the lookups
 //!   behind the L1 batch predecoder's uniqueness proofs.
-//! * [`DecodingSubgraph`] — the subgraph induced by the flipped detectors
-//!   of one syndrome (Figure 6 of the paper), the object all
-//!   predecoders inspect.
+//! * [`SubgraphState`] — the subgraph induced by the flipped detectors
+//!   of one syndrome (Figure 6 of the paper), with live degrees and
+//!   `#dependent` counts: the one object Promatch, Smith and Clique
+//!   inspect.
 //! * [`Decoder`] / [`Predecoder`] traits with [`DecodeOutcome`] /
 //!   [`PredecodeOutcome`] result types, plus the batched
 //!   [`Decoder::decode_batch`] entry point.
@@ -28,7 +29,7 @@
 //!   scratch arenas and flat shot batches that keep the steady-state
 //!   decode loop free of per-shot scratch allocation; a workspace is
 //!   owned by a decoder or lent to it ([`Decoder::decode_with`]), and
-//!   carries the [`SubgraphState`] Promatch predecodes on.
+//!   carries the subgraph state Promatch predecodes on.
 //! * [`packed`] — the bit-packed syndrome substrate: `u64` word kernels
 //!   (XOR-accumulate, popcount scans, seam-masked window extraction),
 //!   [`PackedBits`] scratch with branch-free touched-word resets, and
@@ -65,7 +66,6 @@ pub mod latency;
 pub mod packed;
 mod pathtable;
 mod state;
-mod subgraph;
 mod traits;
 mod window;
 mod workspace;
@@ -77,7 +77,6 @@ pub use latency::{
 pub use packed::{PackedBits, PackedSyndromes, WordSpan};
 pub use pathtable::{NoTransitTable, PathRow, PathTable, StorageModel};
 pub use state::{Nbr, SubgraphState};
-pub use subgraph::DecodingSubgraph;
 pub use traits::{DecodeOutcome, Decoder, MatchPair, MatchTarget, PredecodeOutcome, Predecoder};
 pub use window::{GraphWindow, LayerMap, SeamPolicy, WindowCache, WindowContext};
 pub use workspace::{DecodeWorkspace, SlotMap, SyndromeBatch};

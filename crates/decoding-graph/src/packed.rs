@@ -46,14 +46,6 @@ pub fn xor_accumulate(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// `dst[i] &= mask[i]` over the common prefix (seam/window masking).
-#[inline]
-pub fn and_mask(dst: &mut [u64], mask: &[u64]) {
-    for (d, m) in dst.iter_mut().zip(mask) {
-        *d &= m;
-    }
-}
-
 /// Total set bits across `words`.
 #[inline]
 pub fn popcount(words: &[u64]) -> u32 {
@@ -455,11 +447,8 @@ mod tests {
             let b = pattern(n, 0xB0B);
             let mut x = a.clone();
             xor_accumulate(&mut x, &b);
-            let mut m = a.clone();
-            and_mask(&mut m, &b);
             for i in 0..n * WORD_BITS {
                 assert_eq!(bit(&x, i), bit(&a, i) != bit(&b, i), "xor n={n} bit {i}");
-                assert_eq!(bit(&m, i), bit(&a, i) && bit(&b, i), "and n={n} bit {i}");
             }
             let ones = (0..n * WORD_BITS).filter(|&i| bit(&a, i)).count();
             assert_eq!(popcount(&a) as usize, ones, "popcount n={n}");
@@ -467,8 +456,7 @@ mod tests {
         // Only the common prefix is touched.
         let mut short = vec![1u64, 2];
         xor_accumulate(&mut short, &[3]);
-        and_mask(&mut short, &[0]);
-        assert_eq!(short, [0, 2]);
+        assert_eq!(short, [2, 2]);
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Dynamic decoding-subgraph state for the Promatch pipeline.
+//! The decoding subgraph one syndrome induces (paper Figure 6).
 //!
-//! Mirrors the hardware structures of §4.2.1: a vertex array of flipped
-//! bits, per-vertex neighbor lists with edge weights, and the two vertex
-//! property arrays — `deg` and `#dependent` — that feed the singleton
-//! detection and step-candidate logic of Figures 10/11.
+//! Nodes are the flipped detectors; edges are the decoding-graph edges
+//! whose *both* endpoints are flipped. Mirrors the hardware structures
+//! of §4.2.1: a vertex array of flipped bits, per-vertex neighbor lists
+//! with edge weights, and the two vertex property arrays — `deg` and
+//! `#dependent` — that feed the singleton detection and step-candidate
+//! logic of Figures 10/11. Promatch removes matched pairs from it as it
+//! goes; the Smith and Clique baselines and the L1 tier's test oracle
+//! read it as built.
 //!
 //! It lives beside [`DecodeWorkspace`](crate::DecodeWorkspace) rather
 //! than inside the Promatch crate because the workspace lends it: the
@@ -53,8 +57,7 @@ pub struct SubgraphState {
 
 impl SubgraphState {
     /// Builds the state for `dets` (sorted, unique).
-    #[cfg(test)]
-    fn build(graph: &DecodingGraph, dets: &[DetectorId]) -> Self {
+    pub fn build(graph: &DecodingGraph, dets: &[DetectorId]) -> Self {
         let mut st = SubgraphState::default();
         st.rebuild(graph, dets);
         st
@@ -301,6 +304,51 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1)]);
         let st = SubgraphState::build(&g, &[0, 1, 2]);
         assert_eq!(st.singleton_slots().collect::<Vec<_>>(), vec![2]);
+    }
+
+    /// Path graph 0-1-2-3-4 (boundary edge on 0).
+    fn line_graph() -> DecodingGraph {
+        graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)])
+    }
+
+    fn slots(nbrs: &[Nbr]) -> Vec<usize> {
+        nbrs.iter().map(|n| n.slot).collect()
+    }
+
+    #[test]
+    fn induced_edges_require_both_endpoints_flipped() {
+        let st = SubgraphState::build(&line_graph(), &[0, 1, 3]);
+        assert_eq!(st.hw(), 3);
+        assert_eq!(st.live_edges(), 1); // only 0-1; 3 is isolated
+        assert_eq!(st.deg, vec![1, 1, 0]);
+        assert_eq!(slots(st.neighbors(0)), vec![1]);
+        assert!(st.neighbors(2).is_empty());
+    }
+
+    #[test]
+    fn boundary_edges_are_excluded() {
+        let st = SubgraphState::build(&line_graph(), &[0]);
+        assert_eq!(st.live_edges(), 0);
+        assert_eq!(st.deg, vec![0]);
+        assert!(st.neighbors(0).is_empty());
+    }
+
+    #[test]
+    fn full_syndrome_reconstructs_path() {
+        let st = SubgraphState::build(&line_graph(), &[0, 1, 2, 3, 4]);
+        assert_eq!(st.live_edges(), 4);
+        assert_eq!(st.deg, vec![1, 2, 2, 2, 1]);
+        // Lower-numbered neighbors first, then higher-numbered ones.
+        assert_eq!(slots(st.neighbors(2)), vec![1, 3]);
+        assert_eq!(slots(st.neighbors(4)), vec![3]);
+    }
+
+    #[test]
+    fn empty_syndrome_is_empty_subgraph() {
+        let st = SubgraphState::build(&line_graph(), &[]);
+        assert_eq!(st.hw(), 0);
+        assert_eq!(st.live_edges(), 0);
+        assert_eq!(st.live_slots().count(), 0);
     }
 
     #[test]

@@ -6,14 +6,10 @@ use crate::injection::InjectionSampler;
 use astrea::AstreaDecoder;
 use decoding_graph::{Decoder, MatchTarget, Predecoder};
 use mwpm::MwpmDecoder;
-use predecoders::{CliquePredecoder, SmithPredecoder};
+use predecoders::{CliquePredecoder, SmithPredecoder, ENGAGE_ABOVE_HW};
 use promatch::{PromatchPredecoder, Step};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The paper's high-Hamming-weight threshold: predecoding engages above
-/// HW 10 and the latency tables aggregate over HW ≥ 10.
-pub const HIGH_HW: usize = 10;
 
 /// Configuration shared by the studies.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -46,7 +42,8 @@ pub struct PredecoderStudy {
     pub hw_after_promatch: Vec<f64>,
     /// `P(HW = h)` after Smith.
     pub hw_after_smith: Vec<f64>,
-    /// Maximum Promatch predecoding latency over HW ≥ 10 syndromes (ns).
+    /// Maximum Promatch predecoding latency over the syndromes it engages
+    /// on (HW > 10; ns).
     pub predecode_max_ns: f64,
     /// Occurrence-weighted average predecoding latency (ns).
     pub predecode_avg_ns: f64,
@@ -95,7 +92,7 @@ pub fn run_predecoder_study(ctx: &ExperimentContext, cfg: &StudyConfig) -> Prede
             hw_before[hw.min(hist_len - 1)] += w;
 
             // Smith histogram: engages above the threshold.
-            let smith_hw = if hw > HIGH_HW {
+            let smith_hw = if hw > ENGAGE_ABOVE_HW {
                 smith.predecode(&shot.dets).remaining_hw()
             } else {
                 hw
@@ -103,15 +100,14 @@ pub fn run_predecoder_study(ctx: &ExperimentContext, cfg: &StudyConfig) -> Prede
             hw_after_smith[smith_hw.min(hist_len - 1)] += w;
 
             // Promatch histogram + latency accounting.
-            if hw > HIGH_HW {
+            if hw > ENGAGE_ABOVE_HW {
                 let out = promatch.predecode(&shot.dets);
                 let stats = *promatch.last_stats();
                 let after = if out.aborted { hw } else { out.remaining_hw() };
                 hw_after_promatch[after.min(hist_len - 1)] += w;
                 if out.aborted {
                     abort_probability += w;
-                }
-                if hw >= HIGH_HW && !out.aborted {
+                } else {
                     // Latency statistics cover successful real-time
                     // decodes (aborts are accounted separately, as in the
                     // paper's §6.4 abort probability).
@@ -203,7 +199,7 @@ pub fn run_tradeoff_study(ctx: &ExperimentContext, cfg: &StudyConfig) -> Vec<Tra
         let w = p_occ[k] / cfg.shots_per_k as f64;
         for _ in 0..cfg.shots_per_k {
             let (shot, _) = sampler.sample_exact_k(&mut rng, k);
-            if shot.dets.len() <= HIGH_HW {
+            if shot.dets.len() <= ENGAGE_ABOVE_HW {
                 continue;
             }
             let ideal = mwpm.decode(&shot.dets);
@@ -263,7 +259,7 @@ mod tests {
         let study = run_predecoder_study(&ctx, &quick_cfg());
         // All mass above HW 10 in the Promatch histogram must come from
         // aborts.
-        let above: f64 = study.hw_after_promatch[HIGH_HW + 1..].iter().sum();
+        let above: f64 = study.hw_after_promatch[ENGAGE_ABOVE_HW + 1..].iter().sum();
         assert!(
             above <= study.abort_probability + 1e-12,
             "above-threshold mass {above} exceeds abort probability {}",

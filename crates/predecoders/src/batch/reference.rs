@@ -1,15 +1,15 @@
 //! The L1 classification as it stood before the shape scan, the per-edge
-//! memo and the pooled result lists: a [`DecodingSubgraph`] rebuilt per
-//! batch, its `components()`, and every distance question — escape,
+//! memo and the pooled result lists: a [`SubgraphState`] rebuilt per
+//! batch, a walk of its components, and every distance question — escape,
 //! cross and alternative-path alike — answered by a capped Dijkstra
-//! over the graph. Kept verbatim as the differential oracle of
+//! over the graph. Kept as the differential oracle of
 //! `batch::tests`: it reads neither the [`decoding_graph::NoTransitTable`]
 //! nor any scratch of the predecoder it is compared with, so a bug in
 //! the scan, the memo or the pooling cannot hide in code both share.
 
 use super::{BatchOutcome, EscalateCause, LocalMatch, BATCH_PREDECODE_CYCLES, MAX_L1_DEFECTS};
 use decoding_graph::latency::cycles_to_ns;
-use decoding_graph::{DecodingGraph, DecodingSubgraph, DetectorId};
+use decoding_graph::{DecodingGraph, DetectorId, SubgraphState};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -24,7 +24,7 @@ pub(super) const PROBE_CAP: i64 = i64::MAX / 4;
 pub(super) struct Reference<'a> {
     graph: &'a DecodingGraph,
     time_prev: Vec<Option<DetectorId>>,
-    sg: DecodingSubgraph,
+    sg: SubgraphState,
     active: Vec<bool>,
     dist: Vec<i64>,
     touched: Vec<u32>,
@@ -55,7 +55,7 @@ impl<'a> Reference<'a> {
         Reference {
             graph,
             time_prev,
-            sg: DecodingSubgraph::new(),
+            sg: SubgraphState::default(),
             active: vec![false; n],
             dist: vec![UNREACHED; n + 1],
             touched: Vec::new(),
@@ -268,17 +268,15 @@ impl<'a> Reference<'a> {
     /// weight-isolated from one another (see module docs). `None` ⇒
     /// something is ambiguous, suboptimal, or non-trivial and the batch
     /// must escalate.
-    fn try_resolve_verified(&mut self) -> Option<Vec<LocalMatch>> {
-        let comps = self.sg.components();
-        let nodes = self.sg.nodes().to_vec();
-        let deg = self.sg.degrees().to_vec();
+    fn try_resolve_verified(&mut self, nodes: &[DetectorId]) -> Option<Vec<LocalMatch>> {
+        let comps = components(&self.sg);
         let mut matches = Vec::with_capacity(comps.len());
         let mut costs = Vec::with_capacity(comps.len());
         for comp in &comps {
-            if comp.len() == 2 && !(deg[comp[0]] == 1 && deg[comp[1]] == 1) {
+            if comp.len() == 2 && !(self.sg.deg(comp[0]) == 1 && self.sg.deg(comp[1]) == 1) {
                 return None;
             }
-            let (m, cost) = self.verify_component(&nodes, comp)?;
+            let (m, cost) = self.verify_component(nodes, comp)?;
             matches.push(m);
             costs.push(cost);
         }
@@ -325,7 +323,7 @@ impl<'a> Reference<'a> {
         self.sg.rebuild(self.graph, dets);
         let mut cause = EscalateCause::Overflow;
         if dets.len() <= MAX_L1_DEFECTS {
-            if let Some(matches) = self.try_resolve_verified() {
+            if let Some(matches) = self.try_resolve_verified(dets) {
                 return BatchOutcome {
                     matches,
                     residual: Vec::new(),
@@ -374,28 +372,28 @@ impl<'a> Reference<'a> {
         }
         survivors.sort_unstable();
         self.sg.rebuild(self.graph, &survivors);
-        let comps = self.sg.components();
-        let nodes = self.sg.nodes().to_vec();
-        let deg = self.sg.degrees().to_vec();
+        let comps = components(&self.sg);
         let mut residual: Vec<DetectorId> = Vec::new();
         for comp in &comps {
             let shape_ok = match comp.len() {
                 1 => true,
-                2 => deg[comp[0]] == 1 && deg[comp[1]] == 1,
+                2 => self.sg.deg(comp[0]) == 1 && self.sg.deg(comp[1]) == 1,
                 _ => false,
             };
             let stripped = if shape_ok {
-                self.verify_component(&nodes, comp).filter(|&(_, cost)| {
-                    let members: Vec<DetectorId> = comp.iter().map(|&slot| nodes[slot]).collect();
-                    self.isolated_from_rest(&members, cost, dets)
-                })
+                self.verify_component(&survivors, comp)
+                    .filter(|&(_, cost)| {
+                        let members: Vec<DetectorId> =
+                            comp.iter().map(|&slot| survivors[slot]).collect();
+                        self.isolated_from_rest(&members, cost, dets)
+                    })
             } else {
                 None
             };
             if let Some((m, _)) = stripped {
                 matches.push(m);
             } else {
-                residual.extend(comp.iter().map(|&slot| nodes[slot]));
+                residual.extend(comp.iter().map(|&slot| survivors[slot]));
             }
         }
         residual.sort_unstable();
@@ -407,5 +405,68 @@ impl<'a> Reference<'a> {
             cancelled_pairs,
             latency_ns,
         }
+    }
+}
+
+/// Connected components of a freshly built `sg` as sorted slot lists,
+/// in order of their lowest slot.
+fn components(sg: &SubgraphState) -> Vec<Vec<usize>> {
+    let n = sg.hw();
+    let mut seen = vec![false; n];
+    let mut out = Vec::new();
+    let mut stack = Vec::new();
+    for start in 0..n {
+        if seen[start] {
+            continue;
+        }
+        let mut comp = vec![start];
+        seen[start] = true;
+        stack.push(start);
+        while let Some(u) = stack.pop() {
+            for v in sg.neighbors(u) {
+                if !seen[v.slot] {
+                    seen[v.slot] = true;
+                    comp.push(v.slot);
+                    stack.push(v.slot);
+                }
+            }
+        }
+        comp.sort_unstable();
+        out.push(comp);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qsim::dem::{DemError, DetectorErrorModel};
+    use qsim::sparse::SparseBits;
+
+    #[test]
+    fn components_split_disconnected_pieces() {
+        // Path graph 0-1-2-3-4 with a boundary edge on 0.
+        let mk = |dets: Vec<u32>| DemError {
+            dets: SparseBits::from_sorted(dets),
+            obs: 0,
+            p: 0.01,
+        };
+        let g = DecodingGraph::from_dem(&DetectorErrorModel {
+            num_detectors: 5,
+            num_observables: 0,
+            errors: vec![
+                mk(vec![0]),
+                mk(vec![0, 1]),
+                mk(vec![1, 2]),
+                mk(vec![2, 3]),
+                mk(vec![3, 4]),
+            ],
+            det_coords: vec![[0.0; 3]; 5],
+        });
+        let sg = SubgraphState::build(&g, &[0, 1, 3, 4]);
+        assert_eq!(components(&sg), vec![vec![0, 1], vec![2, 3]]);
+        let sg = SubgraphState::build(&g, &[0, 1, 2, 4]);
+        assert_eq!(components(&sg), vec![vec![0, 1, 2], vec![3]]);
+        assert!(components(&SubgraphState::build(&g, &[])).is_empty());
     }
 }

@@ -8,8 +8,9 @@
 //! modification** (Figure 3(a) of the Promatch paper), so the main
 //! decoder's Hamming-weight limits still apply in full.
 
+use crate::isolated_partner;
 use decoding_graph::latency::cycles_to_ns;
-use decoding_graph::{DecodingGraph, DecodingSubgraph, DetectorId, PredecodeOutcome, Predecoder};
+use decoding_graph::{DecodingGraph, DetectorId, PredecodeOutcome, Predecoder, SubgraphState};
 
 /// Cycles charged by the local match units (one 250 MHz cycle).
 const CLIQUE_LATENCY_CYCLES: u64 = 1;
@@ -20,7 +21,7 @@ const CLIQUE_LATENCY_CYCLES: u64 = 1;
 #[derive(Clone, Debug)]
 pub struct CliquePredecoder<'a> {
     graph: &'a DecodingGraph,
-    sg: DecodingSubgraph,
+    sg: SubgraphState,
 }
 
 impl<'a> CliquePredecoder<'a> {
@@ -28,21 +29,45 @@ impl<'a> CliquePredecoder<'a> {
     pub fn new(graph: &'a DecodingGraph) -> Self {
         CliquePredecoder {
             graph,
-            sg: DecodingSubgraph::new(),
+            sg: SubgraphState::default(),
         }
     }
 
     /// Whether the syndrome consists only of trivial local patterns.
     pub fn is_trivial(&self, dets: &[DetectorId]) -> bool {
-        let sg = DecodingSubgraph::build(self.graph, dets);
-        let deg = sg.degrees();
-        let bd = self.graph.boundary_node();
-        sg.components().into_iter().all(|comp| match comp.len() {
-            1 => self.graph.edge_between(sg.nodes()[comp[0]], bd).is_some(),
-            2 => deg[comp[0]] == 1 && deg[comp[1]] == 1,
-            _ => false,
-        })
+        decode_locally(self.graph, &SubgraphState::build(self.graph, dets), dets).is_some()
     }
+}
+
+/// The local match units' decode of `dets` over its subgraph `sg`, one
+/// slot at a time: a lone defect (degree 0) matches the boundary, and a
+/// degree-1 slot whose only neighbor also has degree 1 is an isolated
+/// pair, emitted at its lower slot. `None` if any slot is neither — an
+/// interior lone defect or part of a larger pattern.
+fn decode_locally(
+    graph: &DecodingGraph,
+    sg: &SubgraphState,
+    dets: &[DetectorId],
+) -> Option<PredecodeOutcome> {
+    let bd = graph.boundary_node();
+    let mut out = PredecodeOutcome::passthrough(&[]);
+    for (i, &d) in dets.iter().enumerate() {
+        let (weight, obs) = if sg.deg(i) == 0 {
+            let e = graph.edge_between(d, bd)?;
+            out.boundary_matches.push(d);
+            (e.weight, e.obs)
+        } else {
+            let n = isolated_partner(sg, i)?;
+            if n.slot < i {
+                continue;
+            }
+            out.pairs.push((d, dets[n.slot]));
+            (n.weight, n.obs)
+        };
+        out.obs_flip ^= obs;
+        out.weight += weight;
+    }
+    Some(out)
 }
 
 impl Predecoder for CliquePredecoder<'_> {
@@ -52,52 +77,12 @@ impl Predecoder for CliquePredecoder<'_> {
 
     fn predecode(&mut self, dets: &[DetectorId]) -> PredecodeOutcome {
         self.sg.rebuild(self.graph, dets);
-        let sg = &self.sg;
-        let deg = sg.degrees();
-        let bd = self.graph.boundary_node();
-        let mut pairs = Vec::new();
-        let mut boundary_matches = Vec::new();
-        let mut obs = 0u64;
-        let mut weight = 0i64;
-        for comp in sg.components() {
-            match comp.len() {
-                1 => {
-                    let d = sg.nodes()[comp[0]];
-                    let Some(e) = self.graph.edge_between(d, bd) else {
-                        // Interior lone defect: not locally decodable.
-                        return PredecodeOutcome {
-                            latency_ns: cycles_to_ns(CLIQUE_LATENCY_CYCLES),
-                            ..PredecodeOutcome::passthrough(dets)
-                        };
-                    };
-                    boundary_matches.push(d);
-                    obs ^= e.obs;
-                    weight += e.weight;
-                }
-                2 if deg[comp[0]] == 1 && deg[comp[1]] == 1 => {
-                    let (a, b) = (sg.nodes()[comp[0]], sg.nodes()[comp[1]]);
-                    let e = self.graph.edge_between(a, b).expect("component edge");
-                    pairs.push((a, b));
-                    obs ^= e.obs;
-                    weight += e.weight;
-                }
-                _ => {
-                    // Non-trivial pattern: forward the entire syndrome.
-                    return PredecodeOutcome {
-                        latency_ns: cycles_to_ns(CLIQUE_LATENCY_CYCLES),
-                        ..PredecodeOutcome::passthrough(dets)
-                    };
-                }
-            }
-        }
+        // Anything not locally decodable is forwarded unmodified.
+        let out = decode_locally(self.graph, &self.sg, dets)
+            .unwrap_or_else(|| PredecodeOutcome::passthrough(dets));
         PredecodeOutcome {
-            remaining: Vec::new(),
-            pairs,
-            boundary_matches,
-            obs_flip: obs,
-            weight,
             latency_ns: cycles_to_ns(CLIQUE_LATENCY_CYCLES),
-            aborted: false,
+            ..out
         }
     }
 }

@@ -11,8 +11,8 @@
 //!   the main decoder **unmodified** — which is why it cannot help
 //!   Astrea on high-Hamming-weight syndromes (Table 3).
 //! * [`SmithPredecoder`] — the syndrome-modifying (SM) design of Smith
-//!   et al. \[55\]: one aggressive greedy pass matching adjacent flipped
-//!   bits in weight order. High coverage, but no singleton awareness, no
+//!   et al. \[55\]: one pass matching every mutual isolated pair of flipped
+//!   bits. High coverage on sparse syndromes, but no singleton awareness, no
 //!   adaptivity, and no guarantee the remainder fits the main decoder.
 //! * [`PipelineDecoder`] — `predecoder + main decoder` composition with
 //!   the paper's convention that predecoding only engages above the main
@@ -38,5 +38,16 @@ pub use batch::{
     MAX_L1_DEFECTS,
 };
 pub use clique::CliquePredecoder;
-pub use pipeline::{ParallelDecoder, PipelineDecoder, COMPARISON_OVERHEAD_NS};
+pub use pipeline::{ParallelDecoder, PipelineDecoder, COMPARISON_OVERHEAD_NS, ENGAGE_ABOVE_HW};
 pub use smith::SmithPredecoder;
+
+use decoding_graph::{Nbr, SubgraphState};
+
+/// The other end of slot `i`'s isolated pair in a freshly built `sg`:
+/// `i`'s only neighbor, when that neighbor's only neighbor is `i`.
+fn isolated_partner(sg: &SubgraphState, i: usize) -> Option<&Nbr> {
+    match sg.neighbors(i) {
+        [n] if sg.deg(n.slot) == 1 => Some(n),
+        _ => None,
+    }
+}

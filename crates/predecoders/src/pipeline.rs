@@ -11,17 +11,20 @@ use std::cell::OnceCell;
 /// hard-codes nanoseconds locally.
 pub use decoding_graph::latency::COMPARISON_OVERHEAD_NS;
 
+/// The Hamming weight above which a predecoder engages: the largest
+/// syndrome Astrea decodes in real time on its own, per the paper's
+/// evaluation methodology.
+pub const ENGAGE_ABOVE_HW: usize = 10;
+
 /// `predecoder + main decoder` composition.
 ///
-/// Following the paper's evaluation methodology, the predecoder engages
-/// only for syndromes whose Hamming weight exceeds `engage_above_hw`
-/// (10 — anything smaller goes straight to the main decoder, which
-/// handles it in real time).
+/// The predecoder engages only for syndromes whose Hamming weight
+/// exceeds [`ENGAGE_ABOVE_HW`]; anything smaller goes straight to the
+/// main decoder, which handles it in real time.
 #[derive(Clone, Debug)]
 pub struct PipelineDecoder<P, D> {
     pre: P,
     main: D,
-    engage_above_hw: usize,
     /// `"<pre> + <main>"`, composed on the first [`Decoder::name`] call.
     name: OnceCell<String>,
 }
@@ -29,15 +32,9 @@ pub struct PipelineDecoder<P, D> {
 impl<P: Predecoder, D: Decoder> PipelineDecoder<P, D> {
     /// Composes `pre + main` with the paper's HW > 10 engagement rule.
     pub fn new(pre: P, main: D) -> Self {
-        Self::with_threshold(pre, main, 10)
-    }
-
-    /// Composes with an explicit engagement threshold.
-    pub fn with_threshold(pre: P, main: D, engage_above_hw: usize) -> Self {
         PipelineDecoder {
             pre,
             main,
-            engage_above_hw,
             name: OnceCell::new(),
         }
     }
@@ -54,7 +51,7 @@ impl<P: Predecoder, D: Decoder> PipelineDecoder<P, D> {
         dets: &[DetectorId],
         mut solve: impl FnMut(&mut D, &[DetectorId]) -> DecodeOutcome,
     ) -> DecodeOutcome {
-        if dets.len() <= self.engage_above_hw {
+        if dets.len() <= ENGAGE_ABOVE_HW {
             return solve(&mut self.main, dets);
         }
         let pre = self.pre.predecode(dets);

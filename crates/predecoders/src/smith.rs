@@ -11,18 +11,18 @@
 //! rows of Table 2 and the residual HW > 10 tail in the "After Smith"
 //! histograms of Figures 16/17.
 
+use crate::isolated_partner;
 use decoding_graph::latency::cycles_to_ns;
-use decoding_graph::{DecodingGraph, DecodingSubgraph, DetectorId, PredecodeOutcome, Predecoder};
+use decoding_graph::{DecodingGraph, DetectorId, PredecodeOutcome, Predecoder, SubgraphState};
 
 /// The Smith et al. one-pass local predecoder.
 ///
-/// Keeps its decoding subgraph and match flags alive across shots
-/// (rebuilt in place, not reallocated).
+/// Keeps its decoding subgraph alive across shots (rebuilt in place,
+/// not reallocated).
 #[derive(Clone, Debug)]
 pub struct SmithPredecoder<'a> {
     graph: &'a DecodingGraph,
-    sg: DecodingSubgraph,
-    matched: Vec<bool>,
+    sg: SubgraphState,
 }
 
 impl<'a> SmithPredecoder<'a> {
@@ -30,8 +30,7 @@ impl<'a> SmithPredecoder<'a> {
     pub fn new(graph: &'a DecodingGraph) -> Self {
         SmithPredecoder {
             graph,
-            sg: DecodingSubgraph::new(),
-            matched: Vec::new(),
+            sg: SubgraphState::default(),
         }
     }
 }
@@ -44,38 +43,26 @@ impl Predecoder for SmithPredecoder<'_> {
     fn predecode(&mut self, dets: &[DetectorId]) -> PredecodeOutcome {
         self.sg.rebuild(self.graph, dets);
         let sg = &self.sg;
-        let deg = sg.degrees();
-        let matched = &mut self.matched;
-        matched.clear();
-        matched.resize(sg.num_nodes(), false);
-        let mut pairs = Vec::new();
-        let mut obs = 0u64;
-        let mut weight = 0i64;
-        // One parallel pass: mutual isolated pairs only.
-        for e in sg.edges() {
-            if deg[e.a] == 1 && deg[e.b] == 1 {
-                debug_assert!(!matched[e.a] && !matched[e.b]);
-                matched[e.a] = true;
-                matched[e.b] = true;
-                pairs.push((sg.nodes()[e.a], sg.nodes()[e.b]));
-                obs ^= e.obs;
-                weight += e.weight;
+        let mut out = PredecodeOutcome {
+            // One pipeline pass over the subgraph edges.
+            latency_ns: cycles_to_ns(sg.live_edges().max(1) as u64),
+            ..PredecodeOutcome::passthrough(&[])
+        };
+        // One parallel pass: mutual isolated pairs only, each emitted
+        // at its lower slot.
+        for (i, &d) in dets.iter().enumerate() {
+            match isolated_partner(sg, i) {
+                Some(n) if n.slot > i => {
+                    out.pairs.push((d, dets[n.slot]));
+                    out.obs_flip ^= n.obs;
+                    out.weight += n.weight;
+                }
+                // Emitted at the partner's (lower) slot.
+                Some(_) => {}
+                None => out.remaining.push(d),
             }
         }
-        let remaining: Vec<DetectorId> = (0..sg.num_nodes())
-            .filter(|&i| !matched[i])
-            .map(|i| sg.nodes()[i])
-            .collect();
-        PredecodeOutcome {
-            remaining,
-            pairs,
-            boundary_matches: Vec::new(),
-            obs_flip: obs,
-            weight,
-            // One pipeline pass over the subgraph edges.
-            latency_ns: cycles_to_ns(sg.edges().len().max(1) as u64),
-            aborted: false,
-        }
+        out
     }
 }
 
@@ -189,13 +176,12 @@ mod tests {
             all.sort_unstable();
             assert_eq!(all, dets);
             // Every prematched pair really was a mutual isolated pair.
-            let sg = DecodingSubgraph::build(&g, &dets);
-            let deg = sg.degrees();
+            let sg = SubgraphState::build(&g, &dets);
             for &(a, b) in &out.pairs {
-                let ai = sg.nodes().iter().position(|&n| n == a).unwrap();
-                let bi = sg.nodes().iter().position(|&n| n == b).unwrap();
-                assert_eq!(deg[ai], 1);
-                assert_eq!(deg[bi], 1);
+                let ai = dets.binary_search(&a).unwrap();
+                let bi = dets.binary_search(&b).unwrap();
+                assert_eq!(sg.deg(ai), 1);
+                assert_eq!(sg.deg(bi), 1);
             }
         }
     }

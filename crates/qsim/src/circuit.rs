@@ -451,11 +451,6 @@ impl CircuitBuilder {
         self
     }
 
-    /// Number of measurements recorded so far.
-    pub fn measurement_count(&self) -> usize {
-        self.meas_count
-    }
-
     /// Finalizes the circuit.
     ///
     /// # Errors

@@ -29,13 +29,6 @@ pub struct Shot {
     pub obs: u64,
 }
 
-impl Shot {
-    /// Hamming weight of the syndrome (number of fired detectors).
-    pub fn hamming_weight(&self) -> usize {
-        self.dets.len()
-    }
-}
-
 /// Dense batch output: one bit plane per detector / observable.
 #[derive(Clone, Debug)]
 pub struct SampleBatch {

@@ -69,7 +69,7 @@ pub use backlog::{
 pub use harness::{
     fallback_latency_model, run_stream, Instruments, StreamRunConfig, StreamRunResult,
 };
-pub use stream::{PackedShot, StreamedShot, SyndromeStream};
+pub use stream::{PackedShot, SyndromeStream};
 pub use window::{
     Datapath, PredecodeMode, SlidingWindowDecoder, WindowConfig, WindowRecord, WindowedOutcome,
 };

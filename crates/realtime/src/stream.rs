@@ -4,8 +4,8 @@
 //! one measurement round at a time, every ~1 µs. [`SyndromeStream`]
 //! turns the batch-oriented [`qsim::FrameSampler`] into that delivery
 //! model — it samples shots in chunks (so the word-parallel sampler
-//! stays efficient) and re-slices each shot into per-round-layer
-//! detection events using the graph's [`LayerMap`].
+//! stays efficient) over the detector space of the graph's
+//! [`LayerMap`].
 //!
 //! # Zero-copy ingest
 //!
@@ -16,77 +16,21 @@
 //! materialized on the hot path. Packed consumers read shots as
 //! [`PackedShot`] word views straight out of the arena
 //! ([`SyndromeStream::next_shot_packed`]); the byte reference path
-//! ([`SyndromeStream::next_shot`]) rebuilds the sparse [`StreamedShot`]
-//! form from the same arena words, so both paths observe identical
-//! syndromes by construction.
+//! ([`SyndromeStream::next_shot`]) rebuilds the sampler's sparse
+//! [`Shot`] form from the same arena words, so both paths observe
+//! identical syndromes by construction.
 
 use decoding_graph::packed::PackedSyndromes;
-use decoding_graph::{DetectorId, LayerMap};
+use decoding_graph::LayerMap;
 use qsim::circuit::Circuit;
-use qsim::FrameSampler;
+use qsim::{FrameSampler, Shot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// One shot, sliced by measurement-round layer.
-///
-/// `dets` is the usual sorted flipped-detector list; `bounds` delimits
-/// the per-layer slices, exploiting the layer-contiguous detector
-/// numbering that [`LayerMap`] verifies.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamedShot {
-    /// Sorted flipped detectors of the whole shot.
-    pub dets: Vec<DetectorId>,
-    /// True logical-observable flips (for scoring the decode).
-    pub obs: u64,
-    /// `bounds[ℓ]..bounds[ℓ+1]` delimits layer `ℓ` within `dets`.
-    bounds: Vec<usize>,
-}
-
-impl StreamedShot {
-    /// Slices a shot's sorted detector list by the layer structure of
-    /// `layers`, taking ownership of the list (no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any detector lies beyond the last layer of `layers` —
-    /// a malformed layer map would otherwise silently drop trailing
-    /// detectors from every layer slice while keeping them in `dets`,
-    /// so the slices would no longer partition the shot.
-    pub fn new(dets: Vec<DetectorId>, obs: u64, layers: &LayerMap) -> Self {
-        let num_layers = layers.num_layers();
-        let mut bounds = Vec::with_capacity(num_layers as usize + 1);
-        bounds.push(0);
-        let mut i = 0usize;
-        for layer in 0..num_layers {
-            let end = layers.det_range(layer, layer + 1).end;
-            while i < dets.len() && dets[i] < end {
-                i += 1;
-            }
-            bounds.push(i);
-        }
-        assert_eq!(i, dets.len(), "detector beyond the last layer");
-        StreamedShot { dets, obs, bounds }
-    }
-
-    /// Number of layers the shot is sliced into.
-    pub fn num_layers(&self) -> u32 {
-        self.bounds.len() as u32 - 1
-    }
-
-    /// The detection events of layer `layer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn layer(&self, layer: u32) -> &[DetectorId] {
-        &self.dets[self.bounds[layer as usize]..self.bounds[layer as usize + 1]]
-    }
-}
-
 /// One shot as a borrowed bit-packed word view into the stream's arena:
 /// bit `d % 64` of word `d / 64` is detector `d`. The zero-copy twin of
-/// [`StreamedShot`] — no heap allocation, no detector-id
+/// [`Shot`] — no heap allocation, no detector-id
 /// materialization; feed it straight to
 /// [`crate::SlidingWindowDecoder::decode_shot_packed_into`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,7 +44,7 @@ pub struct PackedShot<'a> {
 /// Shots sampled per sampler refill.
 const REFILL_CHUNK: usize = 256;
 
-/// A continuous source of round-sliced shots from a noisy circuit.
+/// A continuous source of shots from a noisy circuit.
 ///
 /// Deterministic given its seed: the stream samples shots through
 /// [`FrameSampler`] in fixed-size chunks from a single seeded RNG, so
@@ -121,7 +65,7 @@ pub struct SyndromeStream<'a> {
 }
 
 impl<'a> SyndromeStream<'a> {
-    /// Creates a stream over `circuit`, slicing shots by `layers`.
+    /// Creates a stream over `circuit`, whose detectors `layers` maps.
     pub fn new(circuit: &'a Circuit, layers: LayerMap, seed: u64) -> Self {
         Self::with_shared_layers(circuit, Arc::new(layers), seed)
     }
@@ -142,7 +86,7 @@ impl<'a> SyndromeStream<'a> {
         }
     }
 
-    /// The layer structure shots are sliced by.
+    /// The layer structure of the stream's detectors.
     pub fn layers(&self) -> &LayerMap {
         &self.layers
     }
@@ -179,14 +123,17 @@ impl<'a> SyndromeStream<'a> {
         i
     }
 
-    /// Samples the next shot of the stream in sparse, layer-sliced form
-    /// — the byte reference path, rebuilt from the same arena words the
-    /// packed path serves.
-    pub fn next_shot(&mut self) -> StreamedShot {
+    /// Samples the next shot of the stream in sparse form — the byte
+    /// reference path, rebuilt from the same arena words the packed
+    /// path serves.
+    pub fn next_shot(&mut self) -> Shot {
         let i = self.advance();
         let mut dets = Vec::new();
         self.arena.sparse_into(i, &mut dets);
-        StreamedShot::new(dets, self.obs[i], &self.layers)
+        Shot {
+            dets,
+            obs: self.obs[i],
+        }
     }
 
     /// Samples the next shot as a zero-copy packed word view into the
@@ -221,28 +168,15 @@ mod tests {
         let mut stream = SyndromeStream::new(&circuit, layers, 7);
         for _ in 0..50 {
             let shot = stream.next_shot();
+            let layers = stream.layers();
             let mut rebuilt: Vec<u32> = Vec::new();
-            for l in 0..shot.num_layers() {
-                let slice = shot.layer(l);
-                // Every event sits in its layer's detector range.
-                for &d in slice {
-                    assert_eq!(stream.layers().layer_of(d), l);
-                }
-                rebuilt.extend_from_slice(slice);
+            for l in 0..layers.num_layers() {
+                let range = layers.det_range(l, l + 1);
+                rebuilt.extend(shot.dets.iter().filter(|d| range.contains(d)));
             }
             assert_eq!(rebuilt, shot.dets);
         }
         assert_eq!(stream.shots_emitted(), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "detector beyond the last layer")]
-    fn malformed_layer_map_is_a_hard_error() {
-        // A layer map covering fewer detectors than the shot mentions:
-        // the release-mode silent-truncation bug this assert closes.
-        let (_, layers) = fixture(3, 2);
-        let beyond = layers.num_detectors();
-        let _ = StreamedShot::new(vec![0, beyond], 0, &layers);
     }
 
     #[test]
@@ -299,10 +233,11 @@ mod tests {
     #[test]
     fn stream_refills_across_chunk_boundaries() {
         let (circuit, layers) = fixture(3, 2);
+        let num_dets = layers.num_detectors();
         let mut stream = SyndromeStream::new(&circuit, layers, 3);
         for _ in 0..(2 * REFILL_CHUNK + 10) {
             let shot = stream.next_shot();
-            assert_eq!(shot.num_layers(), 3);
+            assert!(shot.dets.iter().all(|&d| d < num_dets));
         }
         assert_eq!(stream.shots_emitted(), (2 * REFILL_CHUNK + 10) as u64);
     }

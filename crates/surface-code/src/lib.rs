@@ -39,7 +39,6 @@
 mod layout;
 mod memory;
 mod noise;
-mod viz;
 
 pub use layout::{RotatedSurfaceCode, Stabilizer, StabilizerBasis};
 pub use memory::MemoryBasis;

@@ -58,12 +58,6 @@ impl Registry {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// One shard's live metrics (panics on an out-of-range shard id,
     /// which would be a wiring bug).
     #[must_use]

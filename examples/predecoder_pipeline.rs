@@ -6,10 +6,9 @@
 //! cargo run --release --example predecoder_pipeline
 //! ```
 
-use promatch_repro::decoding_graph::{DecodingSubgraph, Predecoder};
+use promatch_repro::decoding_graph::{Predecoder, SubgraphState};
 use promatch_repro::ler::{ExperimentContext, InjectionSampler};
 use promatch_repro::promatch::PromatchPredecoder;
-use promatch_repro::surface_code::{MemoryBasis, RotatedSurfaceCode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,24 +25,19 @@ fn main() {
         }
     };
     println!("syndrome: HW = {} flipped detectors", shot.dets.len());
-    let code = RotatedSurfaceCode::new(9);
-    println!("{}", code.render_syndrome(MemoryBasis::Z, 9, &shot.dets));
 
     // Show the decoding-subgraph structure Promatch reasons about.
-    let sg = DecodingSubgraph::build(&ctx.graph, &shot.dets);
-    let deg = sg.degrees();
+    let sg = SubgraphState::build(&ctx.graph, &shot.dets);
     let isolated_pairs = sg
-        .edges()
-        .iter()
-        .filter(|e| deg[e.a] == 1 && deg[e.b] == 1)
-        .count();
-    let singletons = deg.iter().filter(|&&d| d == 0).count();
+        .live_slots()
+        .filter(|&i| sg.deg(i) == 1 && sg.dependents(i) == 1)
+        .count()
+        / 2;
     println!(
-        "decoding subgraph: {} edges, {} isolated pairs, {} singletons, {} components",
-        sg.edges().len(),
+        "decoding subgraph: {} edges, {} isolated pairs, {} singletons",
+        sg.live_edges(),
         isolated_pairs,
-        singletons,
-        sg.components().len()
+        sg.singleton_slots().count()
     );
 
     // Run the adaptive predecoder.

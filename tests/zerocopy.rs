@@ -1,7 +1,7 @@
 //! Zero-copy ingest equivalence suite.
 //!
 //! The arena-backed ingest fuses the copies a round used to make —
-//! sampler → `StreamedShot.dets` → window extraction → decoder repack —
+//! sampler → sparse shot list → window extraction → decoder repack —
 //! into one bit-packed round buffer: the sampler transposes straight
 //! into the stream's arena, [`SyndromeStream::next_shot_packed`] hands
 //! out a borrowed word view, and
