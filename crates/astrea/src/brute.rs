@@ -6,33 +6,14 @@ use decoding_graph::{
     PathTable,
 };
 
-/// Configuration of the brute-force engine.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AstreaConfig {
-    /// Maximum Hamming weight the engine supports (10 in the paper).
-    pub max_hw: usize,
-    /// The hardware latency model.
-    pub latency: AstreaLatencyModel,
-}
-
-impl Default for AstreaConfig {
-    fn default() -> Self {
-        AstreaConfig {
-            max_hw: 10,
-            latency: AstreaLatencyModel::default(),
-        }
-    }
-}
-
-/// Largest [`AstreaConfig::max_hw`] the software engine accepts: its
-/// subset table has `2^hw` entries.
-const MAX_SUPPORTED_HW: usize = 16;
+/// The largest Hamming weight Astrea decodes: the hardware is sized for
+/// the 945 pairings of ten flipped bits.
+pub const MAX_HW: usize = 10;
 
 /// Astrea: exact MWPM by accelerated brute force, for low-HW syndromes.
 ///
-/// Syndromes with more than [`AstreaConfig::max_hw`] flipped bits are
-/// rejected ([`DecodeOutcome::failed`]), exactly like the hardware, which
-/// is sized for the ≤ 945 pairings of ten flipped bits.
+/// Syndromes with more than [`MAX_HW`] flipped bits are rejected
+/// ([`DecodeOutcome::failed`]), exactly like the hardware.
 ///
 /// The hardware enumerates the pairings; the software gets the same
 /// answer from a dynamic program over subsets of the flipped bits, and
@@ -41,50 +22,25 @@ const MAX_SUPPORTED_HW: usize = 16;
 #[derive(Clone, Debug)]
 pub struct AstreaDecoder<'a> {
     paths: &'a PathTable,
-    config: AstreaConfig,
     /// Scratch for [`Decoder::decode`]; allocated by the first call, so
     /// a decoder that only ever borrows a workspace carries a pointer.
     ws: Option<Box<DecodeWorkspace>>,
 }
 
 impl<'a> AstreaDecoder<'a> {
-    /// Creates an Astrea decoder with the default configuration.
-    pub fn new(graph: &'a DecodingGraph, paths: &'a PathTable) -> Self {
-        Self::with_config(graph, paths, AstreaConfig::default())
-    }
-
-    /// Creates an Astrea decoder with an explicit configuration.
+    /// Creates an Astrea decoder.
     ///
     /// # Panics
     ///
-    /// Panics if `paths` does not match `graph`, or `config.max_hw`
-    /// exceeds 16.
-    pub fn with_config(
-        graph: &'a DecodingGraph,
-        paths: &'a PathTable,
-        config: AstreaConfig,
-    ) -> Self {
+    /// Panics if `paths` does not match `graph`.
+    pub fn new(graph: &'a DecodingGraph, paths: &'a PathTable) -> Self {
         assert_eq!(paths.num_detectors(), graph.num_detectors() as usize);
-        assert!(
-            config.max_hw <= MAX_SUPPORTED_HW,
-            "Astrea max_hw {} exceeds the supported {MAX_SUPPORTED_HW}",
-            config.max_hw
-        );
-        AstreaDecoder {
-            paths,
-            config,
-            ws: None,
-        }
+        AstreaDecoder { paths, ws: None }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &AstreaConfig {
-        &self.config
-    }
-
-    /// Latency for a given Hamming weight under this configuration.
+    /// Modeled latency for a given Hamming weight.
     pub fn latency_ns(&self, hw: usize) -> f64 {
-        self.config.latency.latency_ns(hw)
+        AstreaLatencyModel::default().latency_ns(hw)
     }
 }
 
@@ -152,10 +108,6 @@ impl SubsetSearch<'_> {
 }
 
 impl Decoder for AstreaDecoder<'_> {
-    fn name(&self) -> &str {
-        "Astrea"
-    }
-
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
         let mut ws = self.ws.take().unwrap_or_default();
         let out = self.decode_with(dets, &mut ws);
@@ -165,7 +117,7 @@ impl Decoder for AstreaDecoder<'_> {
 
     fn decode_with(&mut self, dets: &[DetectorId], ws: &mut DecodeWorkspace) -> DecodeOutcome {
         let k = dets.len();
-        if k > self.config.max_hw {
+        if k > MAX_HW {
             // The hardware cannot decode high-HW syndromes at all.
             return DecodeOutcome::failure();
         }
@@ -254,17 +206,6 @@ mod tests {
         assert!(astrea.decode(&dets).failed);
         let dets: Vec<u32> = (0..10).collect();
         assert!(!astrea.decode(&dets).failed);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the supported 16")]
-    fn rejects_a_max_hw_its_subset_table_cannot_index() {
-        let (graph, paths) = fixture(3);
-        let config = AstreaConfig {
-            max_hw: 17,
-            ..Default::default()
-        };
-        AstreaDecoder::with_config(&graph, &paths, config);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Cycle-level latency model for the Astrea brute-force engine.
 //!
 //! Astrea explores candidate matchings with wide hardware parallelism.
-//! The model here charges `setup + ⌈M(hw) / U⌉` cycles at 250 MHz, where
+//! The model here charges `9 + ⌈M(hw) / U⌉` cycles at 250 MHz, where
 //! `M(hw)` is the number of complete pairings of `hw` flipped bits (each
 //! bit pairs with another bit, with one boundary match allowed for odd
 //! weights — the double-factorial "telephone" numbers the Astrea paper
 //! quotes: 945 matchings at HW = 10) and `U` is the number of parallel
-//! match units. With the defaults (U = 9, setup = 9) the model lands on
-//! the paper's 456 ns for HW = 10.
+//! match units, plus 9 cycles of pipeline setup. With the default
+//! U = 9 the model lands on the paper's 456 ns for HW = 10.
 
 use decoding_graph::latency::LatencyModel;
 
@@ -15,22 +15,20 @@ use decoding_graph::latency::LatencyModel;
 /// (re-exported from the workspace-wide constant in `decoding-graph`).
 pub use decoding_graph::latency::CYCLE_NS;
 
+/// Fixed pipeline setup cycles per decode.
+const SETUP_CYCLES: u64 = 9;
+
 /// Latency model for Astrea's brute-force matching engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AstreaLatencyModel {
     /// Parallel matching units.
     pub parallel_units: u32,
-    /// Fixed pipeline setup cycles per decode.
-    pub setup_cycles: u32,
 }
 
 impl Default for AstreaLatencyModel {
     fn default() -> Self {
         // Calibrated so hw = 10 costs 456 ns: (9 + ⌈945/9⌉) × 4 ns.
-        AstreaLatencyModel {
-            parallel_units: 9,
-            setup_cycles: 9,
-        }
+        AstreaLatencyModel { parallel_units: 9 }
     }
 }
 
@@ -60,7 +58,7 @@ impl AstreaLatencyModel {
     /// Cycles to decode a syndrome of Hamming weight `hw`.
     pub fn cycles(&self, hw: usize) -> u64 {
         let m = Self::matchings(hw);
-        self.setup_cycles as u64 + m.div_ceil(self.parallel_units as u64)
+        SETUP_CYCLES + m.div_ceil(self.parallel_units as u64)
     }
 
     /// Modeled latency in nanoseconds for Hamming weight `hw`.
@@ -79,10 +77,6 @@ impl AstreaLatencyModel {
 }
 
 impl LatencyModel for AstreaLatencyModel {
-    fn name(&self) -> &str {
-        "astrea-brute"
-    }
-
     fn latency_ns(&self, hw: usize) -> f64 {
         AstreaLatencyModel::latency_ns(self, hw)
     }
@@ -124,7 +118,6 @@ mod tests {
     fn latency_model_trait_matches_inherent_method() {
         let m = AstreaLatencyModel::default();
         let dyn_m: &dyn LatencyModel = &m;
-        assert_eq!(dyn_m.name(), "astrea-brute");
         for hw in 0..=10 {
             assert_eq!(dyn_m.latency_ns(hw), m.latency_ns(hw));
         }

@@ -5,7 +5,8 @@
 //! interpretation of absolute numbers.
 
 use crate::{fmt_rate, fmt_ratio, Scale};
-use astrea::AstreaLatencyModel;
+use astrea::{AstreaLatencyModel, MAX_HW};
+use decoding_graph::latency::TIME_BUDGET_NS;
 use decoding_graph::Decoder;
 use ler::{
     run_eq1, run_predecoder_study, run_tradeoff_study, DecoderKind, Eq1Config, ExperimentContext,
@@ -293,7 +294,7 @@ pub fn fig5(scale: &Scale, w: &mut dyn Write) -> Result<()> {
         let weight = p_occ[k] / scale.shots_per_k as f64;
         for _ in 0..scale.shots_per_k {
             let (shot, _) = sampler.sample_exact_k(&mut rng, k);
-            if shot.dets.len() <= 10 {
+            if shot.dets.len() <= MAX_HW {
                 continue;
             }
             let out = mwpm.decode(&shot.dets);
@@ -487,10 +488,9 @@ pub fn ablate_astrea_units(_scale: &Scale, w: &mut dyn Write) -> Result<()> {
     for units in [3u32, 9, 27, 81] {
         let model = AstreaLatencyModel {
             parallel_units: units,
-            setup_cycles: 9,
         };
         let hw10 = model.latency_ns(10);
-        let afford = model.max_hw_within(960.0 - 70.0, 10);
+        let afford = model.max_hw_within(TIME_BUDGET_NS - 70.0, MAX_HW);
         writeln!(
             w,
             "units {units:>3}: HW=10 latency {hw10:>7.1} ns, affordable target after avg predecode: {afford:?}"
@@ -524,7 +524,7 @@ pub fn ablate_pipelines(scale: &Scale, w: &mut dyn Write) -> Result<()> {
         while count < 400 && tried < 100_000 {
             tried += 1;
             let (shot, _) = sampler.sample_exact_k(&mut rng, 8 + tried % 10);
-            if shot.dets.len() <= 10 {
+            if shot.dets.len() <= MAX_HW {
                 continue;
             }
             let out = pm.predecode(&shot.dets);
@@ -599,15 +599,19 @@ mod tests {
         fig1b(&scale, &mut sink).unwrap();
         fig4(&scale, &mut sink).unwrap();
         fig5(&scale, &mut sink).unwrap();
+        fig14_15(&scale, 5, &mut sink).unwrap();
         fig16_17(&scale, 5, &mut sink).unwrap();
         ablate_singleton(&scale, &mut sink).unwrap();
         ablate_pathq(&scale, &mut sink).unwrap();
         ablate_astrea_units(&scale, &mut sink).unwrap();
         ablate_adaptive(&scale, &mut sink).unwrap();
+        ablate_pipelines(&scale, &mut sink).unwrap();
         let text = String::from_utf8(sink).unwrap();
         assert!(text.contains("Table 2"));
         assert!(text.contains("MWPM (Ideal)"));
         assert!(text.contains("Edge table"));
+        assert!(text.contains("Figure 14/15: LER vs p, d = 5"));
+        assert!(text.contains("pipelines 4: avg predecode"));
     }
 
     #[test]

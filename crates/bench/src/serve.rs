@@ -260,7 +260,6 @@ pub fn run_serve(scenario: &Scenario, cfg: &ServeConfig, w: &mut dyn Write) -> s
         deadline_ns,
         queue_capacity: cfg.queue,
         max_inflight_shots: cfg.inflight,
-        batch_max: 16,
         metrics_sample: cfg.metrics_sample,
         trace_capacity: cfg.trace,
         trace_dump_prefix: dump_prefix,

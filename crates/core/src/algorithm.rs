@@ -1,7 +1,7 @@
 //! Algorithm 1: the Promatch adaptive predecoding loop.
 
 use astrea::AstreaLatencyModel;
-use decoding_graph::latency::CYCLE_NS;
+use decoding_graph::latency::{CYCLE_NS, TIME_BUDGET_NS};
 use decoding_graph::{
     DecodeWorkspace, DecodingGraph, DetectorId, PathTable, PredecodeOutcome, Predecoder,
     SubgraphState,
@@ -41,11 +41,13 @@ pub enum Step {
 }
 
 /// Configuration of the Promatch predecoder.
+///
+/// Predecode plus main decode must fit the 960 ns
+/// [`TIME_BUDGET_NS`](decoding_graph::latency::TIME_BUDGET_NS), with the
+/// main decoder's time read from Astrea's default
+/// [`AstreaLatencyModel`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PromatchConfig {
-    /// Wall-clock budget for predecode + main decode: 960 ns (1 µs minus
-    /// the 10-cycle ‖ AG comparison).
-    pub time_budget_ns: f64,
     /// Singleton test variant.
     pub singleton_rule: SingletonRule,
     /// Step 3 path-weight source.
@@ -53,10 +55,7 @@ pub struct PromatchConfig {
     /// Hamming-weight stopping targets, descending (the paper's
     /// {10, 8, 6}).
     pub hw_targets: [usize; 3],
-    /// Latency model of the main (Astrea) decoder, used to decide how
-    /// much predecoding is enough.
-    pub main_latency: AstreaLatencyModel,
-    /// Maximum Hamming weight of the main decoder.
+    /// Maximum Hamming weight of the main decoder ([`astrea::MAX_HW`]).
     pub main_max_hw: usize,
     /// Number of edge-processing pipelines running in parallel. §6.4
     /// notes the predecoder is light enough to replicate; each round then
@@ -67,12 +66,10 @@ pub struct PromatchConfig {
 impl Default for PromatchConfig {
     fn default() -> Self {
         PromatchConfig {
-            time_budget_ns: 960.0,
             singleton_rule: SingletonRule::HardwareApprox,
             path_metric: PathMetric::Quantized,
-            hw_targets: [10, 8, 6],
-            main_latency: AstreaLatencyModel::default(),
-            main_max_hw: 10,
+            hw_targets: [astrea::MAX_HW, 8, 6],
+            main_max_hw: astrea::MAX_HW,
             parallel_pipelines: 1,
         }
     }
@@ -157,11 +154,6 @@ impl<'a> PromatchPredecoder<'a> {
         (work.max(1) as u64).div_ceil(self.config.parallel_pipelines as u64)
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &PromatchConfig {
-        &self.config
-    }
-
     /// Statistics of the most recent [`Predecoder::predecode`] call.
     pub fn last_stats(&self) -> &PromatchStats {
         &self.last_stats
@@ -170,10 +162,13 @@ impl<'a> PromatchPredecoder<'a> {
     /// The largest stopping target affordable after `elapsed_ns` of
     /// predecoding, or `None` if not even the smallest fits.
     fn affordable_target(&self, elapsed_ns: f64) -> Option<usize> {
-        let remaining = self.config.time_budget_ns - elapsed_ns;
-        self.config.hw_targets.iter().copied().find(|&t| {
-            t <= self.config.main_max_hw && self.config.main_latency.latency_ns(t) <= remaining
-        })
+        let remaining = TIME_BUDGET_NS - elapsed_ns;
+        let main = AstreaLatencyModel::default();
+        self.config
+            .hw_targets
+            .iter()
+            .copied()
+            .find(|&t| t <= self.config.main_max_hw && main.latency_ns(t) <= remaining)
     }
 
     fn no_singleton(&self, st: &SubgraphState, i: usize, j: usize) -> bool {
@@ -228,7 +223,7 @@ impl<'a> PromatchPredecoder<'a> {
                     break;
                 }
             };
-            if elapsed >= self.config.time_budget_ns {
+            if elapsed >= TIME_BUDGET_NS {
                 stats.aborted = true;
                 break;
             }
@@ -397,10 +392,6 @@ impl<'a> PromatchPredecoder<'a> {
 }
 
 impl Predecoder for PromatchPredecoder<'_> {
-    fn name(&self) -> &str {
-        "Promatch"
-    }
-
     fn predecode(&mut self, dets: &[DetectorId]) -> PredecodeOutcome {
         let mut ws = self.ws.take().unwrap_or_default();
         let (obs_flip, weight) = self.predecode_with(dets, &mut ws);
@@ -614,16 +605,27 @@ mod tests {
 
     #[test]
     fn abort_when_budget_is_impossible() {
-        let g = graph_from_edges(4, &[(0, 1, 0.01), (1, 2, 0.01), (2, 3, 0.01)]);
+        // All 24 detectors of a complete graph: one pass over its 276
+        // live edges costs 1 104 ns, past the 960 ns budget, so no
+        // target is affordable after the first round.
+        let n = 24;
+        let edges: Vec<(u32, u32, f64)> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b, 0.01)))
+            .collect();
+        let g = graph_from_edges(n, &edges);
         let paths = PathTable::build(&g);
         let cfg = PromatchConfig {
-            time_budget_ns: 0.0,
+            hw_targets: [0, 0, 0],
             ..Default::default()
         };
         let mut pm = PromatchPredecoder::with_config(&g, &paths, cfg);
-        let out = pm.predecode(&[0, 1, 2, 3]);
+        let dets: Vec<u32> = (0..n).collect();
+        let out = pm.predecode(&dets);
         assert!(out.aborted);
-        assert_eq!(out.remaining, vec![0, 1, 2, 3], "aborts forward unmodified");
+        assert_eq!(out.remaining, dets, "aborts forward unmodified");
+        let stats = pm.last_stats();
+        assert_eq!(stats.rounds, 1);
+        assert!(stats.predecode_ns > TIME_BUDGET_NS, "{stats:?}");
     }
 
     #[test]

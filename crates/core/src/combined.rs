@@ -1,7 +1,8 @@
 //! The full real-time decoder: Promatch + Astrea.
 
 use crate::algorithm::{PromatchConfig, PromatchPredecoder, PromatchStats};
-use astrea::{AstreaConfig, AstreaDecoder};
+use astrea::{AstreaDecoder, MAX_HW};
+use decoding_graph::latency::TIME_BUDGET_NS;
 use decoding_graph::{
     DecodeOutcome, DecodeWorkspace, Decoder, DecodingGraph, DetectorId, MatchPair, MatchTarget,
     PathTable,
@@ -9,53 +10,43 @@ use decoding_graph::{
 
 /// `Promatch + Astrea`: the paper's real-time decoder for d = 11, 13.
 ///
-/// Low-HW syndromes (≤ 10) go straight to Astrea. High-HW syndromes are
-/// adaptively predecoded until the remainder fits the time left in the
-/// 960 ns budget; exceeding the budget is a decode failure ("categorized
-/// as a logical error", §6.4).
+/// Low-HW syndromes (≤ [`MAX_HW`]) go straight to Astrea. High-HW
+/// syndromes are adaptively predecoded until the remainder fits the time
+/// left in the 960 ns [`TIME_BUDGET_NS`]; exceeding the budget is a
+/// decode failure ("categorized as a logical error", §6.4).
 #[derive(Clone, Debug)]
 pub struct PromatchAstreaDecoder<'a> {
     promatch: PromatchPredecoder<'a>,
     astrea: AstreaDecoder<'a>,
-    budget_ns: f64,
 }
 
 impl<'a> PromatchAstreaDecoder<'a> {
-    /// Creates the combined decoder with default configurations.
+    /// Creates the combined decoder with the default Promatch
+    /// configuration.
     pub fn new(graph: &'a DecodingGraph, paths: &'a PathTable) -> Self {
-        Self::with_configs(
-            graph,
-            paths,
-            PromatchConfig::default(),
-            AstreaConfig::default(),
-        )
+        Self::with_config(graph, paths, PromatchConfig::default())
     }
 
-    /// Creates the combined decoder with explicit configurations.
+    /// Creates the combined decoder with an explicit Promatch
+    /// configuration.
     ///
     /// # Panics
     ///
-    /// Panics if `promatch_config.main_max_hw` or `astrea_config.max_hw`
-    /// exceeds what [`AstreaDecoder`] supports (16).
-    pub fn with_configs(
+    /// Panics if `config.main_max_hw` exceeds Astrea's [`MAX_HW`]: the
+    /// predecoder would stop at weights Astrea rejects.
+    pub fn with_config(
         graph: &'a DecodingGraph,
         paths: &'a PathTable,
-        promatch_config: PromatchConfig,
-        astrea_config: AstreaConfig,
+        config: PromatchConfig,
     ) -> Self {
-        let budget_ns = promatch_config.time_budget_ns;
-        // The predecoder stops at up to `main_max_hw`, a weight it then
-        // hands to Astrea: hold it to the bound `AstreaDecoder` asserts
-        // for its own `max_hw`.
         assert!(
-            promatch_config.main_max_hw <= 16,
-            "Promatch main_max_hw {} exceeds the 16 Astrea supports",
-            promatch_config.main_max_hw
+            config.main_max_hw <= MAX_HW,
+            "Promatch main_max_hw {} exceeds Astrea's reach of {MAX_HW}",
+            config.main_max_hw
         );
         PromatchAstreaDecoder {
-            promatch: PromatchPredecoder::with_config(graph, paths, promatch_config),
-            astrea: AstreaDecoder::with_config(graph, paths, astrea_config),
-            budget_ns,
+            promatch: PromatchPredecoder::with_config(graph, paths, config),
+            astrea: AstreaDecoder::new(graph, paths),
         }
     }
 
@@ -71,10 +62,6 @@ impl<'a> PromatchAstreaDecoder<'a> {
 }
 
 impl Decoder for PromatchAstreaDecoder<'_> {
-    fn name(&self) -> &str {
-        "Promatch + Astrea"
-    }
-
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
         // The predecoder's own workspace serves both stages.
         let mut ws = self.promatch.ws.take().unwrap_or_default();
@@ -84,7 +71,7 @@ impl Decoder for PromatchAstreaDecoder<'_> {
     }
 
     fn decode_with(&mut self, dets: &[DetectorId], ws: &mut DecodeWorkspace) -> DecodeOutcome {
-        if dets.len() <= self.astrea.config().max_hw {
+        if dets.len() <= MAX_HW {
             return self.astrea.decode_with(dets, ws);
         }
         let (pre_obs, pre_weight) = self.promatch.predecode_with(dets, ws);
@@ -94,7 +81,7 @@ impl Decoder for PromatchAstreaDecoder<'_> {
             ..DecodeOutcome::failure()
         };
         if pre.aborted {
-            return failure(self.budget_ns);
+            return failure(TIME_BUDGET_NS);
         }
         // The remainder is Astrea's input while the rest of `ws` is its
         // scratch: take the list out for the call.
@@ -102,8 +89,8 @@ impl Decoder for PromatchAstreaDecoder<'_> {
         let main = self.astrea.decode_with(&remaining, ws);
         ws.remaining = remaining;
         let total_ns = pre.predecode_ns + main.latency_ns.unwrap_or(0.0);
-        if main.failed || total_ns > self.budget_ns {
-            return failure(total_ns.min(self.budget_ns));
+        if main.failed || total_ns > TIME_BUDGET_NS {
+            return failure(total_ns.min(TIME_BUDGET_NS));
         }
         let mut matches = Vec::with_capacity(ws.pairs.len() + main.matches.len());
         matches.extend(ws.pairs.iter().map(|&(a, b)| MatchPair {
@@ -139,15 +126,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the 16 Astrea supports")]
+    #[should_panic(expected = "exceeds Astrea's reach of 10")]
     fn rejects_a_main_max_hw_beyond_astreas_reach() {
         let (_, graph) = fixture(3);
         let paths = PathTable::build(&graph);
         let config = PromatchConfig {
-            main_max_hw: 17,
+            main_max_hw: 11,
             ..Default::default()
         };
-        PromatchAstreaDecoder::with_configs(&graph, &paths, config, AstreaConfig::default());
+        PromatchAstreaDecoder::with_config(&graph, &paths, config);
     }
 
     #[test]

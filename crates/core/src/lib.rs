@@ -11,7 +11,8 @@
 //!   and `#dependent` quantities of §4.1 and the hardware singleton
 //!   logic of Figure 11. It adaptively stops once the remaining syndrome
 //!   fits the main decoder's real-time capability ({6, 8, 10} Hamming
-//!   weight targets within the 960 ns budget).
+//!   weight targets, at most `astrea::MAX_HW`, within the 960 ns
+//!   `decoding_graph::latency::TIME_BUDGET_NS`).
 //! * [`PromatchAstreaDecoder`] — the full `Promatch + Astrea` real-time
 //!   decoder of the evaluation (Table 2, "Promatch + Astrea" row),
 //!   including the cycle-accurate latency accounting of §6.4.

@@ -22,6 +22,11 @@ pub const COMPARISON_OVERHEAD_CYCLES: u64 = 10;
 /// (10 cycles at 250 MHz).
 pub const COMPARISON_OVERHEAD_NS: f64 = COMPARISON_OVERHEAD_CYCLES as f64 * CYCLE_NS;
 
+/// The time predecoding plus main decoding may take per syndrome: the
+/// 1 µs real-time deadline less the ‖ comparison, 960 ns (§6.4). A
+/// decode that overruns it is a failure, counted as a logical error.
+pub const TIME_BUDGET_NS: f64 = 1_000.0 - COMPARISON_OVERHEAD_NS;
+
 /// Converts a cycle count at the shared 250 MHz clock to nanoseconds.
 pub fn cycles_to_ns(cycles: u64) -> f64 {
     cycles as f64 * CYCLE_NS
@@ -33,42 +38,16 @@ pub fn cycles_to_ns(cycles: u64) -> f64 {
 /// resolves are charged this instead of the L2 decoder's model.
 pub const BATCH_PREDECODE_NS: f64 = 2.0 * CYCLE_NS;
 
-/// The L1 batch predecoder's [`LatencyModel`]: the admission simulator
-/// charges L1-resolved windows this fixed service time.
-pub const BATCH_PREDECODE_LATENCY: FixedLatency = FixedLatency {
-    ns: BATCH_PREDECODE_NS,
-};
-
 /// Maps a syndrome's Hamming weight to a modeled decode latency.
 ///
 /// Implemented by `astrea::AstreaLatencyModel` (the brute-force engine's
-/// cycle model), by the simple models below, and usable as a trait
+/// cycle model) and by [`PolynomialLatency`], and usable as a trait
 /// object by the real-time backlog simulator, which needs one service
 /// time per decode regardless of the decoder family behind it.
 pub trait LatencyModel {
-    /// Human-readable model name (for reports).
-    fn name(&self) -> &str;
-
     /// Modeled latency in nanoseconds for a syndrome of Hamming weight
     /// `hw`.
     fn latency_ns(&self, hw: usize) -> f64;
-}
-
-/// A constant-latency model (e.g. the Clique match units' single cycle).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FixedLatency {
-    /// The constant latency in nanoseconds.
-    pub ns: f64,
-}
-
-impl LatencyModel for FixedLatency {
-    fn name(&self) -> &str {
-        "fixed"
-    }
-
-    fn latency_ns(&self, _hw: usize) -> f64 {
-        self.ns
-    }
 }
 
 /// A polynomial-in-Hamming-weight model,
@@ -92,10 +71,6 @@ pub struct PolynomialLatency {
 }
 
 impl LatencyModel for PolynomialLatency {
-    fn name(&self) -> &str {
-        "polynomial"
-    }
-
     fn latency_ns(&self, hw: usize) -> f64 {
         let h = hw as f64;
         self.base_ns + self.linear_ns * h + self.quadratic_ns * h * h
@@ -116,16 +91,11 @@ mod tests {
     #[test]
     fn batch_predecode_charge_is_two_cycles() {
         assert_eq!(BATCH_PREDECODE_NS, 8.0);
-        assert_eq!(BATCH_PREDECODE_LATENCY.latency_ns(0), 8.0);
-        assert_eq!(BATCH_PREDECODE_LATENCY.latency_ns(64), 8.0);
     }
 
     #[test]
-    fn fixed_model_ignores_hw() {
-        let m = FixedLatency { ns: 4.0 };
-        assert_eq!(m.latency_ns(0), 4.0);
-        assert_eq!(m.latency_ns(100), 4.0);
-        assert_eq!(m.name(), "fixed");
+    fn time_budget_is_one_microsecond_less_the_comparison() {
+        assert_eq!(TIME_BUDGET_NS, 960.0);
     }
 
     #[test]
@@ -142,15 +112,11 @@ mod tests {
 
     #[test]
     fn models_are_object_safe() {
-        let models: Vec<Box<dyn LatencyModel>> = vec![
-            Box::new(FixedLatency { ns: 1.0 }),
-            Box::new(PolynomialLatency {
-                base_ns: 0.0,
-                linear_ns: 1.0,
-                quadratic_ns: 0.0,
-            }),
-        ];
-        assert_eq!(models[0].latency_ns(3), 1.0);
-        assert_eq!(models[1].latency_ns(3), 3.0);
+        let model: Box<dyn LatencyModel> = Box::new(PolynomialLatency {
+            base_ns: 0.0,
+            linear_ns: 1.0,
+            quadratic_ns: 0.0,
+        });
+        assert_eq!(model.latency_ns(3), 3.0);
     }
 }

@@ -42,7 +42,8 @@
 //!   [`WindowContext`]s (window graph + path table behind `Arc`) that
 //!   lets many streams — or many tenants of the decode service — share
 //!   one copy of the immutable per-range state.
-//! * [`latency`] — the shared 250 MHz cycle constants and the
+//! * [`latency`] — the shared 250 MHz cycle constants, the paper's
+//!   960 ns decode budget ([`latency::TIME_BUDGET_NS`]) and the
 //!   [`LatencyModel`] trait every modeled hardware latency implements.
 //!
 //! # Example
@@ -71,9 +72,7 @@ mod window;
 mod workspace;
 
 pub use graph::{DecodingGraph, Edge, ShortestPaths, WEIGHT_SCALE};
-pub use latency::{
-    FixedLatency, LatencyModel, PolynomialLatency, BATCH_PREDECODE_LATENCY, BATCH_PREDECODE_NS,
-};
+pub use latency::{LatencyModel, PolynomialLatency, BATCH_PREDECODE_NS};
 pub use packed::{PackedBits, PackedSyndromes, WordSpan};
 pub use pathtable::{NoTransitTable, PathRow, PathTable, StorageModel};
 pub use state::{Nbr, SubgraphState};

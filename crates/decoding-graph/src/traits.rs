@@ -56,9 +56,6 @@ impl DecodeOutcome {
 
 /// A full decoder: syndrome in, logical correction out.
 pub trait Decoder {
-    /// Human-readable decoder name, as used in the paper's tables.
-    fn name(&self) -> &str;
-
     /// Decodes one syndrome given as the sorted list of flipped
     /// detectors.
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome;
@@ -132,9 +129,6 @@ impl PredecodeOutcome {
 
 /// A syndrome-modifying or non-syndrome-modifying predecoder.
 pub trait Predecoder {
-    /// Human-readable predecoder name.
-    fn name(&self) -> &str;
-
     /// Predecodes one syndrome given as the sorted flipped-detector list.
     fn predecode(&mut self, dets: &[DetectorId]) -> PredecodeOutcome;
 }
@@ -172,10 +166,6 @@ mod tests {
     struct CountingDecoder;
 
     impl Decoder for CountingDecoder {
-        fn name(&self) -> &str {
-            "counting"
-        }
-
         fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
             DecodeOutcome {
                 obs_flip: dets.len() as u64,

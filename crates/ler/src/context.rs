@@ -210,12 +210,7 @@ impl ExperimentContext {
     /// A Promatch + Astrea decoder with a custom Promatch configuration
     /// (used by the `repro ablate-*` experiments).
     pub fn promatch_with(&self, config: PromatchConfig) -> PromatchAstreaDecoder<'_> {
-        PromatchAstreaDecoder::with_configs(
-            &self.graph,
-            self.paths(),
-            config,
-            astrea::AstreaConfig::default(),
-        )
+        PromatchAstreaDecoder::with_config(&self.graph, self.paths(), config)
     }
 }
 

@@ -116,10 +116,6 @@ impl<'a> MwpmDecoder<'a> {
 }
 
 impl Decoder for MwpmDecoder<'_> {
-    fn name(&self) -> &str {
-        "MWPM"
-    }
-
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
         let k = dets.len();
         if k == 0 {

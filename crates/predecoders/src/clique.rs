@@ -32,11 +32,6 @@ impl<'a> CliquePredecoder<'a> {
             sg: SubgraphState::default(),
         }
     }
-
-    /// Whether the syndrome consists only of trivial local patterns.
-    pub fn is_trivial(&self, dets: &[DetectorId]) -> bool {
-        decode_locally(self.graph, &SubgraphState::build(self.graph, dets), dets).is_some()
-    }
 }
 
 /// The local match units' decode of `dets` over its subgraph `sg`, one
@@ -71,10 +66,6 @@ fn decode_locally(
 }
 
 impl Predecoder for CliquePredecoder<'_> {
-    fn name(&self) -> &str {
-        "Clique"
-    }
-
     fn predecode(&mut self, dets: &[DetectorId]) -> PredecodeOutcome {
         self.sg.rebuild(self.graph, dets);
         // Anything not locally decodable is forwarded unmodified.
@@ -122,7 +113,6 @@ mod tests {
         let g = graph(3);
         let (a, b) = internal_pair(&g);
         let mut clique = CliquePredecoder::new(&g);
-        assert!(clique.is_trivial(&[a, b]));
         let out = clique.predecode(&[a, b]);
         assert!(out.remaining.is_empty());
         assert_eq!(out.pairs, vec![(a, b)]);
@@ -160,7 +150,6 @@ mod tests {
         let mut dets = chain.unwrap();
         dets.sort_unstable();
         let mut clique = CliquePredecoder::new(&g);
-        assert!(!clique.is_trivial(&dets));
         let out = clique.predecode(&dets);
         assert_eq!(
             out.remaining, dets,

@@ -3,7 +3,6 @@
 use decoding_graph::{
     DecodeOutcome, DecodeWorkspace, Decoder, DetectorId, MatchPair, MatchTarget, Predecoder,
 };
-use std::cell::OnceCell;
 
 /// Comparison overhead of a parallel (`A ‖ B`) composition: the 10 cycles
 /// at 250 MHz the paper reserves for comparing the two solutions (§6.4).
@@ -12,9 +11,9 @@ use std::cell::OnceCell;
 pub use decoding_graph::latency::COMPARISON_OVERHEAD_NS;
 
 /// The Hamming weight above which a predecoder engages: the largest
-/// syndrome Astrea decodes in real time on its own, per the paper's
-/// evaluation methodology.
-pub const ENGAGE_ABOVE_HW: usize = 10;
+/// syndrome Astrea decodes in real time on its own ([`astrea::MAX_HW`]),
+/// per the paper's evaluation methodology.
+pub const ENGAGE_ABOVE_HW: usize = astrea::MAX_HW;
 
 /// `predecoder + main decoder` composition.
 ///
@@ -25,18 +24,12 @@ pub const ENGAGE_ABOVE_HW: usize = 10;
 pub struct PipelineDecoder<P, D> {
     pre: P,
     main: D,
-    /// `"<pre> + <main>"`, composed on the first [`Decoder::name`] call.
-    name: OnceCell<String>,
 }
 
 impl<P: Predecoder, D: Decoder> PipelineDecoder<P, D> {
     /// Composes `pre + main` with the paper's HW > 10 engagement rule.
     pub fn new(pre: P, main: D) -> Self {
-        PipelineDecoder {
-            pre,
-            main,
-            name: OnceCell::new(),
-        }
+        PipelineDecoder { pre, main }
     }
 
     /// Access to the inner predecoder (for stats collection).
@@ -97,11 +90,6 @@ impl<P: Predecoder, D: Decoder> PipelineDecoder<P, D> {
 }
 
 impl<P: Predecoder, D: Decoder> Decoder for PipelineDecoder<P, D> {
-    fn name(&self) -> &str {
-        self.name
-            .get_or_init(|| format!("{} + {}", self.pre.name(), self.main.name()))
-    }
-
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
         self.run(dets, |main, dets| main.decode(dets))
     }
@@ -117,18 +105,12 @@ impl<P: Predecoder, D: Decoder> Decoder for PipelineDecoder<P, D> {
 pub struct ParallelDecoder<A, B> {
     a: A,
     b: B,
-    /// `"<a> || <b>"`, composed on the first [`Decoder::name`] call.
-    name: OnceCell<String>,
 }
 
 impl<A: Decoder, B: Decoder> ParallelDecoder<A, B> {
     /// Composes `a ‖ b`.
     pub fn new(a: A, b: B) -> Self {
-        ParallelDecoder {
-            a,
-            b,
-            name: OnceCell::new(),
-        }
+        ParallelDecoder { a, b }
     }
 
     /// Access to the first inner decoder.
@@ -162,11 +144,6 @@ fn select(out_a: DecodeOutcome, out_b: DecodeOutcome) -> DecodeOutcome {
 }
 
 impl<A: Decoder, B: Decoder> Decoder for ParallelDecoder<A, B> {
-    fn name(&self) -> &str {
-        self.name
-            .get_or_init(|| format!("{} || {}", self.a.name(), self.b.name()))
-    }
-
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
         select(self.a.decode(dets), self.b.decode(dets))
     }
@@ -216,7 +193,6 @@ mod tests {
         let astrea = AstreaDecoder::new(&graph, &paths);
         let smith = SmithPredecoder::new(&graph);
         let mut pipe = PipelineDecoder::new(smith, astrea);
-        assert_eq!(pipe.name(), "Smith + Astrea");
         let mut rng = StdRng::seed_from_u64(61);
         let dets = random_syndrome(&mut rng, graph.num_detectors() as usize, 6);
         let out = pipe.decode(&dets);
@@ -306,7 +282,6 @@ mod tests {
         let mwpm = MwpmDecoder::new(&graph, &paths);
         let astrea = AstreaDecoder::new(&graph, &paths);
         let mut par = ParallelDecoder::new(astrea, mwpm);
-        assert_eq!(par.name(), "Astrea || MWPM");
         let mut rng = StdRng::seed_from_u64(64);
         let dets = random_syndrome(&mut rng, graph.num_detectors() as usize, 8);
         let out = par.decode(&dets);

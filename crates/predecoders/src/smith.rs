@@ -36,10 +36,6 @@ impl<'a> SmithPredecoder<'a> {
 }
 
 impl Predecoder for SmithPredecoder<'_> {
-    fn name(&self) -> &str {
-        "Smith"
-    }
-
     fn predecode(&mut self, dets: &[DetectorId]) -> PredecodeOutcome {
         self.sg.rebuild(self.graph, dets);
         let sg = &self.sg;

@@ -189,7 +189,15 @@ pub fn service_ns(latency_ns: Option<f64>, hw: usize, fallback: &dyn LatencyMode
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decoding_graph::FixedLatency;
+
+    /// A model that charges every Hamming weight the same.
+    struct Flat(f64);
+
+    impl LatencyModel for Flat {
+        fn latency_ns(&self, _hw: usize) -> f64 {
+            self.0
+        }
+    }
 
     fn uniform(n: u64, every: u64, service: f64) -> Vec<WindowTiming> {
         (0..n)
@@ -277,7 +285,7 @@ mod tests {
 
     #[test]
     fn service_resolution_prefers_reported_latency() {
-        let fallback = FixedLatency { ns: 123.0 };
+        let fallback = Flat(123.0);
         assert_eq!(service_ns(Some(7.0), 5, &fallback), 7.0);
         assert_eq!(service_ns(None, 5, &fallback), 123.0);
     }

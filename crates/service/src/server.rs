@@ -79,9 +79,6 @@ pub struct ServiceConfig {
     /// Live bound on one tenant's in-flight shots; submissions beyond it
     /// are shed at the session router without decoding.
     pub max_inflight_shots: usize,
-    /// Most requests a shard drains per wakeup (bounds the per-tenant
-    /// decode batch).
-    pub batch_max: usize,
     /// Stage-span sampling period: 1 in `metrics_sample` window steps
     /// (and submissions) gets span timestamps. 0 disables spans
     /// entirely; counters and gauges are always live.
@@ -114,7 +111,6 @@ impl Default for ServiceConfig {
             deadline_ns: 2000.0,
             queue_capacity: 4,
             max_inflight_shots: 4,
-            batch_max: 16,
             metrics_sample: 8,
             trace_capacity: 0,
             trace_dump_prefix: None,
@@ -148,9 +144,6 @@ impl ServiceConfig {
         }
         if self.max_inflight_shots == 0 {
             return Err("max_inflight_shots must be at least 1".into());
-        }
-        if self.batch_max == 0 {
-            return Err("batch_max must be at least 1".into());
         }
         if !(0.0..=1.0).contains(&self.storm_threshold) {
             return Err(format!(

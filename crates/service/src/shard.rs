@@ -17,7 +17,7 @@
 //!
 //! A sweep drains control messages first (so a registration is always
 //! applied before any submission that was admitted after it), then
-//! visits each ring — up to `batch_max` slots per ring per pass —
+//! visits each ring — up to `BATCH_MAX` slots per ring per pass —
 //! feeding every slot's packed words to
 //! [`SlidingWindowDecoder::decode_shot_packed_into`] without ever
 //! materializing a sparse detector list: the words move from the wire
@@ -105,6 +105,11 @@ fn windows_per_shot(layers: u32, cfg: WindowConfig) -> u32 {
 /// counters) but stops extending the modeled sample, so stats memory
 /// and `StatsRequest` cost stay bounded over unbounded uptime.
 const TIMELINE_CAP: usize = 1 << 18;
+
+/// Most slots a sweep takes from one ring per pass: bounds the
+/// per-tenant decode batch, so control traffic and sibling rings stay
+/// live.
+const BATCH_MAX: usize = 16;
 
 /// How long an idle shard parks before re-checking its rings. Bounds
 /// the latency of a lost wakeup race (and of control messages sent
@@ -325,7 +330,7 @@ pub(crate) fn hand_off(shards: &[Shard<'_>], dirty: &mut [bool]) {
 
 impl ShardCore<'_> {
     /// One pass: every queued control request, then at most
-    /// `batch_max` slots per ring, so control traffic and sibling rings
+    /// `BATCH_MAX` slots per ring, so control traffic and sibling rings
     /// stay live. Returns the slots swept.
     fn step(&mut self) -> usize {
         // Control first: a registration is always applied before any
@@ -349,7 +354,7 @@ impl ShardCore<'_> {
         }
         let mut swept = 0usize;
         for (ring, reply) in &mut self.rings {
-            let n = ring.len().min(self.cfg.batch_max);
+            let n = ring.len().min(BATCH_MAX);
             if n == 0 {
                 continue;
             }
@@ -1095,20 +1100,18 @@ mod tests {
 
     #[test]
     fn work_left_after_an_inline_pass_falls_back_to_a_wake() {
-        let cfg = ServiceConfig {
-            batch_max: 1,
-            ..ServiceConfig::default()
-        };
-        let scenarios = scenario();
+        let (cfg, scenarios) = (ServiceConfig::default(), scenario());
         let mut f = fixture(&cfg, &scenarios);
-        publish(&mut f.producer, &f.gate, f.words, 0);
-        publish(&mut f.producer, &f.gate, f.words, 1);
+        let shots = BATCH_MAX as u64 + 1;
+        for shot in 0..shots {
+            publish(&mut f.producer, &f.gate, f.words, shot);
+        }
         f.shard.waker.prepare_park();
         hand_off(std::slice::from_ref(&f.shard), &mut [true]);
         assert_eq!(f.metrics.inline_sweeps.get(), 1);
         assert_eq!(f.shard.waker.wake_count(), 1, "one slot was left");
         assert_eq!(f.shard.lock().step(), 1);
-        expect_commits(&mut f.client, 0..2);
+        expect_commits(&mut f.client, 0..shots);
     }
 
     #[test]

@@ -455,10 +455,6 @@ fn incident(g: &DecodingGraph, v: u32) -> impl Iterator<Item = &u32> {
 }
 
 impl Decoder for UnionFindDecoder<'_> {
-    fn name(&self) -> &str {
-        "Union-Find (AFS)"
-    }
-
     fn decode(&mut self, dets: &[DetectorId]) -> DecodeOutcome {
         self.decode_inner(dets)
     }

@@ -6,6 +6,8 @@
 //! cargo run --release --example predecoder_pipeline
 //! ```
 
+use promatch_repro::astrea::MAX_HW;
+use promatch_repro::decoding_graph::latency::TIME_BUDGET_NS;
 use promatch_repro::decoding_graph::{Predecoder, SubgraphState};
 use promatch_repro::ler::{ExperimentContext, InjectionSampler};
 use promatch_repro::promatch::PromatchPredecoder;
@@ -20,7 +22,7 @@ fn main() {
     // Find a high-Hamming-weight syndrome (the regime Promatch targets).
     let shot = loop {
         let (shot, _) = sampler.sample_exact_k(&mut rng, 9);
-        if shot.dets.len() > 10 {
+        if shot.dets.len() > MAX_HW {
             break shot;
         }
     };
@@ -47,7 +49,7 @@ fn main() {
     println!("\nPromatch result:");
     println!("  prematched pairs : {:?}", out.pairs);
     println!(
-        "  remaining HW     : {} (Astrea handles <= 10)",
+        "  remaining HW     : {} (Astrea handles <= {MAX_HW})",
         out.remaining.len()
     );
     println!("  rounds           : {}", stats.rounds);
@@ -57,9 +59,9 @@ fn main() {
         stats.cycles, stats.predecode_ns
     );
     println!(
-        "  1 us budget      : {} ns predecode + Astrea(HW={}) fits in 960 ns",
+        "  1 us budget      : {} ns predecode + Astrea(HW={}) fits in {TIME_BUDGET_NS} ns",
         stats.predecode_ns,
         out.remaining.len()
     );
-    assert!(out.remaining.len() <= 10);
+    assert!(out.remaining.len() <= MAX_HW);
 }

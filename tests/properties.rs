@@ -1,6 +1,6 @@
 //! Property-based integration tests over the decoder stack.
 
-use promatch_repro::astrea::{AstreaDecoder, AstreaGConfig, AstreaGDecoder};
+use promatch_repro::astrea::{AstreaDecoder, AstreaGDecoder};
 use promatch_repro::decoding_graph::{
     DecodeWorkspace, Decoder, DecodingGraph, LayerMap, MatchTarget, PathTable, Predecoder,
     SeamPolicy, WindowContext,
@@ -96,13 +96,20 @@ fn split_graph() -> &'static (DecodingGraph, PathTable) {
 /// tail cut in Astrea-G, the subset table in Astrea), kept as they were:
 /// the oracles the differential properties below compare against.
 mod reference {
-    use promatch_repro::astrea::{AstreaGConfig, CYCLE_NS};
+    use promatch_repro::astrea::CYCLE_NS;
+    use promatch_repro::decoding_graph::latency::TIME_BUDGET_NS;
     use promatch_repro::decoding_graph::{
         DecodeOutcome, DecodingGraph, DetectorId, MatchPair, MatchTarget, PathTable,
     };
 
     const BOUNDARY: usize = usize::MAX;
     const UNSET: usize = usize::MAX - 1;
+
+    /// Astrea-G's hardware: 84 match units for the 240 cycles of the
+    /// 960 ns budget, pruning chains less likely than 1e-13.
+    const STATES_PER_CYCLE: u32 = 84;
+    const STATE_BUDGET: u32 = 240 * STATES_PER_CYCLE;
+    const PRUNE_PROBABILITY: f64 = 1e-13;
 
     /// The matches and observable flips of a complete partner vector.
     fn solution(
@@ -171,13 +178,9 @@ mod reference {
 
     /// Astrea-G as a plain recursion: every option costs a state and a
     /// call, and the bound is only tested on entry.
-    pub fn astrea_g(
-        paths: &PathTable,
-        config: &AstreaGConfig,
-        dets: &[DetectorId],
-    ) -> DecodeOutcome {
+    pub fn astrea_g(paths: &PathTable, dets: &[DetectorId]) -> DecodeOutcome {
         let k = dets.len();
-        let prune_weight = DecodingGraph::weight_of_probability(config.prune_probability);
+        let prune_weight = DecodingGraph::weight_of_probability(PRUNE_PROBABILITY);
         let options = (0..k)
             .map(|i| {
                 let mut opts: Vec<(i64, usize)> = (0..k)
@@ -196,23 +199,23 @@ mod reference {
         let mut search = GreedySearch {
             options,
             states: 0,
-            budget: config.state_budget,
+            budget: STATE_BUDGET,
             best: i64::MAX,
             best_partner: vec![UNSET; k],
         };
         search.dfs(&mut vec![UNSET; k], 0);
         if k > 0 && search.best == i64::MAX {
             return DecodeOutcome {
-                latency_ns: Some(config.time_budget_ns),
+                latency_ns: Some(TIME_BUDGET_NS),
                 ..DecodeOutcome::failure()
             };
         }
         let (obs_flip, matches) = solution(paths, dets, &search.best_partner);
-        let cycles = search.states.div_ceil(config.states_per_cycle.max(1));
+        let cycles = search.states.div_ceil(STATES_PER_CYCLE);
         DecodeOutcome {
             obs_flip,
             weight: Some(search.best),
-            latency_ns: Some((cycles as f64 * CYCLE_NS).min(config.time_budget_ns)),
+            latency_ns: Some((cycles as f64 * CYCLE_NS).min(TIME_BUDGET_NS)),
             failed: false,
             matches,
         }
@@ -365,19 +368,16 @@ proptest! {
     /// The tail cut is invisible: Astrea-G returns the outcome of the
     /// plain recursive search — weight, matches, observable flips and
     /// the state count behind `latency_ns` — at every Hamming weight,
-    /// also under budgets small enough that the search is cut off
-    /// mid-tail.
+    /// also where the search runs out of its 20 160 states mid-tail
+    /// (most cases above HW 16).
     #[test]
     fn tail_cut_astrea_g_matches_the_recursive_search(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let ctx = if rng.gen_bool(0.5) { ctx() } else { ctx7() };
         let dets = mixed_syndrome(ctx, &mut rng, 40);
-        for state_budget in [30, 500, AstreaGConfig::default().state_budget] {
-            let config = AstreaGConfig { state_budget, ..Default::default() };
-            let got = AstreaGDecoder::with_config(&ctx.graph, ctx.paths(), config).decode(&dets);
-            let want = reference::astrea_g(ctx.paths(), &config, &dets);
-            prop_assert_eq!(got, want, "d={} budget={} {:?}", ctx.distance, state_budget, dets);
-        }
+        let got = AstreaGDecoder::new(&ctx.graph, ctx.paths()).decode(&dets);
+        let want = reference::astrea_g(ctx.paths(), &dets);
+        prop_assert_eq!(got, want, "d={} {:?}", ctx.distance, dets);
     }
 
     /// The subset table is invisible: Astrea returns the first

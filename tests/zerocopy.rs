@@ -17,7 +17,9 @@
 //! * stream-level equality of `next_shot_packed` views against
 //!   `next_shot` sparse shots across arena-refill boundaries (ungated);
 //! * per-shot equality of `decode_shot_packed_into` fed from live arena
-//!   views against the reference decoder fed sparse detectors (ungated).
+//!   views against the reference decoder fed sparse detectors (ungated);
+//! * per-shot equality of `decode_shot` on frame-sampled shots against
+//!   the reference decoder, window records included (ungated).
 //!
 //! CI runs the release suite at `PROMATCH_THREADS=1` and `=4`.
 
@@ -27,11 +29,14 @@ use common::{ctx, reference_run, stream_cfg, SPLITS};
 use promatch_repro::decoding_graph::packed::for_each_set_bit;
 use promatch_repro::decoding_graph::{LayerMap, SeamPolicy, WindowCache};
 use promatch_repro::ler::DecoderKind;
+use promatch_repro::qsim::FrameSampler;
 use promatch_repro::realtime::{
     run_stream, Instruments, PredecodeMode, SlidingWindowDecoder, SyndromeStream, WindowConfig,
     WindowedOutcome,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 proptest! {
@@ -132,6 +137,46 @@ fn packed_into_outcomes_match_byte_outcomes_shot_by_shot() {
                         want,
                         out,
                         "{}: shot {shot_idx} diverges (w={window}, c={commit}, {predecode:?})",
+                        kind.label()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Per-shot equivalence on naturally sampled syndromes: the packed
+/// path's [`WindowedOutcome`]s — window records included — equal those
+/// of the byte-per-detector reference path, shot by shot. Ungated so
+/// `--test zerocopy` exercises the packed kernels in debug builds too.
+///
+/// [`WindowedOutcome`]: promatch_repro::realtime::WindowedOutcome
+#[test]
+fn packed_outcomes_match_byte_outcomes_shot_by_shot() {
+    let ctx = ctx();
+    let layers = LayerMap::from_graph(&ctx.graph).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xB17);
+    let sampled = FrameSampler::new(&ctx.circuit).sample_shots(48, &mut rng);
+    for (window, commit) in SPLITS {
+        let cfg = WindowConfig::new(window, commit).unwrap();
+        for predecode in [PredecodeMode::Off, PredecodeMode::Batch] {
+            for kind in [
+                DecoderKind::UnionFind,
+                DecoderKind::Mwpm,
+                DecoderKind::AstreaG,
+            ] {
+                let decoder = || {
+                    SlidingWindowDecoder::new(&ctx.graph, layers.clone(), kind, cfg)
+                        .with_predecode(predecode)
+                };
+                let (mut reference, mut packed) = (decoder(), decoder());
+                for (i, shot) in sampled.iter().enumerate() {
+                    let want = reference.decode_shot_reference(&shot.dets);
+                    let got = packed.decode_shot(&shot.dets);
+                    assert_eq!(
+                        want,
+                        got,
+                        "{}: shot {i} diverges (w={window}, c={commit}, {predecode:?})",
                         kind.label()
                     );
                 }

@@ -243,7 +243,7 @@ fn commit_results_append_into_a_warm_buffer_without_allocating() {
     assert_eq!(wire.len(), warm_len);
 
     // The whole reply path of a warm session: shard sweeps of 16 commits
-    // (the default `batch_max`) encoded into the sweep's scratch and
+    // (a shard's per-ring batch) encoded into the sweep's scratch and
     // sent with one `send_wire` each, and the router's replies encoded
     // into the sink's own recycled buffer.
     let sent = Arc::new(AtomicUsize::new(0));
