@@ -9,6 +9,7 @@
 //! match units, plus 9 cycles of pipeline setup. With the default
 //! U = 9 the model lands on the paper's 456 ns for HW = 10.
 
+use crate::MAX_HW;
 use decoding_graph::latency::LatencyModel;
 
 /// Nanoseconds per cycle at the 250 MHz clock used throughout the paper
@@ -67,10 +68,10 @@ impl AstreaLatencyModel {
     }
 
     /// The largest Hamming weight decodable within `budget_ns`
-    /// nanoseconds, at most `max_hw`. Returns `None` if even the smallest
-    /// nonzero weight does not fit.
-    pub fn max_hw_within(&self, budget_ns: f64, max_hw: usize) -> Option<usize> {
-        (0..=max_hw)
+    /// nanoseconds, at most [`MAX_HW`]. Returns `None` if even the
+    /// smallest nonzero weight does not fit.
+    pub fn max_hw_within(&self, budget_ns: f64) -> Option<usize> {
+        (0..=MAX_HW)
             .rev()
             .find(|&hw| self.latency_ns(hw) <= budget_ns)
     }
@@ -126,12 +127,12 @@ mod tests {
     #[test]
     fn max_hw_within_respects_budget() {
         let m = AstreaLatencyModel::default();
-        assert_eq!(m.max_hw_within(1000.0, 10), Some(10));
-        assert_eq!(m.max_hw_within(456.0, 10), Some(10));
+        assert_eq!(m.max_hw_within(1000.0), Some(10));
+        assert_eq!(m.max_hw_within(456.0), Some(10));
         // HW 9 and 10 explore the same 945 pairings, so dropping below
         // 456 ns skips straight to HW 8.
-        assert_eq!(m.max_hw_within(455.9, 10), Some(8));
-        assert_eq!(m.max_hw_within(100.0, 10), Some(8));
-        assert_eq!(m.max_hw_within(0.0, 10), None);
+        assert_eq!(m.max_hw_within(455.9), Some(8));
+        assert_eq!(m.max_hw_within(100.0), Some(8));
+        assert_eq!(m.max_hw_within(0.0), None);
     }
 }

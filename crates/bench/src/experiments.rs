@@ -490,7 +490,7 @@ pub fn ablate_astrea_units(_scale: &Scale, w: &mut dyn Write) -> Result<()> {
             parallel_units: units,
         };
         let hw10 = model.latency_ns(10);
-        let afford = model.max_hw_within(TIME_BUDGET_NS - 70.0, MAX_HW);
+        let afford = model.max_hw_within(TIME_BUDGET_NS - 70.0);
         writeln!(
             w,
             "units {units:>3}: HW=10 latency {hw10:>7.1} ns, affordable target after avg predecode: {afford:?}"

@@ -28,9 +28,10 @@ use crate::graph::DecodingGraph;
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Row sentinel of both tables: no path at any price.
 const ROW_UNREACHED: u32 = u32::MAX;
@@ -62,7 +63,7 @@ fn row_cell(d: u64, src: u32, obs_bits: u32) -> u32 {
 /// A graph's adjacency, flat — what both tables search. Node `u`'s
 /// half-edges are `half[start[u]..start[u + 1]]`, in the order of
 /// [`DecodingGraph::neighbors`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct Adjacency {
     start: Vec<u32>,
     /// `(neighbor, weight)` of each half-edge.
@@ -128,15 +129,15 @@ impl Adjacency {
     /// only strictly — so ties between shortest paths break the same
     /// way. Every improvement of `v` over half-edge `h` from `u` calls
     /// `relaxed(u, v, h)`; `sink`, if any, is reached but never
-    /// expanded; a tentative distance above `limit` is dropped, so every
-    /// node within `limit` still ends exact (each prefix of its shortest
-    /// path is within it too) and every other node reads [`UNREACHED`].
-    /// `read` gets the final distances.
+    /// expanded; a tentative distance to `v` above `limit(v)` is dropped.
+    /// So when every node on some shortest path to `v` lies within its
+    /// own limit, `v` still ends exact, and a node farther than its limit
+    /// reads [`UNREACHED`]. `read` gets the final distances.
     fn shortest<R>(
         &self,
         src: u32,
         sink: Option<u32>,
-        limit: u64,
+        limit: impl Fn(u32) -> u64,
         mut relaxed: impl FnMut(usize, usize, usize),
         read: impl FnOnce(&[u64]) -> R,
     ) -> R {
@@ -162,7 +163,7 @@ impl Adjacency {
                 for h in self.range(u) {
                     let (v, w) = self.half[h];
                     let nd = d + u64::from(w);
-                    if nd < dist[v as usize] && nd <= limit {
+                    if nd < dist[v as usize] && nd <= limit(v) {
                         dist[v as usize] = nd;
                         relaxed(u as usize, v as usize, h);
                         if nd <= u64::from(u32::MAX) {
@@ -263,9 +264,9 @@ impl PathRow {
 impl PathTable {
     /// Prepares the table over `graph`: the quantization thresholds and
     /// an empty row store. It reads only the detector count and the
-    /// ordered `(u, v, weight, obs)` edge list, so two graphs equal in
-    /// those get tables equal cell for cell — which is what lets
-    /// [`crate::WindowCache`] give every content-equal window one table.
+    /// ordered `(u, v, weight, obs)` edge list, and [`crate::WindowCache`]
+    /// interns tables by what it derives from them, so every
+    /// content-equal window shares one table.
     /// No search runs until a row is asked for; one row costs one
     /// search and one allocation, measured on a 2-vCPU x86-64 host at
     /// ≈ 34–52 µs on a six-layer d = 13 window (505 nodes; every row
@@ -340,7 +341,7 @@ impl PathTable {
                 self.adj.shortest(
                     src,
                     None,
-                    UNREACHED,
+                    |_| UNREACHED,
                     |u, v, h| cell[v].set(cell[u].get() ^ self.adj.obs[h] as u32),
                     |dist| {
                         for (c, &d) in cell.iter().zip(dist) {
@@ -359,7 +360,7 @@ impl PathTable {
                 let cells = self.adj.shortest(
                     src,
                     None,
-                    UNREACHED,
+                    |_| UNREACHED,
                     |u, v, h| obs[v] = obs[u] ^ self.adj.obs[h],
                     |dist| dist.iter().map(|&d| row_cell(d, src, 0)).collect(),
                 );
@@ -417,7 +418,7 @@ impl PathTable {
         self.adj.shortest(
             src,
             None,
-            UNREACHED,
+            |_| UNREACHED,
             |u, v, _| hops[v] = hops[u] + 1,
             |_| (),
         );
@@ -434,6 +435,41 @@ impl PathTable {
             // Two bits per n×n path-table cell.
             path_table_bytes: (self.n * self.n).div_ceil(4),
         }
+    }
+}
+
+/// A path table compared by its inputs, never its rows: everything
+/// [`PathTable::build`] derives from its graph, and so everything a row
+/// is a function of — the detector count, the flat adjacency in order
+/// with masks (the order sets the tie-breaking of path masks), the mask
+/// width and the thresholds (which fix the class weights). Tables that
+/// compare equal fill equal rows, so [`crate::WindowCache`] keeps one of
+/// them.
+#[derive(Debug)]
+pub(crate) struct Interned(pub(crate) Arc<PathTable>);
+
+impl Interned {
+    fn inputs(&self) -> (usize, &Adjacency, Option<u32>, [i64; 3]) {
+        let t = &self.0;
+        (t.n, &t.adj, t.obs_bits, t.thresholds)
+    }
+}
+
+impl PartialEq for Interned {
+    fn eq(&self, other: &Self) -> bool {
+        self.inputs() == other.inputs()
+    }
+}
+
+impl Eq for Interned {}
+
+/// Hashes the inputs' scalars and the adjacency's length only: hashing
+/// every half-edge costs more than building the table, and a cache holds
+/// a handful of tables, so a shared hash costs one comparison.
+impl Hash for Interned {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (n, adj, obs_bits, thresholds) = self.inputs();
+        (n, adj.half.len(), obs_bits, thresholds).hash(state);
     }
 }
 
@@ -461,17 +497,28 @@ const ALT_SOME: u8 = 2;
 /// The rows hold only what the predecoder can ask. It passes
 /// [`NoTransitTable::within`] caps of two kinds, each built from local
 /// costs (a lone defect's boundary edge or a pair's edge: one edge
-/// weight):
+/// weight, at most the heaviest, `max_w`):
 ///
 /// * local cost + local cost — the weight-isolation bar between two
-///   components (`BatchPredecoder::try_resolve_verified`);
+///   components (`BatchPredecoder::try_resolve_verified`), at most
+///   `2·max_w`;
 /// * local cost + `escape(v)` — the exchange-argument bar against a
-///   defect `v` outside the members (`isolated_from_rest`), which
-///   saturates to `i64::MAX` when `v`'s component has no boundary.
+///   defect `v` outside the members (`isolated_from_rest`), at most
+///   `max_w + esc(v)`; it saturates to `i64::MAX` when `v`'s component
+///   has no boundary.
 ///
-/// So no finite cap exceeds [`NoTransitTable::reach`] =
-/// `max_w + max(max_w, max finite escape)` — 43 451 at d = 13 SD6,
-/// p = 1e-3, about seven median edges.
+/// So no finite cap about a path *to* `v` exceeds the target's limit
+/// `L(v) = max_w + max(max_w, esc(v))`, and a boundary-less `v` takes
+/// `L(v) = reach`, the largest finite limit ([`NoTransitTable::reach`]:
+/// 43 451 at d = 13 SD6, p = 1e-3, about seven median edges). The
+/// limits are closed under prefixes: for a node `x` on a shortest
+/// `u → v` path, `esc(v) ≤ nt(v, x) + esc(x)`, so `nt(u, v) ≤ L(v)`
+/// gives `nt(u, x) = nt(u, v) − nt(x, v) ≤ max_w + max(max_w, esc(v) −
+/// nt(x, v)) ≤ L(x)`. (`x` shares `v`'s component, so a boundary-less
+/// `v` has a boundary-less `x`, and both limits are `reach`.) A search
+/// that drops every tentative distance to `v` above `L(v)` therefore
+/// still settles every `v` within its limit exactly, and reaches no
+/// other.
 ///
 /// Three stores, all pure functions of the graph:
 ///
@@ -479,17 +526,21 @@ const ALT_SOME: u8 = 2;
 ///   eagerly with one Dijkstra from the boundary (the boundary is the
 ///   source, so no shortest path transits it). It is also `nt(u, ·)`
 ///   at the boundary (a shortest way there never returns through it),
-///   so rows hold detectors only;
-/// * **rows** — `nt(u, v)` for every detector `v` within `reach` of
-///   `u`, filled on first use with one Dijkstra from `u` that never
-///   expands the boundary and drops every distance above `reach`, and
-///   kept for the life of the table as a dense `u32` span over the
-///   detector ids it reached. Detectors are layer-contiguous, so the
-///   span is a few layers wide (≈ 890 of the 1 176 detectors at d = 13,
-///   13 rounds; ≈ 1 160 of 8 820 at 104 rounds). Rows sit behind
+///   so rows hold detectors only, and with `max_w` it gives every
+///   `L(v)`, so the limits take no array of their own;
+/// * **rows** — `nt(u, v)` for every detector `v` with `nt(u, v) ≤ L(v)`,
+///   filled on first use with one Dijkstra from `u` that never expands
+///   the boundary and drops every distance above its target's limit,
+///   and kept for the life of the table. A row is one allocation of
+///   `u32`s over the detector-id span of the cells it keeps: per 32 ids
+///   a keep-bitmap word and the count of kept cells before it, then the
+///   kept distances in id order, so a lookup is a bit test and one
+///   `count_ones`. At d = 13, 13 rounds a full table keeps 248 388
+///   cells, ≈ 211 a row, in 1.22 MB with the bitmaps; dense spans out to
+///   `reach` held 1 041 140 cells, 4.2 MB. Rows sit behind
 ///   [`OnceLock`]s: racing first users of one source run exactly one
-///   fill, and a filled row is a lock-free indexed load, so one table
-///   serves every window, shot and tenant of a scenario concurrently;
+///   fill, and a filled row is a lock-free load, so one table serves
+///   every window, shot and tenant of a scenario concurrently;
 /// * **edge facts** — per half-edge of the flat adjacency its weight and
 ///   observable mask, and one memo byte answering "is there a second way
 ///   across this edge at the edge's own price?"
@@ -514,34 +565,46 @@ pub struct NoTransitTable {
     boundary_half: Vec<u32>,
     /// `escape[v]`: shortest boundary distance ([`UNREACHED`] = none).
     escape: Vec<u64>,
-    /// The largest distance a row stores; see the type's docs.
+    /// The heaviest half-edge: no local cost exceeds it.
+    max_w: u64,
+    /// The largest limit `L(v)`; see the type's docs.
     reach: u64,
-    /// `rows[u]`: `nt(u, v)` for every detector `v` within `reach`.
-    rows: Vec<OnceLock<SpanRow>>,
+    /// `rows[u]`: `nt(u, v)` for every detector `v` within `L(v)`.
+    rows: Vec<OnceLock<RankRow>>,
     filled: AtomicUsize,
 }
 
-/// The no-transit distances from one source to the detectors
-/// `lo..lo + cells.len()`, [`ROW_UNREACHED`] where the source's search
-/// did not get within `reach`.
+/// The no-transit distances from one source to the detectors it keeps,
+/// over the id span `lo..lo + 32 * words`. `data` holds, per 32-id word,
+/// the word's keep-bitmap then the count of kept ids before it, and
+/// after the `2 * words` of those the kept distances in id order.
 #[derive(Debug)]
-struct SpanRow {
+struct RankRow {
     lo: u32,
-    cells: Box<[u32]>,
+    words: u32,
+    data: Box<[u32]>,
 }
 
-impl SpanRow {
-    /// The stored distance to detector `v`, `None` if `v` is farther
-    /// than `reach` (or unreachable).
+impl RankRow {
+    /// The stored distance to detector `v`, `None` if the row does not
+    /// keep it (`v` is farther than its limit, or unreachable).
+    #[inline]
     fn get(&self, v: u32) -> Option<u32> {
-        let d = *self.cells.get(v.wrapping_sub(self.lo) as usize)?;
-        (d != ROW_UNREACHED).then_some(d)
+        let i = v.wrapping_sub(self.lo);
+        let word = (i / 32) as usize;
+        if word >= self.words as usize {
+            return None;
+        }
+        let (bits, before) = (self.data[2 * word], self.data[2 * word + 1]);
+        let bit = 1u32 << (i % 32);
+        let rank = before + (bits & (bit - 1)).count_ones();
+        (bits & bit != 0).then(|| self.data[2 * self.words as usize + rank as usize])
     }
 }
 
 impl NoTransitTable {
-    /// Builds the escape vector, `reach`, the flat adjacency and the
-    /// empty row and memo stores over `graph`.
+    /// Builds the escape vector, `max_w`, `reach`, the flat adjacency
+    /// and the empty row and memo stores over `graph`.
     ///
     /// # Panics
     ///
@@ -550,7 +613,7 @@ impl NoTransitTable {
         let n = graph.num_detectors() as usize;
         let bd = graph.boundary_node();
         let adj = Adjacency::new(graph);
-        let escape = adj.shortest(bd, None, UNREACHED, |_, _, _| {}, <[u64]>::to_vec);
+        let escape = adj.shortest(bd, None, |_| UNREACHED, |_, _, _| {}, <[u64]>::to_vec);
         let boundary_half = (0..n as u32)
             .map(|u| adj.cheapest(u, bd).unwrap_or(NO_HALF_EDGE))
             .collect();
@@ -573,6 +636,7 @@ impl NoTransitTable {
             adj,
             boundary_half,
             escape,
+            max_w,
             reach,
             rows: (0..n).map(|_| OnceLock::new()).collect(),
             filled: AtomicUsize::new(0),
@@ -590,10 +654,19 @@ impl NoTransitTable {
         i64::try_from(self.escape[v as usize]).unwrap_or(i64::MAX)
     }
 
-    /// The largest distance a row stores: no finite cap the L1
+    /// The largest limit `L(v)` of a row cell: no finite cap the L1
     /// predecoder asks exceeds it (see the type's docs).
     pub fn reach(&self) -> i64 {
         i64::try_from(self.reach).unwrap_or(i64::MAX)
+    }
+
+    /// `L(v)`, the largest cap the predecoder asks about a path to `v`.
+    #[inline]
+    fn limit(&self, v: u32) -> u64 {
+        match self.escape[v as usize] {
+            UNREACHED => self.reach,
+            esc => self.max_w + self.max_w.max(esc),
+        }
     }
 
     /// Whether some `u → v` path between detectors (`u`, `v` below the
@@ -602,20 +675,20 @@ impl NoTransitTable {
     /// saturated `cost + escape`) included.
     ///
     /// Exact for every cap, but fast only for the caps the predecoder
-    /// asks: up to [`NoTransitTable::reach`] it is one load from `u`'s
-    /// row. A cap beyond `reach` whose answer the row does not hold —
-    /// only `i64::MAX`, from a defect whose component has no boundary —
-    /// runs a one-off uncapped search.
+    /// asks: up to `v`'s limit `L(v)` it is one lookup in `u`'s row, and
+    /// a missing cell is `false`. A cap beyond `L(v)` whose answer the
+    /// row does not hold — only `i64::MAX`, from a defect whose
+    /// component has no boundary — runs a one-off uncapped search.
     pub fn within(&self, u: u32, v: u32, cap: i64) -> bool {
         debug_assert!((v as usize) < self.n, "within takes detectors only");
         match self.row(u).get(v) {
             Some(d) => i64::from(d) <= cap,
-            None if cap <= self.reach() => false,
+            None if cap <= i64::try_from(self.limit(v)).unwrap_or(i64::MAX) => false,
             None => {
                 let d = self.adj.shortest(
                     u,
                     Some(self.n as u32),
-                    UNREACHED,
+                    |_| UNREACHED,
                     |_, _, _| {},
                     |dist| dist[v as usize],
                 );
@@ -725,7 +798,7 @@ impl NoTransitTable {
     }
 
     /// The distance row of detector `u`, filled on first use.
-    fn row(&self, u: u32) -> &SpanRow {
+    fn row(&self, u: u32) -> &RankRow {
         self.rows[u as usize].get_or_init(|| {
             // A statistic only: the row itself is published by the cell.
             self.filled.fetch_add(1, Ordering::Relaxed);
@@ -734,30 +807,49 @@ impl NoTransitTable {
     }
 
     /// One search from `src` that never expands the boundary node and
-    /// stops at `reach`, kept over the span of detector ids it reached.
+    /// drops every distance to a `v` above `L(v)`; `read` gets its final
+    /// distances, [`UNREACHED`] wherever it did not keep the node.
+    fn search<R>(&self, src: u32, read: impl FnOnce(&[u64]) -> R) -> R {
+        let sink = self.n as u32;
+        let limit = |v| self.limit(v);
+        self.adj
+            .shortest(src, Some(sink), limit, |_, _, _| {}, read)
+    }
+
+    /// [`NoTransitTable::search`] from `src`, kept as a rank-indexed row
+    /// over the span of detector ids it reached: one allocation.
     ///
     /// # Panics
     ///
-    /// Panics if a stored distance does not fit below the `u32`
-    /// sentinel (it would otherwise read as "unreached").
-    fn fill_row(&self, src: u32) -> SpanRow {
-        let n = self.n;
-        self.adj.shortest(
-            src,
-            Some(n as u32),
-            self.reach,
-            |_, _, _| {},
-            |dist| {
-                // The source itself is reached, so the span is never empty.
-                let reached = |d: &u64| *d != UNREACHED;
-                let lo = dist[..n].iter().position(reached).unwrap_or(src as usize);
-                let hi = dist[..n].iter().rposition(reached).unwrap_or(src as usize);
-                SpanRow {
-                    lo: lo as u32,
-                    cells: dist[lo..=hi].iter().map(|&d| row_cell(d, src, 0)).collect(),
+    /// Panics if a kept distance does not fit below `u32::MAX`, the
+    /// range of a row cell.
+    fn fill_row(&self, src: u32) -> RankRow {
+        self.search(src, |dist| {
+            let dist = &dist[..self.n];
+            // The source itself is kept, so the span is never empty.
+            let kept = |d: &u64| *d != UNREACHED;
+            let lo = dist.iter().position(kept).unwrap_or(src as usize);
+            let hi = dist.iter().rposition(kept).unwrap_or(src as usize);
+            let span = &dist[lo..=hi];
+            let words = span.len().div_ceil(32);
+            let cells = span.iter().copied().filter(|d| kept(d)).count();
+            let mut data = Vec::with_capacity(2 * words + cells);
+            data.resize(2 * words, 0);
+            for (i, &d) in span.iter().enumerate() {
+                if i % 32 == 0 {
+                    data[2 * (i / 32) + 1] = (data.len() - 2 * words) as u32;
                 }
-            },
-        )
+                if d != UNREACHED {
+                    data[2 * (i / 32)] |= 1 << (i % 32);
+                    data.push(row_cell(d, src, 0));
+                }
+            }
+            RankRow {
+                lo: lo as u32,
+                words: words as u32,
+                data: data.into_boxed_slice(),
+            }
+        })
     }
 }
 
@@ -860,9 +952,10 @@ mod tests {
     /// the escape vector equals [`plain_dijkstra`], from the boundary and
     /// as every no-transit boundary column. Every no-transit cell a row
     /// stores equals [`plain_dijkstra`], every cell it does not store is
-    /// farther than `reach`, and `within` agrees with the oracle on both
-    /// sides of the distance, at `reach`, and past it (the fallback
-    /// search) just beyond and at `i64::MAX`.
+    /// farther than its target's limit `L(v)`, no limit exceeds `reach`,
+    /// and `within` agrees with the oracle on both sides of the
+    /// distance, at `L(v)`, and past it (the fallback search) just
+    /// beyond and at `i64::MAX`.
     fn assert_tables_match_the_oracles(g: &DecodingGraph) {
         let t = PathTable::build(g);
         let nt = NoTransitTable::new(g);
@@ -882,7 +975,11 @@ mod tests {
         }
         let escape: Vec<i64> = (0..=bd).map(|v| nt.escape(v)).collect();
         assert_eq!(escape, plain_dijkstra(g, bd, None), "the escape vector");
-        let reach = nt.reach();
+        let limit = |v| i64::try_from(nt.limit(v)).unwrap();
+        assert!(
+            (0..bd).all(|v| limit(v) <= nt.reach()),
+            "reach is the largest limit"
+        );
         for src in 0..bd {
             let want = plain_dijkstra(g, src, Some(bd));
             assert_eq!(
@@ -891,12 +988,12 @@ mod tests {
                 "boundary column of {src}"
             );
             for v in 0..bd {
-                let (d, at) = (want[v as usize], (src, v));
+                let (d, at, l) = (want[v as usize], (src, v), limit(v));
                 match nt.row(src).get(v) {
                     Some(cell) => assert_eq!(i64::from(cell), d, "stored {at:?}"),
-                    None => assert!(d > reach, "{at:?} at {d} within {reach}"),
+                    None => assert!(d > l, "{at:?} at {d} within its limit {l}"),
                 }
-                for cap in [d - 1, d, reach, reach + 1, i64::MAX] {
+                for cap in [d - 1, d, l, l + 1, i64::MAX] {
                     let hit = d != i64::MAX && d <= cap;
                     assert_eq!(nt.within(src, v, cap), hit, "{at:?} cap {cap} dist {d}");
                 }
@@ -1212,18 +1309,108 @@ mod tests {
     #[test]
     fn a_cap_between_reach_and_saturation_runs_the_fallback_search() {
         // 0–…–5 at 10 a link, the boundary at 10 from both ends: escapes
-        // peak at 30 in the middle, reach = 10 + 30 = 40, and 0 → 5 at 50
-        // lies past 0's row.
+        // run 10, 20, 30, 30, 20, 10, so the limits run 20, 30, 40, 40,
+        // 30, 20 and reach = 10 + 30 = 40. 2 → 0 at 20 sits exactly at
+        // 0's limit; 0 → 5 at 50 lies past 5's limit and past reach.
         let g = chain_graph(6, 6, &[(0, 6, 10), (5, 6, 10)]);
         let nt = NoTransitTable::new(&g);
         assert_eq!(nt.reach(), 40);
-        assert_eq!(nt.row(0).get(4), Some(40), "reach itself is stored");
+        let limits: Vec<u64> = (0..6).map(|v| nt.limit(v)).collect();
+        assert_eq!(limits, [20, 30, 40, 40, 30, 20]);
+        assert_eq!(nt.row(2).get(0), Some(20), "a limit itself is stored");
+        assert_eq!(nt.row(0).get(4), None, "40 is past 4's limit of 30");
         assert_eq!(nt.row(0).get(5), None, "beyond reach");
         assert!(!nt.within(0, 5, 49));
         assert!(nt.within(0, 5, 50));
         assert!(nt.within(0, 5, i64::MAX));
         assert!(!nt.within(0, 5, 40));
         assert_tables_match_the_oracles(&g);
+    }
+
+    /// A random graph of 2 to 20 detectors in two components: `0..k`
+    /// touches the boundary, `k..n` (never empty) does not. Each component is a random
+    /// tree plus as many random extra edges, parallel ones included, at
+    /// weights from {0, 1, 2, 2, 3, 5}, so zero-weight edges and tied
+    /// paths are common.
+    fn random_graph(seed: u64) -> DecodingGraph {
+        use crate::graph::Edge;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..=20u32);
+        let k = rng.gen_range(1..n);
+        let mut ends = Vec::new();
+        for (lo, hi) in [(0, k), (k, n)] {
+            for v in lo + 1..hi {
+                ends.push((rng.gen_range(lo..v), v));
+            }
+            for _ in lo..hi {
+                let (u, v) = (rng.gen_range(lo..hi), rng.gen_range(lo..hi));
+                if u != v {
+                    ends.push((u, v));
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(1..=k) {
+            ends.push((rng.gen_range(0..k), n));
+        }
+        let edges = ends.into_iter().map(|(u, v)| Edge {
+            u,
+            v,
+            weight: [0, 1, 2, 2, 3, 5][rng.gen_range(0..6usize)],
+            probability: 0.01,
+            obs: rng.gen_range(0..4u64),
+        });
+        let edges = edges.collect();
+        DecodingGraph::from_parts(n, 2, edges, vec![[0.0; 3]; n as usize])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every stored no-transit cell equals [`plain_dijkstra`], every
+        /// missing one lies past its target's limit, and `within` equals
+        /// the oracle at every cap of [`assert_tables_match_the_oracles`],
+        /// on random graphs with zero weights, ties and a boundary-less
+        /// component.
+        #[test]
+        fn random_rows_keep_exactly_the_cells_within_their_limits(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            assert_tables_match_the_oracles(&random_graph(seed));
+        }
+    }
+
+    /// The d = 13, p = 1e-3 SD6 memory graph of 13 rounds, the dense
+    /// benchmark's parent, with every source filled: how many cells the
+    /// rows keep, and how many nodes their searches settle beside a search
+    /// capped at the one global `reach` (whose rows kept 526 290 cells,
+    /// and 1 041 140 as dense spans).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "fills every d = 13 row; run in release")]
+    fn every_d13_row_keeps_only_the_cells_within_their_limits() {
+        let code = RotatedSurfaceCode::new(13);
+        let g = DecodingGraph::from_dem(&extract_dem(
+            &code.memory_z_circuit(13, &NoiseModel::sd6(1e-3)),
+        ));
+        let nt = NoTransitTable::new(&g);
+        let (n, bd) = (g.num_detectors(), g.boundary_node());
+        let settled = |dist: &[u64]| dist.iter().filter(|&&d| d != UNREACHED).count();
+        let (mut kept, mut pops, mut reached, mut reach_pops) = (0, 0, 0, 0);
+        for u in 0..n {
+            let row = nt.row(u);
+            kept += row.data.len() - 2 * row.words as usize;
+            pops += nt.search(u, settled);
+            let capped = |dist: &[u64]| (settled(&dist[..n as usize]), settled(dist));
+            let (cells, all) = nt
+                .adj
+                .shortest(u, Some(bd), |_| nt.reach, |_, _, _| {}, capped);
+            reached += cells;
+            reach_pops += all;
+        }
+        assert_eq!((n, nt.reach()), (1_176, 43_451));
+        assert_eq!(nt.rows_filled(), n as usize);
+        assert_eq!((kept, pops), (248_388, 248_780));
+        assert_eq!((reached, reach_pops), (526_290, 527_466));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! in the workspace run on it unchanged.
 
 use crate::graph::{DecodingGraph, Edge};
-use crate::pathtable::{NoTransitTable, PathTable};
+use crate::pathtable::{Interned, NoTransitTable, PathTable};
 use crate::DetectorId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -323,13 +323,14 @@ impl WindowContext {
 /// [`NoTransitTable`] the scenario's L1 predecoders read.
 ///
 /// Path tables are keyed by what they hold, not by position: ranges
-/// whose local graphs are equal — the same detector count and the same
-/// ordered `(u, v, weight, obs)` edge list, all that [`PathTable::build`]
-/// reads — share one table and every row it has filled. Ranges of one
-/// shape (width, and whether the range starts at the first layer or ends
-/// at the last) are such ranges wherever they sit, so there is one table
-/// per shape the traffic asks for: 64 shots of a d = 13 SD6 stream with
-/// a (6, 3) window build 38 ranges on 7 tables at 52 rounds. Longer
+/// whose tables get equal inputs — the same detector count, flat
+/// adjacency in order with masks, mask width and thresholds, all that
+/// [`PathTable::build`] derives from the local graph — share one table
+/// and every row it has filled. Ranges of one shape (width, and whether
+/// the range starts at the first layer or ends at the last) are such
+/// ranges wherever they sit, so there is one table per shape the
+/// traffic asks for: 64 shots of a d = 13 SD6 stream with a (6, 3)
+/// window build 38 ranges on 7 tables at 52 rounds. Longer
 /// streams meet more shapes only through rarer deep carries (200 shots:
 /// 6, 8 and 9 tables at 13, 52 and 104 rounds). Nothing is shared
 /// between caches: each [`WindowCache::new`] starts empty.
@@ -349,8 +350,8 @@ pub struct WindowCache {
     /// caller per key runs the build (inside the cell), while different
     /// keys still build in parallel.
     inner: Mutex<HashMap<(u32, u32), WindowCell>>,
-    /// Every distinct local graph's table, interned by content.
-    tables: Mutex<HashMap<TableKey, Arc<PathTable>>>,
+    /// Every distinct local graph's table, interned by its inputs.
+    tables: Mutex<HashSet<Interned>>,
     builds: AtomicUsize,
     /// The parent graph's boundary-as-sink distances — per scenario, not
     /// per window: the L1 predecoder runs on parent detector ids.
@@ -359,29 +360,6 @@ pub struct WindowCache {
 
 /// One cache entry: a once-cell the winning builder fills exactly once.
 type WindowCell = Arc<OnceLock<Arc<WindowContext>>>;
-
-/// Everything [`PathTable::build`] reads of a graph: its detector count
-/// and ordered `(u, v, weight, obs)` edge list. Edge order sets the
-/// adjacency order and so the tie-breaking of path masks and hop counts;
-/// equal keys give tables equal cell for cell.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct TableKey {
-    num_detectors: u32,
-    edges: Vec<(u32, u32, i64, u64)>,
-}
-
-impl TableKey {
-    fn of(graph: &DecodingGraph) -> Self {
-        TableKey {
-            num_detectors: graph.num_detectors(),
-            edges: graph
-                .edges()
-                .iter()
-                .map(|e| (e.u, e.v, e.weight, e.obs))
-                .collect(),
-        }
-    }
-}
 
 /// Cheap structural identity of a graph, used to catch a cache being
 /// fed a different parent than it was built for. Detector count alone
@@ -412,7 +390,7 @@ impl WindowCache {
             seam,
             fingerprint: GraphFingerprint::of(parent),
             inner: Mutex::new(HashMap::new()),
-            tables: Mutex::new(HashMap::new()),
+            tables: Mutex::new(HashSet::new()),
             builds: AtomicUsize::new(0),
             no_transit: Arc::new(NoTransitTable::new(parent)),
         }
@@ -485,22 +463,27 @@ impl WindowCache {
         Arc::clone(cell.get_or_init(|| {
             self.builds.fetch_add(1, Ordering::Relaxed);
             let win = GraphWindow::extract(parent, range, self.seam);
-            let key = TableKey::of(win.graph());
-            let interned = self
-                .tables
-                .lock()
-                .expect("window cache poisoned")
-                .get(&key)
-                .cloned();
-            // A new graph's table is prepared outside the lock; of two
-            // racing builds of equal graphs, the first to insert wins.
-            let paths = interned.unwrap_or_else(|| {
-                let fresh = Arc::new(PathTable::build(win.graph()));
-                let mut tables = self.tables.lock().expect("window cache poisoned");
-                Arc::clone(tables.entry(key).or_insert(fresh))
-            });
+            // Prepared outside the lock; of two racing builds of equal
+            // graphs, the first to insert wins.
+            let paths = self.intern(PathTable::build(win.graph()));
             Arc::new(WindowContext { win, paths })
         }))
+    }
+
+    /// The stored table whose inputs equal `fresh`'s, or `fresh` itself,
+    /// stored, if there is none. `fresh` has filled no row yet, so
+    /// dropping it loses nothing.
+    fn intern(&self, fresh: PathTable) -> Arc<PathTable> {
+        let fresh = Interned(Arc::new(fresh));
+        let mut tables = self.tables.lock().expect("window cache poisoned");
+        match tables.get(&fresh) {
+            Some(stored) => Arc::clone(&stored.0),
+            None => {
+                let paths = Arc::clone(&fresh.0);
+                tables.insert(fresh);
+                paths
+            }
+        }
     }
 }
 
@@ -758,6 +741,47 @@ mod tests {
             assert!(!std::ptr::eq(a.paths(), other.paths()));
         }
         assert_eq!(cache.builds(), 4, "builds count ranges, not tables");
+    }
+
+    #[test]
+    fn tables_differing_in_one_weight_or_neighbour_order_are_not_merged() {
+        // 0–1 twice at 5 (masks 1 then 2), 1–2 at 3, 2 to the boundary at
+        // 4. The first parallel copy sets 0 → 1's mask, so swapping the
+        // copies changes node 0's neighbour order and a cell with it.
+        let edge = |u, v, weight, obs| Edge {
+            u,
+            v,
+            weight,
+            probability: 0.01,
+            obs,
+        };
+        let base = [
+            edge(0, 1, 5, 1),
+            edge(0, 1, 5, 2),
+            edge(1, 2, 3, 0),
+            edge(2, 3, 4, 0),
+        ];
+        let table = |edges: &[Edge]| {
+            let g = DecodingGraph::from_parts(3, 2, edges.to_vec(), vec![[0.0; 3]; 3]);
+            PathTable::build(&g)
+        };
+        let cache = WindowCache::new(&graph(3, 4), SeamPolicy::Cut);
+        let a = cache.intern(table(&base));
+        assert!(Arc::ptr_eq(&a, &cache.intern(table(&base))), "equal inputs");
+        let mut heavier = base;
+        heavier[2].weight = 4;
+        let mut swapped = base;
+        swapped.swap(0, 1);
+        for other in [heavier, swapped] {
+            let own = cache.intern(table(&other));
+            assert!(!Arc::ptr_eq(&a, &own));
+            assert_ne!(
+                (a.distance(0, 2), a.path_obs(0, 1)),
+                (own.distance(0, 2), own.path_obs(0, 1))
+            );
+            assert!(Arc::ptr_eq(&own, &cache.intern(table(&other))));
+        }
+        assert_eq!(cache.tables.lock().unwrap().len(), 3);
     }
 
     #[test]

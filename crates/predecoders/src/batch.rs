@@ -1261,15 +1261,17 @@ mod tests {
         let layers = decoding_graph::LayerMap::from_graph(&g).unwrap();
         let mut pre = BatchPredecoder::new(&g);
         let mut oracle = Reference::new(&g);
-        // A source's row is truncated when a corner detector of the shot
-        // lies beyond reach of it.
-        let reach = pre.table.reach();
+        // A source's row is truncated when a corner detector `c` of the
+        // shot lies beyond c's limit `L(c) = max_w + max(max_w, esc(c))`,
+        // the largest cap L1 asks about a path to `c`.
+        let max_w = g.edges().iter().map(|e| e.weight).max().unwrap();
+        let limit = |c| max_w + max_w.max(pre.table.escape(c));
         let corners = [0, g.num_detectors() - 1];
         let truncated: Vec<u32> = (0..g.num_detectors())
             .filter(|&u| {
                 corners
                     .iter()
-                    .any(|&c| oracle.probe(u, c, PROBE_CAP, None) > reach)
+                    .any(|&c| oracle.probe(u, c, PROBE_CAP, None) > limit(c))
             })
             .collect();
         let mut rng = StdRng::seed_from_u64(13);
