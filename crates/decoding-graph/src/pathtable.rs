@@ -72,11 +72,14 @@ struct Adjacency {
     obs: Vec<u64>,
 }
 
-/// The shortest-path kernel's scratch. It holds capacity only — every
-/// search starts from cleared buffers — so no result outlives a fill.
+/// The shortest-path kernel's scratch. No result outlives a fill: every
+/// search starts from cleared buffers and an all-[`UNREACHED`] `dist`,
+/// restored by resetting only the nodes the previous search reached.
 #[derive(Default)]
 struct Scratch {
     dist: Vec<u64>,
+    /// The nodes the last search reached, in the order it first did.
+    reached: Vec<u32>,
     /// Pending `dist << 32 | node` keys of distances up to `u32::MAX`.
     near: BinaryHeap<Reverse<u64>>,
     /// Pending `(dist, node)` of longer distances, popped once `near` is
@@ -132,22 +135,36 @@ impl Adjacency {
     /// expanded; a tentative distance to `v` above `limit(v)` is dropped.
     /// So when every node on some shortest path to `v` lies within its
     /// own limit, `v` still ends exact, and a node farther than its limit
-    /// reads [`UNREACHED`]. `read` gets the final distances.
+    /// reads [`UNREACHED`]. `read` gets the final distances and the nodes
+    /// the search reached (exactly those with finite distances), in no
+    /// particular order; a search costs what it reaches, not the node
+    /// count, unless `read` scans the distances.
     fn shortest<R>(
         &self,
         src: u32,
         sink: Option<u32>,
         limit: impl Fn(u32) -> u64,
         mut relaxed: impl FnMut(usize, usize, usize),
-        read: impl FnOnce(&[u64]) -> R,
+        read: impl FnOnce(&[u64], &mut [u32]) -> R,
     ) -> R {
         SCRATCH.with(|scratch| {
-            let Scratch { dist, near, far } = &mut *scratch.borrow_mut();
-            dist.clear();
+            let Scratch {
+                dist,
+                reached,
+                near,
+                far,
+            } = &mut *scratch.borrow_mut();
+            // Reset at the start, so a search that panicked in `read`
+            // leaves nothing behind either.
+            for &v in reached.iter() {
+                dist[v as usize] = UNREACHED;
+            }
+            reached.clear();
             dist.resize(self.start.len() - 1, UNREACHED);
             near.clear();
             far.clear();
             dist[src as usize] = 0;
+            reached.push(src);
             near.push(Reverse(u64::from(src)));
             loop {
                 let (d, u) = match near.pop() {
@@ -164,6 +181,9 @@ impl Adjacency {
                     let (v, w) = self.half[h];
                     let nd = d + u64::from(w);
                     if nd < dist[v as usize] && nd <= limit(v) {
+                        if dist[v as usize] == UNREACHED {
+                            reached.push(v);
+                        }
                         dist[v as usize] = nd;
                         relaxed(u as usize, v as usize, h);
                         if nd <= u64::from(u32::MAX) {
@@ -174,7 +194,7 @@ impl Adjacency {
                     }
                 }
             }
-            read(dist)
+            read(dist, reached)
         })
     }
 }
@@ -343,7 +363,7 @@ impl PathTable {
                     None,
                     |_| UNREACHED,
                     |u, v, h| cell[v].set(cell[u].get() ^ self.adj.obs[h] as u32),
-                    |dist| {
+                    |dist, _| {
                         for (c, &d) in cell.iter().zip(dist) {
                             c.set(row_cell(d, src, obs_bits) << obs_bits | c.get());
                         }
@@ -362,7 +382,7 @@ impl PathTable {
                     None,
                     |_| UNREACHED,
                     |u, v, h| obs[v] = obs[u] ^ self.adj.obs[h],
-                    |dist| dist.iter().map(|&d| row_cell(d, src, 0)).collect(),
+                    |dist, _| dist.iter().map(|&d| row_cell(d, src, 0)).collect(),
                 );
                 PathRow {
                     cells,
@@ -420,7 +440,7 @@ impl PathTable {
             None,
             |_| UNREACHED,
             |u, v, _| hops[v] = hops[u] + 1,
-            |_| (),
+            |_, _| (),
         );
         hops
     }
@@ -613,7 +633,13 @@ impl NoTransitTable {
         let n = graph.num_detectors() as usize;
         let bd = graph.boundary_node();
         let adj = Adjacency::new(graph);
-        let escape = adj.shortest(bd, None, |_| UNREACHED, |_, _, _| {}, <[u64]>::to_vec);
+        let escape = adj.shortest(
+            bd,
+            None,
+            |_| UNREACHED,
+            |_, _, _| {},
+            |dist, _| dist.to_vec(),
+        );
         let boundary_half = (0..n as u32)
             .map(|u| adj.cheapest(u, bd).unwrap_or(NO_HALF_EDGE))
             .collect();
@@ -690,7 +716,7 @@ impl NoTransitTable {
                     Some(self.n as u32),
                     |_| UNREACHED,
                     |_, _, _| {},
-                    |dist| dist[v as usize],
+                    |dist, _| dist[v as usize],
                 );
                 d <= cap as u64
             }
@@ -808,8 +834,9 @@ impl NoTransitTable {
 
     /// One search from `src` that never expands the boundary node and
     /// drops every distance to a `v` above `L(v)`; `read` gets its final
-    /// distances, [`UNREACHED`] wherever it did not keep the node.
-    fn search<R>(&self, src: u32, read: impl FnOnce(&[u64]) -> R) -> R {
+    /// distances, [`UNREACHED`] wherever it did not keep the node, and
+    /// the nodes it kept (the boundary among them when reached).
+    fn search<R>(&self, src: u32, read: impl FnOnce(&[u64], &mut [u32]) -> R) -> R {
         let sink = self.n as u32;
         let limit = |v| self.limit(v);
         self.adj
@@ -817,35 +844,36 @@ impl NoTransitTable {
     }
 
     /// [`NoTransitTable::search`] from `src`, kept as a rank-indexed row
-    /// over the span of detector ids it reached: one allocation.
+    /// over the span of detector ids it reached: one allocation, and work
+    /// in proportion to the nodes kept and the span's words, never to the
+    /// detector count.
     ///
     /// # Panics
     ///
     /// Panics if a kept distance does not fit below `u32::MAX`, the
     /// range of a row cell.
     fn fill_row(&self, src: u32) -> RankRow {
-        self.search(src, |dist| {
-            let dist = &dist[..self.n];
-            // The source itself is kept, so the span is never empty.
-            let kept = |d: &u64| *d != UNREACHED;
-            let lo = dist.iter().position(kept).unwrap_or(src as usize);
-            let hi = dist.iter().rposition(kept).unwrap_or(src as usize);
-            let span = &dist[lo..=hi];
-            let words = span.len().div_ceil(32);
-            let cells = span.iter().copied().filter(|d| kept(d)).count();
-            let mut data = Vec::with_capacity(2 * words + cells);
+        self.search(src, |dist, reached| {
+            reached.sort_unstable();
+            // The boundary, if reached, sorts last; the source itself is
+            // kept, so the span is never empty.
+            let kept = &reached[..reached.partition_point(|&v| (v as usize) < self.n)];
+            let (lo, hi) = (kept[0], kept[kept.len() - 1]);
+            let words = (hi - lo + 1).div_ceil(32) as usize;
+            let mut data = Vec::with_capacity(2 * words + kept.len());
             data.resize(2 * words, 0);
-            for (i, &d) in span.iter().enumerate() {
-                if i % 32 == 0 {
-                    data[2 * (i / 32) + 1] = (data.len() - 2 * words) as u32;
-                }
-                if d != UNREACHED {
-                    data[2 * (i / 32)] |= 1 << (i % 32);
-                    data.push(row_cell(d, src, 0));
-                }
+            for &v in kept {
+                let i = (v - lo) as usize;
+                data[2 * (i / 32)] |= 1 << (i % 32);
+                data.push(row_cell(dist[v as usize], src, 0));
+            }
+            let mut before = 0;
+            for word in 0..words {
+                data[2 * word + 1] = before;
+                before += data[2 * word].count_ones();
             }
             RankRow {
-                lo: lo as u32,
+                lo,
                 words: words as u32,
                 data: data.into_boxed_slice(),
             }
@@ -1399,8 +1427,9 @@ mod tests {
         for u in 0..n {
             let row = nt.row(u);
             kept += row.data.len() - 2 * row.words as usize;
-            pops += nt.search(u, settled);
-            let capped = |dist: &[u64]| (settled(&dist[..n as usize]), settled(dist));
+            pops += nt.search(u, |dist, _| settled(dist));
+            let capped =
+                |dist: &[u64], _: &mut [u32]| (settled(&dist[..n as usize]), settled(dist));
             let (cells, all) = nt
                 .adj
                 .shortest(u, Some(bd), |_| nt.reach, |_, _, _| {}, capped);

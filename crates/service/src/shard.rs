@@ -3,17 +3,18 @@
 //! Each shard *owns* the long-lived decode state of the tenants assigned
 //! to it — a [`SlidingWindowDecoder`] (window graph `Arc`s memoized from
 //! the scenario's shared [`decoding_graph::WindowCache`]), the tenant's
-//! latency model, shot sequence counters, and the shard's modeled
-//! arrival timeline. That state, the shard's rings, its control
-//! receiver, its trace state and its reply scratch sit in one
-//! `ShardCore` behind one mutex, and whoever holds the lock sweeps: the
-//! shard's own thread, or a session router that found the thread parked
-//! and sweeps in its place ([`Shard::sweep_inline`]). Nothing on the
-//! decode path takes a cross-shard lock: cold control traffic (register,
-//! stats, ring attachment) arrives on the shard's private channel; hot
-//! submissions arrive on lock-free SPSC rings (one per attached session,
-//! see [`crate::spsc`]) whose slots carry the shot's syndrome as packed
-//! words written by the session router straight from the wire.
+//! latency model, shot sequence counters, and the shard's streaming
+//! admission model ([`crate::admission`]). That state, the shard's
+//! rings, its control receiver, its trace state and its reply scratch
+//! sit in one `ShardCore` behind one mutex, and whoever holds the lock
+//! sweeps: the shard's own thread, or a session router that found the
+//! thread parked and sweeps in its place ([`Shard::sweep_inline`]).
+//! Nothing on the decode path takes a cross-shard lock: cold control
+//! traffic (register, stats, ring attachment) arrives on the shard's
+//! private channel; hot submissions arrive on lock-free SPSC rings (one
+//! per attached session, see [`crate::spsc`]) whose slots carry the
+//! shot's syndrome as packed words written by the session router
+//! straight from the wire.
 //!
 //! A sweep drains control messages first (so a registration is always
 //! applied before any submission that was admitted after it), then
@@ -24,10 +25,15 @@
 //! arena to the decoder's bit-set with zero per-round heap allocations.
 //! A ring's replies are encoded back to back into the core's recycled
 //! buffer and leave through the session's [`ReplySink`] in one write.
+//! Only then does the sweep release the batch's decoded windows, which
+//! decoding only buffered, into the admission model up to the shard's
+//! watermark: no modeled accounting sits between a decode and its
+//! reply. The shard keeps no arrival timeline; a stats request reads the
+//! model's committed state.
 //! An idle shard thread parks on its [`ShardWaker`] with a timeout, so a
 //! lost wakeup race costs bounded latency, never a hang.
 
-use crate::admission::{simulate_shard, TenantGate, WindowArrival};
+use crate::admission::{AdmissionModel, TenantGate, WindowArrival};
 use crate::postmortem::TraceSet;
 use crate::protocol::{Frame, TenantStatsWire};
 use crate::server::{ScenarioContext, ServiceConfig};
@@ -99,13 +105,6 @@ fn windows_per_shot(layers: u32, cfg: WindowConfig) -> u32 {
     }
 }
 
-/// Per-shard bound on the modeled arrival timeline kept for stats. The
-/// reaction/shed simulation covers the first `TIMELINE_CAP` windows; a
-/// longer-lived shard keeps exact shot/window *totals* (tenant
-/// counters) but stops extending the modeled sample, so stats memory
-/// and `StatsRequest` cost stay bounded over unbounded uptime.
-const TIMELINE_CAP: usize = 1 << 18;
-
 /// Most slots a sweep takes from one ring per pass: bounds the
 /// per-tenant decode batch, so control traffic and sibling rings stay
 /// live.
@@ -153,29 +152,6 @@ impl ShardTrace {
     }
 }
 
-/// The shard's modeled arrival sample, bounded by [`TIMELINE_CAP`].
-struct Timeline {
-    arrivals: Vec<WindowArrival>,
-    dropped: u64,
-}
-
-impl Timeline {
-    fn new() -> Self {
-        Timeline {
-            arrivals: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, arrival: WindowArrival) {
-        if self.arrivals.len() < TIMELINE_CAP {
-            self.arrivals.push(arrival);
-        } else {
-            self.dropped += 1;
-        }
-    }
-}
-
 /// One decode shard: the sweep state, behind the lock its thread and
 /// the session routers share, and the waker its thread parks on.
 pub(crate) struct Shard<'a> {
@@ -193,7 +169,7 @@ struct ShardCore<'a> {
     control: Receiver<ShardRequest>,
     control_open: bool,
     tenants: HashMap<u32, Tenant<'a>>,
-    timeline: Timeline,
+    model: AdmissionModel,
     rings: Vec<(Consumer, Arc<ReplySink>)>,
     tr: Option<ShardTrace>,
     /// One ring sweep's replies, encoded back to back (recycled).
@@ -226,7 +202,7 @@ impl<'a> Shard<'a> {
                 control,
                 control_open: true,
                 tenants: HashMap::new(),
-                timeline: Timeline::new(),
+                model: AdmissionModel::new(cfg.admission()),
                 rings: Vec::new(),
                 tr,
                 wire: Vec::new(),
@@ -362,7 +338,7 @@ impl ShardCore<'_> {
             for i in 0..n {
                 process_slot(
                     &mut self.tenants,
-                    &mut self.timeline,
+                    &mut self.model,
                     ring.slot(i),
                     &mut self.wire,
                     &self.metrics,
@@ -372,6 +348,7 @@ impl ShardCore<'_> {
             }
             ring.advance(n);
             reply.send_wire(&self.wire);
+            self.model.release(watermark(&self.tenants));
             swept += n;
         }
         self.rings.retain(|(ring, _)| !ring.is_done());
@@ -429,12 +406,7 @@ impl ShardCore<'_> {
             }
             ShardRequest::AttachRing { ring, reply } => self.rings.push((ring, reply)),
             ShardRequest::Stats { reply } => {
-                let _ = reply.send(shard_stats(
-                    self.id,
-                    self.cfg,
-                    &self.tenants,
-                    &self.timeline.arrivals,
-                ));
+                let _ = reply.send(shard_stats(self.id, &self.tenants, &self.model));
             }
         }
     }
@@ -458,13 +430,14 @@ impl ShardCore<'_> {
     }
 }
 
-/// Decodes one published ring slot: replay check, decode, bill the
-/// modeled timeline, and append the reply to `wire`. A shard's replies
-/// are far below the frame-size limit, so encoding them cannot fail (and
-/// a failure would leave `wire` as it was).
+/// Decodes one published ring slot: replay check, decode, buffer the
+/// decoded windows in the admission model, and append the reply to
+/// `wire`. A shard's replies are far below the frame-size limit, so
+/// encoding them cannot fail (and a failure would leave `wire` as it
+/// was).
 fn process_slot(
     tenants: &mut HashMap<u32, Tenant<'_>>,
-    timeline: &mut Timeline,
+    model: &mut AdmissionModel,
     slot: &mut SubmitSlot,
     wire: &mut Vec<u8>,
     metrics: &ShardMetrics,
@@ -543,7 +516,7 @@ fn process_slot(
         // weight only, so the fallback model sees `solver_hw`, not the
         // pre-cancellation `hw`.
         let ns = service_ns(w.latency_ns, w.solver_hw, tenant.fallback.as_ref());
-        timeline.push(WindowArrival {
+        model.push(WindowArrival {
             qubit,
             ready_round: base_round + w.hi_layer as u64,
             service_ns: ns,
@@ -582,16 +555,25 @@ fn process_slot(
     .encode_into(wire);
 }
 
-/// Runs the shard's modeled admission simulation and merges it with the
-/// live counters into wire rows (one per tenant, zeros included).
+/// The least `(next_shot × layers_per_shot, qubit)` over `tenants`. A
+/// shard refuses every shot below a tenant's `next_shot`, so no window
+/// still to come is keyed below it.
+fn watermark(tenants: &HashMap<u32, Tenant<'_>>) -> (u64, u32) {
+    tenants
+        .values()
+        .map(|t| (t.next_shot * u64::from(t.layers_per_shot), t.qubit))
+        .min()
+        .unwrap_or((u64::MAX, u32::MAX))
+}
+
+/// Reads the shard's admission model and merges it with the live
+/// counters into wire rows (one per tenant, zeros included).
 fn shard_stats(
     shard_id: usize,
-    cfg: &ServiceConfig,
     tenants: &HashMap<u32, Tenant<'_>>,
-    timeline: &[WindowArrival],
+    model: &AdmissionModel,
 ) -> Vec<TenantStatsWire> {
-    let mut arrivals = timeline.to_vec();
-    let reports = simulate_shard(&mut arrivals, &cfg.admission());
+    let reports = model.reports();
     let by_qubit: HashMap<u32, _> = reports.into_iter().map(|r| (r.qubit, r)).collect();
     let mut rows: Vec<TenantStatsWire> = tenants
         .values()
@@ -729,13 +711,13 @@ mod tests {
             let mut tenants = HashMap::new();
             tenants.insert(0, test_tenant(0, decoder, gate));
             let mut wire = Vec::new();
-            let mut timeline = Timeline::new();
+            let mut model = AdmissionModel::new(admission);
             let metrics = ShardMetrics::default();
             for (i, dets) in shots.iter().enumerate() {
                 let mut slot = pack_slot(0, i as u64, dets, num_dets);
                 process_slot(
                     &mut tenants,
-                    &mut timeline,
+                    &mut model,
                     &mut slot,
                     &mut wire,
                     &metrics,
@@ -749,7 +731,7 @@ mod tests {
                     other => panic!("unexpected reply {other:?}"),
                 }
             }
-            let reports = simulate_shard(&mut timeline.arrivals, &admission);
+            let reports = model.reports();
             assert_eq!(reports.len(), 1);
             p99.push(reports[0].reaction.p99_ns);
             let t = &tenants[&0];
@@ -799,13 +781,13 @@ mod tests {
         let mut tenants = HashMap::new();
         tenants.insert(3, test_tenant(3, decoder, gate));
         let mut wire = Vec::new();
-        let mut timeline = Timeline::new();
+        let mut model = AdmissionModel::new(ServiceConfig::default().admission());
         let metrics = ShardMetrics::default();
         for (i, dets) in shots.iter().enumerate() {
             let mut slot = pack_slot(3, i as u64, dets, num_dets);
             process_slot(
                 &mut tenants,
-                &mut timeline,
+                &mut model,
                 &mut slot,
                 &mut wire,
                 &metrics,
@@ -837,6 +819,78 @@ mod tests {
     }
 
     #[test]
+    fn stats_equal_simulate_shard_over_the_decoded_windows() {
+        // Three tenants interleave, each at its own pace: tenant 4 runs
+        // two shots ahead per turn, tenant 6 skips every other shot. The
+        // model is released to the shard's watermark after every slot,
+        // as a sweep releases it, and its stats must equal the full
+        // re-simulation of the windows the reference decode bills.
+        use crate::admission::{simulate_shard, AdmissionConfig};
+        let ctx = ExperimentContext::with_rounds(3, 6, 1e-3);
+        let cfg = WindowConfig::new(4, 2).unwrap();
+        let admission = AdmissionConfig {
+            round_ns: 1000.0,
+            deadline_ns: 1500.0,
+            queue_capacity: 2,
+        };
+        let layers = LayerMap::from_graph(&ctx.graph).unwrap();
+        let num_dets = layers.num_detectors();
+        let fallback = fallback_latency_model(DecoderKind::Mwpm);
+        let mut oracle =
+            SlidingWindowDecoder::new(&ctx.graph, layers.clone(), DecoderKind::Mwpm, cfg);
+        let mut tenants = HashMap::new();
+        for q in [1u32, 4, 6] {
+            let decoder =
+                SlidingWindowDecoder::new(&ctx.graph, layers.clone(), DecoderKind::Mwpm, cfg);
+            tenants.insert(q, test_tenant(q, decoder, Arc::new(TenantGate::new(1))));
+        }
+        let mut order = Vec::new();
+        for turn in 0..12u64 {
+            let ahead = [(4, 2 * turn), (4, 2 * turn + 1)];
+            let (first, last) = if turn % 2 == 0 {
+                ((1u32, turn), (6, 2 * turn))
+            } else {
+                ((6, 2 * turn), (1, turn))
+            };
+            order.push(first);
+            order.extend(ahead);
+            order.push(last);
+        }
+        let mut model = AdmissionModel::new(admission);
+        let (mut wire, metrics) = (Vec::new(), ShardMetrics::default());
+        let mut arrivals = Vec::new();
+        for (k, &(q, shot)) in order.iter().enumerate() {
+            let dets = ctx.dem.errors[k % ctx.dem.errors.len()].dets.as_slice();
+            assert!(tenants[&q].gate.try_admit());
+            let mut slot = pack_slot(q, shot, dets, num_dets);
+            process_slot(
+                &mut tenants,
+                &mut model,
+                &mut slot,
+                &mut wire,
+                &metrics,
+                &ServiceConfig::default(),
+                &mut None,
+            );
+            model.release(watermark(&tenants));
+            let base_round = shot * tenants[&q].layers_per_shot as u64;
+            for w in oracle.decode_shot_reference(dets).windows {
+                arrivals.push(WindowArrival {
+                    qubit: q,
+                    ready_round: base_round + w.hi_layer as u64,
+                    service_ns: service_ns(w.latency_ns, w.solver_hw, fallback.as_ref()),
+                });
+            }
+        }
+        assert!(frames(&wire)
+            .iter()
+            .all(|f| matches!(f, Frame::CommitResult { .. })));
+        let reports = model.reports();
+        assert_eq!(reports, simulate_shard(&mut arrivals, &admission));
+        assert_eq!(reports.len(), 3);
+    }
+
+    #[test]
     fn replayed_slots_are_rejected_and_release_the_gate() {
         let ctx = ExperimentContext::with_rounds(3, 4, 1e-3);
         let cfg = WindowConfig::new(4, 2).unwrap();
@@ -847,7 +901,7 @@ mod tests {
         let mut tenants = HashMap::new();
         tenants.insert(1, test_tenant(1, decoder, Arc::clone(&gate)));
         let mut wire = Vec::new();
-        let mut timeline = Timeline::new();
+        let mut model = AdmissionModel::new(ServiceConfig::default().admission());
         let metrics = ShardMetrics::default();
         let (replayed, uncountable) = (
             Some("replayed or out of order"),
@@ -867,7 +921,7 @@ mod tests {
             let mut slot = pack_slot(1, shot, &[], num_dets);
             process_slot(
                 &mut tenants,
-                &mut timeline,
+                &mut model,
                 &mut slot,
                 &mut wire,
                 &metrics,
@@ -890,7 +944,7 @@ mod tests {
         let mut slot = pack_slot(9, 0, &[], num_dets);
         process_slot(
             &mut tenants,
-            &mut timeline,
+            &mut model,
             &mut slot,
             &mut wire,
             &metrics,
@@ -915,7 +969,7 @@ mod tests {
         // it into window units. Floods a gate of capacity 2 with 10
         // admissions (8 shed), decodes nothing, and pins the exact row
         // across repeated stats calls (determinism: stats are a pure
-        // function of the counters and the modeled timeline).
+        // function of the counters and the admission model).
         let ctx = ExperimentContext::with_rounds(3, 6, 1e-3);
         let cfg = WindowConfig::new(4, 2).unwrap();
         let layers = LayerMap::from_graph(&ctx.graph).unwrap();
@@ -931,42 +985,13 @@ mod tests {
         assert_eq!(gate.shed_count(), 8);
         let mut tenants = HashMap::new();
         tenants.insert(7, test_tenant(7, decoder, gate));
-        let scfg = ServiceConfig::default();
-        let first = shard_stats(0, &scfg, &tenants, &[]);
+        let model = AdmissionModel::new(ServiceConfig::default().admission());
+        let first = shard_stats(0, &tenants, &model);
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].shed, 8, "one shed per rejected submission");
         assert_eq!(first[0].windows, 0, "shed submissions open no windows");
-        let second = shard_stats(0, &scfg, &tenants, &[]);
+        let second = shard_stats(0, &tenants, &model);
         assert_eq!(first, second, "stats are deterministic");
-    }
-
-    #[test]
-    fn timeline_push_is_bounded() {
-        let mut t = Timeline::new();
-        let arrival = WindowArrival {
-            qubit: 0,
-            ready_round: 1,
-            service_ns: 1.0,
-        };
-        for _ in 0..8 {
-            t.push(arrival);
-        }
-        assert_eq!(t.arrivals.len(), 8);
-        assert_eq!(t.dropped, 0);
-        // Fill to the cap without allocating the whole thing: simulate
-        // by checking the branch directly.
-        t.arrivals.resize(
-            TIMELINE_CAP,
-            WindowArrival {
-                qubit: 0,
-                ready_round: 0,
-                service_ns: 0.0,
-            },
-        );
-        t.push(arrival);
-        t.push(arrival);
-        assert_eq!(t.arrivals.len(), TIMELINE_CAP);
-        assert_eq!(t.dropped, 2);
     }
 
     /// One shard around a small scenario, with an in-process session whose
