@@ -543,10 +543,6 @@ mod tests {
             shots: 20,
             seed: 5,
             decoder: DecoderKind::Mwpm,
-            // The default µs-scale deadline trips the wall-clock
-            // deadline-miss postmortem under parallel-test load; pin it
-            // far out so the zero dump triggers below are deterministic.
-            deadline_ns: Some(1e12),
             metrics_addr: Some("127.0.0.1:0".into()),
             metrics_sample: 1,
             trace: 512,

@@ -87,10 +87,21 @@ struct Scratch {
     far: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
+/// A path-table row fill's scratch, beside the kernel's: each reached
+/// node's mask and the `(node, half-edge)` its last improvement came
+/// over. Entries of nodes the fill did not reach are stale, never read.
+#[derive(Default)]
+struct RowScratch {
+    obs: Vec<u64>,
+    pred: Vec<(u32, u32)>,
+}
+
 thread_local! {
     /// One scratch per thread: racing fillers of different rows never
     /// share it, and a thread's next fill reuses its buffers.
     static SCRATCH: RefCell<Scratch> = RefCell::default();
+    /// The same for [`PathTable`] rows, so a fill allocates only its row.
+    static ROW_SCRATCH: RefCell<RowScratch> = RefCell::default();
 }
 
 impl Adjacency {
@@ -131,8 +142,9 @@ impl Adjacency {
     /// relaxes its half-edges in adjacency order, improving a neighbor
     /// only strictly — so ties between shortest paths break the same
     /// way. Every improvement of `v` over half-edge `h` from `u` calls
-    /// `relaxed(u, v, h)`; `sink`, if any, is reached but never
-    /// expanded; a tentative distance to `v` above `limit(v)` is dropped.
+    /// `relaxed(u, v, h)`; a node `u` settled at `d` with `hold(u, d)` is
+    /// reached but never expanded; a tentative distance to `v` above
+    /// `limit(v)` is dropped.
     /// So when every node on some shortest path to `v` lies within its
     /// own limit, `v` still ends exact, and a node farther than its limit
     /// reads [`UNREACHED`]. `read` gets the final distances and the nodes
@@ -142,7 +154,7 @@ impl Adjacency {
     fn shortest<R>(
         &self,
         src: u32,
-        sink: Option<u32>,
+        hold: impl Fn(u32, u64) -> bool,
         limit: impl Fn(u32) -> u64,
         mut relaxed: impl FnMut(usize, usize, usize),
         read: impl FnOnce(&[u64], &mut [u32]) -> R,
@@ -174,7 +186,7 @@ impl Adjacency {
                         None => break,
                     },
                 };
-                if d > dist[u as usize] || Some(u) == sink {
+                if d > dist[u as usize] || hold(u, d) {
                     continue;
                 }
                 for h in self.range(u) {
@@ -201,19 +213,62 @@ impl Adjacency {
 
 /// All-pairs shortest-path data between detectors (and to the boundary).
 ///
-/// Row `a` — distance and observable mask from `a` to every node — is
-/// one Dijkstra from `a` over the table's flat copy of the adjacency,
-/// breaking ties as [`DecodingGraph::dijkstra`] does, run the first time
-/// anything about `a` is asked and kept for the life of the table. The
-/// quantized class is not stored: it is a function of the distance and
-/// the table's thresholds, computed on each ask. Hop counts are not
+/// Row `a` — distance and observable mask from `a` to every node — holds
+/// what [`DecodingGraph::dijkstra`] from `a` finds, ties broken the same
+/// way, computed over the table's flat copy of the adjacency the first
+/// time anything about `a` is asked and kept for the life of the table.
+/// The quantized class is not stored: it is a function of the distance
+/// and the table's thresholds, computed on each ask. Hop counts are not
 /// stored either; Figure 5, their only reader, takes them from
 /// [`DecodingGraph::dijkstra`], which finds the same paths. Rows sit
 /// behind [`OnceLock`]s: racing first askers of one source run exactly
-/// one search, a filled row is a lock-free indexed load, and one table
+/// one fill, a filled row is a lock-free indexed load, and one table
 /// serves every shot, thread and tenant that shares it. The values are
 /// those of an eager all-pairs build; only when they are computed
 /// differs.
+///
+/// A fill searches only where a path that avoids the boundary node `B`
+/// can still win. Write `bd(x)` for the distance between `x` and `B` and
+/// `nt(a, v)` for the shortest `a → v` path that does not pass through
+/// `B`. Three facts make the smaller search exact:
+///
+/// 1. A path avoids `B` or passes through it, and a shortest one through
+///    it costs exactly `bd(a) + bd(v)`; so `d(a, v) = min(nt(a, v),
+///    bd(a) + bd(v))`. Call `v` *kept* when `nt(a, v) ≤ bd(a) + bd(v)`.
+/// 2. A node `x` on a no-transit shortest path to `w` has
+///    `nt(a, x) = nt(a, w) − nt(x, w)`, and `bd(w) ≤ nt(x, w) + bd(x)`;
+///    so if `w` is kept, so is `x`, and if `w` lies strictly below its
+///    bound, so does `x`. A search from `a` that drops every tentative
+///    distance to `v` above `bd(a) + bd(v)` (one exactly at it is kept,
+///    so ties show) therefore reaches kept nodes only, every one below
+///    its bound at its exact distance. On a d = 13 six-layer window it
+///    keeps about half a row's cells.
+/// 3. Masks follow the first relaxation at a node's final distance,
+///    and with positive weights the full search settles nodes in
+///    `(distance, id)` order. A tight predecessor `u` of `v` (one with
+///    `d(a, u) + w(u, v) = d(a, v)`) that is kept would make `v` kept.
+///    So every tight predecessor of a node that is not kept is `B` or
+///    not kept itself, exactly the nodes tight for `v` in `B`'s own
+///    search, at `d(a, u) = bd(a) + bd(u)`, settled in `B`'s order:
+///    the mask is that of `v`'s parent `p` in `B`'s shortest-path tree
+///    XOR the tree edge. A node kept strictly below its bound has only
+///    kept tight predecessors, so the pruned search sets its mask as the
+///    full one does. A node kept exactly at its bound may have both
+///    kinds: the search's own parent `q` wins when its key
+///    `(d(a, q), q)` is below `(bd(a) + bd(p), p)`, `p` otherwise.
+///    A kept predecessor `x` at its own bound is tight for `v` in `B`'s
+///    search too, so `p`'s key is at most `x`'s: such an `x` never wins,
+///    and the search does not expand it (nor `B`, always at its bound).
+///
+/// `bd`, the tree parents, their edges' masks and `B`'s settle order
+/// come from one search from `B`, run on the table's first fill (it is
+/// not a row, and [`PathTable::rows_filled`] does not count it). A fill
+/// then completes its row in one pass over that order: `p` settles
+/// before its child there, and `q`, below its bound, has its search
+/// mask, so each mask read is final. The rule needs every edge weight positive: with a
+/// zero weight, nodes at equal distance do not settle in id order, so a
+/// graph with one is filled by the full search instead. No shipped
+/// scenario has one.
 #[derive(Clone, Debug)]
 pub struct PathTable {
     n: usize,
@@ -222,6 +277,9 @@ pub struct PathTable {
     adj: Adjacency,
     /// `rows[a]`, `a` in `0..=n` (the last row is the boundary node's).
     rows: Vec<OnceLock<PathRow>>,
+    /// `B`'s shortest-path tree, built on the first fill; `None` when an
+    /// edge weight is zero (see the type's docs).
+    boundary: OnceLock<Option<BoundaryTree>>,
     /// Bit width of the widest edge mask (hence of every path mask,
     /// their XOR) when it is at most [`PACKED_OBS_BITS`], so rows pack
     /// masks into their distance cells; `None` for wider masks.
@@ -281,6 +339,76 @@ impl PathRow {
     }
 }
 
+/// The boundary node's shortest-path tree: what a [`PathTable`] fill
+/// reads for the cells its search did not keep.
+#[derive(Clone, Debug)]
+struct BoundaryTree {
+    /// `bd(v)`, the distance between `v` and the boundary
+    /// ([`UNREACHED`] = none).
+    dist: Box<[u64]>,
+    /// Every node the boundary reaches but itself, in the boundary
+    /// search's settle order `(bd, id)`: the node, its tree parent and
+    /// the tree edge's mask.
+    order: Box<[(u32, u32, u64)]>,
+}
+
+impl BoundaryTree {
+    /// One full search from the boundary node `bd`. Weights must be
+    /// positive, so the settle order is the `(distance, id)` order.
+    fn new(adj: &Adjacency, bd: u32) -> Self {
+        let parent = vec![Cell::new((bd, 0)); adj.start.len() - 1];
+        adj.shortest(
+            bd,
+            |_, _| false,
+            |_| UNREACHED,
+            |u, v, h| parent[v].set((u as u32, adj.obs[h])),
+            |dist, reached| {
+                let below = &mut reached[1..]; // the source, `bd`, comes first
+                below.sort_unstable_by_key(|&v| (dist[v as usize], v));
+                let order = below.iter().map(|&v| {
+                    let (p, obs) = parent[v as usize].get();
+                    (v, p, obs)
+                });
+                BoundaryTree {
+                    dist: dist.into(),
+                    order: order.collect(),
+                }
+            },
+        )
+    }
+
+    /// Completes the masks of row `a` after its pruned search (see
+    /// [`PathTable`]): `bda` is `bd(a)`, finite; `dist` the search's
+    /// distances; `obs` and `pred` its masks and parents, where every
+    /// node the search did not keep strictly below its bound gets its
+    /// final mask, in the boundary's settle order.
+    fn replay(
+        &self,
+        adj: &Adjacency,
+        bda: u64,
+        dist: &[u64],
+        obs: &[Cell<u64>],
+        pred: &[Cell<(u32, u32)>],
+    ) {
+        for &(v, p, edge) in &*self.order {
+            let (v, p) = (v as usize, p as usize);
+            let bound = bda + self.dist[v];
+            if dist[v] < bound {
+                continue;
+            }
+            let via_b = (bda + self.dist[p], p);
+            let first = (dist[v] == bound)
+                .then(|| pred[v].get())
+                .filter(|&(q, _)| (dist[q as usize], q as usize) < via_b);
+            let mask = match first {
+                Some((q, h)) => obs[q as usize].get() ^ adj.obs[h as usize],
+                None => obs[p].get() ^ edge,
+            };
+            obs[v].set(mask);
+        }
+    }
+}
+
 impl PathTable {
     /// Prepares the table over `graph`: the quantization thresholds and
     /// an empty row store. It reads only the detector count and the
@@ -288,11 +416,13 @@ impl PathTable {
     /// interns tables by what it derives from them, so every
     /// content-equal window shares one table.
     /// No search runs until a row is asked for; one row costs one
-    /// search and one allocation, measured on a 2-vCPU x86-64 host at
-    /// ≈ 34–52 µs on a six-layer d = 13 window (505 nodes; every row
-    /// filled grows the process by ≈ 0.8 MB) and ≈ 98–139 µs on the
-    /// whole d = 13 memory graph, whose 1 177 rows grew the process by
-    /// 5.4 MB when every one was asked.
+    /// pruned search, one pass over the boundary tree and one
+    /// allocation, measured on a 2-vCPU x86-64 host at ≈ 17–20 µs on a
+    /// six-layer d = 13 window (505 nodes; every row filled grows the
+    /// process by ≈ 0.8 MB) and ≈ 36–40 µs on the whole d = 13 memory
+    /// graph, whose 1 177 rows grew the process by 5.4 MB when every one
+    /// was asked. The first fill also builds the boundary tree, ≈ 24 B
+    /// a node, in about one full search.
     ///
     /// # Panics
     ///
@@ -314,6 +444,7 @@ impl PathTable {
             n,
             adj: Adjacency::new(graph),
             rows: (0..=n).map(|_| OnceLock::new()).collect(),
+            boundary: OnceLock::new(),
             obs_bits: (obs_bits <= PACKED_OBS_BITS).then_some(obs_bits),
             thresholds: [
                 typical + typical / 2,     // ≤ 1.5 w: one hop
@@ -349,45 +480,69 @@ impl PathTable {
         self.rows[a as usize].get_or_init(|| self.fill_row(a))
     }
 
-    /// One search from `src`. Packed, each reached node's mask is
-    /// written into its cell as paths improve and its distance field is
-    /// or-ed in once the search ends: one allocation a row.
+    /// Row `src`: the pruned search and the replay of the boundary tree
+    /// (see the type's docs), or with a zero-weight edge one full
+    /// search, into the thread's scratch; then the row, its one
+    /// allocation.
     fn fill_row(&self, src: u32) -> PathRow {
         let nodes = self.n + 1;
+        let tree = self.boundary.get_or_init(|| {
+            let positive = self.adj.half.iter().all(|&(_, w)| w > 0);
+            positive.then(|| BoundaryTree::new(&self.adj, self.n as u32))
+        });
+        // `bd(src)`; with no tree, no bound and no boundary route.
+        let bd = |v: u32| tree.as_ref().map_or(UNREACHED, |t| t.dist[v as usize]);
+        let bda = bd(src);
+        let via_boundary = |v: u32| bda.saturating_add(bd(v));
+        ROW_SCRATCH.with(|scratch| {
+            let RowScratch { obs, pred } = &mut *scratch.borrow_mut();
+            obs.resize(nodes, 0);
+            pred.resize(nodes, (0, 0));
+            obs[src as usize] = 0;
+            let obs = Cell::from_mut(&mut obs[..]).as_slice_of_cells();
+            let pred = Cell::from_mut(&mut pred[..]).as_slice_of_cells();
+            self.adj.shortest(
+                src,
+                |u, d| d >= via_boundary(u),
+                via_boundary,
+                |u, v, h| {
+                    obs[v].set(obs[u].get() ^ self.adj.obs[h]);
+                    pred[v].set((u as u32, h as u32));
+                },
+                |dist, _| {
+                    if let Some(tree) = tree.as_ref().filter(|_| bda != UNREACHED) {
+                        tree.replay(&self.adj, bda, dist, obs, pred);
+                    }
+                    // A cell's distance and mask, the mask 0 where
+                    // nothing reaches.
+                    let cell = |v: usize| match dist[v].min(via_boundary(v as u32)) {
+                        UNREACHED => (UNREACHED, 0),
+                        d => (d, obs[v].get()),
+                    };
+                    self.row_of(src, (0..nodes).map(cell))
+                },
+            )
+        })
+    }
+
+    /// The row of `src` over its cells' `(distance, mask)` in node
+    /// order: packed into `u32` cells, or beside wide masks.
+    fn row_of(&self, src: u32, cells: impl ExactSizeIterator<Item = (u64, u64)>) -> PathRow {
         match self.obs_bits {
-            Some(obs_bits) => {
-                let mut cells = vec![0u32; nodes].into_boxed_slice();
-                let cell = Cell::from_mut(&mut cells[..]).as_slice_of_cells();
-                self.adj.shortest(
-                    src,
-                    None,
-                    |_| UNREACHED,
-                    |u, v, h| cell[v].set(cell[u].get() ^ self.adj.obs[h] as u32),
-                    |dist, _| {
-                        for (c, &d) in cell.iter().zip(dist) {
-                            c.set(row_cell(d, src, obs_bits) << obs_bits | c.get());
-                        }
-                    },
-                );
-                PathRow {
-                    cells,
-                    obs_bits,
-                    wide_obs: None,
-                }
-            }
+            Some(obs_bits) => PathRow {
+                cells: cells
+                    .map(|(d, obs)| row_cell(d, src, obs_bits) << obs_bits | obs as u32)
+                    .collect(),
+                obs_bits,
+                wide_obs: None,
+            },
             None => {
-                let mut obs = vec![0u64; nodes].into_boxed_slice();
-                let cells = self.adj.shortest(
-                    src,
-                    None,
-                    |_| UNREACHED,
-                    |u, v, h| obs[v] = obs[u] ^ self.adj.obs[h],
-                    |dist, _| dist.iter().map(|&d| row_cell(d, src, 0)).collect(),
-                );
+                let (cells, obs): (Vec<u32>, Vec<u64>) =
+                    cells.map(|(d, obs)| (row_cell(d, src, 0), obs)).unzip();
                 PathRow {
-                    cells,
+                    cells: cells.into(),
                     obs_bits: 0,
-                    wide_obs: Some(obs),
+                    wide_obs: Some(obs.into()),
                 }
             }
         }
@@ -437,7 +592,7 @@ impl PathTable {
         hops[src as usize] = 0;
         self.adj.shortest(
             src,
-            None,
+            |_, _| false,
             |_| UNREACHED,
             |u, v, _| hops[v] = hops[u] + 1,
             |_, _| (),
@@ -635,7 +790,7 @@ impl NoTransitTable {
         let adj = Adjacency::new(graph);
         let escape = adj.shortest(
             bd,
-            None,
+            |_, _| false,
             |_| UNREACHED,
             |_, _, _| {},
             |dist, _| dist.to_vec(),
@@ -713,7 +868,7 @@ impl NoTransitTable {
             None => {
                 let d = self.adj.shortest(
                     u,
-                    Some(self.n as u32),
+                    |x, _| x == self.n as u32,
                     |_| UNREACHED,
                     |_, _, _| {},
                     |dist, _| dist[v as usize],
@@ -840,7 +995,7 @@ impl NoTransitTable {
         let sink = self.n as u32;
         let limit = |v| self.limit(v);
         self.adj
-            .shortest(src, Some(sink), limit, |_, _, _| {}, read)
+            .shortest(src, |u, _| u == sink, limit, |_, _, _| {}, read)
     }
 
     /// [`NoTransitTable::search`] from `src`, kept as a rank-indexed row
@@ -973,10 +1128,28 @@ mod tests {
         dist
     }
 
-    /// Every row of a fresh [`PathTable`] over `g`, the boundary's
-    /// included, equals [`DecodingGraph::dijkstra`] cell by cell — the
-    /// hops of the paths the row's search found included, and the class
-    /// against the threshold rule applied to the oracle's distance — and
+    /// Every row of `t`, the boundary's included, equals
+    /// [`DecodingGraph::dijkstra`] over `g` cell by cell: distance, mask,
+    /// and the class against the threshold rule applied to the oracle's
+    /// distance.
+    fn assert_rows_match_dijkstra(t: &PathTable, g: &DecodingGraph) {
+        let bd = g.boundary_node();
+        assert_eq!(t.num_detectors(), bd as usize);
+        let class = |d: i64| t.thresholds.iter().position(|&th| d <= th).unwrap_or(3) as u8;
+        for src in 0..=bd {
+            let sp = g.dijkstra(src);
+            let row = t.row(src);
+            for v in 0..=bd {
+                let (d, at) = (sp.dist[v as usize], (src, v));
+                assert_eq!(row.distance(v), d, "{at:?}");
+                assert_eq!(row.path_obs(v), sp.obs[v as usize], "{at:?}");
+                assert_eq!(t.path_class(src, v), class(d), "{at:?}");
+            }
+        }
+    }
+
+    /// [`assert_rows_match_dijkstra`] on a fresh [`PathTable`] over `g`,
+    /// with the hops of the paths the kernel's full search finds, and
     /// the escape vector equals [`plain_dijkstra`], from the boundary and
     /// as every no-transit boundary column. Every no-transit cell a row
     /// stores equals [`plain_dijkstra`], every cell it does not store is
@@ -988,18 +1161,9 @@ mod tests {
         let t = PathTable::build(g);
         let nt = NoTransitTable::new(g);
         let bd = g.boundary_node();
-        let class = |d: i64| t.thresholds.iter().position(|&th| d <= th).unwrap_or(3) as u8;
+        assert_rows_match_dijkstra(&t, g);
         for src in 0..=bd {
-            let sp = g.dijkstra(src);
-            let row = t.row(src);
-            let hops = t.kernel_hops(src);
-            for v in 0..=bd {
-                let (d, at) = (sp.dist[v as usize], (src, v));
-                assert_eq!(row.distance(v), d, "{at:?}");
-                assert_eq!(row.path_obs(v), sp.obs[v as usize], "{at:?}");
-                assert_eq!(hops[v as usize], sp.hops[v as usize], "{at:?}");
-                assert_eq!(t.path_class(src, v), class(d), "{at:?}");
-            }
+            assert_eq!(t.kernel_hops(src), g.dijkstra(src).hops, "hops from {src}");
         }
         let escape: Vec<i64> = (0..=bd).map(|v| nt.escape(v)).collect();
         assert_eq!(escape, plain_dijkstra(g, bd, None), "the escape vector");
@@ -1361,6 +1525,11 @@ mod tests {
     /// weights from {0, 1, 2, 2, 3, 5}, so zero-weight edges and tied
     /// paths are common.
     fn random_graph(seed: u64) -> DecodingGraph {
+        random_graph_weighted(seed, &[0, 1, 2, 2, 3, 5])
+    }
+
+    /// [`random_graph`]'s twin with every weight drawn from `weights`.
+    fn random_graph_weighted(seed: u64, weights: &[i64]) -> DecodingGraph {
         use crate::graph::Edge;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1384,7 +1553,7 @@ mod tests {
         let edges = ends.into_iter().map(|(u, v)| Edge {
             u,
             v,
-            weight: [0, 1, 2, 2, 3, 5][rng.gen_range(0..6usize)],
+            weight: weights[rng.gen_range(0..weights.len())],
             probability: 0.01,
             obs: rng.gen_range(0..4u64),
         });
@@ -1405,6 +1574,27 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
         ) {
             assert_tables_match_the_oracles(&random_graph(seed));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The pruned fill's tie rule: on random graphs whose weights,
+        /// from {1, 1, 2, 2, 3}, tie shortest paths through the boundary
+        /// with paths around it, every row equals
+        /// [`DecodingGraph::dijkstra`] in distance, mask and class.
+        #[test]
+        fn positive_random_rows_equal_the_full_search(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = random_graph_weighted(seed, &[1, 1, 2, 2, 3]);
+            let t = PathTable::build(&g);
+            assert_rows_match_dijkstra(&t, &g);
+            assert!(
+                matches!(t.boundary.get(), Some(Some(_))),
+                "positive weights take the pruned fill"
+            );
         }
     }
 
@@ -1430,9 +1620,9 @@ mod tests {
             pops += nt.search(u, |dist, _| settled(dist));
             let capped =
                 |dist: &[u64], _: &mut [u32]| (settled(&dist[..n as usize]), settled(dist));
-            let (cells, all) = nt
-                .adj
-                .shortest(u, Some(bd), |_| nt.reach, |_, _, _| {}, capped);
+            let (cells, all) =
+                nt.adj
+                    .shortest(u, |x, _| x == bd, |_| nt.reach, |_, _, _| {}, capped);
             reached += cells;
             reach_pops += all;
         }
@@ -1440,6 +1630,74 @@ mod tests {
         assert_eq!(nt.rows_filled(), n as usize);
         assert_eq!((kept, pops), (248_388, 248_780));
         assert_eq!((reached, reach_pops), (526_290, 527_466));
+    }
+
+    /// Every shipped graph, row for row: the noise model, distance,
+    /// rounds and default (W, C) of each builtin `repro` scenario and of
+    /// the two engine workloads of the benchmark. Each has only positive
+    /// weights, so every row takes the pruned fill; the whole-graph table
+    /// and the window table of every `(lo, hi)` the window steps can ask
+    /// for equal [`DecodingGraph::dijkstra`] cell for cell. A step at
+    /// layer `s` extracts up to `min(s + W, layers)`, reaching down below
+    /// `s` as far as a carried defect lies, so every `lo` up to `s` is
+    /// covered.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "fills every row of 93 tables; run in release"
+    )]
+    fn every_shipped_graph_and_window_table_equals_the_full_search() {
+        use crate::{LayerMap, SeamPolicy, WindowCache};
+        use surface_code::MemoryBasis;
+        let shipped = [
+            ("cc-d3", NoiseModel::code_capacity(1e-2), 3, 1, (1, 1)),
+            (
+                "phenom-d5",
+                NoiseModel::phenomenological(5e-3),
+                5,
+                5,
+                (4, 2),
+            ),
+            ("uniform-d5", NoiseModel::uniform(1e-3), 5, 5, (4, 2)),
+            ("sd6-d5", NoiseModel::sd6(1e-3), 5, 5, (4, 2)),
+            ("sd6-d7", NoiseModel::sd6(1e-3), 7, 7, (4, 2)),
+            ("sd6-d11", NoiseModel::sd6(1e-4), 11, 11, (6, 3)),
+            (
+                "biased-z-d5",
+                NoiseModel::biased_z(1e-3, 10.0),
+                5,
+                5,
+                (4, 2),
+            ),
+            ("engine-dense-d13", NoiseModel::sd6(1e-3), 13, 13, (6, 3)),
+            ("engine-sparse-d13", NoiseModel::sd6(1e-4), 13, 13, (6, 3)),
+        ];
+        let mut tables = 0;
+        for (name, noise, d, rounds, (window, commit)) in shipped {
+            let code = RotatedSurfaceCode::new(d);
+            let circuit = code.memory_circuit(MemoryBasis::Z, rounds, &noise);
+            let g = DecodingGraph::from_dem(&extract_dem(&circuit));
+            assert!(
+                g.edges().iter().all(|e| e.weight > 0),
+                "{name}: a zero-weight edge"
+            );
+            assert_rows_match_dijkstra(&PathTable::build(&g), &g);
+            let layers = LayerMap::from_graph(&g).unwrap();
+            let cache = WindowCache::new(&g, SeamPolicy::Cut);
+            let top = layers.num_layers();
+            for s in (0..top).step_by(commit as usize) {
+                let hi = (s + window).min(top);
+                for lo in 0..=s {
+                    let win = cache.get_or_build(&g, layers.det_range(lo, hi), (lo, hi));
+                    assert_rows_match_dijkstra(win.paths(), win.graph());
+                    tables += 1;
+                }
+                if hi == top {
+                    break;
+                }
+            }
+        }
+        assert_eq!(tables, 84, "window tables checked");
     }
 
     #[test]

@@ -142,7 +142,7 @@ pub struct ExperimentContext {
     /// All-pairs shortest-path data over the whole graph. Created on
     /// first call — the window engine and the decode service only ever
     /// read per-window tables — and filled a source row at a time from
-    /// then on (≈ 11 MB at d = 13 once every row has been asked).
+    /// then on (≈ 5.4 MB at d = 13 once every row has been asked).
     paths: OnceLock<PathTable>,
 }
 

@@ -143,13 +143,21 @@ impl AdmissionModel {
     /// Folds every buffered window keyed below `watermark` into the
     /// committed state, in `(ready_round, qubit)` order (collection order
     /// among equal keys), then the least keys beyond [`REORDER_CAP`].
-    pub(crate) fn release(&mut self, watermark: (u64, u32)) {
+    /// Each released window served past the deadline goes to `missed`,
+    /// in release order: the model's misses are the only ones there are.
+    pub(crate) fn release(&mut self, watermark: (u64, u32), mut missed: impl FnMut(Miss)) {
         while let Some(&Reverse((ready_round, qubit, _, bits))) = self.pending.peek() {
             if (ready_round, qubit) >= watermark && self.pending.len() <= REORDER_CAP {
                 break;
             }
             self.pending.pop();
-            self.fifo.serve(ready_round, qubit, f64::from_bits(bits));
+            if let Some(reaction_ns) = self.fifo.serve(ready_round, qubit, f64::from_bits(bits)) {
+                missed(Miss {
+                    qubit,
+                    ready_round,
+                    reaction_ns,
+                });
+            }
         }
     }
 
@@ -165,6 +173,16 @@ impl AdmissionModel {
         }
         fifo.into_reports()
     }
+}
+
+/// A released window the model served past the reaction deadline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Miss {
+    pub(crate) qubit: u32,
+    /// The window's modeled arrival round (see [`WindowArrival`]).
+    pub(crate) ready_round: u64,
+    /// Its modeled reaction, ns: above the deadline.
+    pub(crate) reaction_ns: f64,
 }
 
 /// The committed state of one modeled FIFO decode engine.
@@ -197,8 +215,9 @@ impl Fifo {
         }
     }
 
-    /// Serves (or sheds) the next window in modeled arrival order.
-    fn serve(&mut self, ready_round: u64, qubit: u32, service_ns: f64) {
+    /// Serves (or sheds) the next window in modeled arrival order, and
+    /// returns its reaction when that misses the deadline.
+    fn serve(&mut self, ready_round: u64, qubit: u32, service_ns: f64) -> Option<f64> {
         let cfg = &self.cfg;
         let ready = ready_round as f64 * cfg.round_ns;
         let acc = self.tenants.entry(qubit).or_default();
@@ -208,17 +227,17 @@ impl Fifo {
         }
         if acc.in_queue.len() >= cfg.queue_capacity {
             acc.shed += 1;
-            return;
+            return None;
         }
         let start = self.server_free.max(ready);
         let finish = start + service_ns;
         self.server_free = finish;
         let reaction = finish - ready;
-        if reaction > cfg.deadline_ns {
-            acc.misses += 1;
-        }
+        let missed = reaction > cfg.deadline_ns;
+        acc.misses += u64::from(missed);
         acc.reactions.record(reaction);
         acc.in_queue.push_back(finish);
+        missed.then_some(reaction)
     }
 
     fn into_reports(self) -> Vec<TenantReport> {
@@ -499,6 +518,12 @@ mod tests {
             .collect();
         let mut model = AdmissionModel::new(cfg);
         let mut decoded: Vec<WindowArrival> = Vec::new();
+        // Per qubit, the misses `release` reported.
+        let mut missed: HashMap<u32, u64> = HashMap::new();
+        let mut count_miss = |m: Miss| {
+            assert!(m.reaction_ns > cfg.deadline_ns, "{m:?}");
+            *missed.entry(m.qubit).or_default() += 1;
+        };
         let snapshot_p = (snapshots as f64 / windows as f64).min(1.0);
         while decoded.len() < windows {
             let s = streams.iter_mut().min_by_key(|s| s.due).expect("a stream");
@@ -530,7 +555,7 @@ mod tests {
                     .filter_map(|s| Some((s.next_shot? * s.layers, s.qubit)))
                     .min()
                     .unwrap_or((u64::MAX, u32::MAX));
-                model.release(watermark);
+                model.release(watermark, &mut count_miss);
             }
             prop_assert!(model.pending.len() < REORDER_CAP);
             if rng.gen_bool(snapshot_p) {
@@ -538,7 +563,13 @@ mod tests {
                 prop_assert_eq!(model.reports(), batch, "after {} windows", decoded.len());
             }
         }
-        prop_assert_eq!(model.reports(), simulate_shard(&mut decoded, &cfg));
+        let reports = simulate_shard(&mut decoded, &cfg);
+        prop_assert_eq!(model.reports(), reports.clone());
+        model.release((u64::MAX, u32::MAX), &mut count_miss);
+        for r in reports {
+            let released = missed.get(&r.qubit).copied().unwrap_or(0);
+            prop_assert_eq!(released, r.deadline_misses, "qubit {}", r.qubit);
+        }
         Ok(())
     }
 
@@ -687,7 +718,7 @@ mod tests {
                     .map(|t| (next_shot[t as usize] * LAYERS, t))
                     .min()
                     .unwrap();
-                model.release(watermark);
+                model.release(watermark, |_| {});
                 assert!(
                     model.pending.len() <= 2 * HI.len() * TENANTS as usize,
                     "shot {shot}, tenant {q}: {} windows buffered",
@@ -734,7 +765,7 @@ mod tests {
         let alone = simulate_shard(&mut decoded.clone(), &cfg);
         for (shot, &w) in decoded.iter().enumerate() {
             model.push(w);
-            model.release((2 * (shot as u64 + 1), 0));
+            model.release((2 * (shot as u64 + 1), 0), |_| {});
         }
         assert!(model.pending.is_empty(), "tenant 0's windows are released");
         let late = WindowArrival {
@@ -743,7 +774,10 @@ mod tests {
             service_ns: 500.0,
         };
         model.push(late);
-        model.release((2, 1));
+        let mut missed = Vec::new();
+        model.release((2, 1), |m| missed.push(m));
+        // Its 19 000 ns reaction is within the 100 µs deadline.
+        assert!(missed.is_empty(), "{missed:?}");
         assert!(model.pending.is_empty());
         decoded.push(late);
         let streamed = model.reports();
@@ -771,7 +805,7 @@ mod tests {
         let mut decoded = uniform(1, 2 * REORDER_CAP as u64 + 5, 1, 700.0);
         for &w in &decoded {
             model.push(w);
-            model.release((0, 0));
+            model.release((0, 0), |_| {});
             assert!(model.pending.len() <= REORDER_CAP);
         }
         assert_eq!(model.pending.len(), REORDER_CAP);

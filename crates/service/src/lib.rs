@@ -360,11 +360,6 @@ mod tests {
             ServiceConfig {
                 shards: 2,
                 trace_capacity: 256,
-                // Keep the modeled deadline far above any real SPSC
-                // queueing delay: this test pins the *clean-run* trace,
-                // and a loaded test machine must not fire a
-                // deadline-miss postmortem under it.
-                deadline_ns: 1e12,
                 ..ServiceConfig::default()
             },
             vec![scenario],
@@ -436,6 +431,115 @@ mod tests {
             )));
     }
 
+    /// Runs `shots` closed-loop shots of tenant 0 (MWPM, window (3, 2),
+    /// no L1) through a traced one-shard server under `cfg`, and returns
+    /// the server's trace set and the tenant's stats row.
+    fn traced_run(cfg: ServiceConfig, shots: u64) -> (Arc<TraceSet>, TenantStatsWire) {
+        let ctx = small_ctx();
+        let scenario = ScenarioContext::new("t", Arc::clone(&ctx)).unwrap();
+        let cfg = ServiceConfig {
+            trace_capacity: 4096,
+            ..cfg
+        };
+        let server = DecodeServer::new(cfg, vec![scenario]).unwrap();
+        let (client, server_end) = channel_pair();
+        let stats = std::thread::scope(|scope| {
+            scope.spawn(|| server.serve(vec![server_end]));
+            let mut client = client;
+            client
+                .sink
+                .send(&Frame::RegisterQubit {
+                    qubit: 0,
+                    decoder: DecoderKind::Mwpm.code(),
+                    window: 3,
+                    commit: 2,
+                    predecode: 0,
+                    datapath: 1,
+                    scenario: "t".into(),
+                })
+                .unwrap();
+            assert!(matches!(
+                client.source.recv().unwrap().unwrap(),
+                Frame::RegisterAck { ok: true, .. }
+            ));
+            for shot in 0..shots {
+                let e = &ctx.dem.errors[shot as usize % ctx.dem.errors.len()];
+                let dets = e.dets.as_slice().to_vec();
+                let submit = Frame::SubmitRounds {
+                    qubit: 0,
+                    shot,
+                    dets,
+                };
+                client.sink.send(&submit).unwrap();
+                match client.source.recv().unwrap().unwrap() {
+                    Frame::CommitResult { shed: false, .. } => {}
+                    other => panic!("shot {shot}: expected a decoded commit, got {other:?}"),
+                }
+            }
+            client.sink.send(&Frame::StatsRequest).unwrap();
+            let Some(Frame::StatsReport { mut tenants }) = client.source.recv().unwrap() else {
+                panic!("expected a stats report");
+            };
+            client.sink.send(&Frame::Shutdown).unwrap();
+            assert_eq!(client.source.recv().unwrap(), Some(Frame::ShutdownAck));
+            assert_eq!(tenants.len(), 1);
+            tenants.pop().unwrap()
+        });
+        (Arc::clone(server.trace().expect("tracing armed")), stats)
+    }
+
+    #[test]
+    fn deadline_misses_are_the_admission_models_own() {
+        // At the default cadence the model serves every window in time,
+        // so a traced run records no miss, however slowly this machine
+        // moved the shots through the rings.
+        let (trace, stats) = traced_run(ServiceConfig::default(), 40);
+        assert_eq!((stats.windows, stats.deadline_misses), (80, 0));
+        assert_eq!(trace.triggers(), 0, "a clean run triggers no postmortem");
+        // Rounds every 10 ns, a window's modeled service at least 500 ns:
+        // the queue grows, and every released window that the model
+        // served late is one event and one trigger.
+        let (trace, stats) = traced_run(
+            ServiceConfig {
+                round_ns: 10.0,
+                queue_capacity: 1 << 20,
+                ..ServiceConfig::default()
+            },
+            40,
+        );
+        assert!(trace.fired(), "a miss freezes the postmortem");
+        let dump = trace.collect("test");
+        let events: Vec<&telemetry::TraceEvent> =
+            dump.shards.iter().flat_map(|s| &s.events).collect();
+        let misses: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == telemetry::TraceKind::DeadlineMiss)
+            .collect();
+        assert!(!misses.is_empty());
+        assert_eq!(trace.triggers(), misses.len() as u64);
+        // The last shot's final window waits for a later watermark, so
+        // it may be counted in the stats but not yet released.
+        let released = misses.len() as u64;
+        assert!(
+            released <= stats.deadline_misses && stats.deadline_misses <= released + 1,
+            "{released} released misses, {stats:?}"
+        );
+        for m in misses {
+            assert!(
+                f64::from(m.arg) > ServiceConfig::default().deadline_ns,
+                "{m:?}"
+            );
+            assert!(
+                events.iter().any(|e| e.seq == m.seq
+                    && e.window_idx == m.window_idx
+                    && e.kind == telemetry::TraceKind::WindowOpen),
+                "no window {} opened in shot {}",
+                m.window_idx,
+                m.seq
+            );
+        }
+    }
+
     #[test]
     fn untraced_server_reports_an_empty_trace() {
         let scenario = ScenarioContext::new("t", small_ctx()).unwrap();
@@ -455,10 +559,6 @@ mod tests {
                 max_inflight_shots: 1,
                 trace_capacity: 512,
                 trace_dump_prefix: Some(prefix),
-                // The shed must be the *first* trigger for the dump
-                // reason to be deterministic; park the deadline far out
-                // so slow CI machines cannot fire a miss first.
-                deadline_ns: 1e12,
                 ..ServiceConfig::default()
             },
             vec![scenario],

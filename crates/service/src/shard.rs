@@ -33,7 +33,7 @@
 //! An idle shard thread parks on its [`ShardWaker`] with a timeout, so a
 //! lost wakeup race costs bounded latency, never a hang.
 
-use crate::admission::{AdmissionModel, TenantGate, WindowArrival};
+use crate::admission::{AdmissionModel, Miss, TenantGate, WindowArrival};
 use crate::postmortem::TraceSet;
 use crate::protocol::{Frame, TenantStatsWire};
 use crate::server::{ScenarioContext, ServiceConfig};
@@ -79,6 +79,8 @@ struct Tenant<'a> {
     qubit: u32,
     decoder: SlidingWindowDecoder<'a>,
     fallback: Box<dyn LatencyModel + Send>,
+    /// The `(window, commit)` split the decoder runs.
+    window: WindowConfig,
     layers_per_shot: u32,
     next_shot: u64,
     shots: u64,
@@ -96,12 +98,21 @@ struct Tenant<'a> {
 
 /// Windows one shot's decode produces: the number of window steps of
 /// the sliding-window loop over `layers` round layers.
-#[cfg(test)]
 fn windows_per_shot(layers: u32, cfg: WindowConfig) -> u32 {
     if layers <= cfg.window {
         1
     } else {
         1 + (layers - cfg.window).div_ceil(cfg.commit)
+    }
+}
+
+/// The index within its shot of the window that ends at layer `hi`:
+/// window `k` ends at `min(k × commit + window, layers)`.
+fn window_index(hi: u32, layers: u32, cfg: WindowConfig) -> u32 {
+    if hi < layers {
+        (hi - cfg.window) / cfg.commit
+    } else {
+        windows_per_shot(layers, cfg) - 1
     }
 }
 
@@ -149,6 +160,25 @@ impl ShardTrace {
                 self.set.trigger("escalation-storm");
             }
         }
+    }
+
+    /// Logs a window the admission model served past the deadline, keyed
+    /// by its tenant, shot and window, with its modeled reaction, and
+    /// triggers the postmortem.
+    fn deadline_miss(&self, tenants: &HashMap<u32, Tenant<'_>>, miss: Miss) {
+        let t = tenants
+            .get(&miss.qubit)
+            .expect("only registered tenants decode windows, and none leaves");
+        // A window ends at a layer in 1..=layers of its shot.
+        let layers = u64::from(t.layers_per_shot);
+        let shot = (miss.ready_round - 1) / layers;
+        let hi = (miss.ready_round - shot * layers) as u32;
+        let window = window_index(hi, t.layers_per_shot, t.window);
+        // The cast saturates: a reaction past u32::MAX ns reads as that.
+        let arg = miss.reaction_ns as u32;
+        let kind = TraceKind::DeadlineMiss;
+        self.buf.record(miss.qubit, shot, window, kind, arg);
+        self.set.trigger("deadline-miss");
     }
 }
 
@@ -348,7 +378,12 @@ impl ShardCore<'_> {
             }
             ring.advance(n);
             reply.send_wire(&self.wire);
-            self.model.release(watermark(&self.tenants));
+            let (tenants, tr) = (&self.tenants, &self.tr);
+            self.model.release(watermark(tenants), |miss| {
+                if let Some(t) = tr {
+                    t.deadline_miss(tenants, miss);
+                }
+            });
             swept += n;
         }
         self.rings.retain(|(ring, _)| !ring.is_done());
@@ -387,6 +422,7 @@ impl ShardCore<'_> {
                         qubit,
                         decoder,
                         fallback: fallback_latency_model(kind),
+                        window,
                         layers_per_shot,
                         next_shot: 0,
                         shots: 0,
@@ -448,23 +484,9 @@ fn process_slot(
     if slot.enq != 0 {
         // The router's sampler stamped the publish: the elapsed time to
         // this pickup is the SPSC queueing delay (ingest stage).
-        let delay_ns = telemetry::since_ns(slot.enq);
-        metrics.stages.record(Stage::Ingest, delay_ns);
-        if let Some(t) = tr.as_mut() {
-            // A sampled submission that queued past the reaction
-            // deadline before decode even started cannot make it: log
-            // the miss (arg = elapsed µs) and freeze a postmortem.
-            if delay_ns as f64 > cfg.deadline_ns {
-                t.buf.record(
-                    qubit,
-                    shot,
-                    0,
-                    TraceKind::DeadlineMiss,
-                    (delay_ns / 1_000).min(u32::MAX as u64) as u32,
-                );
-                t.set.trigger("deadline-miss");
-            }
-        }
+        metrics
+            .stages
+            .record(Stage::Ingest, telemetry::since_ns(slot.enq));
         slot.enq = 0;
     }
     let Some(tenant) = tenants.get_mut(&qubit) else {
@@ -612,6 +634,7 @@ mod tests {
     fn test_tenant(
         qubit: u32,
         decoder: SlidingWindowDecoder<'_>,
+        window: WindowConfig,
         gate: Arc<TenantGate>,
     ) -> Tenant<'_> {
         let layers_per_shot = decoder.layers().num_layers();
@@ -619,6 +642,7 @@ mod tests {
             qubit,
             decoder,
             fallback: fallback_latency_model(DecoderKind::Mwpm),
+            window,
             layers_per_shot,
             next_shot: 0,
             shots: 0,
@@ -671,6 +695,10 @@ mod tests {
                 windows_per_shot(layers.num_layers(), cfg),
                 "w={w} c={c}"
             );
+            for (k, win) in out.windows.iter().enumerate() {
+                let index = window_index(win.hi_layer, layers.num_layers(), cfg);
+                assert_eq!(index, k as u32, "w={w} c={c}");
+            }
         }
     }
 
@@ -709,7 +737,7 @@ mod tests {
                 assert!(gate.try_admit());
             }
             let mut tenants = HashMap::new();
-            tenants.insert(0, test_tenant(0, decoder, gate));
+            tenants.insert(0, test_tenant(0, decoder, cfg, gate));
             let mut wire = Vec::new();
             let mut model = AdmissionModel::new(admission);
             let metrics = ShardMetrics::default();
@@ -779,7 +807,7 @@ mod tests {
             assert!(gate.try_admit());
         }
         let mut tenants = HashMap::new();
-        tenants.insert(3, test_tenant(3, decoder, gate));
+        tenants.insert(3, test_tenant(3, decoder, cfg, gate));
         let mut wire = Vec::new();
         let mut model = AdmissionModel::new(ServiceConfig::default().admission());
         let metrics = ShardMetrics::default();
@@ -842,7 +870,10 @@ mod tests {
         for q in [1u32, 4, 6] {
             let decoder =
                 SlidingWindowDecoder::new(&ctx.graph, layers.clone(), DecoderKind::Mwpm, cfg);
-            tenants.insert(q, test_tenant(q, decoder, Arc::new(TenantGate::new(1))));
+            tenants.insert(
+                q,
+                test_tenant(q, decoder, cfg, Arc::new(TenantGate::new(1))),
+            );
         }
         let mut order = Vec::new();
         for turn in 0..12u64 {
@@ -872,7 +903,7 @@ mod tests {
                 &ServiceConfig::default(),
                 &mut None,
             );
-            model.release(watermark(&tenants));
+            model.release(watermark(&tenants), |_| {});
             let base_round = shot * tenants[&q].layers_per_shot as u64;
             for w in oracle.decode_shot_reference(dets).windows {
                 arrivals.push(WindowArrival {
@@ -899,7 +930,7 @@ mod tests {
         let decoder = SlidingWindowDecoder::new(&ctx.graph, layers, DecoderKind::Mwpm, cfg);
         let gate = Arc::new(TenantGate::new(4));
         let mut tenants = HashMap::new();
-        tenants.insert(1, test_tenant(1, decoder, Arc::clone(&gate)));
+        tenants.insert(1, test_tenant(1, decoder, cfg, Arc::clone(&gate)));
         let mut wire = Vec::new();
         let mut model = AdmissionModel::new(ServiceConfig::default().admission());
         let metrics = ShardMetrics::default();
@@ -984,7 +1015,7 @@ mod tests {
         }
         assert_eq!(gate.shed_count(), 8);
         let mut tenants = HashMap::new();
-        tenants.insert(7, test_tenant(7, decoder, gate));
+        tenants.insert(7, test_tenant(7, decoder, cfg, gate));
         let model = AdmissionModel::new(ServiceConfig::default().admission());
         let first = shard_stats(0, &tenants, &model);
         assert_eq!(first.len(), 1);

@@ -64,8 +64,9 @@ pub enum TraceKind {
     Defer = 6,
     /// A submission was shed (`arg` = shed reason code).
     Shed = 7,
-    /// A sampled submission's ingest-to-commit latency exceeded the
-    /// deadline (`arg` = elapsed µs).
+    /// The shard's admission model served the window past the reaction
+    /// deadline (`arg` = the window's modeled reaction in decoder-model
+    /// ns, the clock of the deadline, saturating at `u32::MAX`).
     DeadlineMiss = 8,
     /// The shard parked idle (`arg` = 0; tenant = [`SHARD_TENANT`]).
     Park = 9,
